@@ -14,14 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import helstrom_binary, square_root_measurement
-from .states import (
-    DensityOperator,
-    circle_state,
-    overlap,
-    tensor,
-    uniform_circle_ensemble,
-)
+from .detection import helstrom_binary, ring_tables
+from .detection import square_root_measurement  # noqa: F401 - benchmarks/tracing.py patches it here
+from .harness import binomial_stderr
+from .states import DensityOperator, circle_state, require_ring_size, tensor
+from .states import uniform_circle_ensemble  # noqa: F401 - benchmarks/tracing.py patches it here
 
 
 @dataclass(frozen=True)
@@ -72,8 +69,7 @@ def two_copy_states(M: int) -> tuple[DensityOperator, DensityOperator]:
     correctly modulated return, bit j presents the average over the ring of
     ``rho(l) (x) rho(l +- M/4)`` (bit 0 rotates up the circle, bit 1 down).
     """
-    if M <= 0 or M % 4 != 0:
-        raise ValueError("M must be a positive multiple of 4")
+    require_ring_size(M)
     q = M // 4
     dim = 4
     acc0 = np.zeros((dim, dim), dtype=complex)
@@ -108,34 +104,23 @@ def sequential_strategy_pc(M: int, trials: int, seed: int) -> tuple[float, float
     -------
     (estimate, stderr)
     """
-    if M <= 0 or M % 4 != 0:
-        raise ValueError("M must be a positive multiple of 4")
+    require_ring_size(M)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(seed)
-    q = M // 4
-    states = [circle_state(l, M) for l in range(M)]
-    ov = np.array([overlap(states[0], states[d]) for d in range(M)])
-    ensemble = uniform_circle_ensemble(M)
-    srm = square_root_measurement(ensemble)
-    # element d reports ring state d+1; against true state 1 that is offset d
-    pmf = np.array(
-        [float(np.real(np.trace(srm.elements[d] @ ensemble.states[0].matrix))) for d in range(M)]
-    )
-    pmf = np.clip(pmf, 0.0, None)
-    pmf = pmf / pmf.sum()
+    tables = ring_tables(M)
+    q, ov = tables.q, tables.ov
 
     ell = rng.integers(0, M, size=trials)
     j = rng.integers(0, 2, size=trials)
-    est = (ell + rng.choice(M, size=trials, p=pmf)) % M
+    est = (ell + rng.choice(M, size=trials, p=tables.srm)) % M
     modulated = (ell + q * (1 - 2 * j)) % M
     # the basis state meaning "bit 0" lies a quarter-turn up from the estimate
     p_bit0 = ov[(modulated - (est + q)) % M]
     decided = (rng.random(trials) >= p_bit0).astype(np.int64)
     success = decided == j
     p = float(np.mean(success))
-    se = float(np.sqrt(max(p * (1.0 - p), 1e-300) / trials))
-    return p, se
+    return p, binomial_stderr(p, trials)
 
 
 def translucent_accounting(k: int, pa: float) -> tuple[int, float]:

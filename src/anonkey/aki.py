@@ -21,15 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import square_root_measurement
-from .states import (
-    DensityOperator,
-    circle_state,
-    circle_state_at,
-    overlap,
-    rotate_circle,
-    uniform_circle_ensemble,
-)
+from .detection import ring_tables
+from .detection import square_root_measurement  # noqa: F401 - benchmarks/tracing.py patches it here
+from .harness import binomial_stderr
+from .states import DensityOperator, circle_state_at, overlap, require_ring_size, rotate_circle
+from .states import uniform_circle_ensemble  # noqa: F401 - benchmarks/tracing.py patches it here
 
 _TWO_PI = 2.0 * math.pi
 _EXACT_ATOL = 1e-12
@@ -97,8 +93,7 @@ def aki_challenge(
     ``phi_a`` can be forced for deterministic tests; otherwise it is uniform
     over the M ring phases.
     """
-    if M <= 0 or M % 4 != 0:
-        raise ValueError("M must be a positive multiple of 4")
+    require_ring_size(M)
     if phi_a is None:
         phi_a = _TWO_PI * int(rng.integers(0, M)) / M
     return AkiChallenge(
@@ -149,27 +144,16 @@ def aki_impersonation(m: int, M: int, trials: int, seed: int) -> tuple[float, fl
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    if M <= 0 or M % 4 != 0:
-        raise ValueError("M must be a positive multiple of 4")
+    require_ring_size(M)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(seed)
-    ensemble = uniform_circle_ensemble(M)
-    srm = square_root_measurement(ensemble)
-    pmf = np.array(
-        [float(np.real(np.trace(srm.elements[d] @ ensemble.states[0].matrix))) for d in range(M)]
-    )
-    pmf = np.clip(pmf, 0.0, None)
-    pmf = pmf / pmf.sum()
-    ov = np.array(
-        [overlap(circle_state(0, M), circle_state(d, M)) for d in range(M)]
-    )
+    tables = ring_tables(M)
 
     # per round: estimate offset delta ~ detector pmf; the returned state
     # misses the target by delta, and the projection accepts with ov[delta]
-    delta = rng.choice(M, size=(trials, m), p=pmf)
-    accepted = rng.random((trials, m)) < ov[delta]
+    delta = rng.choice(M, size=(trials, m), p=tables.srm)
+    accepted = rng.random((trials, m)) < tables.ov[delta]
     success = accepted.all(axis=1)
     p = float(np.mean(success))
-    se = float(np.sqrt(max(p * (1.0 - p), 1e-300) / trials))
-    return p, se
+    return p, binomial_stderr(p, trials)

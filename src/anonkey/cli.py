@@ -160,12 +160,20 @@ def _merge_config(args: argparse.Namespace) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
+    seed = merged["seed"]
+    if not _is_int(seed) or not 0 <= seed < 2**64:
+        raise ConfigError(f"config key 'seed' must be an integer in [0, 2**64), got {seed!r}")
     return merged
+
+
+def _is_int(v) -> bool:
+    # bool subclasses int, but {"trials": true} is not a count
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _validate_positive(cfg: dict, key: str) -> int:
     v = cfg[key]
-    if not isinstance(v, int) or v < 1:
+    if not _is_int(v) or v < 1:
         raise ConfigError(f"config key {key!r} must be a positive integer, got {v!r}")
     return v
 
@@ -197,7 +205,7 @@ def _run_detect(cfg: dict) -> tuple[ResultTable, int]:
 
 def _run_attack(cfg: dict) -> tuple[ResultTable, int]:
     strategy = cfg["strategy"]
-    seed = int(cfg["seed"])
+    seed = cfg["seed"]
     trials = _validate_positive(cfg, "trials")
     if strategy == "impersonation":
         k = _validate_positive(cfg, "k")
@@ -230,8 +238,9 @@ def _run_attack(cfg: dict) -> tuple[ResultTable, int]:
 
 def _run_ake(cfg: dict, fmt: str) -> tuple[str, int]:
     k = _validate_positive(cfg, "k")
+    M = _validate_positive(cfg, "M")
     trials = _validate_positive(cfg, "trials")
-    seeds = derive_seeds(int(cfg["seed"]), trials)
+    seeds = derive_seeds(cfg["seed"], trials)
     transcripts = []
     rows = ResultTable(
         [
@@ -243,7 +252,7 @@ def _run_ake(cfg: dict, fmt: str) -> tuple[str, int]:
     for i in range(trials):
         session = SessionConfig(
             k=k,
-            M=int(cfg["M"]),
+            M=M,
             channel=ChannelModel(float(cfg["loss"]), float(cfg["depolarize"])),
             cecc=cfg["cecc"],
             pa_hash_seed=seeds[i] ^ 0x5DEECE66D,
@@ -255,7 +264,7 @@ def _run_ake(cfg: dict, fmt: str) -> tuple[str, int]:
             exit_code = EXIT_ABORT
         transcripts.append(t)
         rows.add(
-            trial=i, seed=seeds[i], k=k, M=int(cfg["M"]), eve=cfg["eve"], cecc=cfg["cecc"],
+            trial=i, seed=seeds[i], k=k, M=M, eve=cfg["eve"], cecc=cfg["cecc"],
             aborted=t.aborted, trial_check_passed=t.trial_check_passed,
             key_bits=len(t.final_key_adam),
             keys_equal=t.final_key_adam == t.final_key_babe,
@@ -275,8 +284,8 @@ def _run_ake(cfg: dict, fmt: str) -> tuple[str, int]:
 
 def _run_aki(cfg: dict) -> tuple[ResultTable, int]:
     trials = _validate_positive(cfg, "trials")
-    seed = int(cfg["seed"])
-    M = int(cfg["M"])
+    seed = cfg["seed"]
+    M = _validate_positive(cfg, "M")
     table = ResultTable(["m", "M", "estimate", "stderr", "expected", "trials", "seed"])
     m_values = _int_list(cfg["m_list"])
     seeds = derive_seeds(seed, len(m_values))
@@ -289,7 +298,7 @@ def _run_aki(cfg: dict) -> tuple[ResultTable, int]:
 
 def _run_coherent(cfg: dict) -> tuple[ResultTable, int]:
     trials = _validate_positive(cfg, "trials")
-    seed = int(cfg["seed"])
+    seed = cfg["seed"]
     names = (
         ("heterodyne", "canonical", "heterodyne-resend")
         if cfg["estimator"] == "all"

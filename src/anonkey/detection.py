@@ -15,15 +15,20 @@ accepted with probability 3/4 for every M; pure guessing scores 1/2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
+from .harness import binomial_stderr
 from .states import (
     ATOL,
     DensityOperator,
     Ensemble,
     circle_state,
     hermitian_eig,
+    overlap,
+    require_ring_size,
     uniform_circle_ensemble,
 )
 
@@ -141,21 +146,21 @@ def acceptance_probability(e: Ensemble, m: Povm) -> float:
 
     Outcome ``l'`` of the POVM means the interceptor re-prepares state
     ``rho_l'`` of the ensemble; the sender's check then succeeds with
-    probability ``tr(rho_l rho_l')``.
+    probability ``tr(rho_l rho_l')``.  The double sum over ``(l, l')`` is
+    evaluated as ``tr[(sum_l' Pi_l' (x) rho_l')(sum_l p_l rho_l (x) rho_l)]``,
+    which is linear in the ensemble size.
     """
     if m.dim != e.dim:
         raise ValueError("POVM and ensemble dimensions differ")
     if m.size < e.size:
         raise ValueError(f"POVM has {m.size} elements for {e.size} states")
-    n = e.size
-    cond = np.empty((n, n))
-    accept = np.empty((n, n))
-    for i, s in enumerate(e.states):
-        for j in range(n):
-            cond[i, j] = np.real(np.trace(m.elements[j] @ s.matrix))
-            accept[i, j] = np.real(np.trace(s.matrix @ e.states[j].matrix))
-    priors = np.asarray(e.priors)
-    return float(np.sum(priors[:, None] * cond * accept))
+    pi = np.stack(m.elements[: e.size])
+    rho = np.stack([s.matrix for s in e.states])
+    # index pairs (a, b) and (c, d) of the two tensor factors; the traces
+    # pair Pi[a, b] with rho[b, a] and rho'[c, d] with rho[d, c]
+    measured = np.einsum("jab,jcd->abcd", pi, rho)
+    prepared = np.einsum("i,iba,idc->abcd", np.asarray(e.priors), rho, rho)
+    return float(np.real(np.sum(measured * prepared)))
 
 
 def helstrom_binary(
@@ -214,6 +219,50 @@ def evaluate_detection(e: Ensemble, m: Povm | None = None) -> DetectionReport:
     )
 
 
+class RingTables(NamedTuple):
+    """Exact per-qubit probability tables for ring size ``M`` (read-only).
+
+    * ``ov[d]`` - overlap tr(rho_l rho_{l+d}) between ring states d apart.
+    * ``decrypt_p0[d]`` - probability that the decrypt measurement for an
+      expected state ``l`` yields bit 0 when the returned qubit actually sits
+      at ``l + d``; the bit-0 basis state is the expected state rotated
+      +M/4 steps.
+    * ``srm[d]`` - probability that the optimal ring detector reports an
+      offset of d steps from the true state.
+    * ``q`` - the quarter-turn M/4 in ring steps.
+    """
+
+    ov: np.ndarray
+    decrypt_p0: np.ndarray
+    srm: np.ndarray
+    q: int
+
+
+@lru_cache(maxsize=None)
+def ring_tables(M: int) -> RingTables:
+    """The ring tables for ``M``, derived once from the density-operator algebra.
+
+    Closed forms: ``ov[d] = cos^2(pi d/M)``, ``decrypt_p0[d] = ov[d - M/4]``
+    and ``srm[d] = (2/M) cos^2(pi d/M)``.
+    """
+    require_ring_size(M)
+    q = M // 4
+    states = [circle_state(l, M) for l in range(M)]
+    ov = np.array([overlap(states[0], states[d]) for d in range(M)])
+    decrypt_p0 = np.array([overlap(states[d], states[q]) for d in range(M)])
+    ring = uniform_circle_ensemble(M)
+    srm = square_root_measurement(ring)
+    # uniform ring: p(report offset d) is l-independent; evaluate at state 0
+    srm_pmf = np.array(
+        [float(np.real(np.trace(srm.elements[d] @ ring.states[0].matrix))) for d in range(M)]
+    )
+    srm_pmf = np.clip(srm_pmf, 0.0, None)
+    srm_pmf = srm_pmf / srm_pmf.sum()
+    for a in (ov, decrypt_p0, srm_pmf):
+        a.setflags(write=False)
+    return RingTables(ov=ov, decrypt_p0=decrypt_p0, srm=srm_pmf, q=q)
+
+
 def random_basis_strategy(M: int, rng_seed: int, trials: int) -> tuple[float, float]:
     """Monte Carlo acceptance of the random-orthogonal-basis interceptor.
 
@@ -227,15 +276,11 @@ def random_basis_strategy(M: int, rng_seed: int, trials: int) -> tuple[float, fl
     (estimate, stderr)
         Fraction of accepted trials and its binomial standard error.
     """
-    if M <= 0 or M % 4 != 0:
-        raise ValueError("M must be a positive multiple of 4")
+    require_ring_size(M)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(rng_seed)
-    # overlap table between ring states d steps apart, from the matrix algebra
-    ov = np.array(
-        [np.real(np.trace(circle_state(d, M).matrix @ circle_state(0, M).matrix)) for d in range(M)]
-    )
+    ov = ring_tables(M).ov
     true = rng.integers(0, M, size=trials)
     k = rng.integers(0, M, size=trials)
     p_first = ov[(k - true) % M]
@@ -243,8 +288,7 @@ def random_basis_strategy(M: int, rng_seed: int, trials: int) -> tuple[float, fl
     reported = np.where(first, k, (k + M // 2) % M)
     accepted = rng.random(trials) < ov[(reported - true) % M]
     p = float(np.mean(accepted))
-    se = float(np.sqrt(max(p * (1.0 - p), 1e-300) / trials))
-    return p, se
+    return p, binomial_stderr(p, trials)
 
 
 def rotated_srm_acceptance(M: int, angles: np.ndarray) -> np.ndarray:
@@ -253,18 +297,12 @@ def rotated_srm_acceptance(M: int, angles: np.ndarray) -> np.ndarray:
     Used to confirm numerically that no rotated variant of the square-root
     measurement improves the acceptance probability on the uniform ring.
     """
-    e = uniform_circle_ensemble(M)
-    ov = np.empty((M, M))
-    for i in range(M):
-        for j in range(M):
-            ov[i, j] = np.real(np.trace(e.states[i].matrix @ e.states[j].matrix))
+    ov = ring_tables(M).ov
     angles = np.asarray(angles, dtype=float)
-    # p(l'|l) for the rotated SRM: (2/M) |<psi_l | U(a) psi_l'>|^2, and the
-    # ring overlap depends only on the phase difference.
-    l = np.arange(M)
-    dphi = 2.0 * np.pi * (l[:, None] - l[None, :]) / M  # phase(l) - phase(l')
-    out = np.empty(angles.shape)
-    for idx, a in enumerate(angles):
-        cond = (2.0 / M) * (1.0 + np.cos(dphi - a)) / 2.0
-        out[idx] = float(np.sum((1.0 / M) * cond * ov))
-    return out
+    # p(l'|l) for the rotated SRM is (2/M) |<psi_l | U(a) psi_l'>|^2 and the
+    # check passes with ov[(l' - l) mod M]; both depend on d = l - l' only,
+    # and each d occurs for M of the uniformly weighted (1/M) pairs
+    d = np.arange(M)
+    dphi = 2.0 * np.pi * d / M  # phase(l) - phase(l')
+    cond = (2.0 / M) * (1.0 + np.cos(dphi - angles[..., None])) / 2.0
+    return np.sum(cond * ov[(-d) % M], axis=-1)

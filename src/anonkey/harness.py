@@ -17,6 +17,11 @@ import json
 import numpy as np
 
 
+def binomial_stderr(p: float, n: int) -> float:
+    """Binomial standard error of a fraction ``p`` over ``n`` trials, kept above zero."""
+    return float(np.sqrt(max(p * (1.0 - p), 1e-300) / n))
+
+
 def spawn_trial_streams(master_seed: int, n: int) -> list[np.random.Generator]:
     """n independent generators; stream i depends only on (master_seed, i).
 

@@ -11,10 +11,10 @@ the 8k sifted bits down to a 4k key; a trial encryption of a fixed public
 plaintext catches disagreement.
 
 The per-qubit quantum mechanics is exact: all measurement and interception
-probabilities are tabulated once per ``M`` from the density-operator algebra
-in :mod:`anonkey.states` / :mod:`anonkey.detection`, then sessions sample
-from those tables, which keeps thousand-session experiments cheap without
-approximating anything.
+probabilities are tabulated once per ``M`` by :func:`anonkey.detection.ring_tables`
+from the density-operator algebra, then sessions sample from those tables,
+which keeps thousand-session experiments cheap without approximating
+anything.
 
 Adversaries
 -----------
@@ -37,14 +37,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, asdict
-from functools import lru_cache
 
 import numpy as np
 
 from . import coding
 from .adversary import AttackReport, binary_entropy, impersonation_order_pmf, opaque_bound
-from .detection import square_root_measurement
-from .states import DensityOperator, circle_state, overlap, uniform_circle_ensemble
+from .detection import ring_tables
+from .detection import square_root_measurement  # noqa: F401 - benchmarks/tracing.py patches it here
+from .states import DensityOperator, require_ring_size
+from .states import uniform_circle_ensemble  # noqa: F401 - benchmarks/tracing.py patches it here
 
 EVE_STRATEGIES = ("none", "opaque", "impersonate-order", "translucent")
 
@@ -149,8 +150,7 @@ class SessionConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        if self.M <= 0 or self.M % 4 != 0:
-            raise ValueError("M must be a positive multiple of 4")
+        require_ring_size(self.M)
         if self.cecc not in coding.CODES:
             raise ValueError(f"unknown cecc {self.cecc!r}; choose from {coding.CODES}")
         if self.eve_strategy not in EVE_STRATEGIES:
@@ -189,35 +189,6 @@ class SessionTranscript:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
-@lru_cache(maxsize=None)
-def _ring_tables(M: int) -> dict:
-    """Exact per-qubit probability tables for ring size ``M``.
-
-    Derived from the density-operator algebra once and cached:
-
-    * ``ov[d]`` - overlap tr(rho_l rho_{l+d}) between ring states d apart.
-    * ``decrypt_p0[d]`` - probability that the decrypt measurement for an
-      expected state ``l`` yields bit 0 when the returned qubit actually sits
-      at ``l + d``; the bit-0 basis state is the expected state rotated
-      +M/4 steps.
-    * ``srm[d]`` - probability that the optimal ring detector reports an
-      offset of d steps from the true state.
-    """
-    q = M // 4
-    states = [circle_state(l, M) for l in range(M)]
-    ov = np.array([overlap(states[0], states[d]) for d in range(M)])
-    decrypt_p0 = np.array([overlap(states[d], states[q % M]) for d in range(M)])
-    srm = square_root_measurement(uniform_circle_ensemble(M))
-    # uniform ring: p(report offset d) is l-independent; evaluate at l = 0
-    base = uniform_circle_ensemble(M).states[0]
-    srm_pmf = np.array(
-        [float(np.real(np.trace(srm.elements[(0 + d) % M] @ base.matrix))) for d in range(M)]
-    )
-    srm_pmf = np.clip(srm_pmf, 0.0, None)
-    srm_pmf = srm_pmf / srm_pmf.sum()
-    return {"ov": ov, "decrypt_p0": decrypt_p0, "srm": srm_pmf, "q": q}
-
-
 def _abort(cfg: SessionConfig, sent: np.ndarray, reason: str) -> SessionTranscript:
     return SessionTranscript(
         config=_config_dict(cfg),
@@ -250,8 +221,8 @@ def run_ake_session(cfg: SessionConfig) -> SessionTranscript:
     order, so equal configs give byte-identical transcripts.
     """
     rng = np.random.default_rng(cfg.rng_seed)
-    tables = _ring_tables(cfg.M)
-    M, q = cfg.M, tables["q"]
+    tables = ring_tables(cfg.M)
+    M, q = cfg.M, tables.q
 
     n_raw = 8 * cfg.k
     n_coded = len(coding.cecc_encode(np.zeros(n_raw, dtype=np.uint8), cfg.cecc))
@@ -272,7 +243,7 @@ def run_ake_session(cfg: SessionConfig) -> SessionTranscript:
     # ring detector and forwards her estimate
     eve_offsets = None
     if cfg.eve_strategy == "opaque":
-        eve_offsets = rng.choice(M, size=n_sent, p=tables["srm"])
+        eve_offsets = rng.choice(M, size=n_sent, p=tables.srm)
         carried = (sent + eve_offsets) % M
     else:
         carried = sent.copy()
@@ -315,7 +286,7 @@ def run_ake_session(cfg: SessionConfig) -> SessionTranscript:
     expected = sent[used]
     actual = returned[sigma]
     actual_dep = src_dep[sigma]
-    p0 = tables["decrypt_p0"][(actual - expected) % M]
+    p0 = tables.decrypt_p0[(actual - expected) % M]
     p0 = np.where(actual_dep, 0.5, p0)
     adam_coded = (rng.random(n_slots) >= p0).astype(np.uint8)
     adam_raw, corrected = coding.cecc_decode(adam_coded[:n_coded], cfg.cecc)

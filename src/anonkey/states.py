@@ -32,6 +32,12 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 
 
+def require_ring_size(M: int) -> None:
+    """Raise unless ``M`` is a positive multiple of 4 (a valid ring size)."""
+    if M <= 0 or M % 4 != 0:
+        raise ValueError(f"M must be a positive multiple of 4, got {M}")
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=complex, copy=True)
     a.setflags(write=False)
@@ -123,8 +129,7 @@ class CircleStateIndex:
     M: int
 
     def __post_init__(self) -> None:
-        if self.M <= 0 or self.M % 4 != 0:
-            raise ValueError(f"M must be a positive multiple of 4, got {self.M}")
+        require_ring_size(self.M)
 
     @property
     def phase(self) -> float:

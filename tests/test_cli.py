@@ -176,6 +176,32 @@ class TestConfigFiles:
     def test_bad_trials_exits_2(self):
         assert run_cli(["aki", "--trials", "0"]) == 2
 
+    @pytest.mark.parametrize(
+        "sub, key",
+        [("aki", "trials"), ("attack", "trials"), ("ake", "trials"), ("ake", "k"),
+         ("attack", "k"), ("ake", "M"), ("aki", "M"), ("ake", "seed"), ("detect", "seed")],
+    )
+    def test_bool_rejected_for_int_keys(self, tmp_path, capsys, sub, key):
+        # bool subclasses int; true must not run as 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: True}))
+        extra = ["--strategy", "impersonation"] if (sub, key) == ("attack", "k") else []
+        assert run_cli([sub, "--config", str(cfg), "--out", str(tmp_path / "o")] + extra) == 2
+        assert f"config key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub", ["ake", "aki"])
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_seed_exits_2(self, tmp_path, capsys, sub, seed):
+        argv = [sub, "--seed", str(seed), "--trials", "1", "--out", str(tmp_path / "o")]
+        assert run_cli(argv) == 2
+        assert "config key 'seed'" in capsys.readouterr().err
+
+    def test_largest_seed_runs(self, tmp_path):
+        out = tmp_path / "o.csv"
+        assert run_cli(["aki", "--m", "1", "--seed", str(2**64 - 1), "--trials", "10",
+                        "--out", str(out)]) == 0
+        assert read_csv(out)[0]["seed"] == str(2**64 - 1)
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m_invocation(self, tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from anonkey.adversary import two_copy_states
 from anonkey.detection import (
     Povm,
     acceptance_probability,
@@ -11,6 +12,7 @@ from anonkey.detection import (
     evaluate_detection,
     helstrom_binary,
     random_basis_strategy,
+    ring_tables,
     rotated_srm_acceptance,
     square_root_measurement,
     uniform_guess_povm,
@@ -166,6 +168,85 @@ class TestAcceptance:
             e = sphere_grid_ensemble(n)
             pa = acceptance_probability(e, square_root_measurement(e))
             assert pa == pytest.approx(2.0 / 3.0, abs=tol)
+
+
+def reference_acceptance(e, m):
+    """The defining double sum over (state, outcome) pairs, one trace at a time."""
+    total = 0.0
+    for p, s in zip(e.priors, e.states):
+        for el, t in zip(m.elements, e.states):
+            total += p * np.real(np.trace(el @ s.matrix)) * np.real(np.trace(s.matrix @ t.matrix))
+    return total
+
+
+class TestAcceptanceMatchesDoubleSum:
+    def test_random_mixed_qubit_ensembles(self):
+        rng = np.random.default_rng(23)
+        for _ in range(30):
+            n = int(rng.integers(2, 9))
+            states = tuple(
+                bloch_to_density(v * rng.random() / np.linalg.norm(v))
+                for v in rng.standard_normal((n, 3))
+            )
+            w = rng.random(n) + 0.1
+            e = Ensemble(states, tuple(w / w.sum()))
+            for m in (square_root_measurement(e), uniform_guess_povm(n, 2)):
+                assert acceptance_probability(e, m) == pytest.approx(
+                    reference_acceptance(e, m), abs=1e-12
+                )
+
+    def test_srm_with_appended_complement(self):
+        # a rank-one ensemble leaves a complement element past the n states
+        e = Ensemble((circle_state(1, 4), circle_state(1, 4)), (0.3, 0.7))
+        m = square_root_measurement(e)
+        assert m.size == e.size + 1
+        assert acceptance_probability(e, m) == pytest.approx(
+            reference_acceptance(e, m), abs=1e-12
+        )
+
+    @pytest.mark.parametrize("e", [six_state_ensemble(), sphere_grid_ensemble(200)],
+                             ids=["six-state", "sphere-200"])
+    def test_sphere_ensembles(self, e):
+        m = square_root_measurement(e)
+        assert acceptance_probability(e, m) == pytest.approx(
+            reference_acceptance(e, m), abs=1e-12
+        )
+
+    @pytest.mark.parametrize("M", [4, 8])
+    def test_two_copy_states(self, M):
+        e = Ensemble(two_copy_states(M), (0.5, 0.5))
+        m = square_root_measurement(e)
+        assert e.dim == 4
+        assert acceptance_probability(e, m) == pytest.approx(
+            reference_acceptance(e, m), abs=1e-12
+        )
+
+
+class TestRingTables:
+    def test_tables_match_closed_forms(self):
+        # the ring simulations sample from tables computed out of the
+        # density-operator algebra; pin them against the independent
+        # closed-form oracles for ring overlaps and the optimal detector
+        for M in (4, 8, 16, 64, 192):
+            t = ring_tables(M)
+            q = M // 4
+            d = np.arange(M)
+            assert t.q == q
+            assert np.allclose(t.ov, np.cos(np.pi * d / M) ** 2, atol=1e-12)
+            assert np.allclose(t.decrypt_p0, np.cos(np.pi * (d - q) / M) ** 2, atol=1e-12)
+            assert np.allclose(t.srm, (2.0 / M) * np.cos(np.pi * d / M) ** 2, atol=1e-12)
+            assert t.srm.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_arrays_are_read_only(self):
+        t = ring_tables(8)
+        for a in (t.ov, t.decrypt_p0, t.srm):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    @pytest.mark.parametrize("M", [0, -4, 6])
+    def test_bad_ring_size_rejected(self, M):
+        with pytest.raises(ValueError, match="multiple of 4"):
+            ring_tables(M)
 
 
 class TestHelstrom:

@@ -55,27 +55,6 @@ class TestOrderTable:
             OrderTable(orders=tuple(tuple(range(8)) for _ in range(4)))
 
 
-class TestRingTables:
-    def test_tables_match_closed_forms(self):
-        # the session engine samples from tables computed out of the
-        # density-operator algebra; pin them against the independent
-        # closed-form oracles for ring overlaps and the optimal detector
-        from anonkey.protocol import _ring_tables
-
-        for M in (4, 8, 16):
-            t = _ring_tables(M)
-            q = M // 4
-            d = np.arange(M)
-            assert np.allclose(t["ov"], np.cos(np.pi * d / M) ** 2, atol=1e-12)
-            assert np.allclose(
-                t["decrypt_p0"], np.cos(np.pi * (d - q) / M) ** 2, atol=1e-12
-            )
-            assert np.allclose(
-                t["srm"], (2.0 / M) * np.cos(np.pi * d / M) ** 2, atol=1e-12
-            )
-            assert t["srm"].sum() == pytest.approx(1.0, abs=1e-12)
-
-
 class TestChannel:
     def test_clean_channel_is_identity(self):
         rng = np.random.default_rng(0)
