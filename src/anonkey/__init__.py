@@ -43,10 +43,8 @@ from .detection import (
 from .coding import cecc_decode, cecc_encode, hamming74_decode, hamming74_encode, privacy_amplify
 from .protocol import (
     ChannelModel,
-    OrderTable,
     SessionConfig,
     SessionTranscript,
-    apply_channel,
     order_permute,
     order_unpermute,
     run_ake_session,

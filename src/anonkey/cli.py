@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import textwrap
 
 from . import adversary, aki, coherent, detection, states
 from .harness import ResultTable, derive_seeds
@@ -43,18 +44,15 @@ class ConfigError(Exception):
     pass
 
 
-def _int_list(text: str) -> list[int]:
+def _number_list(cfg: dict, key: str, kind: type) -> list:
+    text = cfg[key]
     try:
-        return [int(x) for x in str(text).split(",") if x != ""]
+        return [kind(x) for x in str(text).split(",") if x != ""]
     except ValueError as exc:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}") from exc
-
-
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(x) for x in str(text).split(",") if x != ""]
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from exc
+        what = "integers" if kind is int else "numbers"
+        raise ConfigError(
+            f"config key {key!r} must be comma-separated {what}, got {text!r}"
+        ) from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -178,11 +176,18 @@ def _validate_positive(cfg: dict, key: str) -> int:
     return v
 
 
+def _validate_probability(cfg: dict, key: str) -> float:
+    v = cfg[key]
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0.0 <= v <= 1.0:
+        raise ConfigError(f"config key {key!r} must be a number in [0, 1], got {v!r}")
+    return float(v)
+
+
 def _run_detect(cfg: dict) -> tuple[ResultTable, int]:
     table = ResultTable(
         ["ensemble", "M", "p_correct", "p_accept", "p_accept_guessing", "certified_optimal"]
     )
-    for M in _int_list(cfg["m_list"]):
+    for M in _number_list(cfg, "m_list", int):
         if M % 4 != 0 or M <= 0:
             raise ConfigError(f"config key 'M' entries must be positive multiples of 4, got {M}")
         e = states.uniform_circle_ensemble(M)
@@ -217,7 +222,7 @@ def _run_attack(cfg: dict) -> tuple[ResultTable, int]:
         table = ResultTable(
             ["strategy", "M", "bound", "sequential_estimate", "stderr", "trials", "seed"]
         )
-        m_values = _int_list(cfg["m_list"])
+        m_values = _number_list(cfg, "m_list", int)
         seeds = derive_seeds(seed, len(m_values))
         for M, s in zip(m_values, seeds):
             est, se = adversary.sequential_strategy_pc(M, trials, s)
@@ -229,7 +234,7 @@ def _run_attack(cfg: dict) -> tuple[ResultTable, int]:
     # translucent
     k = _validate_positive(cfg, "k")
     table = ResultTable(["strategy", "k", "M", "pa", "deterministic_bits", "shannon_bits"])
-    for M in _int_list(cfg["m_list"]):
+    for M in _number_list(cfg, "m_list", int):
         pa = adversary.opaque_bound(M)
         det, sh = adversary.translucent_accounting(k, pa)
         table.add(strategy=strategy, k=k, M=M, pa=pa, deterministic_bits=det, shannon_bits=sh)
@@ -240,6 +245,9 @@ def _run_ake(cfg: dict, fmt: str) -> tuple[str, int]:
     k = _validate_positive(cfg, "k")
     M = _validate_positive(cfg, "M")
     trials = _validate_positive(cfg, "trials")
+    channel = ChannelModel(
+        _validate_probability(cfg, "loss"), _validate_probability(cfg, "depolarize")
+    )
     seeds = derive_seeds(cfg["seed"], trials)
     transcripts = []
     rows = ResultTable(
@@ -253,7 +261,7 @@ def _run_ake(cfg: dict, fmt: str) -> tuple[str, int]:
         session = SessionConfig(
             k=k,
             M=M,
-            channel=ChannelModel(float(cfg["loss"]), float(cfg["depolarize"])),
+            channel=channel,
             cecc=cfg["cecc"],
             pa_hash_seed=seeds[i] ^ 0x5DEECE66D,
             rng_seed=seeds[i],
@@ -272,13 +280,10 @@ def _run_ake(cfg: dict, fmt: str) -> tuple[str, int]:
             expended_order_bits=t.expended_order_bits,
         )
     if cfg["transcript"]:
-        payload = (
-            json.dumps(
-                [json.loads(t.to_json()) for t in transcripts], sort_keys=True, indent=2
-            )
-            + "\n"
-        )
-        return payload, exit_code
+        # equals json.dumps(list, sort_keys=True, indent=2): JSON strings hold
+        # no raw newlines, so indenting every line nests each object one level
+        body = ",\n".join(textwrap.indent(t.to_json(), "  ") for t in transcripts)
+        return "[\n" + body + "\n]\n", exit_code
     return (rows.to_json() + "\n" if fmt == "json" else rows.to_csv()), exit_code
 
 
@@ -287,7 +292,7 @@ def _run_aki(cfg: dict) -> tuple[ResultTable, int]:
     seed = cfg["seed"]
     M = _validate_positive(cfg, "M")
     table = ResultTable(["m", "M", "estimate", "stderr", "expected", "trials", "seed"])
-    m_values = _int_list(cfg["m_list"])
+    m_values = _number_list(cfg, "m_list", int)
     seeds = derive_seeds(seed, len(m_values))
     pa = adversary.opaque_bound(M)
     for m, s in zip(m_values, seeds):
@@ -305,8 +310,8 @@ def _run_coherent(cfg: dict) -> tuple[ResultTable, int]:
         else (cfg["estimator"],)
     )
     table = ResultTable(["alpha0", "M", "estimator", "pa", "stderr", "trials", "seed"])
-    alphas = _float_list(cfg["alpha_list"])
-    m_values = _int_list(cfg["m_list"])
+    alphas = _number_list(cfg, "alpha_list", float)
+    m_values = _number_list(cfg, "m_list", int)
     seeds = iter(derive_seeds(seed, len(alphas) * len(m_values) * len(names)))
     for a0 in alphas:
         for M in m_values:

@@ -60,8 +60,7 @@ def hamming74_decode(received) -> tuple[np.ndarray, int]:
     for bit, check in enumerate(_CHECKS):
         syndrome += (np.bitwise_xor.reduce(code[:, check], axis=1).astype(np.int64)) << bit
     flagged = np.flatnonzero(syndrome)
-    for i in flagged:
-        code[i, syndrome[i] - 1] ^= 1
+    code[flagged, syndrome[flagged] - 1] ^= 1
     return code[:, _DATA_POS].reshape(-1), int(len(flagged))
 
 

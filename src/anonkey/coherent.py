@@ -24,8 +24,7 @@ from math import lgamma
 
 import numpy as np
 
-_GRID_BITS = 16
-_GRID = 1 << _GRID_BITS
+_MIN_GRID = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -131,8 +130,9 @@ class PhaseDistribution:
 
     ``p(theta) = |sum_n c_n exp(i n theta)|^2 / (2 pi)`` with Poissonian
     amplitudes ``c_n = exp(-alpha0^2/2) alpha0^n / sqrt(n!)`` accumulated in
-    log space.  The density is tabulated on a 2^16-point grid over
-    (-pi, pi] for normalization checks, moments, and inverse-CDF sampling
+    log space.  The density is tabulated on a grid of 2^16 points over
+    (-pi, pi], or of the next power of two above the truncation when that is
+    larger, for normalization checks, moments, and inverse-CDF sampling
     with linear interpolation; :meth:`density` also evaluates the series at
     arbitrary phases.
     """
@@ -154,18 +154,20 @@ class PhaseDistribution:
         )
         self._coeff = np.exp(log_c)
 
-        # band-limited series: the 2^16-point DFT evaluates it exactly
-        padded = np.zeros(_GRID, dtype=complex)
+        # band-limited series: a DFT longer than the truncation evaluates it
+        # exactly
+        grid = max(_MIN_GRID, 1 << self.truncation.bit_length())
+        padded = np.zeros(grid, dtype=complex)
         padded[: len(self._coeff)] = self._coeff
-        psi = np.fft.ifft(padded) * _GRID
-        raw_theta = 2.0 * math.pi * np.arange(_GRID) / _GRID
+        psi = np.fft.ifft(padded) * grid
+        raw_theta = 2.0 * math.pi * np.arange(grid) / grid
         density = np.abs(psi) ** 2 / (2.0 * math.pi)
 
         theta = np.where(raw_theta > math.pi, raw_theta - 2.0 * math.pi, raw_theta)
         order = np.argsort(theta, kind="stable")
         self.grid_theta = theta[order]
         self.grid_density = density[order]
-        self._dtheta = 2.0 * math.pi / _GRID
+        self._dtheta = 2.0 * math.pi / grid
 
         cdf = np.cumsum(self.grid_density) * self._dtheta
         self._total = float(cdf[-1])

@@ -14,7 +14,9 @@ The per-qubit quantum mechanics is exact: all measurement and interception
 probabilities are tabulated once per ``M`` by :func:`anonkey.detection.ring_tables`
 from the density-operator algebra, then sessions sample from those tables,
 which keeps thousand-session experiments cheap without approximating
-anything.
+anything.  The channel is sampled the same way: :func:`run_ake_session` draws
+the :class:`ChannelModel` loss and depolarization of every qubit at once, and a
+depolarized qubit reads as a fair coin at Adam's measurement.
 
 Adversaries
 -----------
@@ -44,7 +46,7 @@ from . import coding
 from .adversary import AttackReport, binary_entropy, impersonation_order_pmf, opaque_bound
 from .detection import ring_tables
 from .detection import square_root_measurement  # noqa: F401 - benchmarks/tracing.py patches it here
-from .states import DensityOperator, require_ring_size
+from .states import require_ring_size
 from .states import uniform_circle_ensemble  # noqa: F401 - benchmarks/tracing.py patches it here
 
 EVE_STRATEGIES = ("none", "opaque", "impersonate-order", "translucent")
@@ -62,42 +64,23 @@ TRIAL_PLAINTEXT = np.array(
 )
 
 
-@dataclass(frozen=True)
-class OrderTable:
-    """The four block orders plus their defining property.
-
-    Every stream position receives four pairwise distinct source slots
-    across the orders, so a wrong order guess misplaces all eight qubits.
-    """
-
-    orders: tuple = tuple(tuple(row) for row in ORDER_TABLE)
-
-    def __post_init__(self) -> None:
-        if len(self.orders) != 4 or any(sorted(o) != list(range(8)) for o in self.orders):
-            raise ValueError("orders must be four permutations of 0..7")
-        for p in range(BLOCK_SIZE):
-            if len({o[p] for o in self.orders}) != 4:
-                raise ValueError(f"orders collide at position {p}")
+def _reorder(block, order_id: int, table: np.ndarray):
+    if not 0 <= order_id <= 3:
+        raise ValueError("order_id must be in 0..3")
+    items = list(block)
+    if len(items) != BLOCK_SIZE:
+        raise ValueError(f"block must have {BLOCK_SIZE} items, got {len(items)}")
+    return type(block)(items[i] for i in table[order_id])
 
 
 def order_permute(block, order_id: int):
     """Arrange an 8-item block into transmission order ``order_id``."""
-    if not 0 <= order_id <= 3:
-        raise ValueError("order_id must be in 0..3")
-    items = list(block)
-    if len(items) != BLOCK_SIZE:
-        raise ValueError(f"block must have {BLOCK_SIZE} items, got {len(items)}")
-    return type(block)(items[src] for src in ORDER_TABLE[order_id])
+    return _reorder(block, order_id, ORDER_TABLE)
 
 
 def order_unpermute(block, order_id: int):
     """Invert :func:`order_permute` for the same ``order_id``."""
-    if not 0 <= order_id <= 3:
-        raise ValueError("order_id must be in 0..3")
-    items = list(block)
-    if len(items) != BLOCK_SIZE:
-        raise ValueError(f"block must have {BLOCK_SIZE} items, got {len(items)}")
-    return type(block)(items[pos] for pos in INVERSE_ORDER_TABLE[order_id])
+    return _reorder(block, order_id, INVERSE_ORDER_TABLE)
 
 
 @dataclass(frozen=True)
@@ -112,21 +95,6 @@ class ChannelModel:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
-
-
-def apply_channel(
-    state: DensityOperator, ch: ChannelModel, rng: np.random.Generator
-) -> DensityOperator | None:
-    """Send one qubit through the channel.
-
-    Returns ``None`` when the qubit is lost; otherwise the state, replaced by
-    the maximally mixed state when depolarized.
-    """
-    if rng.random() < ch.loss_prob:
-        return None
-    if rng.random() < ch.depolarize_prob:
-        return DensityOperator(np.eye(state.dim, dtype=complex) / state.dim)
-    return state
 
 
 @dataclass(frozen=True)
@@ -168,49 +136,27 @@ class SessionTranscript:
     ``states_sent`` holds ring indices 0..M-1 (index 0 is the reference
     state).  ``raw_bits_babe`` / ``final_key_babe`` belong to whoever
     answered Adam: the honest responder normally, Eve under the
-    impersonation strategy (``eve_report["strategy"]`` says which).
+    impersonation strategy (``eve_report["strategy"]`` says which).  An
+    aborted session sets ``aborted``, ``abort_reason`` and the fields
+    without defaults; the rest keep their empty defaults.
     """
 
     config: dict
-    aborted: bool
-    abort_reason: str | None
     states_sent: list
-    orders_used: list
-    expended_order_bits: int
-    raw_bits_babe: list
-    raw_bits_adam: list
-    final_key_adam: list
-    final_key_babe: list
-    trial_check_passed: bool
-    corrected_blocks: int
     eve_report: dict
+    aborted: bool = False
+    abort_reason: str | None = None
+    orders_used: list = field(default_factory=list)
+    expended_order_bits: int = 0
+    raw_bits_babe: list = field(default_factory=list)
+    raw_bits_adam: list = field(default_factory=list)
+    final_key_adam: list = field(default_factory=list)
+    final_key_babe: list = field(default_factory=list)
+    trial_check_passed: bool = False
+    corrected_blocks: int = 0
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
-
-
-def _abort(cfg: SessionConfig, sent: np.ndarray, reason: str) -> SessionTranscript:
-    return SessionTranscript(
-        config=_config_dict(cfg),
-        aborted=True,
-        abort_reason=reason,
-        states_sent=[int(x) for x in sent],
-        orders_used=[],
-        expended_order_bits=0,
-        raw_bits_babe=[],
-        raw_bits_adam=[],
-        final_key_adam=[],
-        final_key_babe=[],
-        trial_check_passed=False,
-        corrected_blocks=0,
-        eve_report=asdict(AttackReport(strategy=cfg.eve_strategy)),
-    )
-
-
-def _config_dict(cfg: SessionConfig) -> dict:
-    d = asdict(cfg)
-    d["channel"] = asdict(cfg.channel)
-    return d
 
 
 def run_ake_session(cfg: SessionConfig) -> SessionTranscript:
@@ -225,7 +171,7 @@ def run_ake_session(cfg: SessionConfig) -> SessionTranscript:
     M, q = cfg.M, tables.q
 
     n_raw = 8 * cfg.k
-    n_coded = len(coding.cecc_encode(np.zeros(n_raw, dtype=np.uint8), cfg.cecc))
+    n_coded = round(n_raw / coding.code_rate(cfg.cecc))
     n_blocks = math.ceil(n_coded / BLOCK_SIZE)
     n_slots = BLOCK_SIZE * n_blocks
     n_pad = n_slots - n_coded
@@ -246,12 +192,16 @@ def run_ake_session(cfg: SessionConfig) -> SessionTranscript:
         eve_offsets = rng.choice(M, size=n_sent, p=tables.srm)
         carried = (sent + eve_offsets) % M
     else:
-        carried = sent.copy()
+        carried = sent
 
     arrived = np.flatnonzero(~lost)
     if len(arrived) < n_slots:
-        return _abort(
-            cfg, sent, f"only {len(arrived)} of {n_slots} needed qubits survived the channel"
+        return SessionTranscript(
+            config=asdict(cfg),
+            states_sent=sent.tolist(),
+            eve_report=asdict(AttackReport(strategy=cfg.eve_strategy)),
+            aborted=True,
+            abort_reason=f"only {len(arrived)} of {n_slots} needed qubits survived the channel",
         )
     used = arrived[:n_slots]  # publicly acknowledged fill order
 
@@ -267,7 +217,6 @@ def run_ake_session(cfg: SessionConfig) -> SessionTranscript:
     returned = (src + q * (1 - 2 * slot_bits.astype(np.int64))) % M
 
     orders = rng.integers(0, 4, size=n_blocks)
-    expended_order_bits = 2 * n_blocks
 
     if cfg.eve_strategy == "impersonate-order":
         guesses = rng.integers(0, 4, size=n_blocks)
@@ -275,10 +224,8 @@ def run_ake_session(cfg: SessionConfig) -> SessionTranscript:
         # slot he reads at position s actually holds slot sigma[s] of the
         # block, and the four orders never agree at any position, so a wrong
         # guess misplaces every qubit of the block.
-        sigma = np.empty(n_slots, dtype=np.int64)
-        for b in range(n_blocks):
-            s = slice(b * BLOCK_SIZE, (b + 1) * BLOCK_SIZE)
-            sigma[s] = b * BLOCK_SIZE + ORDER_TABLE[guesses[b]][INVERSE_ORDER_TABLE[orders[b]]]
+        sigma = np.take_along_axis(ORDER_TABLE[guesses], INVERSE_ORDER_TABLE[orders], axis=1)
+        sigma = (sigma + BLOCK_SIZE * np.arange(n_blocks)[:, None]).reshape(-1)
     else:
         sigma = np.arange(n_slots)
 
@@ -303,33 +250,26 @@ def run_ake_session(cfg: SessionConfig) -> SessionTranscript:
 
     if cfg.eve_strategy == "opaque":
         hits = eve_offsets[used] == 0
-        pre_code_err = float(np.mean(adam_coded[:n_coded] != coded[:n_coded]))
+        pre_code_err = float(np.mean(adam_coded[:n_coded] != coded))
         eve_report = asdict(
             AttackReport(strategy="opaque", per_qubit_success=float(np.mean(hits)))
         )
-        eve_report.update(
-            adam_coded_bit_error_rate=pre_code_err,
-            intercepted_qubits=int(n_sent),
-        )
+        eve_report.update(adam_coded_bit_error_rate=pre_code_err, intercepted_qubits=n_sent)
     elif cfg.eve_strategy == "impersonate-order":
         right = guesses == orders
         wrong_slots = np.repeat(~right, BLOCK_SIZE)
         coded_slots_mask = np.arange(n_slots) < n_coded
-        wrong_errs = int(
-            np.sum((adam_coded != slot_bits) & wrong_slots & coded_slots_mask)
-        )
+        wrong_errs = int(np.sum((adam_coded != slot_bits) & wrong_slots & coded_slots_mask))
         eve_report = asdict(
             AttackReport(
                 strategy="impersonate-order",
                 per_qubit_success=float(np.mean(adam_coded[:n_coded] == coded)),
-                order_guess_distribution=tuple(
-                    float(x) for x in impersonation_order_pmf(n_blocks)
-                ),
+                order_guess_distribution=tuple(impersonation_order_pmf(n_blocks).tolist()),
             )
         )
         eve_report.update(
             blocks_guessed_right=int(np.sum(right)),
-            blocks_total=int(n_blocks),
+            blocks_total=n_blocks,
             wrong_block_qubits=int(np.sum(wrong_slots & coded_slots_mask)),
             wrong_block_errors=wrong_errs,
         )
@@ -354,17 +294,15 @@ def run_ake_session(cfg: SessionConfig) -> SessionTranscript:
         eve_report = asdict(AttackReport(strategy="none"))
 
     return SessionTranscript(
-        config=_config_dict(cfg),
-        aborted=False,
-        abort_reason=None,
-        states_sent=[int(x) for x in sent],
-        orders_used=[int(x) for x in orders],
-        expended_order_bits=int(expended_order_bits),
-        raw_bits_babe=[int(x) for x in counterpart_raw],
-        raw_bits_adam=[int(x) for x in adam_raw],
-        final_key_adam=[int(x) for x in key_adam],
-        final_key_babe=[int(x) for x in key_counterpart],
-        trial_check_passed=trial_ok,
-        corrected_blocks=int(corrected),
+        config=asdict(cfg),
+        states_sent=sent.tolist(),
         eve_report=eve_report,
+        orders_used=orders.tolist(),
+        expended_order_bits=2 * n_blocks,
+        raw_bits_babe=counterpart_raw.tolist(),
+        raw_bits_adam=adam_raw.tolist(),
+        final_key_adam=key_adam.tolist(),
+        final_key_babe=key_counterpart.tolist(),
+        trial_check_passed=trial_ok,
+        corrected_blocks=corrected,
     )

@@ -141,6 +141,14 @@ class TestCoherent:
             assert 0.0 <= float(r["pa"]) <= 1.0
             assert float(r["stderr"]) > 0.0
 
+    def test_canonical_beyond_default_grid_runs(self, tmp_path):
+        # alpha0 = 260 needs a Fock truncation of 69181, past 2^16 points
+        out = tmp_path / "coh.csv"
+        argv = ["coherent", "--alpha0", "260", "--M", "4096", "--estimator", "canonical",
+                "--trials", "1000", "--out", str(out)]
+        assert run_cli(argv) == 0
+        assert 0.0 <= float(read_csv(out)[0]["pa"]) <= 1.0
+
 
 class TestConfigFiles:
     def test_config_file_supplies_values(self, tmp_path):
@@ -187,6 +195,25 @@ class TestConfigFiles:
         cfg.write_text(json.dumps({key: True}))
         extra = ["--strategy", "impersonation"] if (sub, key) == ("attack", "k") else []
         assert run_cli([sub, "--config", str(cfg), "--out", str(tmp_path / "o")] + extra) == 2
+        assert f"config key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["loss", "depolarize"])
+    @pytest.mark.parametrize("value", [True, "0.1", None, 1.5])
+    def test_probability_keys_reject_non_probabilities(self, tmp_path, capsys, key, value):
+        # {"loss": true} used to run as loss 1.0 and abort with exit 3
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert run_cli(["ake", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"config key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [(["detect", "--M", "4,x"], "m_list"), (["aki", "--m", "1,x"], "m_list"),
+         (["coherent", "--alpha0", "1,x"], "alpha_list")],
+        ids=["detect", "aki", "coherent"],
+    )
+    def test_list_keys_named_in_diagnostic(self, tmp_path, capsys, argv, key):
+        assert run_cli(argv + ["--out", str(tmp_path / "o")]) == 2
         assert f"config key '{key}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("sub", ["ake", "aki"])

@@ -126,6 +126,14 @@ class TestPhaseDistribution:
                 1.0, abs=1e-6
             )
 
+    def test_grid_grows_past_truncation(self):
+        # the Fock truncation at alpha0 = 260 (69181) outgrows 2^16 points
+        d = canonical_phase_density(260.0)
+        assert d.truncation > 2**16
+        assert len(d.grid_theta) == 2**17
+        assert d.normalization() == pytest.approx(1.0, abs=1e-6)
+        assert len(canonical_phase_density(8.0).grid_theta) == 2**16
+
     def test_peak_at_zero(self):
         d = canonical_phase_density(3.0)
         assert d.density(0.0) >= d.density(0.3)

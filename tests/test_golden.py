@@ -45,6 +45,13 @@ GOLDEN = [
      "1099d65a223fb9243ac80017e63a8544d63ef7e8970e38c3f55e6ac20e7e30bc"),
     ("ake-abort", ["ake", "--k", "2", "--loss", "0.95", "--seed", "0"], 3,
      "e7cc228aef9390c6df5cb66c6b6e3b5e3505b1225ee36669ae42a2db4c912cb3"),
+    ("ake-abort-transcript", ["ake", "--k", "2", "--loss", "0.95", "--seed", "0",
+                              "--transcript"], 3,
+     "3bac3b9943c4cf9ca9eb77f72574ec99d78b21c194e30914351a552ed41a7de7"),
+    ("ake-impersonate-multiblock-transcript", ["ake", "--k", "9", "--M", "16", "--eve",
+                                               "impersonate-order", "--trials", "2",
+                                               "--seed", "8", "--transcript"], 0,
+     "8689d91922fb8680a70725c465444746e7e8c771a21f10dfff8d6bd2d2af18a9"),
     ("aki", ["aki", "--m", "1,2,4", "--M", "8", "--trials", "2000", "--seed", "9"], 0,
      "29ca8420296c5627df765a37a9939b2fe99c1b6ac6272442783a8bd18fae5ba4"),
     ("coherent-json", ["coherent", "--alpha0", "3", "--M", "16", "--trials", "500",

@@ -7,14 +7,11 @@ from anonkey.protocol import (
     ORDER_STRINGS,
     ORDER_TABLE,
     ChannelModel,
-    OrderTable,
     SessionConfig,
-    apply_channel,
     order_permute,
     order_unpermute,
     run_ake_session,
 )
-from anonkey.states import circle_state, operators_close
 
 
 class TestOrderTable:
@@ -49,32 +46,8 @@ class TestOrderTable:
         with pytest.raises(ValueError):
             order_permute(tuple(range(8)), 4)
 
-    def test_dataclass_invariant(self):
-        OrderTable()  # the built-in table validates
-        with pytest.raises(ValueError):
-            OrderTable(orders=tuple(tuple(range(8)) for _ in range(4)))
-
 
 class TestChannel:
-    def test_clean_channel_is_identity(self):
-        rng = np.random.default_rng(0)
-        rho = circle_state(1, 8)
-        out = apply_channel(rho, ChannelModel(0.0, 0.0), rng)
-        assert operators_close(out, rho)
-
-    def test_total_loss(self):
-        rng = np.random.default_rng(1)
-        rho = circle_state(1, 8)
-        assert all(
-            apply_channel(rho, ChannelModel(1.0, 0.0), rng) is None for _ in range(100)
-        )
-
-    def test_depolarize_replaces_with_mixed(self):
-        rng = np.random.default_rng(2)
-        rho = circle_state(1, 8)
-        out = apply_channel(rho, ChannelModel(0.0, 1.0), rng)
-        assert np.allclose(out.matrix, np.eye(2) / 2, atol=1e-12)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ChannelModel(-0.1, 0.0)
