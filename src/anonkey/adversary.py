@@ -53,13 +53,21 @@ def impersonation_order_pmf(k: int) -> np.ndarray:
     Binomial(k, 1/4): each block's two secret order bits are fresh, so the
     all-or-nothing per-block success probability is 1/4 and full-session
     impersonation is exponentially unlikely in k.
+
+    Computed exactly in integers, ``p_q = C(k, q) 3^(k-q) / 4^k``, with the
+    terms ``t_q = C(k, q) 3^(k-q)`` from the recurrence ``t_0 = 3^k``,
+    ``t_(q+1) = t_q (k - q) / (3 (q + 1))``.  Integer true division rounds
+    correctly, so no term overflows or loses precision at any k.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    q = np.arange(k + 1)
-    return np.array(
-        [math.comb(k, int(i)) * (0.25**int(i)) * (0.75 ** int(k - i)) for i in q]
-    )
+    denom = 4**k
+    t = 3**k
+    pmf = np.empty(k + 1)
+    for q in range(k + 1):
+        pmf[q] = t / denom
+        t = t * (k - q) // (3 * (q + 1))
+    return pmf
 
 
 def two_copy_states(M: int) -> tuple[DensityOperator, DensityOperator]:

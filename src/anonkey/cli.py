@@ -21,19 +21,20 @@ Subcommands
 
 Common flags: ``--config <json>`` (flat object of parameter names; explicit
 flags override), ``--seed``, ``--trials``, ``--out``, ``--format csv|json``.
-Exit codes: 0 success, 2 configuration error, 3 session abort.
+Exit codes: 0 success, 1 internal error (Python prints the traceback),
+2 configuration error, 3 session abort.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-import textwrap
 
-from . import adversary, aki, coherent, detection, states
+from . import adversary, aki, coding, coherent, detection, states
 from .harness import ResultTable, derive_seeds
-from .protocol import ChannelModel, SessionConfig, run_ake_session
+from .protocol import EVE_STRATEGIES, ChannelModel, SessionConfig, run_ake_session
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -44,15 +45,42 @@ class ConfigError(Exception):
     pass
 
 
+#: Allowed values of the keys that name a choice; flags and config files share them.
+_CHOICES = {
+    "strategy": ("impersonation", "opaque", "translucent"),
+    "eve": EVE_STRATEGIES,
+    "cecc": coding.CODES,
+    "estimator": ("heterodyne", "canonical", "heterodyne-resend", "all"),
+    "fmt": ("csv", "json"),
+}
+
+
 def _number_list(cfg: dict, key: str, kind: type) -> list:
+    """Comma-separated positive finite numbers: ring sizes, qubit counts or amplitudes."""
     text = cfg[key]
     try:
-        return [kind(x) for x in str(text).split(",") if x != ""]
+        values = [kind(x) for x in str(text).split(",") if x != ""]
     except ValueError as exc:
         what = "integers" if kind is int else "numbers"
         raise ConfigError(
             f"config key {key!r} must be comma-separated {what}, got {text!r}"
         ) from exc
+    for v in values:
+        if not 0 < v < math.inf:
+            raise ConfigError(f"config key {key!r} entries must be positive and finite, got {v!r}")
+    return values
+
+
+def _ring_size(key: str, M: int) -> int:
+    if M % 4 != 0:
+        raise ConfigError(
+            f"config key {key!r} must hold ring sizes M that are multiples of 4, got {M}"
+        )
+    return M
+
+
+def _ring_sizes(cfg: dict) -> list[int]:
+    return [_ring_size("m_list", M) for M in _number_list(cfg, "m_list", int)]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -66,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="master seed")
         p.add_argument("--trials", type=int, default=None, help="Monte Carlo trials")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
+        p.add_argument("--format", dest="fmt", choices=_CHOICES["fmt"], default=None)
 
     p = sub.add_parser("detect", help="optimal detection figures over M")
     p.add_argument("--M", dest="m_list", default=None, help="comma list of ring sizes")
@@ -74,11 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("attack", help="adversary reports")
-    p.add_argument(
-        "--strategy",
-        choices=("impersonation", "opaque", "translucent"),
-        default=None,
-    )
+    p.add_argument("--strategy", choices=_CHOICES["strategy"], default=None)
     p.add_argument("--k", type=int, default=None, help="block count")
     p.add_argument("--M", dest="m_list", default=None, help="comma list of ring sizes")
     common(p)
@@ -86,8 +110,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ake", help="full key-distribution sessions")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--M", dest="M", type=int, default=None)
-    p.add_argument("--eve", choices=("none", "opaque", "impersonate-order", "translucent"), default=None)
-    p.add_argument("--cecc", choices=("hamming74", "none"), default=None)
+    p.add_argument("--eve", choices=_CHOICES["eve"], default=None)
+    p.add_argument("--cecc", choices=_CHOICES["cecc"], default=None)
     p.add_argument("--loss", type=float, default=None)
     p.add_argument("--depolarize", type=float, default=None)
     p.add_argument("--transcript", action="store_true", default=None,
@@ -102,11 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coherent", help="coherent-state acceptance sweeps")
     p.add_argument("--alpha0", dest="alpha_list", default=None, help="comma list of amplitudes")
     p.add_argument("--M", dest="m_list", default=None, help="comma list of ring sizes")
-    p.add_argument(
-        "--estimator",
-        choices=("heterodyne", "canonical", "heterodyne-resend", "all"),
-        default=None,
-    )
+    p.add_argument("--estimator", choices=_CHOICES["estimator"], default=None)
     common(p)
 
     return parser
@@ -161,6 +181,9 @@ def _merge_config(args: argparse.Namespace) -> dict:
     seed = merged["seed"]
     if not _is_int(seed) or not 0 <= seed < 2**64:
         raise ConfigError(f"config key 'seed' must be an integer in [0, 2**64), got {seed!r}")
+    for key, allowed in _CHOICES.items():
+        if key in merged and merged[key] not in allowed:
+            raise ConfigError(f"config key {key!r} must be one of {allowed}, got {merged[key]!r}")
     return merged
 
 
@@ -187,9 +210,7 @@ def _run_detect(cfg: dict) -> tuple[ResultTable, int]:
     table = ResultTable(
         ["ensemble", "M", "p_correct", "p_accept", "p_accept_guessing", "certified_optimal"]
     )
-    for M in _number_list(cfg, "m_list", int):
-        if M % 4 != 0 or M <= 0:
-            raise ConfigError(f"config key 'M' entries must be positive multiples of 4, got {M}")
+    for M in _ring_sizes(cfg):
         e = states.uniform_circle_ensemble(M)
         report = detection.evaluate_detection(e)
         guess = detection.acceptance_probability(e, detection.uniform_guess_povm(M, 2))
@@ -222,7 +243,7 @@ def _run_attack(cfg: dict) -> tuple[ResultTable, int]:
         table = ResultTable(
             ["strategy", "M", "bound", "sequential_estimate", "stderr", "trials", "seed"]
         )
-        m_values = _number_list(cfg, "m_list", int)
+        m_values = _ring_sizes(cfg)
         seeds = derive_seeds(seed, len(m_values))
         for M, s in zip(m_values, seeds):
             est, se = adversary.sequential_strategy_pc(M, trials, s)
@@ -234,7 +255,7 @@ def _run_attack(cfg: dict) -> tuple[ResultTable, int]:
     # translucent
     k = _validate_positive(cfg, "k")
     table = ResultTable(["strategy", "k", "M", "pa", "deterministic_bits", "shannon_bits"])
-    for M in _number_list(cfg, "m_list", int):
+    for M in _ring_sizes(cfg):
         pa = adversary.opaque_bound(M)
         det, sh = adversary.translucent_accounting(k, pa)
         table.add(strategy=strategy, k=k, M=M, pa=pa, deterministic_bits=det, shannon_bits=sh)
@@ -243,7 +264,7 @@ def _run_attack(cfg: dict) -> tuple[ResultTable, int]:
 
 def _run_ake(cfg: dict, fmt: str) -> tuple[str, int]:
     k = _validate_positive(cfg, "k")
-    M = _validate_positive(cfg, "M")
+    M = _ring_size("M", _validate_positive(cfg, "M"))
     trials = _validate_positive(cfg, "trials")
     channel = ChannelModel(
         _validate_probability(cfg, "loss"), _validate_probability(cfg, "depolarize")
@@ -282,7 +303,7 @@ def _run_ake(cfg: dict, fmt: str) -> tuple[str, int]:
     if cfg["transcript"]:
         # equals json.dumps(list, sort_keys=True, indent=2): JSON strings hold
         # no raw newlines, so indenting every line nests each object one level
-        body = ",\n".join(textwrap.indent(t.to_json(), "  ") for t in transcripts)
+        body = ",\n".join("  " + t.to_json().replace("\n", "\n  ") for t in transcripts)
         return "[\n" + body + "\n]\n", exit_code
     return (rows.to_json() + "\n" if fmt == "json" else rows.to_csv()), exit_code
 
@@ -290,7 +311,7 @@ def _run_ake(cfg: dict, fmt: str) -> tuple[str, int]:
 def _run_aki(cfg: dict) -> tuple[ResultTable, int]:
     trials = _validate_positive(cfg, "trials")
     seed = cfg["seed"]
-    M = _validate_positive(cfg, "M")
+    M = _ring_size("M", _validate_positive(cfg, "M"))
     table = ResultTable(["m", "M", "estimate", "stderr", "expected", "trials", "seed"])
     m_values = _number_list(cfg, "m_list", int)
     seeds = derive_seeds(seed, len(m_values))
@@ -312,6 +333,8 @@ def _run_coherent(cfg: dict) -> tuple[ResultTable, int]:
     table = ResultTable(["alpha0", "M", "estimator", "pa", "stderr", "trials", "seed"])
     alphas = _number_list(cfg, "alpha_list", float)
     m_values = _number_list(cfg, "m_list", int)
+    if any(M < 4 for M in m_values):
+        raise ConfigError(f"config key 'm_list' entries must be at least 4, got {cfg['m_list']!r}")
     seeds = iter(derive_seeds(seed, len(alphas) * len(m_values) * len(names)))
     for a0 in alphas:
         for M in m_values:
@@ -353,9 +376,6 @@ def run_cli(argv: list[str]) -> int:
         _emit(payload, cfg.get("out"))
         return code
     except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -2,7 +2,9 @@
 
 Two independent pieces: a Hamming(7,4) code used bit-for-bit on the qubit
 stream so single flips per block are repaired without reconciliation, and a
-binary Toeplitz hash for privacy amplification of the sifted bits.
+binary Toeplitz hash for privacy amplification of the sifted bits.  The hash
+is evaluated as one FFT convolution of the seeded strip with the input, so it
+costs O(n log n) time and O(n) memory instead of building the matrix.
 """
 
 from __future__ import annotations
@@ -94,9 +96,17 @@ def privacy_amplify(bits, hash_seed: int, out_len: int) -> np.ndarray:
     """Compress bits with a seeded binary Toeplitz matrix over GF(2).
 
     The matrix is derived deterministically from ``hash_seed``: a strip of
-    ``in + out - 1`` random bits defines every diagonal, and the output is
-    the matrix-vector product mod 2.  Linear, so equal inputs under the same
-    seed always hash identically.
+    ``n + out_len - 1`` random bits defines every diagonal, entry ``(i, j)``
+    being ``strip[i - j + n - 1]``, and the output is the matrix-vector
+    product mod 2.  Linear, so equal inputs under the same seed always hash
+    identically.
+
+    The product is the slice ``[n - 1, n - 1 + out_len)`` of the linear
+    convolution of the strip with the input, taken with a real FFT on a
+    power-of-two grid of at least ``2n + out_len - 2`` points: O(n log n)
+    time and O(n) memory.  Every convolution value is an integer at most
+    ``n``, so rounding recovers it exactly; a value that lands 0.25 or more
+    from an integer raises ``RuntimeError`` rather than returning a wrong key.
     """
     x = _as_bits(bits)
     n = len(x)
@@ -105,7 +115,14 @@ def privacy_amplify(bits, hash_seed: int, out_len: int) -> np.ndarray:
     if out_len == 0:
         return np.zeros(0, dtype=np.uint8)
     strip = np.random.default_rng(hash_seed).integers(0, 2, size=n + out_len - 1, dtype=np.uint8)
-    i = np.arange(out_len)[:, None]
-    j = np.arange(n)[None, :]
-    t = strip[i - j + n - 1]
-    return (t @ x % 2).astype(np.uint8)
+    grid = 1 << (2 * n + out_len - 3).bit_length()
+    conv = np.fft.irfft(np.fft.rfft(strip, grid) * np.fft.rfft(x, grid), grid)
+    y = conv[n - 1 : n - 1 + out_len]
+    counts = np.rint(y)
+    drift = float(np.max(np.abs(y - counts)))
+    if drift >= 0.25:
+        raise RuntimeError(
+            f"FFT privacy amplification lost exactness: a convolution value is {drift:.3g} "
+            f"from an integer (n={n}, out_len={out_len})"
+        )
+    return (counts.astype(np.int64) & 1).astype(np.uint8)

@@ -5,7 +5,8 @@ counter-based generator, so trial ``i`` depends only on ``(master_seed, i)``
 and aggregate results do not care how trials were scheduled.  Result rows
 carry their parameters, estimate, standard error, trial count and seed, and
 serialize to CSV or to a canonical JSON form whose parse/re-serialize round
-trip is byte-identical.
+trip is byte-identical.  :func:`canonical_json` writes that form in one pass
+for large values such as session transcripts.
 """
 
 from __future__ import annotations
@@ -41,6 +42,32 @@ def spawn_trial_streams(master_seed: int, n: int) -> list[np.random.Generator]:
 def derive_seeds(master_seed: int, n: int) -> list[int]:
     """Per-trial integer seeds drawn from the counter-based streams."""
     return [int(g.integers(0, 2**63)) for g in spawn_trial_streams(master_seed, n)]
+
+
+def canonical_json(value, pad: str = "") -> str:
+    """The bytes of ``json.dumps(value, sort_keys=True, indent=2)``, in one pass.
+
+    ``value`` holds dicts with string keys, lists, tuples and JSON scalars;
+    ``pad`` is the indentation of the line ``value`` starts on.  A list of
+    plain ints is written with a single ``str.join``, which is what makes
+    per-bit transcript lists cheap.
+    """
+    if not isinstance(value, (dict, list, tuple)):
+        return json.dumps(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        body = sep.join(
+            f"{json.dumps(key)}: {canonical_json(value[key], inner)}" for key in sorted(value)
+        )
+        return "{\n" + inner + body + "\n" + pad + "}"
+    if set(map(type, value)) == {int}:
+        body = sep.join(map(str, value))
+    else:
+        body = sep.join(canonical_json(v, inner) for v in value)
+    return "[\n" + inner + body + "\n" + pad + "]"
 
 
 class ResultTable:

@@ -36,9 +36,8 @@ Adversaries
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -46,6 +45,7 @@ from . import coding
 from .adversary import AttackReport, binary_entropy, impersonation_order_pmf, opaque_bound
 from .detection import ring_tables
 from .detection import square_root_measurement  # noqa: F401 - benchmarks/tracing.py patches it here
+from .harness import canonical_json
 from .states import require_ring_size
 from .states import uniform_circle_ensemble  # noqa: F401 - benchmarks/tracing.py patches it here
 
@@ -156,7 +156,12 @@ class SessionTranscript:
     corrected_blocks: int = 0
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
+        """``json.dumps(asdict(self), sort_keys=True, indent=2)``, without the deep copy.
+
+        ``config`` and ``eve_report`` are already plain dicts, so a shallow
+        field dict serializes to the same bytes.
+        """
+        return canonical_json({f.name: getattr(self, f.name) for f in fields(self)})
 
 
 def run_ake_session(cfg: SessionConfig) -> SessionTranscript:

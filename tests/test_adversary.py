@@ -45,6 +45,22 @@ class TestImpersonationPmf:
         with pytest.raises(ValueError):
             impersonation_order_pmf(0)
 
+    def test_small_k_equals_float_formula(self):
+        # the exact-integer terms round to the same doubles as the float
+        # product on small k, so existing tables keep their bytes
+        for k in range(1, 21):
+            expected = [math.comb(k, q) * 0.25**q * 0.75 ** (k - q) for q in range(k + 1)]
+            assert impersonation_order_pmf(k).tolist() == expected
+
+    def test_many_blocks_do_not_overflow(self):
+        # C(k, q) outgrows a double past 1029 blocks; the pmf must stay a
+        # Binomial(k, 1/4): nonnegative, summing to one, mean k/4
+        for k in (1030, 3584):
+            pmf = impersonation_order_pmf(k)
+            assert np.all(pmf >= 0)
+            assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
+            assert pmf @ np.arange(k + 1) == pytest.approx(k / 4, rel=1e-12)
+
 
 class TestTwoCopyStates:
     def test_unit_traces(self):

@@ -1,10 +1,16 @@
 import csv
 import json
 import math
+import subprocess
+import sys
+from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from anonkey.cli import run_cli
+from anonkey.harness import derive_seeds
+from anonkey.protocol import SessionConfig, run_ake_session
 
 
 def read_csv(path):
@@ -47,6 +53,14 @@ class TestAttack:
             k, q = int(r["k"]), int(r["q"])
             expected = math.comb(k, q) * 0.25**q * 0.75 ** (k - q)
             assert float(r["probability"]) == pytest.approx(expected, rel=1e-9)
+
+    def test_impersonation_pmf_past_1029_blocks(self, tmp_path):
+        out = tmp_path / "pmf.csv"
+        assert run_cli(["attack", "--strategy", "impersonation", "--k", "1100", "--out", str(out)]) == 0
+        probs = np.array([float(r["probability"]) for r in read_csv(out)])
+        assert len(probs) == 1101
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+        assert probs @ np.arange(1101) == pytest.approx(1100 / 4, rel=1e-12)
 
     def test_opaque_report(self, tmp_path):
         out = tmp_path / "op.csv"
@@ -104,6 +118,25 @@ class TestAke:
             assert run_cli(args + ["--out", str(out)]) == 0
             text = out.read_text()
             assert json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n" == text
+
+    @pytest.mark.parametrize("eve, k", [("impersonate-order", 5), ("opaque", 64)])
+    def test_transcripts_equal_json_dumps_of_the_sessions(self, tmp_path, eve, k):
+        out = tmp_path / "tr.json"
+        argv = ["ake", "--k", str(k), "--M", "8", "--eve", eve, "--trials", "3", "--seed", "12",
+                "--transcript", "--out", str(out)]
+        assert run_cli(argv) == 0
+        sessions = [
+            asdict(run_ake_session(SessionConfig(
+                k=k, M=8, eve_strategy=eve, pa_hash_seed=s ^ 0x5DEECE66D, rng_seed=s)))
+            for s in derive_seeds(12, 3)
+        ]
+        assert out.read_text() == json.dumps(sessions, sort_keys=True, indent=2) + "\n"
+
+    def test_many_impersonated_blocks_run(self, tmp_path):
+        # k=640 gives 1120 Hamming blocks; the order-guess pmf overflowed past 1029
+        out = tmp_path / "imp.json"
+        assert run_cli(["ake", "--k", "640", "--eve", "impersonate-order", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["rows"][0]["key_bits"] == 4 * 640
 
     def test_abort_exit_code(self, tmp_path):
         out = tmp_path / "abort.json"
@@ -230,11 +263,76 @@ class TestConfigFiles:
         assert read_csv(out)[0]["seed"] == str(2**64 - 1)
 
 
+class TestEdgeValidation:
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_amplitudes_must_be_positive_and_finite(self, tmp_path, capsys, value):
+        # nan used to reach the Fock truncation and report
+        # "cannot convert float NaN to integer"
+        argv = ["coherent", "--alpha0", value, "--M", "16", "--trials", "10",
+                "--out", str(tmp_path / "o")]
+        assert run_cli(argv) == 2
+        assert "config key 'alpha_list'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["detect", "--M", "0"], ["aki", "--m", "0"], ["attack", "--M", "-4"],
+         ["coherent", "--M", "0"], ["coherent", "--M", "2"]],
+        ids=["detect", "aki", "attack", "coherent", "coherent-below-4"],
+    )
+    def test_list_entries_must_be_positive(self, tmp_path, capsys, argv):
+        assert run_cli(argv + ["--trials", "10", "--out", str(tmp_path / "o")]) == 2
+        assert "config key 'm_list'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [(["ake", "--M", "6"], "M"), (["aki", "--M", "6"], "M"),
+         (["attack", "--strategy", "opaque", "--M", "4,6"], "m_list"),
+         (["attack", "--strategy", "translucent", "--M", "6"], "m_list")],
+        ids=["ake", "aki", "attack-opaque", "attack-translucent"],
+    )
+    def test_ring_sizes_must_be_multiples_of_4(self, tmp_path, capsys, argv, key):
+        assert run_cli(argv + ["--trials", "10", "--out", str(tmp_path / "o")]) == 2
+        assert f"config key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "sub, key",
+        [("ake", "cecc"), ("ake", "eve"), ("attack", "strategy"), ("coherent", "estimator"),
+         ("detect", "fmt")],
+    )
+    def test_choice_keys_checked_in_config_files(self, tmp_path, capsys, sub, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: "bogus"}))
+        assert run_cli([sub, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"config key '{key}'" in capsys.readouterr().err
+
+    def test_internal_value_error_is_not_a_config_error(self, monkeypatch):
+        from anonkey import coding
+
+        def broken(*args, **kwargs):
+            raise ValueError("internal failure")
+
+        monkeypatch.setattr(coding, "privacy_amplify", broken)
+        with pytest.raises(ValueError, match="internal failure"):
+            run_cli(["ake", "--k", "2"])
+
+    def test_internal_error_exits_1_with_traceback(self, tmp_path):
+        # break the FFT so the privacy-amplification exactness guard fires
+        script = (
+            "import sys, numpy as np\n"
+            "irfft = np.fft.irfft\n"
+            "np.fft.irfft = lambda *a, **kw: irfft(*a, **kw) + 0.3\n"
+            "from anonkey.cli import main\n"
+            "sys.argv = ['anonkey', 'ake', '--k', '2']\n"
+            "main()\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "Traceback" in proc.stderr and "RuntimeError" in proc.stderr
+        assert "configuration error" not in proc.stderr
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_invocation(self, tmp_path):
-        import subprocess
-        import sys
-
         out = tmp_path / "m.csv"
         proc = subprocess.run(
             [sys.executable, "-m", "anonkey", "detect", "--M", "4", "--out", str(out)],

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from anonkey.coding import (
     cecc_decode,
@@ -128,3 +130,73 @@ class TestPrivacyAmplify:
     def test_out_len_validation(self):
         with pytest.raises(ValueError):
             privacy_amplify(np.zeros(8, dtype=np.uint8), 0, 9)
+
+
+def dense_toeplitz_pa(bits, hash_seed, out_len):
+    """Reference: build the out_len x n Toeplitz matrix and multiply mod 2."""
+    x = np.asarray(bits, dtype=np.int64)
+    n = len(x)
+    strip = np.random.default_rng(hash_seed).integers(0, 2, size=n + out_len - 1, dtype=np.uint8)
+    i = np.arange(out_len)[:, None]
+    j = np.arange(n)[None, :]
+    return (strip[i - j + n - 1].astype(np.int64) @ x % 2).astype(np.uint8)
+
+
+@st.composite
+def pa_cases(draw, max_n=2048):
+    """(bits, hash_seed, out_len) with any length, density and output size."""
+    n = draw(st.integers(1, max_n))
+    out_len = draw(st.integers(1, n))
+    density = draw(st.sampled_from([0.0, 0.03, 0.5, 0.97, 1.0]))
+    bits_seed = draw(st.integers(0, 2**32 - 1))
+    bits = (np.random.default_rng(bits_seed).random(n) < density).astype(np.uint8)
+    return bits, draw(st.integers(0, 2**64 - 1)), out_len
+
+
+class TestPrivacyAmplifyFFT:
+    @given(pa_cases())
+    def test_equals_dense_toeplitz_product(self, case):
+        bits, seed, out_len = case
+        assert np.array_equal(privacy_amplify(bits, seed, out_len),
+                              dense_toeplitz_pa(bits, seed, out_len))
+
+    @given(pa_cases(), st.integers(0, 2**32 - 1))
+    def test_linear_over_gf2(self, case, other_seed):
+        x, seed, out_len = case
+        y = np.random.default_rng(other_seed).integers(0, 2, size=len(x), dtype=np.uint8)
+        assert np.array_equal(privacy_amplify(x ^ y, seed, out_len),
+                              privacy_amplify(x, seed, out_len) ^ privacy_amplify(y, seed, out_len))
+
+    def test_exact_at_a_million_bits(self):
+        # n = 2^20: the dense index matrix would need terabytes, so the
+        # reference is the strip itself.  Column j of the matrix is
+        # strip[n-1-j : n-1-j+out]; an all-ones input sums a sliding window
+        # of n strip bits, which drives the convolution values to about n/2.
+        n, out, seed = 1 << 20, 1 << 19, 2024
+        strip = np.random.default_rng(seed).integers(0, 2, size=n + out - 1, dtype=np.uint8)
+
+        def column(j):
+            return strip[n - 1 - j : n - 1 - j + out]
+
+        for j in (0, n // 2 + 7, n - 1):
+            e = np.zeros(n, dtype=np.uint8)
+            e[j] = 1
+            assert np.array_equal(privacy_amplify(e, seed, out), column(j)), j
+
+        picks = np.random.default_rng(5).choice(n, size=40, replace=False)
+        sparse = np.zeros(n, dtype=np.uint8)
+        sparse[picks] = 1
+        expected = np.bitwise_xor.reduce([column(j) for j in picks])
+        assert np.array_equal(privacy_amplify(sparse, seed, out), expected)
+
+        window = np.concatenate([[0], np.cumsum(strip, dtype=np.int64)])
+        i = np.arange(out)
+        expected = ((window[i + n] - window[i]) % 2).astype(np.uint8)
+        assert np.array_equal(privacy_amplify(np.ones(n, dtype=np.uint8), seed, out), expected)
+
+    def test_inexact_convolution_raises(self, monkeypatch):
+        # a result that is not near an integer must never be rounded into a key
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: irfft(*a, **kw) + 0.3)
+        with pytest.raises(RuntimeError, match="exactness"):
+            privacy_amplify(np.ones(64, dtype=np.uint8), 1, 32)

@@ -2,8 +2,23 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from anonkey.harness import ResultTable, derive_seeds, json_roundtrip, spawn_trial_streams
+from anonkey.harness import (
+    ResultTable,
+    canonical_json,
+    derive_seeds,
+    json_roundtrip,
+    spawn_trial_streams,
+)
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.tuples(inner, inner) | st.dictionaries(st.text(), inner)
+    | st.lists(st.integers(0, 1), min_size=1),
+    max_leaves=40,
+)
 
 
 class TestTrialStreams:
@@ -74,3 +89,20 @@ class TestResultTable:
         assert data["rows"] == [{"a": 3}]
         with pytest.raises(ValueError):
             t.write(str(p), "yaml")
+
+
+class TestCanonicalJson:
+    @given(JSON_VALUES)
+    def test_equals_json_dumps(self, value):
+        # floats include NaN and infinities, strings any unicode, and lists
+        # mix ints with bools, which must not take the int-list join
+        assert canonical_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @given(JSON_VALUES)
+    def test_pad_is_the_indent_of_the_enclosing_line(self, value):
+        nested = "[\n  " + canonical_json(value, "  ") + "\n]"
+        assert nested == json.dumps([value], sort_keys=True, indent=2)
+
+    def test_rejects_non_json_values(self):
+        with pytest.raises(TypeError):
+            canonical_json({"a": np.int64(1)})

@@ -1,9 +1,13 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from anonkey.harness import derive_seeds
 from anonkey.protocol import (
     BLOCK_SIZE,
+    EVE_STRATEGIES,
     ORDER_STRINGS,
     ORDER_TABLE,
     ChannelModel,
@@ -291,3 +295,25 @@ class TestTranslucentEve:
             SessionConfig(k=1, cecc="turbo")
         with pytest.raises(ValueError):
             SessionConfig(k=1, eve_strategy="quantum-memory")
+
+
+TRANSCRIPT_CASES = [
+    (eve, cecc, k) for eve in EVE_STRATEGIES for cecc in ("none", "hamming74") for k in (1, 7, 300)
+] + [(eve, ("none", "hamming74")[i % 2], 2048) for i, eve in enumerate(EVE_STRATEGIES)]
+
+
+class TestTranscriptJson:
+    @pytest.mark.parametrize("eve, cecc, k", TRANSCRIPT_CASES)
+    def test_equals_deep_copy_dump(self, eve, cecc, k):
+        t = run_ake_session(
+            SessionConfig(k=k, M=8, cecc=cecc, eve_strategy=eve, rng_seed=k, pa_hash_seed=3)
+        )
+        assert t.to_json() == json.dumps(asdict(t), sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("eve", EVE_STRATEGIES)
+    def test_aborted_equals_deep_copy_dump(self, eve):
+        t = run_ake_session(
+            SessionConfig(k=3, channel=ChannelModel(loss_prob=0.95), eve_strategy=eve, rng_seed=4)
+        )
+        assert t.aborted
+        assert t.to_json() == json.dumps(asdict(t), sort_keys=True, indent=2)
