@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,6 +48,7 @@ def binary_entropy(p: float) -> float:
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
+@lru_cache(maxsize=64)
 def impersonation_order_pmf(k: int) -> np.ndarray:
     """PMF of guessing q of k block orders right; success rate 1/4 each.
 
@@ -57,7 +59,8 @@ def impersonation_order_pmf(k: int) -> np.ndarray:
     Computed exactly in integers, ``p_q = C(k, q) 3^(k-q) / 4^k``, with the
     terms ``t_q = C(k, q) 3^(k-q)`` from the recurrence ``t_0 = 3^k``,
     ``t_(q+1) = t_q (k - q) / (3 (q + 1))``.  Integer true division rounds
-    correctly, so no term overflows or loses precision at any k.
+    correctly, so no term overflows or loses precision at any k.  Cached per
+    k and returned read-only.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -67,6 +70,7 @@ def impersonation_order_pmf(k: int) -> np.ndarray:
     for q in range(k + 1):
         pmf[q] = t / denom
         t = t * (k - q) // (3 * (q + 1))
+    pmf.flags.writeable = False
     return pmf
 
 
@@ -89,11 +93,13 @@ def two_copy_states(M: int) -> tuple[DensityOperator, DensityOperator]:
     return DensityOperator(acc0), DensityOperator(acc1)
 
 
+@lru_cache(maxsize=None)
 def opaque_bound(M: int) -> float:
     """Optimal two-copy success probability for reading the modulated bit.
 
     The binary test between the two averaged product states; equals the
-    single-copy acceptance probability 3/4 for every ring size.
+    single-copy acceptance probability 3/4 for every ring size.  Cached per
+    ``M``, like :func:`anonkey.detection.ring_tables`.
     """
     rho0, rho1 = two_copy_states(M)
     _, pc = helstrom_binary(rho0, rho1, 0.5)

@@ -31,6 +31,7 @@ import argparse
 import json
 import math
 import sys
+from functools import lru_cache
 
 from . import adversary, aki, coding, coherent, detection, states
 from .harness import ResultTable, derive_seeds
@@ -83,7 +84,9 @@ def _ring_sizes(cfg: dict) -> list[int]:
     return [_ring_size("m_list", M) for M in _number_list(cfg, "m_list", int)]
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="anonkey", description="anonymous-key protocol experiments"
     )

@@ -2,9 +2,12 @@
 
 Two independent pieces: a Hamming(7,4) code used bit-for-bit on the qubit
 stream so single flips per block are repaired without reconciliation, and a
-binary Toeplitz hash for privacy amplification of the sifted bits.  The hash
-is evaluated as one FFT convolution of the seeded strip with the input, so it
-costs O(n log n) time and O(n) memory instead of building the matrix.
+binary Toeplitz hash for privacy amplification of the sifted bits.  The code
+encodes and decodes through two small lookup tables built at import from its
+check matrix.  The hash is evaluated as one FFT convolution of the seeded
+strip with each input row, so it costs O(n log n) time and O(n) memory
+instead of building the matrix; both parties' rows share one call, one strip
+and one strip transform.
 """
 
 from __future__ import annotations
@@ -13,23 +16,36 @@ import numpy as np
 
 CODES = ("none", "hamming74")
 
-# Hamming(7,4), 1-indexed codeword layout [p1 p2 d1 p3 d2 d3 d4]:
-# parity bits sit at positions 1, 2, 4 and the syndrome is the (1-based)
-# position of a single flipped bit.
+# Hamming(7,4), 1-indexed codeword layout [p1 p2 d1 p3 d2 d3 d4]: column i of
+# the check matrix is the binary form of i + 1, so the syndrome of a single
+# flip is its (1-based) position.  The code is perfect, so every 7-bit word
+# lies within distance 1 of exactly one codeword: nearest-codeword decoding
+# equals syndrome decoding, and both directions are table lookups.
 _DATA_POS = np.array([2, 4, 5, 6])  # 0-based positions of d1..d4
-_PARITY_POS = np.array([0, 1, 3])
-# check matrix rows: positions whose 1-based index has bit 1, 2, 4 set
-_CHECKS = [
-    np.array([0, 2, 4, 6]),
-    np.array([1, 2, 5, 6]),
-    np.array([3, 4, 5, 6]),
-]
+_WEIGHTS = np.array([64, 32, 16, 8, 4, 2, 1])  # 7-bit word (first bit as MSB) -> index
 
 
-def _as_bits(bits) -> np.ndarray:
+def _lookup_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Data word (d1 as MSB) -> codeword; received word -> data bits, corrected?"""
+    words = (np.arange(128)[:, None] >> np.arange(6, -1, -1)) & 1
+    check = (np.arange(1, 8) >> np.arange(3)[:, None]) & 1
+    codewords = words[~np.any(words @ check.T % 2, axis=1)]
+    distance = np.sum(words[:, None, :] != codewords[None, :, :], axis=2)
+    nearest = np.argmin(distance, axis=1)
+    encode = np.empty((16, 7), dtype=np.uint8)
+    encode[codewords[:, _DATA_POS] @ _WEIGHTS[3:]] = codewords
+    decode = codewords[nearest][:, _DATA_POS].astype(np.uint8)
+    return encode, decode, distance[np.arange(128), nearest] == 1
+
+
+_ENCODE, _DECODE, _CORRECTED = _lookup_tables()
+
+
+def _as_bits(bits, ndims: tuple = (1,)) -> np.ndarray:
     a = np.asarray(bits)
-    if a.ndim != 1:
-        raise ValueError("bit sequence must be one-dimensional")
+    if a.ndim not in ndims:
+        allowed = " or ".join(map(str, ndims))
+        raise ValueError(f"bit sequence must be {allowed}-D, got {a.ndim}-D")
     a = a.astype(np.uint8)
     if np.any(a > 1):
         raise ValueError("bit sequence must contain only 0 and 1")
@@ -41,12 +57,7 @@ def hamming74_encode(data) -> np.ndarray:
     d = _as_bits(data)
     if len(d) % 4 != 0:
         raise ValueError(f"data length {len(d)} is not a multiple of 4")
-    words = d.reshape(-1, 4)
-    code = np.zeros((words.shape[0], 7), dtype=np.uint8)
-    code[:, _DATA_POS] = words
-    for row, check in zip(_PARITY_POS, _CHECKS):
-        code[:, row] = np.bitwise_xor.reduce(code[:, check], axis=1)
-    return code.reshape(-1)
+    return _ENCODE[d.reshape(-1, 4) @ _WEIGHTS[3:]].reshape(-1)
 
 
 def hamming74_decode(received) -> tuple[np.ndarray, int]:
@@ -57,13 +68,8 @@ def hamming74_decode(received) -> tuple[np.ndarray, int]:
     r = _as_bits(received)
     if len(r) % 7 != 0:
         raise ValueError(f"received length {len(r)} is not a multiple of 7")
-    code = r.reshape(-1, 7).copy()
-    syndrome = np.zeros(code.shape[0], dtype=np.int64)
-    for bit, check in enumerate(_CHECKS):
-        syndrome += (np.bitwise_xor.reduce(code[:, check], axis=1).astype(np.int64)) << bit
-    flagged = np.flatnonzero(syndrome)
-    code[flagged, syndrome[flagged] - 1] ^= 1
-    return code[:, _DATA_POS].reshape(-1), int(len(flagged))
+    words = r.reshape(-1, 7) @ _WEIGHTS
+    return _DECODE[words].reshape(-1), int(np.count_nonzero(_CORRECTED[words]))
 
 
 def cecc_encode(data, code: str = "hamming74") -> np.ndarray:
@@ -101,28 +107,37 @@ def privacy_amplify(bits, hash_seed: int, out_len: int) -> np.ndarray:
     product mod 2.  Linear, so equal inputs under the same seed always hash
     identically.
 
+    ``bits`` is one row of n bits or a 2-D stack of rows; every row is hashed
+    by the same matrix, and the result has the input's leading shape with
+    ``out_len`` bits per row.  Hashing both parties' rows in one call draws
+    the strip and transforms it once.
+
     The product is the slice ``[n - 1, n - 1 + out_len)`` of the linear
-    convolution of the strip with the input, taken with a real FFT on a
+    convolution of the strip with each row, taken with a real FFT on a
     power-of-two grid of at least ``2n + out_len - 2`` points: O(n log n)
-    time and O(n) memory.  Every convolution value is an integer at most
-    ``n``, so rounding recovers it exactly; a value that lands 0.25 or more
-    from an integer raises ``RuntimeError`` rather than returning a wrong key.
+    time and O(n) memory per row.  Every convolution value is an integer at
+    most ``n``, so rounding recovers it exactly; a value that lands 0.25 or
+    more from an integer raises ``RuntimeError`` rather than returning a
+    wrong key.
     """
-    x = _as_bits(bits)
-    n = len(x)
+    x = _as_bits(bits, ndims=(1, 2))
+    rows = np.atleast_2d(x)
+    n = rows.shape[1]
     if out_len < 0 or out_len > n:
         raise ValueError(f"output length {out_len} must be between 0 and {n}")
     if out_len == 0:
-        return np.zeros(0, dtype=np.uint8)
+        return np.zeros(x.shape[:-1] + (0,), dtype=np.uint8)
     strip = np.random.default_rng(hash_seed).integers(0, 2, size=n + out_len - 1, dtype=np.uint8)
     grid = 1 << (2 * n + out_len - 3).bit_length()
-    conv = np.fft.irfft(np.fft.rfft(strip, grid) * np.fft.rfft(x, grid), grid)
-    y = conv[n - 1 : n - 1 + out_len]
+    spectrum = np.fft.rfft(rows, grid)
+    spectrum *= np.fft.rfft(strip, grid)
+    conv = np.fft.irfft(spectrum, grid)
+    y = conv[:, n - 1 : n - 1 + out_len]
     counts = np.rint(y)
-    drift = float(np.max(np.abs(y - counts)))
+    drift = float(np.max(np.abs(y - counts), initial=0.0))
     if drift >= 0.25:
         raise RuntimeError(
             f"FFT privacy amplification lost exactness: a convolution value is {drift:.3g} "
             f"from an integer (n={n}, out_len={out_len})"
         )
-    return (counts.astype(np.int64) & 1).astype(np.uint8)
+    return (counts.astype(np.int64) & 1).astype(np.uint8).reshape(x.shape[:-1] + (out_len,))

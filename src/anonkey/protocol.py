@@ -245,8 +245,9 @@ def run_ake_session(cfg: SessionConfig) -> SessionTranscript:
 
     # privacy amplification of the 8k sifted bits down to 4k
     out_len = 4 * cfg.k
-    key_adam = coding.privacy_amplify(adam_raw, cfg.pa_hash_seed, out_len)
-    key_counterpart = coding.privacy_amplify(counterpart_raw, cfg.pa_hash_seed, out_len)
+    key_adam, key_counterpart = coding.privacy_amplify(
+        np.stack([adam_raw, counterpart_raw]), cfg.pa_hash_seed, out_len
+    )
 
     # step (iv): trial encryption of the fixed public plaintext
     t = min(len(TRIAL_PLAINTEXT), out_len)

@@ -52,6 +52,12 @@ class TestImpersonationPmf:
             expected = [math.comb(k, q) * 0.25**q * 0.75 ** (k - q) for q in range(k + 1)]
             assert impersonation_order_pmf(k).tolist() == expected
 
+    def test_cached_pmf_is_read_only(self):
+        pmf = impersonation_order_pmf(9)
+        assert impersonation_order_pmf(9) is pmf
+        with pytest.raises(ValueError):
+            pmf[0] = 1.0
+
     def test_many_blocks_do_not_overflow(self):
         # C(k, q) outgrows a double past 1029 blocks; the pmf must stay a
         # Binomial(k, 1/4): nonnegative, summing to one, mean k/4
@@ -92,6 +98,15 @@ class TestOpaqueBound:
     def test_m_independent(self):
         values = [opaque_bound(M) for M in (4, 8, 12, 16, 32)]
         assert max(values) - min(values) < 1e-9
+
+    @pytest.mark.parametrize("M", [4, 8, 16, 64])
+    def test_cached_value_equals_fresh_computation(self, M):
+        assert opaque_bound(M) == opaque_bound.__wrapped__(M)
+
+    def test_bad_m_still_rejected_after_caching(self):
+        opaque_bound(4)
+        with pytest.raises(ValueError):
+            opaque_bound(6)
 
     def test_equals_single_copy_acceptance(self):
         for M in (4, 8, 16):

@@ -12,7 +12,7 @@ from anonkey.aki import (
     aki_verify,
     run_honest_aki_round,
 )
-from anonkey.states import circle_state, circle_state_at, operators_close, rotate_circle
+from anonkey.states import circle_state, circle_state_at, operators_close, overlap, rotate_circle
 
 
 class TestChallenge:
@@ -89,14 +89,27 @@ class TestVerify:
 
     def test_fixed_reference_replay_accepted_half_the_time(self):
         # without a fresh challenge phase a cheat could always return the
-        # reference state; with it, the average ring overlap is one half
+        # reference state; with it, the average ring overlap is one half.
+        # Exact: average the acceptance over the M = 8 challenge phases.
         rng = np.random.default_rng(6)
-        n = 100_000
+        M = 8
+        accept = [
+            overlap(circle_state_at(0.0),
+                    circle_state_at(aki_challenge(1.3, rng, M=M, phi_a=2 * math.pi * j / M).phi_a))
+            for j in range(M)
+        ]
+        assert sum(accept) / M == pytest.approx(0.5, abs=1e-12)
+
+    def test_fixed_reference_replay_sampled(self):
+        # the same through the sampled challenge and verifier, held to 4
+        # standard deviations (the exact mean is checked above)
+        rng = np.random.default_rng(6)
+        n = 10_000
         hits = 0
         for _ in range(n):
             ch = aki_challenge(float(rng.uniform(0, 2 * math.pi)), rng, M=8)
             hits += aki_verify(circle_state_at(0.0), ch.phi_a, rng)
-        assert hits / n == pytest.approx(0.5, abs=0.01)
+        assert abs(hits / n - 0.5) <= 4 * math.sqrt(0.25 / n)
 
 
 class TestHonestProtocol:

@@ -331,6 +331,31 @@ class TestEdgeValidation:
         assert "configuration error" not in proc.stderr
 
 
+def fresh_stdout(argv):
+    """stdout and exit code of ``argv`` run alone in a new interpreter."""
+    proc = subprocess.run([sys.executable, "-m", "anonkey", *argv], capture_output=True)
+    return proc.stdout.decode("utf-8"), proc.returncode
+
+
+class TestSharedParser:
+    # run_cli parses with one parser per process; a call must leave nothing
+    # behind for the next one, whatever flags or errors it saw
+    @pytest.mark.parametrize("first, second", [
+        (["ake", "--k", "3", "--seed", "5", "--transcript"], ["ake", "--k", "3", "--seed", "5"]),
+        (["detect", "--M", "4,8", "--six-state"], ["detect", "--M", "4,8"]),
+        (["ake", "--M", "6"], ["ake", "--k", "2", "--eve", "translucent", "--seed", "1"]),
+        (["ake", "--eve", "bogus"], ["ake", "--k", "2", "--seed", "1", "--format", "csv"]),
+    ], ids=["transcript-then-rows", "six-state-then-circle", "config-error-then-valid",
+            "parse-error-then-valid"])
+    def test_sequence_matches_fresh_runs(self, capsys, first, second):
+        outputs = []
+        for argv in (first, second):
+            code = run_cli(argv)
+            outputs.append((capsys.readouterr().out, code))
+        assert outputs == [fresh_stdout(first), fresh_stdout(second)]
+        assert outputs[1][1] == 0
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_invocation(self, tmp_path):
         out = tmp_path / "m.csv"

@@ -37,6 +37,13 @@ class TestHamming74:
                 decoded, corrected = hamming74_decode(corrupted)
                 assert np.array_equal(decoded, d), (d, pos)
                 assert corrected == 1
+        # the same 112 flips as one stream of blocks
+        data = np.concatenate([d for d in all_data_words() for _ in range(7)])
+        code = hamming74_encode(data).reshape(-1, 7)
+        code[np.arange(len(code)), np.tile(np.arange(7), 16)] ^= 1
+        decoded, corrected = hamming74_decode(code.reshape(-1))
+        assert np.array_equal(decoded, data)
+        assert corrected == 16 * 7
 
     def test_quoted_example(self):
         code = hamming74_encode([1, 0, 1, 1])
@@ -62,6 +69,27 @@ class TestHamming74:
         decoded, corrected = hamming74_decode(hamming74_encode(d))
         assert np.array_equal(decoded, d)
         assert corrected == 0
+
+    def test_every_received_word_matches_syndrome_decoding(self):
+        # reference: the syndrome of a word is the 1-based position of its
+        # single flip (0 for a codeword); flip it back and read d1..d4
+        words = [np.array([(w >> (6 - i)) & 1 for i in range(7)], dtype=np.uint8)
+                 for w in range(128)]
+        for word in words:
+            syndrome = 0
+            for b in range(3):
+                positions = [i for i in range(7) if ((i + 1) >> b) & 1]
+                syndrome |= int(np.bitwise_xor.reduce(word[positions])) << b
+            fixed = word.copy()
+            if syndrome:
+                fixed[syndrome - 1] ^= 1
+            decoded, corrected = hamming74_decode(word)
+            assert decoded.tolist() == fixed[[2, 4, 5, 6]].tolist(), word
+            assert corrected == int(syndrome != 0)
+        # the same 128 words as one stream
+        decoded, corrected = hamming74_decode(np.concatenate(words))
+        assert len(decoded) == 4 * 128
+        assert corrected == 112
 
     def test_length_validation(self):
         with pytest.raises(ValueError):
@@ -193,6 +221,36 @@ class TestPrivacyAmplifyFFT:
         i = np.arange(out)
         expected = ((window[i + n] - window[i]) % 2).astype(np.uint8)
         assert np.array_equal(privacy_amplify(np.ones(n, dtype=np.uint8), seed, out), expected)
+
+    @given(pa_cases(max_n=512), st.integers(1, 4))
+    def test_rows_hash_like_single_calls(self, case, n_rows):
+        bits, seed, out_len = case
+        rows = np.stack([bits] + [np.random.default_rng(seed + r).integers(0, 2, size=len(bits))
+                                  for r in range(1, n_rows)])
+        out = privacy_amplify(rows, seed, out_len)
+        assert out.shape == (n_rows, out_len) and out.dtype == np.uint8
+        for row, hashed in zip(rows, out):
+            assert np.array_equal(hashed, privacy_amplify(row, seed, out_len))
+            assert np.array_equal(hashed, dense_toeplitz_pa(row, seed, out_len))
+
+    def test_rows_shape_validation(self):
+        with pytest.raises(ValueError):
+            privacy_amplify(np.zeros((2, 2, 8), dtype=np.uint8), 0, 4)
+        with pytest.raises(ValueError):
+            privacy_amplify(np.array([[0, 1, 2, 0]]), 0, 2)
+        with pytest.raises(ValueError):
+            privacy_amplify(np.zeros((2, 8), dtype=np.uint8), 0, 9)
+
+    def test_rows_zero_output_length(self):
+        out = privacy_amplify(np.ones((3, 8), dtype=np.uint8), 0, 0)
+        assert out.shape == (3, 0) and out.dtype == np.uint8
+        assert privacy_amplify(np.ones(8, dtype=np.uint8), 0, 0).shape == (0,)
+
+    def test_inexact_convolution_raises_on_rows(self, monkeypatch):
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: irfft(*a, **kw) + 0.3)
+        with pytest.raises(RuntimeError, match="exactness"):
+            privacy_amplify(np.ones((2, 64), dtype=np.uint8), 1, 32)
 
     def test_inexact_convolution_raises(self, monkeypatch):
         # a result that is not near an integer must never be rounded into a key
