@@ -45,9 +45,8 @@ from .protocol import (
     ChannelModel,
     SessionConfig,
     SessionTranscript,
-    order_permute,
-    order_unpermute,
     run_ake_session,
+    run_ake_sessions,
 )
 from .adversary import (
     AttackReport,
@@ -76,7 +75,6 @@ from .coherent import (
     coherent_overlap_mag,
     heterodyne_pa,
     heterodyne_resend_pa,
-    heterodyne_sample,
     two_mode_overlap_mag,
 )
 from .harness import ResultTable, derive_seeds, spawn_trial_streams

@@ -34,8 +34,9 @@ import sys
 from functools import lru_cache
 
 from . import adversary, aki, coding, coherent, detection, states
-from .harness import ResultTable, derive_seeds
-from .protocol import EVE_STRATEGIES, ChannelModel, SessionConfig, run_ake_session
+from .harness import ResultTable, derive_seeds, open_output
+from .protocol import EVE_STRATEGIES, ChannelModel, SessionConfig, run_ake_sessions
+from .protocol import run_ake_session  # noqa: F401 - benchmarks/tracing.py patches it here
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -209,30 +210,24 @@ def _validate_probability(cfg: dict, key: str) -> float:
     return float(v)
 
 
-def _run_detect(cfg: dict) -> tuple[ResultTable, int]:
+def _run_detect(cfg: dict) -> ResultTable:
     table = ResultTable(
         ["ensemble", "M", "p_correct", "p_accept", "p_accept_guessing", "certified_optimal"]
     )
-    for M in _ring_sizes(cfg):
-        e = states.uniform_circle_ensemble(M)
+    ensembles = [("circle", M, states.uniform_circle_ensemble(M)) for M in _ring_sizes(cfg)]
+    if cfg["six_state"]:
+        ensembles.append(("six-state", 6, states.six_state_ensemble()))
+    for name, M, e in ensembles:
         report = detection.evaluate_detection(e)
         guess = detection.acceptance_probability(e, detection.uniform_guess_povm(M, 2))
         table.add(
-            ensemble="circle", M=M, p_correct=report.pc, p_accept=report.pa,
+            ensemble=name, M=M, p_correct=report.pc, p_accept=report.pa,
             p_accept_guessing=guess, certified_optimal=report.certified_optimal,
         )
-    if cfg["six_state"]:
-        e = states.six_state_ensemble()
-        report = detection.evaluate_detection(e)
-        guess = detection.acceptance_probability(e, detection.uniform_guess_povm(6, 2))
-        table.add(
-            ensemble="six-state", M=6, p_correct=report.pc, p_accept=report.pa,
-            p_accept_guessing=guess, certified_optimal=report.certified_optimal,
-        )
-    return table, EXIT_OK
+    return table
 
 
-def _run_attack(cfg: dict) -> tuple[ResultTable, int]:
+def _run_attack(cfg: dict) -> ResultTable:
     strategy = cfg["strategy"]
     seed = cfg["seed"]
     trials = _validate_positive(cfg, "trials")
@@ -241,7 +236,7 @@ def _run_attack(cfg: dict) -> tuple[ResultTable, int]:
         table = ResultTable(["strategy", "k", "q", "probability"])
         for q, prob in enumerate(adversary.impersonation_order_pmf(k)):
             table.add(strategy=strategy, k=k, q=q, probability=float(prob))
-        return table, EXIT_OK
+        return table
     if strategy == "opaque":
         table = ResultTable(
             ["strategy", "M", "bound", "sequential_estimate", "stderr", "trials", "seed"]
@@ -254,7 +249,7 @@ def _run_attack(cfg: dict) -> tuple[ResultTable, int]:
                 strategy=strategy, M=M, bound=adversary.opaque_bound(M),
                 sequential_estimate=est, stderr=se, trials=trials, seed=seed,
             )
-        return table, EXIT_OK
+        return table
     # translucent
     k = _validate_positive(cfg, "k")
     table = ResultTable(["strategy", "k", "M", "pa", "deterministic_bits", "shannon_bits"])
@@ -262,10 +257,11 @@ def _run_attack(cfg: dict) -> tuple[ResultTable, int]:
         pa = adversary.opaque_bound(M)
         det, sh = adversary.translucent_accounting(k, pa)
         table.add(strategy=strategy, k=k, M=M, pa=pa, deterministic_bits=det, shannon_bits=sh)
-    return table, EXIT_OK
+    return table
 
 
-def _run_ake(cfg: dict, fmt: str) -> tuple[str, int]:
+def _run_ake(cfg: dict) -> int:
+    """Run the sessions and write their rows or transcripts; returns the exit code."""
     k = _validate_positive(cfg, "k")
     M = _ring_size("M", _validate_positive(cfg, "M"))
     trials = _validate_positive(cfg, "trials")
@@ -273,45 +269,39 @@ def _run_ake(cfg: dict, fmt: str) -> tuple[str, int]:
         _validate_probability(cfg, "loss"), _validate_probability(cfg, "depolarize")
     )
     seeds = derive_seeds(cfg["seed"], trials)
-    transcripts = []
+    batches = run_ake_sessions(
+        SessionConfig(k=k, M=M, channel=channel, cecc=cfg["cecc"], pa_hash_seed=s ^ 0x5DEECE66D,
+                      rng_seed=s, eve_strategy=cfg["eve"])
+        for s in seeds
+    )
+    aborted = False
+    if cfg["transcript"]:
+        # each chunk's transcripts are written as they are built; the bytes
+        # equal json.dumps(list, sort_keys=True, indent=2), as JSON strings
+        # hold no raw newlines and indenting every line nests each object
+        with open_output(cfg["out"]) as fh:
+            sep = "[\n"
+            for t in (t for batch in batches for t in batch.transcripts()):
+                aborted |= t.aborted
+                fh.write(sep + "  " + t.to_json().replace("\n", "\n  "))
+                sep = ",\n"
+            fh.write("\n]\n")
+        return EXIT_ABORT if aborted else EXIT_OK
     rows = ResultTable(
         [
             "trial", "seed", "k", "M", "eve", "cecc", "aborted", "trial_check_passed",
             "key_bits", "keys_equal", "corrected_blocks", "expended_order_bits",
         ]
     )
-    exit_code = EXIT_OK
-    for i in range(trials):
-        session = SessionConfig(
-            k=k,
-            M=M,
-            channel=channel,
-            cecc=cfg["cecc"],
-            pa_hash_seed=seeds[i] ^ 0x5DEECE66D,
-            rng_seed=seeds[i],
-            eve_strategy=cfg["eve"],
-        )
-        t = run_ake_session(session)
-        if t.aborted:
-            exit_code = EXIT_ABORT
-        transcripts.append(t)
-        rows.add(
-            trial=i, seed=seeds[i], k=k, M=M, eve=cfg["eve"], cecc=cfg["cecc"],
-            aborted=t.aborted, trial_check_passed=t.trial_check_passed,
-            key_bits=len(t.final_key_adam),
-            keys_equal=t.final_key_adam == t.final_key_babe,
-            corrected_blocks=t.corrected_blocks,
-            expended_order_bits=t.expended_order_bits,
-        )
-    if cfg["transcript"]:
-        # equals json.dumps(list, sort_keys=True, indent=2): JSON strings hold
-        # no raw newlines, so indenting every line nests each object one level
-        body = ",\n".join("  " + t.to_json().replace("\n", "\n  ") for t in transcripts)
-        return "[\n" + body + "\n]\n", exit_code
-    return (rows.to_json() + "\n" if fmt == "json" else rows.to_csv()), exit_code
+    results = (row for batch in batches for row in batch.rows())
+    for i, (seed, row) in enumerate(zip(seeds, results)):
+        aborted |= row["aborted"]
+        rows.add(trial=i, seed=seed, k=k, M=M, eve=cfg["eve"], cecc=cfg["cecc"], **row)
+    rows.write(cfg["out"], cfg["fmt"])
+    return EXIT_ABORT if aborted else EXIT_OK
 
 
-def _run_aki(cfg: dict) -> tuple[ResultTable, int]:
+def _run_aki(cfg: dict) -> ResultTable:
     trials = _validate_positive(cfg, "trials")
     seed = cfg["seed"]
     M = _ring_size("M", _validate_positive(cfg, "M"))
@@ -322,10 +312,10 @@ def _run_aki(cfg: dict) -> tuple[ResultTable, int]:
     for m, s in zip(m_values, seeds):
         est, se = aki.aki_impersonation(m, M, trials, s)
         table.add(m=m, M=M, estimate=est, stderr=se, expected=pa**m, trials=trials, seed=seed)
-    return table, EXIT_OK
+    return table
 
 
-def _run_coherent(cfg: dict) -> tuple[ResultTable, int]:
+def _run_coherent(cfg: dict) -> ResultTable:
     trials = _validate_positive(cfg, "trials")
     seed = cfg["seed"]
     names = (
@@ -350,7 +340,7 @@ def _run_coherent(cfg: dict) -> tuple[ResultTable, int]:
                 else:
                     pa, se = coherent.heterodyne_resend_pa(a0, trials, s)
                 table.add(alpha0=a0, M=M, estimator=name, pa=pa, stderr=se, trials=trials, seed=seed)
-    return table, EXIT_OK
+    return table
 
 
 def run_cli(argv: list[str]) -> int:
@@ -362,33 +352,15 @@ def run_cli(argv: list[str]) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
         cfg = _merge_config(args)
-        fmt = cfg.get("fmt", "csv")
-        if args.subcommand == "detect":
-            table, code = _run_detect(cfg)
-        elif args.subcommand == "attack":
-            table, code = _run_attack(cfg)
-        elif args.subcommand == "aki":
-            table, code = _run_aki(cfg)
-        elif args.subcommand == "coherent":
-            table, code = _run_coherent(cfg)
-        else:
-            payload, code = _run_ake(cfg, fmt)
-            _emit(payload, cfg.get("out"))
-            return code
-        payload = table.to_json() + "\n" if fmt == "json" else table.to_csv()
-        _emit(payload, cfg.get("out"))
-        return code
+        if args.subcommand == "ake":
+            return _run_ake(cfg)
+        run = {"detect": _run_detect, "attack": _run_attack, "aki": _run_aki,
+               "coherent": _run_coherent}[args.subcommand]
+        run(cfg).write(cfg["out"], cfg["fmt"])
+        return EXIT_OK
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-
-def _emit(payload: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(payload)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
 
 
 def main() -> None:  # pragma: no cover - thin wrapper

@@ -6,8 +6,8 @@ binary Toeplitz hash for privacy amplification of the sifted bits.  The code
 encodes and decodes through two small lookup tables built at import from its
 check matrix.  The hash is evaluated as one FFT convolution of the seeded
 strip with each input row, so it costs O(n log n) time and O(n) memory
-instead of building the matrix; both parties' rows share one call, one strip
-and one strip transform.
+instead of building the matrix; a run of sessions is hashed in one call,
+each session under its own strip.
 """
 
 from __future__ import annotations
@@ -65,11 +65,7 @@ def hamming74_decode(received) -> tuple[np.ndarray, int]:
 
     Returns the data bits and the number of corrected blocks.
     """
-    r = _as_bits(received)
-    if len(r) % 7 != 0:
-        raise ValueError(f"received length {len(r)} is not a multiple of 7")
-    words = r.reshape(-1, 7) @ _WEIGHTS
-    return _DECODE[words].reshape(-1), int(np.count_nonzero(_CORRECTED[words]))
+    return cecc_decode(received, "hamming74")
 
 
 def cecc_encode(data, code: str = "hamming74") -> np.ndarray:
@@ -83,22 +79,31 @@ def cecc_encode(data, code: str = "hamming74") -> np.ndarray:
 
 def cecc_decode(received, code: str = "hamming74") -> tuple[np.ndarray, int]:
     """Decode bits with the named code; returns (data, corrected_count)."""
+    data, corrected = cecc_decode_rows(_as_bits(received)[None], code)
+    return data[0], int(corrected[0])
+
+
+def cecc_decode_rows(received, code: str = "hamming74") -> tuple[np.ndarray, np.ndarray]:
+    """Decode every row of a 2-D stack; returns the data rows and each row's corrected count."""
+    r = _as_bits(received, ndims=(2,))
     if code == "none":
-        return _as_bits(received).copy(), 0
+        return r.copy(), np.zeros(len(r), dtype=np.int64)
     if code == "hamming74":
-        return hamming74_decode(received)
+        if r.shape[1] % 7 != 0:
+            raise ValueError(f"received length {r.shape[1]} is not a multiple of 7")
+        blocks = r.shape[1] // 7
+        words = r.reshape(len(r), blocks, 7) @ _WEIGHTS
+        return _DECODE[words].reshape(len(r), 4 * blocks), _CORRECTED[words].sum(axis=1)
     raise ValueError(f"unknown code {code!r}; choose from {CODES}")
 
 
 def code_rate(code: str) -> float:
-    if code == "none":
-        return 1.0
-    if code == "hamming74":
-        return 4.0 / 7.0
-    raise ValueError(f"unknown code {code!r}; choose from {CODES}")
+    if code not in CODES:
+        raise ValueError(f"unknown code {code!r}; choose from {CODES}")
+    return 4.0 / 7.0 if code == "hamming74" else 1.0
 
 
-def privacy_amplify(bits, hash_seed: int, out_len: int) -> np.ndarray:
+def privacy_amplify(bits, hash_seed, out_len: int) -> np.ndarray:
     """Compress bits with a seeded binary Toeplitz matrix over GF(2).
 
     The matrix is derived deterministically from ``hash_seed``: a strip of
@@ -109,30 +114,40 @@ def privacy_amplify(bits, hash_seed: int, out_len: int) -> np.ndarray:
 
     ``bits`` is one row of n bits or a 2-D stack of rows; every row is hashed
     by the same matrix, and the result has the input's leading shape with
-    ``out_len`` bits per row.  Hashing both parties' rows in one call draws
-    the strip and transforms it once.
+    ``out_len`` bits per row.  ``hash_seed`` may instead hold one seed per
+    leading index of a 2-D or 3-D ``bits``, whose ``bits[g]`` is then hashed
+    by the matrix of ``hash_seed[g]``: all strips are transformed together.
 
     The product is the slice ``[n - 1, n - 1 + out_len)`` of the linear
-    convolution of the strip with each row, taken with a real FFT on a
-    power-of-two grid of at least ``2n + out_len - 2`` points: O(n log n)
-    time and O(n) memory per row.  Every convolution value is an integer at
-    most ``n``, so rounding recovers it exactly; a value that lands 0.25 or
-    more from an integer raises ``RuntimeError`` rather than returning a
-    wrong key.
+    convolution of the strip with each row, taken with a real FFT on the
+    smallest power-of-two grid of at least ``n + out_len - 1`` points, on
+    which the tail of the ``2n + out_len - 2`` convolution points wraps only
+    onto indices below ``n - 1``: O(n log n) time and O(n) memory per row.
+    Every convolution value is an integer at most ``n``, so rounding recovers
+    it exactly; a value that lands 0.25 or more from an integer raises
+    ``RuntimeError`` rather than returning a wrong key.
     """
-    x = _as_bits(bits, ndims=(1, 2))
-    rows = np.atleast_2d(x)
-    n = rows.shape[1]
+    single = np.ndim(hash_seed) == 0
+    x = _as_bits(bits, ndims=(1, 2) if single else (2, 3))
+    seeds = [hash_seed] if single else list(hash_seed)
+    n = x.shape[-1]
     if out_len < 0 or out_len > n:
         raise ValueError(f"output length {out_len} must be between 0 and {n}")
+    if not single and len(seeds) != len(x):
+        raise ValueError(f"{len(seeds)} hash seeds for {len(x)} groups of rows")
     if out_len == 0:
         return np.zeros(x.shape[:-1] + (0,), dtype=np.uint8)
-    strip = np.random.default_rng(hash_seed).integers(0, 2, size=n + out_len - 1, dtype=np.uint8)
-    grid = 1 << (2 * n + out_len - 3).bit_length()
-    spectrum = np.fft.rfft(rows, grid)
-    spectrum *= np.fft.rfft(strip, grid)
+    groups = x[None] if single else x
+    if groups.ndim == 2:
+        groups = groups[:, None]
+    strips = np.empty((len(seeds), n + out_len - 1), dtype=np.uint8)
+    for g, seed in enumerate(seeds):
+        strips[g] = np.random.default_rng(seed).integers(0, 2, size=strips.shape[1], dtype=np.uint8)
+    grid = 1 << (n + out_len - 2).bit_length()
+    spectrum = np.fft.rfft(groups, grid)
+    spectrum *= np.fft.rfft(strips, grid)[:, None, :]
     conv = np.fft.irfft(spectrum, grid)
-    y = conv[:, n - 1 : n - 1 + out_len]
+    y = conv[..., n - 1 : n - 1 + out_len]
     counts = np.rint(y)
     drift = float(np.max(np.abs(y - counts), initial=0.0))
     if drift >= 0.25:

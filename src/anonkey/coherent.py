@@ -64,16 +64,6 @@ def two_mode_overlap_mag(alpha0: float, theta1: float, theta2: float) -> float:
     return math.exp(-(alpha0**2) * d2 / 2.0)
 
 
-def heterodyne_sample(s: CoherentState, rng: np.random.Generator) -> complex:
-    """One heterodyne outcome: the amplitude plus unit-total-variance noise.
-
-    The outcome density is ``exp(-|beta - alpha|^2) / pi`` (half a unit of
-    variance per quadrature).
-    """
-    noise = (rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2.0)
-    return s.amplitude + noise
-
-
 def _round_to_grid(delta: np.ndarray, M: int) -> np.ndarray:
     step = 2.0 * math.pi / M
     return np.round(delta / step) * step

@@ -11,9 +11,11 @@ for large values such as session transcripts.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
+import sys
 
 import numpy as np
 
@@ -70,6 +72,11 @@ def canonical_json(value, pad: str = "") -> str:
     return "[\n" + inner + body + "\n" + pad + "]"
 
 
+def open_output(path: str | None):
+    """The file at ``path`` opened for writing, or stdout, as a context manager."""
+    return contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8")
+
+
 class ResultTable:
     """An ordered list of flat result rows with stable serialization."""
 
@@ -96,17 +103,9 @@ class ResultTable:
             writer.writerow(row)
         return buf.getvalue()
 
-    def write(self, path: str, fmt: str) -> None:
-        if fmt == "json":
-            text = self.to_json() + "\n"
-        elif fmt == "csv":
-            text = self.to_csv()
-        else:
+    def write(self, path: str | None, fmt: str) -> None:
+        """Write the table as ``csv`` or ``json`` to ``path``, or to stdout."""
+        if fmt not in ("csv", "json"):
             raise ValueError(f"unknown format {fmt!r}; choose csv or json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def json_roundtrip(text: str) -> str:
-    """Parse and re-serialize canonical JSON; identity on canonical input."""
-    return json.dumps(json.loads(text), sort_keys=True, indent=2)
+        with open_output(path) as fh:
+            fh.write(self.to_json() + "\n" if fmt == "json" else self.to_csv())

@@ -14,9 +14,16 @@ The per-qubit quantum mechanics is exact: all measurement and interception
 probabilities are tabulated once per ``M`` by :func:`anonkey.detection.ring_tables`
 from the density-operator algebra, then sessions sample from those tables,
 which keeps thousand-session experiments cheap without approximating
-anything.  The channel is sampled the same way: :func:`run_ake_session` draws
-the :class:`ChannelModel` loss and depolarization of every qubit at once, and a
-depolarized qubit reads as a fair coin at Adam's measurement.
+anything.  The :class:`ChannelModel` loss and depolarization are sampled per
+qubit the same way, and a depolarized qubit reads as a fair coin at Adam's
+measurement.
+
+One core runs every session: :func:`run_ake_sessions` takes the sessions of
+a run, which differ only in their seeds.  Each draws on its own generator in
+a fixed order; all later steps are one pass over ``(sessions, qubits)``
+arrays, in memory-bounded chunks held by :class:`SessionBatch`, which builds
+a :class:`SessionTranscript` only when asked.  :func:`run_ake_session` is its
+one-session call.
 
 Adversaries
 -----------
@@ -37,6 +44,7 @@ Adversaries
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -62,25 +70,6 @@ BLOCK_SIZE = 8
 TRIAL_PLAINTEXT = np.array(
     [int(b) for b in bin(0x243F6A8885A308D3)[2:].zfill(64)], dtype=np.uint8
 )
-
-
-def _reorder(block, order_id: int, table: np.ndarray):
-    if not 0 <= order_id <= 3:
-        raise ValueError("order_id must be in 0..3")
-    items = list(block)
-    if len(items) != BLOCK_SIZE:
-        raise ValueError(f"block must have {BLOCK_SIZE} items, got {len(items)}")
-    return type(block)(items[i] for i in table[order_id])
-
-
-def order_permute(block, order_id: int):
-    """Arrange an 8-item block into transmission order ``order_id``."""
-    return _reorder(block, order_id, ORDER_TABLE)
-
-
-def order_unpermute(block, order_id: int):
-    """Invert :func:`order_permute` for the same ``order_id``."""
-    return _reorder(block, order_id, INVERSE_ORDER_TABLE)
 
 
 @dataclass(frozen=True)
@@ -164,151 +153,206 @@ class SessionTranscript:
         return canonical_json({f.name: getattr(self, f.name) for f in fields(self)})
 
 
+#: Qubits sent per array pass; longer runs go through in chunks of sessions.
+#: Each qubit costs some tens of bytes of arrays along the pass.
+_SLOT_BUDGET = 1 << 14
+
+
+@dataclass
+class SessionBatch:
+    """Consecutive sessions of one run, held as arrays.
+
+    ``columns`` holds one entry per session for each result column.  Aborted
+    sessions stop at the loss check, so ``bits`` (the transcript's bit lists)
+    and the array values of ``eve_stats`` hold one row per finished session.
+    """
+
+    configs: list
+    states_sent: np.ndarray
+    arrived: np.ndarray
+    columns: dict
+    bits: dict
+    eve_stats: dict
+
+    def rows(self) -> list[dict]:
+        """Each session's result columns, as plain Python values."""
+        values = zip(*(c.tolist() for c in self.columns.values()))
+        return [dict(zip(self.columns, v)) for v in values]
+
+    def transcript(self, i: int) -> SessionTranscript:
+        """Session ``i``'s transcript, built from the arrays."""
+        cfg, aborted = self.configs[i], self.columns["aborted"]
+        report = asdict(AttackReport(strategy=cfg.eve_strategy))
+        head = dict(config=asdict(cfg), states_sent=self.states_sent[i].tolist(), eve_report=report)
+        if aborted[i]:
+            need = _layout(cfg)[3]
+            reason = f"only {self.arrived[i]} of {need} needed qubits survived the channel"
+            return SessionTranscript(**head, aborted=True, abort_reason=reason)
+        j = np.count_nonzero(~aborted[:i])
+        report.update((key, v[j].item() if isinstance(v, np.ndarray) else v)
+                      for key, v in self.eve_stats.items())
+        scalars = ("expended_order_bits", "trial_check_passed", "corrected_blocks")
+        return SessionTranscript(
+            **head,
+            **{name: self.columns[name][i].item() for name in scalars},
+            **{name: rows[j].tolist() for name, rows in self.bits.items()},
+        )
+
+    def transcripts(self) -> Iterator[SessionTranscript]:
+        return (self.transcript(i) for i in range(len(self.configs)))
+
+
 def run_ake_session(cfg: SessionConfig) -> SessionTranscript:
-    """Run one full key-distribution session.
+    """Run one full key-distribution session: :func:`run_ake_sessions` of one.
 
     Insufficient surviving qubits produce an aborted transcript, not an
     exception.  All randomness flows from ``cfg.rng_seed`` in a fixed draw
     order, so equal configs give byte-identical transcripts.
     """
-    rng = np.random.default_rng(cfg.rng_seed)
-    tables = ring_tables(cfg.M)
-    M, q = cfg.M, tables.q
+    (batch,) = run_ake_sessions([cfg])
+    return batch.transcript(0)
 
+
+def run_ake_sessions(configs: Sequence[SessionConfig]) -> Iterator[SessionBatch]:
+    """Run sessions that differ only in their seeds, in array passes.
+
+    Yields a :class:`SessionBatch` per chunk of consecutive sessions holding
+    at most ``_SLOT_BUDGET`` sent qubits (or one session), so memory stays
+    bounded.  No session depends on the others or on the chunking.
+    """
+    configs = list(configs)
+    if len({(c.k, c.M, c.channel, c.cecc, c.eve_strategy, c.send_margin) for c in configs}) > 1:
+        raise ValueError("sessions run together must differ only in their seeds")
+    step = max(1, _SLOT_BUDGET // _layout(configs[0])[4]) if configs else 1
+    for start in range(0, len(configs), step):
+        yield _run_batch(configs[start : start + step])
+
+
+def _layout(cfg: SessionConfig) -> tuple[int, int, int, int, int]:
+    """Raw bits, coded bits, 8-qubit blocks, block slots and qubits sent."""
     n_raw = 8 * cfg.k
     n_coded = round(n_raw / coding.code_rate(cfg.cecc))
     n_blocks = math.ceil(n_coded / BLOCK_SIZE)
     n_slots = BLOCK_SIZE * n_blocks
-    n_pad = n_slots - n_coded
-    n_sent = math.ceil(n_slots * (1.0 + cfg.send_margin))
+    return n_raw, n_coded, n_blocks, n_slots, math.ceil(n_slots * (1.0 + cfg.send_margin))
 
-    # step (i): Adam transmits random ring states
-    sent = rng.integers(0, M, size=n_sent)
 
-    # channel, one application per qubit round trip
-    lost = rng.random(n_sent) < cfg.channel.loss_prob
-    depolarized = rng.random(n_sent) < cfg.channel.depolarize_prob
-    depolarized &= ~lost
+def _run_batch(configs: list[SessionConfig]) -> SessionBatch:
+    cfg, S = configs[0], len(configs)
+    M, eve, channel, tables = cfg.M, cfg.eve_strategy, cfg.channel, ring_tables(cfg.M)
+    n_raw, n_coded, n_blocks, n_slots, n_sent = _layout(cfg)
 
-    # opaque interception happens on the way out: Eve measures the optimal
-    # ring detector and forwards her estimate
-    eve_offsets = None
-    if cfg.eve_strategy == "opaque":
-        eve_offsets = rng.choice(M, size=n_sent, p=tables.srm)
-        carried = (sent + eve_offsets) % M
-    else:
-        carried = sent
+    # Every draw, session by session on its own generator in the fixed
+    # order.  Aborted sessions stop at the loss check; finished ones fill
+    # rows 0..F-1 of the arrays drawn after it.
+    sent, u, u_eve = np.empty((S, n_sent), dtype=np.int64), np.empty(n_sent), np.empty((S, n_sent))
+    kept, depolarized = np.empty((2, S, n_sent), dtype=bool)  # u thresholded session by session
+    raw, pad = (np.empty((S, n), dtype=np.uint8) for n in (n_raw, n_slots - n_coded))
+    orders, guesses = np.empty((2, S, n_blocks), dtype=np.int64)
+    u_adam, u_tap = np.empty((S, n_slots)), np.empty((S, n_blocks))
+    arrived = np.empty(S, dtype=np.int64)
+    F = 0
+    for i, c in enumerate(configs):
+        rng = np.random.default_rng(c.rng_seed)
+        # step (i): Adam transmits random ring states; the channel acts once
+        # per qubit round trip
+        sent[i] = rng.integers(0, M, size=n_sent)
+        np.greater_equal(rng.random(out=u), channel.loss_prob, out=kept[i])
+        np.less(rng.random(out=u), channel.depolarize_prob, out=depolarized[i])
+        if eve == "opaque":
+            rng.random(out=u_eve[i])  # the uniforms of rng.choice(M, p=tables.srm)
+        arrived[i] = np.count_nonzero(kept[i])
+        if arrived[i] < n_slots:
+            continue
+        # step (ii): the responder's data, pad bits and secret orders
+        raw[F] = rng.integers(0, 2, size=n_raw, dtype=np.uint8)
+        pad[F] = rng.integers(0, 2, size=pad.shape[1], dtype=np.uint8)
+        orders[F] = rng.integers(0, 4, size=n_blocks)
+        if eve == "impersonate-order":
+            guesses[F] = rng.integers(0, 4, size=n_blocks)
+        rng.random(out=u_adam[F])  # Adam's measurement outcomes
+        if eve == "translucent":
+            rng.random(out=u_tap[F])
+        F += 1
+    done = arrived >= n_slots
+    late = (raw, pad, orders, guesses, u_adam, u_tap)
+    raw, pad, orders, guesses, u_adam, u_tap = (a[:F] for a in late)
 
-    arrived = np.flatnonzero(~lost)
-    if len(arrived) < n_slots:
-        return SessionTranscript(
-            config=asdict(cfg),
-            states_sent=sent.tolist(),
-            eve_report=asdict(AttackReport(strategy=cfg.eve_strategy)),
-            aborted=True,
-            abort_reason=f"only {len(arrived)} of {n_slots} needed qubits survived the channel",
-        )
-    used = arrived[:n_slots]  # publicly acknowledged fill order
+    # the first n_slots surviving qubits, in the publicly acknowledged fill
+    # order, read row by row by boolean indexing (int32 counts: n_sent < 2**31)
+    used = kept & (np.cumsum(kept, axis=1, dtype=np.int32) <= n_slots)
+    used[~done] = False
+    dep = depolarized[used].reshape(F, n_slots)
 
-    # step (ii): the responder's data, coding, modulation, secret orders
-    counterpart_raw = rng.integers(0, 2, size=n_raw, dtype=np.uint8)
-    coded = coding.cecc_encode(counterpart_raw, cfg.cecc)
-    pad = rng.integers(0, 2, size=n_pad, dtype=np.uint8)
-    slot_bits = np.concatenate([coded, pad])
-
-    src = carried[used]
-    src_dep = depolarized[used]
-    # bit 0 rotates +M/4 steps along the ring, bit 1 rotates -M/4
-    returned = (src + q * (1 - 2 * slot_bits.astype(np.int64))) % M
-
-    orders = rng.integers(0, 4, size=n_blocks)
-
-    if cfg.eve_strategy == "impersonate-order":
-        guesses = rng.integers(0, 4, size=n_blocks)
+    # the responder codes her bits and modulates each qubit: bit 0 rotates
+    # +M/4 steps along the ring, bit 1 rotates -M/4; `steps` counts the ring
+    # steps from the state Adam sent for a slot to the state he gets back
+    coded = coding.cecc_encode(raw.reshape(-1), cfg.cecc).reshape(F, n_coded)
+    slot_bits = np.concatenate([coded, pad], axis=1)
+    steps = tables.q * (1 - 2 * slot_bits.astype(np.int64))
+    if eve == "opaque":
+        # Eve measures each outgoing qubit with the optimal ring detector, forwards her estimate
+        cdf = np.cumsum(tables.srm)
+        eve_offsets = np.searchsorted(cdf / cdf[-1], u_eve[used], side="right").reshape(F, n_slots)
+        steps += eve_offsets
+    if eve == "impersonate-order":
         # Adam restores with the true order; Eve packed with her guess.  The
         # slot he reads at position s actually holds slot sigma[s] of the
         # block, and the four orders never agree at any position, so a wrong
         # guess misplaces every qubit of the block.
-        sigma = np.take_along_axis(ORDER_TABLE[guesses], INVERSE_ORDER_TABLE[orders], axis=1)
-        sigma = (sigma + BLOCK_SIZE * np.arange(n_blocks)[:, None]).reshape(-1)
-    else:
-        sigma = np.arange(n_slots)
+        sigma = np.take_along_axis(ORDER_TABLE[guesses], INVERSE_ORDER_TABLE[orders], axis=2)
+        sigma = (sigma + BLOCK_SIZE * np.arange(n_blocks)[:, None]).reshape(F, n_slots)
+        sent_used = sent[used].reshape(F, n_slots)
+        steps = np.take_along_axis(sent_used + steps, sigma, axis=1) - sent_used
+        dep = np.take_along_axis(dep, sigma, axis=1)
 
-    # step (iii): Adam restores order and measures his quarter-turn basis
-    expected = sent[used]
-    actual = returned[sigma]
-    actual_dep = src_dep[sigma]
-    p0 = tables.decrypt_p0[(actual - expected) % M]
-    p0 = np.where(actual_dep, 0.5, p0)
-    adam_coded = (rng.random(n_slots) >= p0).astype(np.uint8)
-    adam_raw, corrected = coding.cecc_decode(adam_coded[:n_coded], cfg.cecc)
+    # step (iii): Adam measures his quarter-turn basis and decodes
+    p0 = np.where(dep, 0.5, tables.decrypt_p0[steps % M])
+    adam_coded = (u_adam >= p0).astype(np.uint8)
+    adam_raw, corrected = coding.cecc_decode_rows(adam_coded[:, :n_coded], cfg.cecc)
 
-    # privacy amplification of the 8k sifted bits down to 4k
-    out_len = 4 * cfg.k
-    key_adam, key_counterpart = coding.privacy_amplify(
-        np.stack([adam_raw, counterpart_raw]), cfg.pa_hash_seed, out_len
-    )
+    # privacy amplification of the 8k sifted bits down to 4k, each session
+    # under its own hash seed
+    pa_seeds = [c.pa_hash_seed for c, ok in zip(configs, done) if ok]
+    keys = coding.privacy_amplify(np.stack([adam_raw, raw], axis=1), pa_seeds, 4 * cfg.k)
+    key_adam, key_babe = keys[:, 0], keys[:, 1]
 
     # step (iv): trial encryption of the fixed public plaintext
-    t = min(len(TRIAL_PLAINTEXT), out_len)
-    tag = key_counterpart[:t] ^ TRIAL_PLAINTEXT[:t]
-    trial_ok = bool(np.array_equal(key_adam[:t] ^ tag, TRIAL_PLAINTEXT[:t]))
+    plain = TRIAL_PLAINTEXT[: keys.shape[2]]
+    tag = key_babe[:, : len(plain)] ^ plain
+    trial_ok = np.all(key_adam[:, : len(plain)] ^ tag == plain, axis=1)
 
-    if cfg.eve_strategy == "opaque":
-        hits = eve_offsets[used] == 0
-        pre_code_err = float(np.mean(adam_coded[:n_coded] != coded))
-        eve_report = asdict(
-            AttackReport(strategy="opaque", per_qubit_success=float(np.mean(hits)))
-        )
-        eve_report.update(adam_coded_bit_error_rate=pre_code_err, intercepted_qubits=n_sent)
-    elif cfg.eve_strategy == "impersonate-order":
+    coded_ok = adam_coded[:, :n_coded] == coded
+    eve_stats = {}
+    if eve == "opaque":
+        eve_stats = dict(per_qubit_success=np.count_nonzero(eve_offsets == 0, axis=1) / n_slots,
+                         adam_coded_bit_error_rate=np.count_nonzero(~coded_ok, axis=1) / n_coded,
+                         intercepted_qubits=n_sent)
+    elif eve == "impersonate-order":
         right = guesses == orders
-        wrong_slots = np.repeat(~right, BLOCK_SIZE)
-        coded_slots_mask = np.arange(n_slots) < n_coded
-        wrong_errs = int(np.sum((adam_coded != slot_bits) & wrong_slots & coded_slots_mask))
-        eve_report = asdict(
-            AttackReport(
-                strategy="impersonate-order",
-                per_qubit_success=float(np.mean(adam_coded[:n_coded] == coded)),
-                order_guess_distribution=tuple(impersonation_order_pmf(n_blocks).tolist()),
-            )
-        )
-        eve_report.update(
-            blocks_guessed_right=int(np.sum(right)),
-            blocks_total=n_blocks,
-            wrong_block_qubits=int(np.sum(wrong_slots & coded_slots_mask)),
-            wrong_block_errors=wrong_errs,
-        )
-    elif cfg.eve_strategy == "translucent":
+        wrong = np.repeat(~right, BLOCK_SIZE, axis=1)[:, :n_coded]
+        eve_stats = dict(per_qubit_success=np.count_nonzero(coded_ok, axis=1) / n_coded,
+                         order_guess_distribution=tuple(impersonation_order_pmf(n_blocks).tolist()),
+                         blocks_guessed_right=np.count_nonzero(right, axis=1),
+                         wrong_block_qubits=np.count_nonzero(wrong, axis=1), blocks_total=n_blocks,
+                         wrong_block_errors=np.count_nonzero(wrong & ~coded_ok, axis=1))
+    elif eve == "translucent":
         # non-disturbing tap, scored by the loose bound: order-guessed
         # blocks leak their bits outright, the rest leak at the capacity of
         # a binary channel with the two-copy success rate
         pa = opaque_bound(M)
-        guessed = rng.random(n_blocks) < 0.25
-        det_bits = int(np.sum(guessed) * BLOCK_SIZE)
-        other = int(n_slots - det_bits)
-        eve_report = asdict(
-            AttackReport(
-                strategy="translucent",
-                per_qubit_success=pa,
-                deterministic_bits=det_bits,
-                shannon_bits=float(other * (1.0 - binary_entropy(pa))),
-            )
-        )
-        eve_report.update(blocks_guessed_right=int(np.sum(guessed)))
-    else:
-        eve_report = asdict(AttackReport(strategy="none"))
+        det = BLOCK_SIZE * np.count_nonzero(u_tap < 0.25, axis=1)
+        eve_stats = dict(per_qubit_success=pa, deterministic_bits=det,
+                         shannon_bits=(n_slots - det) * (1.0 - binary_entropy(pa)),
+                         blocks_guessed_right=det // BLOCK_SIZE)
 
-    return SessionTranscript(
-        config=asdict(cfg),
-        states_sent=sent.tolist(),
-        eve_report=eve_report,
-        orders_used=orders.tolist(),
-        expended_order_bits=2 * n_blocks,
-        raw_bits_babe=counterpart_raw.tolist(),
-        raw_bits_adam=adam_raw.tolist(),
-        final_key_adam=key_adam.tolist(),
-        final_key_babe=key_counterpart.tolist(),
-        trial_check_passed=trial_ok,
-        corrected_blocks=corrected,
-    )
+    # an aborted session has no key and no check: empty keys compare equal
+    columns = dict(aborted=~done, trial_check_passed=np.zeros(S, bool), key_bits=done * 4 * cfg.k,
+                   keys_equal=np.ones(S, bool), corrected_blocks=np.zeros(S, np.int64),
+                   expended_order_bits=done * 2 * n_blocks)
+    columns["trial_check_passed"][done] = trial_ok
+    columns["keys_equal"][done] = np.all(key_adam == key_babe, axis=1)
+    columns["corrected_blocks"][done] = corrected
+    bits = dict(orders_used=orders, raw_bits_babe=raw, raw_bits_adam=adam_raw,
+                final_key_adam=key_adam, final_key_babe=key_babe)
+    return SessionBatch(configs, sent, arrived, columns, bits, eve_stats)

@@ -95,9 +95,6 @@ class DensityOperator:
     def purity(self) -> float:
         return float(np.real(np.trace(self._matrix @ self._matrix)))
 
-    def is_pure(self, atol: float = ATOL) -> bool:
-        return abs(self.purity() - 1.0) <= atol
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DensityOperator(dim={self.dim})"
 
@@ -209,16 +206,6 @@ def circle_phase(ell: int, M: int) -> float:
 def circle_state_at(phase: float) -> DensityOperator:
     """Pure state at an arbitrary phase on the (sigma_1, sigma_3) circle."""
     return bloch_to_density((math.cos(phase), 0.0, math.sin(phase)))
-
-
-def circle_ket(phase: float) -> np.ndarray:
-    """Real state vector for the circle state at ``phase``.
-
-    The two amplitudes are ``cos(b/2), sin(b/2)`` with ``b = pi/2 - phase``,
-    which reproduces the Bloch vector ``(cos(phase), 0, sin(phase))``.
-    """
-    b = math.pi / 2 - phase
-    return np.array([math.cos(b / 2), math.sin(b / 2)], dtype=complex)
 
 
 def circle_state(ell: int, M: int) -> DensityOperator:
@@ -354,8 +341,3 @@ def sphere_grid_ensemble(n: int) -> Ensemble:
         for j in range(n)
     )
     return Ensemble(states, tuple(1.0 / n for _ in range(n)))
-
-
-def operators_close(a: DensityOperator, b: DensityOperator, atol: float = ATOL) -> bool:
-    """Entrywise comparison of two density operators."""
-    return a.dim == b.dim and bool(np.allclose(a.matrix, b.matrix, atol=atol, rtol=0.0))

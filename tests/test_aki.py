@@ -12,7 +12,11 @@ from anonkey.aki import (
     aki_verify,
     run_honest_aki_round,
 )
-from anonkey.states import circle_state, circle_state_at, operators_close, overlap, rotate_circle
+from anonkey.states import circle_state, circle_state_at, overlap, rotate_circle
+
+
+def operators_close(a, b, atol=1e-9):
+    return a.dim == b.dim and bool(np.allclose(a.matrix, b.matrix, atol=atol, rtol=0.0))
 
 
 class TestChallenge:
@@ -39,15 +43,19 @@ class TestChallenge:
             ratio = ch.phi_a / step
             assert ratio == pytest.approx(round(ratio), abs=1e-9)
 
+    def test_challenge_phases_replay_the_generator_stream(self):
+        # phi_a is 2*pi*j/M for the generator's next integers(0, M) draw j,
+        # so the uniformity check below on a vectorized draw applies to it
+        M, n = 8, 2_000
+        rng, ref = np.random.default_rng(2), np.random.default_rng(2)
+        for _ in range(n):
+            assert aki_challenge(0.0, rng, M=M).phi_a == 2 * math.pi * int(ref.integers(0, M)) / M
+
     def test_challenge_phase_uniformity_chi2(self):
         # chi-squared goodness of fit at the 0.01 level, df = 7
-        rng = np.random.default_rng(2)
-        M = 8
-        n = 100_000
-        counts = np.zeros(M)
-        for _ in range(n):
-            ch = aki_challenge(0.0, rng, M=M)
-            counts[round(ch.phi_a / (2 * math.pi / M)) % M] += 1
+        M, n = 8, 100_000
+        phases = 2 * math.pi * np.random.default_rng(2).integers(0, M, size=n) / M
+        counts = np.bincount(np.rint(phases / (2 * math.pi / M)).astype(int) % M, minlength=M)
         chi2 = float(np.sum((counts - n / M) ** 2 / (n / M)))
         assert chi2 < 18.475  # critical value, df=7, alpha=0.01
 

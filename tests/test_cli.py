@@ -8,6 +8,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from anonkey import protocol
 from anonkey.cli import run_cli
 from anonkey.harness import derive_seeds
 from anonkey.protocol import SessionConfig, run_ake_session
@@ -144,6 +145,20 @@ class TestAke:
         assert code == 3
         data = json.loads(out.read_text())
         assert data["rows"][0]["aborted"] is True
+
+
+    @pytest.mark.parametrize("mode", [["--format", "csv"], ["--format", "json"], ["--transcript"]])
+    def test_chunked_run_writes_the_same_bytes(self, tmp_path, capsys, monkeypatch, mode):
+        # loss 0.2 sits at the abort threshold: 4 of these 7 sessions abort
+        argv = ["ake", "--k", "7", "--M", "8", "--eve", "opaque", "--loss", "0.2",
+                "--trials", "7", "--seed", "23"] + mode
+        whole = run_cli(argv), capsys.readouterr().out
+        assert whole[0] == 3
+        out = tmp_path / "chunked.txt"
+        monkeypatch.setattr(protocol, "_SLOT_BUDGET", 2 * 130)  # two k=7 sessions (130 qubits) a chunk
+        assert (run_cli(argv), capsys.readouterr().out) == whole
+        assert run_cli(argv + ["--out", str(out)]) == 3
+        assert out.read_text() == whole[1]
 
 
 class TestAki:

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from anonkey.coding import (
     cecc_decode,
+    cecc_decode_rows,
     cecc_encode,
     code_rate,
     hamming74_decode,
@@ -109,6 +110,25 @@ class TestCeccDispatch:
         with pytest.raises(ValueError):
             cecc_encode([0, 0, 0, 0], "reed-muller")
 
+    @pytest.mark.parametrize("code", ["none", "hamming74"])
+    def test_rows_decode_like_single_calls(self, code):
+        received = np.random.default_rng(4).integers(0, 2, size=(5, 56), dtype=np.uint8)
+        data, corrected = cecc_decode_rows(received, code)
+        assert corrected.shape == (5,)
+        for row, got, n in zip(received, data, corrected):
+            want, want_n = cecc_decode(row, code)
+            assert np.array_equal(got, want) and n == want_n
+        empty, none_corrected = cecc_decode_rows(np.zeros((0, 14), dtype=np.uint8), code)
+        assert empty.shape == (0, 14 if code == "none" else 8) and none_corrected.shape == (0,)
+
+    def test_rows_decode_validation(self):
+        with pytest.raises(ValueError):
+            cecc_decode_rows(np.zeros(14, dtype=np.uint8))
+        with pytest.raises(ValueError):
+            cecc_decode_rows(np.zeros((2, 13), dtype=np.uint8))
+        with pytest.raises(ValueError):
+            cecc_decode_rows(np.zeros((2, 14), dtype=np.uint8), "reed-muller")
+
     def test_rates(self):
         assert code_rate("none") == 1.0
         assert code_rate("hamming74") == pytest.approx(4 / 7)
@@ -181,8 +201,26 @@ def pa_cases(draw, max_n=2048):
     return bits, draw(st.integers(0, 2**64 - 1)), out_len
 
 
+def grid_edge_case(n, out_len, density):
+    bits = (np.random.default_rng(n).random(n) < density).astype(np.uint8)
+    return bits, 2**63 + n, out_len
+
+
+# n + out_len - 1 exactly a power of two, and one more than a power of two:
+# the smallest grids the FFT may use, and the sizes that double the grid
+GRID_EDGES = [(8, 1), (5, 4), (600, 425), (1025, 1024), (9, 1), (5, 5), (513, 513), (1025, 1025)]
+
+
 class TestPrivacyAmplifyFFT:
     @given(pa_cases())
+    @example(grid_edge_case(*GRID_EDGES[0], 1.0))
+    @example(grid_edge_case(*GRID_EDGES[1], 1.0))
+    @example(grid_edge_case(*GRID_EDGES[2], 0.5))
+    @example(grid_edge_case(*GRID_EDGES[3], 1.0))
+    @example(grid_edge_case(*GRID_EDGES[4], 1.0))
+    @example(grid_edge_case(*GRID_EDGES[5], 0.5))
+    @example(grid_edge_case(*GRID_EDGES[6], 1.0))
+    @example(grid_edge_case(*GRID_EDGES[7], 0.97))
     def test_equals_dense_toeplitz_product(self, case):
         bits, seed, out_len = case
         assert np.array_equal(privacy_amplify(bits, seed, out_len),
@@ -232,6 +270,36 @@ class TestPrivacyAmplifyFFT:
         for row, hashed in zip(rows, out):
             assert np.array_equal(hashed, privacy_amplify(row, seed, out_len))
             assert np.array_equal(hashed, dense_toeplitz_pa(row, seed, out_len))
+
+    @pytest.mark.parametrize("n, out_len", GRID_EDGES)
+    def test_grid_is_smallest_power_of_two_past_the_strip(self, monkeypatch, n, out_len):
+        grids = []
+        rfft = np.fft.rfft
+        monkeypatch.setattr(np.fft, "rfft", lambda a, m, *rest: grids.append(m) or rfft(a, m, *rest))
+        privacy_amplify(np.ones(n, dtype=np.uint8), 1, out_len)
+        size = n + out_len - 1
+        assert set(grids) == {1 << (size - 1).bit_length()}
+        assert grids[0] >= size and grids[0] // 2 < size
+
+    @given(pa_cases(max_n=256), st.integers(1, 3), st.integers(1, 3))
+    def test_seed_per_group_hashes_like_single_calls(self, case, n_groups, n_rows):
+        bits, seed, out_len = case
+        seeds = [(seed + g) % 2**64 for g in range(n_groups)]
+        groups = np.random.default_rng(seed % 2**32).integers(
+            0, 2, size=(n_groups, n_rows, len(bits)), dtype=np.uint8)
+        out = privacy_amplify(groups, seeds, out_len)
+        assert out.shape == (n_groups, n_rows, out_len)
+        for g, s in enumerate(seeds):
+            assert np.array_equal(out[g], privacy_amplify(groups[g], s, out_len))
+        flat = privacy_amplify(groups[:, 0], seeds, out_len)
+        assert np.array_equal(flat, out[:, 0])
+
+    def test_seed_per_group_validation(self):
+        with pytest.raises(ValueError, match="hash seeds"):
+            privacy_amplify(np.zeros((3, 2, 8), dtype=np.uint8), [1, 2], 4)
+        with pytest.raises(ValueError):
+            privacy_amplify(np.zeros(8, dtype=np.uint8), [1], 4)
+        assert privacy_amplify(np.zeros((0, 2, 8), dtype=np.uint8), [], 4).shape == (0, 2, 4)
 
     def test_rows_shape_validation(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ from anonkey.coherent import (
     coherent_overlap_mag,
     heterodyne_pa,
     heterodyne_resend_pa,
-    heterodyne_sample,
     min_truncation,
     two_mode_overlap_mag,
 )
@@ -61,6 +60,12 @@ class TestOverlaps:
     def test_positive_amplitude_required(self):
         with pytest.raises(ValueError):
             CoherentState(0.0, 0.1)
+
+
+def heterodyne_sample(s, rng):
+    """One heterodyne outcome, drawn as ``heterodyne_pa`` draws it: the
+    amplitude plus half a unit of noise variance per quadrature."""
+    return s.amplitude + (rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2.0)
 
 
 class TestHeterodyneSampling:

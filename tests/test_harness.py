@@ -9,7 +9,6 @@ from anonkey.harness import (
     ResultTable,
     canonical_json,
     derive_seeds,
-    json_roundtrip,
     spawn_trial_streams,
 )
 
@@ -66,7 +65,7 @@ class TestResultTable:
         t.add(a=1, b=0.5)
         t.add(a=2, b=1.0 / 3.0)
         text = t.to_json()
-        assert json_roundtrip(text) == text
+        assert json.dumps(json.loads(text), sort_keys=True, indent=2) == text
 
     def test_csv_shape(self):
         t = ResultTable(["x", "y"])

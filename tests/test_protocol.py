@@ -1,20 +1,26 @@
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from anonkey import coding, protocol
+from anonkey.adversary import AttackReport, binary_entropy, impersonation_order_pmf, opaque_bound
+from anonkey.detection import ring_tables
 from anonkey.harness import derive_seeds
 from anonkey.protocol import (
     BLOCK_SIZE,
     EVE_STRATEGIES,
+    INVERSE_ORDER_TABLE,
     ORDER_STRINGS,
     ORDER_TABLE,
+    TRIAL_PLAINTEXT,
     ChannelModel,
     SessionConfig,
-    order_permute,
-    order_unpermute,
+    SessionTranscript,
     run_ake_session,
+    run_ake_sessions,
 )
 
 
@@ -28,27 +34,30 @@ class TestOrderTable:
             assert len(values) == 4
 
     def test_identity_order(self):
-        block = tuple("abcdefgh")
-        assert order_permute(block, 0) == block
+        assert ORDER_TABLE[0].tolist() == list(range(BLOCK_SIZE))
 
     def test_reverse_order(self):
-        block = tuple("abcdefgh")
-        assert order_permute(block, 1) == tuple("hgfedcba")
+        block = np.array(list("abcdefgh"))
+        assert "".join(block[ORDER_TABLE[1]]) == "hgfedcba"
 
     def test_quoted_third_order(self):
-        block = tuple("abcdefgh")
-        assert order_permute(block, 2) == tuple("chdfbgae")
+        block = np.array(list("abcdefgh"))
+        assert "".join(block[ORDER_TABLE[2]]) == "chdfbgae"
+        assert "".join(block[ORDER_TABLE[3]]) == "dabcfehg"
 
     def test_permute_inverts(self):
-        block = tuple(range(8))
+        identity = list(range(BLOCK_SIZE))
         for g in range(4):
-            assert order_unpermute(order_permute(block, g), g) == block
+            assert ORDER_TABLE[g][INVERSE_ORDER_TABLE[g]].tolist() == identity
+            assert INVERSE_ORDER_TABLE[g][ORDER_TABLE[g]].tolist() == identity
 
     def test_length_validation(self):
-        with pytest.raises(ValueError):
-            order_permute((1, 2, 3), 0)
-        with pytest.raises(ValueError):
-            order_permute(tuple(range(8)), 4)
+        # four orders of one 8-slot block; an order id outside 0..3 has no row
+        assert ORDER_TABLE.shape == INVERSE_ORDER_TABLE.shape == (4, BLOCK_SIZE)
+        with pytest.raises(IndexError):
+            ORDER_TABLE[4]
+        with pytest.raises(IndexError):
+            INVERSE_ORDER_TABLE[4]
 
 
 class TestChannel:
@@ -317,3 +326,220 @@ class TestTranscriptJson:
         )
         assert t.aborted
         assert t.to_json() == json.dumps(asdict(t), sort_keys=True, indent=2)
+
+
+def reference_session(cfg):
+    """One session computed on its own, one numpy call per step: the
+    reference that the batched core's transcripts must equal."""
+    rng = np.random.default_rng(cfg.rng_seed)
+    tables = ring_tables(cfg.M)
+    M, q = cfg.M, tables.q
+
+    n_raw = 8 * cfg.k
+    n_coded = round(n_raw / coding.code_rate(cfg.cecc))
+    n_blocks = math.ceil(n_coded / BLOCK_SIZE)
+    n_slots = BLOCK_SIZE * n_blocks
+    n_pad = n_slots - n_coded
+    n_sent = math.ceil(n_slots * (1.0 + cfg.send_margin))
+
+    # step (i): Adam transmits random ring states
+    sent = rng.integers(0, M, size=n_sent)
+
+    # channel, one application per qubit round trip
+    lost = rng.random(n_sent) < cfg.channel.loss_prob
+    depolarized = rng.random(n_sent) < cfg.channel.depolarize_prob
+    depolarized &= ~lost
+
+    # opaque interception happens on the way out: Eve measures the optimal
+    # ring detector and forwards her estimate
+    eve_offsets = None
+    if cfg.eve_strategy == "opaque":
+        eve_offsets = rng.choice(M, size=n_sent, p=tables.srm)
+        carried = (sent + eve_offsets) % M
+    else:
+        carried = sent
+
+    arrived = np.flatnonzero(~lost)
+    if len(arrived) < n_slots:
+        return SessionTranscript(
+            config=asdict(cfg),
+            states_sent=sent.tolist(),
+            eve_report=asdict(AttackReport(strategy=cfg.eve_strategy)),
+            aborted=True,
+            abort_reason=f"only {len(arrived)} of {n_slots} needed qubits survived the channel",
+        )
+    used = arrived[:n_slots]  # publicly acknowledged fill order
+
+    # step (ii): the responder's data, coding, modulation, secret orders
+    counterpart_raw = rng.integers(0, 2, size=n_raw, dtype=np.uint8)
+    coded = coding.cecc_encode(counterpart_raw, cfg.cecc)
+    pad = rng.integers(0, 2, size=n_pad, dtype=np.uint8)
+    slot_bits = np.concatenate([coded, pad])
+
+    src = carried[used]
+    src_dep = depolarized[used]
+    # bit 0 rotates +M/4 steps along the ring, bit 1 rotates -M/4
+    returned = (src + q * (1 - 2 * slot_bits.astype(np.int64))) % M
+
+    orders = rng.integers(0, 4, size=n_blocks)
+
+    if cfg.eve_strategy == "impersonate-order":
+        guesses = rng.integers(0, 4, size=n_blocks)
+        # Adam restores with the true order; Eve packed with her guess.  The
+        # slot he reads at position s actually holds slot sigma[s] of the
+        # block, and the four orders never agree at any position, so a wrong
+        # guess misplaces every qubit of the block.
+        sigma = np.take_along_axis(ORDER_TABLE[guesses], INVERSE_ORDER_TABLE[orders], axis=1)
+        sigma = (sigma + BLOCK_SIZE * np.arange(n_blocks)[:, None]).reshape(-1)
+    else:
+        sigma = np.arange(n_slots)
+
+    # step (iii): Adam restores order and measures his quarter-turn basis
+    expected = sent[used]
+    actual = returned[sigma]
+    actual_dep = src_dep[sigma]
+    p0 = tables.decrypt_p0[(actual - expected) % M]
+    p0 = np.where(actual_dep, 0.5, p0)
+    adam_coded = (rng.random(n_slots) >= p0).astype(np.uint8)
+    adam_raw, corrected = coding.cecc_decode(adam_coded[:n_coded], cfg.cecc)
+
+    # privacy amplification of the 8k sifted bits down to 4k
+    out_len = 4 * cfg.k
+    key_adam, key_counterpart = coding.privacy_amplify(
+        np.stack([adam_raw, counterpart_raw]), cfg.pa_hash_seed, out_len
+    )
+
+    # step (iv): trial encryption of the fixed public plaintext
+    t = min(len(TRIAL_PLAINTEXT), out_len)
+    tag = key_counterpart[:t] ^ TRIAL_PLAINTEXT[:t]
+    trial_ok = bool(np.array_equal(key_adam[:t] ^ tag, TRIAL_PLAINTEXT[:t]))
+
+    if cfg.eve_strategy == "opaque":
+        hits = eve_offsets[used] == 0
+        pre_code_err = float(np.mean(adam_coded[:n_coded] != coded))
+        eve_report = asdict(
+            AttackReport(strategy="opaque", per_qubit_success=float(np.mean(hits)))
+        )
+        eve_report.update(adam_coded_bit_error_rate=pre_code_err, intercepted_qubits=n_sent)
+    elif cfg.eve_strategy == "impersonate-order":
+        right = guesses == orders
+        wrong_slots = np.repeat(~right, BLOCK_SIZE)
+        coded_slots_mask = np.arange(n_slots) < n_coded
+        wrong_errs = int(np.sum((adam_coded != slot_bits) & wrong_slots & coded_slots_mask))
+        eve_report = asdict(
+            AttackReport(
+                strategy="impersonate-order",
+                per_qubit_success=float(np.mean(adam_coded[:n_coded] == coded)),
+                order_guess_distribution=tuple(impersonation_order_pmf(n_blocks).tolist()),
+            )
+        )
+        eve_report.update(
+            blocks_guessed_right=int(np.sum(right)),
+            blocks_total=n_blocks,
+            wrong_block_qubits=int(np.sum(wrong_slots & coded_slots_mask)),
+            wrong_block_errors=wrong_errs,
+        )
+    elif cfg.eve_strategy == "translucent":
+        # non-disturbing tap, scored by the loose bound: order-guessed
+        # blocks leak their bits outright, the rest leak at the capacity of
+        # a binary channel with the two-copy success rate
+        pa = opaque_bound(M)
+        guessed = rng.random(n_blocks) < 0.25
+        det_bits = int(np.sum(guessed) * BLOCK_SIZE)
+        other = int(n_slots - det_bits)
+        eve_report = asdict(
+            AttackReport(
+                strategy="translucent",
+                per_qubit_success=pa,
+                deterministic_bits=det_bits,
+                shannon_bits=float(other * (1.0 - binary_entropy(pa))),
+            )
+        )
+        eve_report.update(blocks_guessed_right=int(np.sum(guessed)))
+    else:
+        eve_report = asdict(AttackReport(strategy="none"))
+
+    return SessionTranscript(
+        config=asdict(cfg),
+        states_sent=sent.tolist(),
+        eve_report=eve_report,
+        orders_used=orders.tolist(),
+        expended_order_bits=2 * n_blocks,
+        raw_bits_babe=counterpart_raw.tolist(),
+        raw_bits_adam=adam_raw.tolist(),
+        final_key_adam=key_adam.tolist(),
+        final_key_babe=key_counterpart.tolist(),
+        trial_check_passed=trial_ok,
+        corrected_blocks=corrected,
+    )
+
+
+def session_row(t):
+    """The result columns a session's transcript implies."""
+    return {
+        "aborted": t.aborted,
+        "trial_check_passed": t.trial_check_passed,
+        "key_bits": len(t.final_key_adam),
+        "keys_equal": t.final_key_adam == t.final_key_babe,
+        "corrected_blocks": t.corrected_blocks,
+        "expended_order_bits": t.expended_order_bits,
+    }
+
+
+def run_configs(eve, cecc, M, k, n, loss=0.2, depolarize=0.02):
+    # loss 0.2 sits at the abort threshold of the 25% send margin, so about
+    # half of the sessions abort
+    return [
+        SessionConfig(k=k, M=M, cecc=cecc, eve_strategy=eve, rng_seed=s, pa_hash_seed=s ^ 0x5A,
+                      channel=ChannelModel(loss, depolarize))
+        for s in derive_seeds(1000 * k + M, n)
+    ]
+
+
+class TestBatchedSessions:
+    @pytest.mark.parametrize("k", [1, 7, 64])
+    @pytest.mark.parametrize("M", [4, 8, 16])
+    @pytest.mark.parametrize("cecc", ["none", "hamming74"])
+    @pytest.mark.parametrize("eve", EVE_STRATEGIES)
+    def test_batch_equals_single_sessions(self, eve, cecc, M, k):
+        configs = run_configs(eve, cecc, M, k, 12)
+        (batch,) = run_ake_sessions(configs)
+        singles = [run_ake_session(c) for c in configs]
+        aborted = [t.aborted for t in singles]
+        assert any(aborted) and not all(aborted)
+        assert batch.rows() == [session_row(t) for t in singles]
+        for got, want, cfg in zip(batch.transcripts(), singles, configs):
+            assert got.to_json() == want.to_json() == reference_session(cfg).to_json()
+
+    def test_rows_hold_plain_python_values(self):
+        (batch,) = run_ake_sessions(run_configs("opaque", "hamming74", 8, 7, 12))
+        for row in batch.rows():
+            assert {type(v) for v in row.values()} <= {bool, int}
+
+    def test_all_sessions_aborted(self):
+        configs = run_configs("impersonate-order", "hamming74", 4, 3, 3, loss=0.95)
+        (batch,) = run_ake_sessions(configs)
+        assert [r["aborted"] for r in batch.rows()] == [True] * 3
+        assert [t.to_json() for t in batch.transcripts()] == [
+            run_ake_session(c).to_json() for c in configs
+        ]
+
+    def test_chunks_keep_the_slot_budget_and_the_results(self, monkeypatch):
+        configs = run_configs("translucent", "hamming74", 8, 7, 10)
+        (whole,) = run_ake_sessions(configs)
+        n_sent = whole.states_sent.shape[1]
+        monkeypatch.setattr(protocol, "_SLOT_BUDGET", 3 * n_sent + 1)
+        chunks = list(run_ake_sessions(configs))
+        assert [len(b.configs) for b in chunks] == [3, 3, 3, 1]
+        assert [r for b in chunks for r in b.rows()] == whole.rows()
+        assert [t.to_json() for b in chunks for t in b.transcripts()] == [
+            t.to_json() for t in whole.transcripts()
+        ]
+        monkeypatch.setattr(protocol, "_SLOT_BUDGET", 1)
+        assert [len(b.configs) for b in run_ake_sessions(configs)] == [1] * 10
+
+    def test_sessions_must_share_all_but_seeds(self):
+        configs = [SessionConfig(k=2, rng_seed=1), SessionConfig(k=3, rng_seed=2)]
+        with pytest.raises(ValueError, match="seeds"):
+            list(run_ake_sessions(configs))
+        assert list(run_ake_sessions([])) == []

@@ -14,7 +14,6 @@ from anonkey.states import (
     circle_state_at,
     ensemble_mixture,
     hermitian_eig,
-    operators_close,
     overlap,
     partial_trace,
     rotate_circle,
@@ -24,6 +23,11 @@ from anonkey.states import (
     tensor,
     uniform_circle_ensemble,
 )
+
+
+def operators_close(a, b, atol=ATOL):
+    """Entrywise comparison of two density operators."""
+    return a.dim == b.dim and bool(np.allclose(a.matrix, b.matrix, atol=atol, rtol=0.0))
 
 
 def random_bloch(rng, pure=False):
@@ -50,9 +54,9 @@ class TestBlochToDensity:
     def test_pure_iff_unit_norm(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            assert bloch_to_density(random_bloch(rng, pure=True)).is_pure()
+            assert bloch_to_density(random_bloch(rng, pure=True)).purity() == pytest.approx(1.0, abs=ATOL)
         mixed = bloch_to_density((0.2, 0.1, -0.3))
-        assert not mixed.is_pure()
+        assert abs(mixed.purity() - 1.0) > ATOL
 
     def test_bloch_roundtrip(self):
         rng = np.random.default_rng(1)
