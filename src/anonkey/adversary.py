@@ -18,7 +18,7 @@ import numpy as np
 from .detection import helstrom_binary, ring_tables
 from .detection import square_root_measurement  # noqa: F401 - benchmarks/tracing.py patches it here
 from .harness import binomial_stderr
-from .states import DensityOperator, circle_state, require_ring_size, tensor
+from .states import DensityOperator, circle_states, require_ring_size, tensor
 from .states import uniform_circle_ensemble  # noqa: F401 - benchmarks/tracing.py patches it here
 
 
@@ -81,16 +81,16 @@ def two_copy_states(M: int) -> tuple[DensityOperator, DensityOperator]:
     correctly modulated return, bit j presents the average over the ring of
     ``rho(l) (x) rho(l +- M/4)`` (bit 0 rotates up the circle, bit 1 down).
     """
-    require_ring_size(M)
     q = M // 4
-    dim = 4
-    acc0 = np.zeros((dim, dim), dtype=complex)
-    acc1 = np.zeros((dim, dim), dtype=complex)
-    for ell in range(M):
-        first = circle_state(ell, M)
-        acc0 += tensor(first, circle_state(ell + q, M)).matrix / M
-        acc1 += tensor(first, circle_state(ell - q, M)).matrix / M
-    return DensityOperator(acc0), DensityOperator(acc1)
+    ell = np.arange(M)
+    first = circle_states(ell, M)
+
+    def ring_average(second: np.ndarray) -> DensityOperator:
+        # per-ell Kronecker products, averaged in ring order
+        kron = (first[:, :, None, :, None] * second[:, None, :, None, :]).reshape(M, 4, 4)
+        return DensityOperator((kron / M).sum(0))
+
+    return ring_average(circle_states(ell + q, M)), ring_average(circle_states(ell - q, M))
 
 
 @lru_cache(maxsize=None)
@@ -127,10 +127,11 @@ def sequential_strategy_pc(M: int, trials: int, seed: int) -> tuple[float, float
 
     ell = rng.integers(0, M, size=trials)
     j = rng.integers(0, 2, size=trials)
-    est = (ell + rng.choice(M, size=trials, p=tables.srm)) % M
-    modulated = (ell + q * (1 - 2 * j)) % M
-    # the basis state meaning "bit 0" lies a quarter-turn up from the estimate
-    p_bit0 = ov[(modulated - (est + q)) % M]
+    est = ell + rng.choice(M, size=trials, p=tables.srm)
+    modulated = ell + q * (1 - 2 * j)
+    # the basis state meaning "bit 0" lies a quarter-turn up from the
+    # estimate; ring indices are reduced mod M once, at the table read
+    p_bit0 = ov[(modulated - est - q) % M]
     decided = (rng.random(trials) >= p_bit0).astype(np.int64)
     success = decided == j
     p = float(np.mean(success))

@@ -10,6 +10,10 @@ which scores an interceptor who measures, re-prepares the estimated state,
 and must pass the sender's verification.  For the uniform ring of M states
 the square-root measurement identifies the state with probability 2/M and is
 accepted with probability 3/4 for every M; pure guessing scores 1/2.
+
+A :class:`Povm` holds its elements as one read-only ``(n, d, d)`` array,
+validated once at construction.  Sums over the stack axis run in stack
+order (``.sum(0)``), matching element-by-element sums to the last bit.
 """
 
 from __future__ import annotations
@@ -25,9 +29,9 @@ from .states import (
     ATOL,
     DensityOperator,
     Ensemble,
-    circle_state,
+    checked_stack,
+    circle_states,
     hermitian_eig,
-    overlap,
     require_ring_size,
     uniform_circle_ensemble,
 )
@@ -37,42 +41,25 @@ SUPPORT_CUTOFF = 1e-12
 OPTIMALITY_ATOL = 1e-7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
-    """A positive operator-valued measure.
+    """A positive operator-valued measure, held as one stacked read-only array.
 
-    Elements must be Hermitian and PSD within 1e-9 and sum to the identity
-    within 1e-8; they are stored read-only.
+    ``elements`` (an ``(n, d, d)`` array or a sequence of matrices) must be
+    Hermitian and PSD within 1e-9 and sum to the identity within 1e-8.
     """
 
-    elements: tuple
+    elements: np.ndarray
 
     def __post_init__(self) -> None:
-        els = []
-        for i, e in enumerate(self.elements):
-            m = np.asarray(e, dtype=complex)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValueError(f"POVM element {i} is not square")
-            if not np.allclose(m, m.conj().T, atol=ATOL, rtol=0.0):
-                raise ValueError(f"POVM element {i} is not Hermitian")
-            if np.linalg.eigvalsh((m + m.conj().T) / 2).min() < -ATOL:
-                raise ValueError(f"POVM element {i} is not positive semidefinite")
-            m = m.copy()
-            m.setflags(write=False)
-            els.append(m)
-        if not els:
-            raise ValueError("POVM must have at least one element")
-        dim = els[0].shape[0]
-        if any(e.shape[0] != dim for e in els):
-            raise ValueError("POVM elements must share one dimension")
-        total = sum(els)
-        if not np.allclose(total, np.eye(dim), atol=COMPLETENESS_ATOL, rtol=0.0):
+        els = checked_stack(self.elements, "POVM element {i}")
+        if not np.allclose(els.sum(0), np.eye(els.shape[1]), atol=COMPLETENESS_ATOL, rtol=0.0):
             raise ValueError("POVM elements must sum to the identity")
-        object.__setattr__(self, "elements", tuple(els))
+        object.__setattr__(self, "elements", els)
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.elements.shape[1]
 
     @property
     def size(self) -> int:
@@ -89,18 +76,15 @@ class DetectionReport:
     certified_optimal: bool
 
     def __post_init__(self) -> None:
-        if not 0.0 - ATOL <= self.pc <= 1.0 + ATOL:
-            raise ValueError("pc must be a probability")
-        if not 0.0 - ATOL <= self.pa <= 1.0 + ATOL:
-            raise ValueError("pa must be a probability")
+        for name in ("pc", "pa"):
+            if not 0.0 - ATOL <= getattr(self, name) <= 1.0 + ATOL:
+                raise ValueError(f"{name} must be a probability")
         if self.pa < self.pc - ATOL:
             raise ValueError("acceptance cannot be below correct identification")
 
 
-def _inv_sqrt_on_support(m: np.ndarray) -> np.ndarray:
-    w, v = hermitian_eig(m)
-    inv = np.where(w > SUPPORT_CUTOFF, 1.0 / np.sqrt(np.maximum(w, SUPPORT_CUTOFF)), 0.0)
-    return (v * inv) @ v.conj().T
+def _real_traces(a: np.ndarray) -> np.ndarray:
+    return np.trace(a, axis1=1, axis2=2).real
 
 
 def square_root_measurement(e: Ensemble) -> Povm:
@@ -112,33 +96,35 @@ def square_root_measurement(e: Ensemble) -> Povm:
     returned POVM is complete; outcome ``i < len(states)`` still means
     "state i".
     """
-    mix = sum(p * s.matrix for p, s in zip(e.priors, e.states))
-    w, v = hermitian_eig(mix)
-    if w.max() <= SUPPORT_CUTOFF:
-        raise ValueError("ensemble mixture has rank zero")
-    s_inv = _inv_sqrt_on_support(mix)
-    elements = [s_inv @ (p * s.matrix) @ s_inv for p, s in zip(e.priors, e.states)]
-    support = (v * (w > SUPPORT_CUTOFF)) @ v.conj().T
-    complement = np.eye(e.dim) - support
+    weighted = e.weighted()
+    w, v = hermitian_eig(weighted.sum(0))  # trace 1, so never rank zero
+    on_support = w > SUPPORT_CUTOFF
+    inv = np.where(on_support, 1.0 / np.sqrt(np.maximum(w, SUPPORT_CUTOFF)), 0.0)
+    s_inv = (v * inv) @ v.conj().T
+    elements = s_inv @ weighted @ s_inv
+    complement = np.eye(e.dim) - (v * on_support) @ v.conj().T
     if np.linalg.norm(complement) > COMPLETENESS_ATOL:
-        elements.append(complement)
-    return Povm(tuple(elements))
+        elements = np.concatenate((elements, complement[None]))
+    return Povm(elements)
 
 
 def uniform_guess_povm(n: int, dim: int) -> Povm:
     """The n-outcome POVM I/n: reporting an estimate without measuring."""
-    return Povm(tuple(np.eye(dim, dtype=complex) / n for _ in range(n)))
+    return Povm(np.broadcast_to(np.eye(dim, dtype=complex) / n, (n, dim, dim)))
 
 
-def correct_id_probability(e: Ensemble, m: Povm) -> float:
-    """Probability sum_i p_i tr(Pi_i rho_i) that outcome i hits state i."""
+def _check_sizes(e: Ensemble, m: Povm) -> None:
     if m.dim != e.dim:
         raise ValueError("POVM and ensemble dimensions differ")
     if m.size < e.size:
         raise ValueError(f"POVM has {m.size} elements for {e.size} states")
-    return float(
-        sum(p * np.real(np.trace(el @ s.matrix)) for p, s, el in zip(e.priors, e.states, m.elements))
-    )
+
+
+def correct_id_probability(e: Ensemble, m: Povm) -> float:
+    """Probability sum_i p_i tr(Pi_i rho_i) that outcome i hits state i."""
+    _check_sizes(e, m)
+    hits = e.priors * _real_traces(m.elements[: e.size] @ e.states)
+    return float(hits.cumsum()[-1])  # summed in stack order
 
 
 def acceptance_probability(e: Ensemble, m: Povm) -> float:
@@ -150,16 +136,11 @@ def acceptance_probability(e: Ensemble, m: Povm) -> float:
     evaluated as ``tr[(sum_l' Pi_l' (x) rho_l')(sum_l p_l rho_l (x) rho_l)]``,
     which is linear in the ensemble size.
     """
-    if m.dim != e.dim:
-        raise ValueError("POVM and ensemble dimensions differ")
-    if m.size < e.size:
-        raise ValueError(f"POVM has {m.size} elements for {e.size} states")
-    pi = np.stack(m.elements[: e.size])
-    rho = np.stack([s.matrix for s in e.states])
+    _check_sizes(e, m)
     # index pairs (a, b) and (c, d) of the two tensor factors; the traces
     # pair Pi[a, b] with rho[b, a] and rho'[c, d] with rho[d, c]
-    measured = np.einsum("jab,jcd->abcd", pi, rho)
-    prepared = np.einsum("i,iba,idc->abcd", np.asarray(e.priors), rho, rho)
+    measured = np.einsum("jab,jcd->abcd", m.elements[: e.size], e.states)
+    prepared = np.einsum("i,iba,idc->abcd", e.priors, e.states, e.states)
     return float(np.real(np.sum(measured * prepared)))
 
 
@@ -193,18 +174,16 @@ def certify_optimality(e: Ensemble, m: Povm, atol: float = OPTIMALITY_ATOL) -> b
     """Check the standard optimality conditions for minimum-error detection.
 
     ``Y = sum_j p_j rho_j Pi_j`` must be Hermitian, and ``Y - p_j rho_j``
-    must be PSD for every j.  Both are necessary and sufficient.
+    must be PSD for every j (one batched ``eigvalsh``).  Both are necessary
+    and sufficient.
     """
-    if m.dim != e.dim or m.size < e.size:
-        raise ValueError("POVM does not match the ensemble")
-    y = sum(p * s.matrix @ el for p, s, el in zip(e.priors, e.states, m.elements))
+    _check_sizes(e, m)
+    weighted = e.weighted()
+    y = (weighted @ m.elements[: e.size]).sum(0)
     if not np.allclose(y, y.conj().T, atol=atol, rtol=0.0):
         return False
     y = (y + y.conj().T) / 2
-    for p, s in zip(e.priors, e.states):
-        if np.linalg.eigvalsh(y - p * s.matrix).min() < -atol:
-            return False
-    return True
+    return bool(np.linalg.eigvalsh(y - weighted).min() >= -atol)
 
 
 def evaluate_detection(e: Ensemble, m: Povm | None = None) -> DetectionReport:
@@ -247,16 +226,14 @@ def ring_tables(M: int) -> RingTables:
     """
     require_ring_size(M)
     q = M // 4
-    states = [circle_state(l, M) for l in range(M)]
-    ov = np.array([overlap(states[0], states[d]) for d in range(M)])
-    decrypt_p0 = np.array([overlap(states[d], states[q]) for d in range(M)])
+    rho = circle_states(np.arange(M), M)
+    ov = _real_traces(rho[0] @ rho)
+    decrypt_p0 = _real_traces(rho @ rho[q])
     ring = uniform_circle_ensemble(M)
     srm = square_root_measurement(ring)
-    # uniform ring: p(report offset d) is l-independent; evaluate at state 0
-    srm_pmf = np.array(
-        [float(np.real(np.trace(srm.elements[d] @ ring.states[0].matrix))) for d in range(M)]
-    )
-    srm_pmf = np.clip(srm_pmf, 0.0, None)
+    # uniform ring: p(report offset d) is l-independent; evaluate at the
+    # ensemble's first state, whose outcome d is offset d
+    srm_pmf = np.clip(_real_traces(srm.elements[:M] @ ring.states[0]), 0.0, None)
     srm_pmf = srm_pmf / srm_pmf.sum()
     for a in (ov, decrypt_p0, srm_pmf):
         a.setflags(write=False)
@@ -285,7 +262,7 @@ def random_basis_strategy(M: int, rng_seed: int, trials: int) -> tuple[float, fl
     k = rng.integers(0, M, size=trials)
     p_first = ov[(k - true) % M]
     first = rng.random(trials) < p_first
-    reported = np.where(first, k, (k + M // 2) % M)
+    reported = np.where(first, k, k + M // 2)  # reduced mod M at the table read
     accepted = rng.random(trials) < ov[(reported - true) % M]
     p = float(np.mean(accepted))
     return p, binomial_stderr(p, trials)

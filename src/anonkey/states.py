@@ -6,6 +6,10 @@ on the (sigma_1, sigma_3) great circle of the Bloch sphere, the modulation
 rotation about the sigma_2 axis, tensor products, overlaps, and ensembles
 with prior probabilities.
 
+An :class:`Ensemble` holds its states as one read-only ``(n, d, d)`` array,
+validated once at construction by one batched pass (:func:`checked_stack`);
+the scalar :class:`DensityOperator` is the API-edge type for single states.
+
 Conventions
 -----------
 * A qubit density operator is ``rho = (I + r1*s1 + r2*s2 + r3*s3) / 2`` with
@@ -38,8 +42,29 @@ def require_ring_size(M: int) -> None:
         raise ValueError(f"M must be a positive multiple of 4, got {M}")
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=complex, copy=True)
+def checked_stack(mats, what: str, unit_trace: bool = False) -> np.ndarray:
+    """Read-only copy of ``mats`` as an ``(n, d, d)`` stack, validated in one pass.
+
+    Every matrix must be Hermitian within 1e-9, have eigenvalues >= -1e-9
+    and, with ``unit_trace``, trace 1 within 1e-9; the error names the first
+    failing matrix as ``what.format(i=index)``.
+    """
+    try:
+        a = np.array(mats, dtype=complex)
+    except ValueError:
+        raise ValueError("stacked operators must share one dimension") from None
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or len(a) == 0:
+        raise ValueError(f"expected a nonempty stack of square matrices, got shape {a.shape}")
+    h = a.conj().swapaxes(1, 2)
+    faults = {"is not Hermitian": ~(np.abs(a - h) <= ATOL).all(axis=(1, 2))}
+    if unit_trace:
+        faults["must have unit trace"] = ~(np.abs(np.trace(a, axis1=1, axis2=2) - 1.0) <= ATOL)
+    faults["is not positive semidefinite"] = np.linalg.eigvalsh((a + h) / 2)[:, 0] < -ATOL
+    bad = np.logical_or.reduce(list(faults.values()))
+    if bad.any():
+        i = int(bad.argmax())
+        reason = next(r for r, f in faults.items() if f[i])
+        raise ValueError(f"{what.format(i=i)} {reason}")
     a.setflags(write=False)
     return a
 
@@ -55,17 +80,7 @@ class DensityOperator:
     __slots__ = ("_matrix",)
 
     def __init__(self, matrix) -> None:
-        m = np.asarray(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"density operator must be square, got shape {m.shape}")
-        if not np.allclose(m, m.conj().T, atol=ATOL, rtol=0.0):
-            raise ValueError("density operator must be Hermitian")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > ATOL:
-            raise ValueError(f"density operator must have unit trace, got {tr}")
-        if np.linalg.eigvalsh((m + m.conj().T) / 2).min() < -ATOL:
-            raise ValueError("density operator must be positive semidefinite")
-        self._matrix = _readonly(m)
+        self._matrix = checked_stack([matrix], "density operator", unit_trace=True)[0]
 
     @classmethod
     def _trusted(cls, matrix: np.ndarray) -> "DensityOperator":
@@ -73,7 +88,8 @@ class DensityOperator:
         # (unitary conjugation, convex mixtures, tensor products); the
         # public constructor stays fully validated
         self = object.__new__(cls)
-        self._matrix = _readonly(matrix)
+        self._matrix = np.array(matrix, dtype=complex)
+        self._matrix.setflags(write=False)
         return self
 
     @property
@@ -84,6 +100,10 @@ class DensityOperator:
     @property
     def dim(self) -> int:
         return self._matrix.shape[0]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        # lets np.array stack a sequence of states into one (n, d, d) array
+        return np.array(self._matrix, dtype=dtype, copy=copy)
 
     def bloch(self) -> "BlochVector":
         """Bloch vector of a qubit operator."""
@@ -131,30 +151,31 @@ class CircleStateIndex:
     @property
     def phase(self) -> float:
         """Circle phase 2*pi*ell/M in radians."""
-        return 2.0 * math.pi * (self.ell % self.M) / self.M
+        return float(_ring_phases(self.ell % self.M, self.M))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ensemble:
-    """Pure or mixed states with prior probabilities."""
+    """States with prior probabilities, held as stacked read-only arrays.
 
-    states: tuple
-    priors: tuple
+    ``states`` (an ``(n, d, d)`` array, or a sequence of matrices or
+    :class:`DensityOperator` objects) must be density operators, and the
+    length-``n`` ``priors`` nonnegative and summing to 1 within 1e-9.
+    """
+
+    states: np.ndarray
+    priors: np.ndarray
 
     def __post_init__(self) -> None:
-        states = tuple(self.states)
-        priors = tuple(float(p) for p in self.priors)
-        if not states:
-            raise ValueError("ensemble must contain at least one state")
-        if len(states) != len(priors):
+        states = checked_stack(self.states, "ensemble state {i}", unit_trace=True)
+        priors = np.array(self.priors, dtype=float)
+        if priors.shape != (len(states),):
             raise ValueError("states and priors must have equal length")
-        dim = states[0].dim
-        if any(s.dim != dim for s in states):
-            raise ValueError("all ensemble states must share one dimension")
-        if any(p < -ATOL for p in priors):
+        if (priors < -ATOL).any():
             raise ValueError("priors must be nonnegative")
-        if abs(sum(priors) - 1.0) > ATOL:
-            raise ValueError(f"priors must sum to 1, got {sum(priors)}")
+        if not abs(priors.sum() - 1.0) <= ATOL:
+            raise ValueError(f"priors must sum to 1, got {priors.sum()}")
+        priors.setflags(write=False)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "priors", priors)
 
@@ -164,7 +185,11 @@ class Ensemble:
 
     @property
     def dim(self) -> int:
-        return self.states[0].dim
+        return self.states.shape[1]
+
+    def weighted(self) -> np.ndarray:
+        """The stack ``p_i rho_i``."""
+        return self.priors[:, None, None] * self.states
 
 
 # ---------------------------------------------------------------------------
@@ -172,30 +197,25 @@ class Ensemble:
 # ---------------------------------------------------------------------------
 
 
+def _bloch_stack(r: np.ndarray) -> np.ndarray:
+    """Stack of (I + r.sigma)/2, one per row of an (n, 3) Bloch array."""
+    norm = np.linalg.norm(r, axis=1)
+    if (norm > 1.0 + ATOL).any():
+        raise ValueError(f"Bloch vector norm {norm.max()} exceeds 1")
+    r = r[:, :, None, None]
+    paulis = r[:, 0] * PAULI_X + r[:, 1] * PAULI_Y + r[:, 2] * PAULI_Z
+    return 0.5 * (np.eye(2, dtype=complex) + paulis)
+
+
 def bloch_to_density(r) -> DensityOperator:
     """Build the qubit density operator (I + r.sigma)/2.
 
-    Parameters
-    ----------
-    r : BlochVector or length-3 sequence
-        Bloch vector with norm at most 1 (within 1e-9).
-
-    Raises
-    ------
-    ValueError
-        If the Bloch vector norm exceeds 1 + 1e-9.
+    ``r`` is a :class:`BlochVector` or length-3 sequence; raises if its norm exceeds 1 + 1e-9.
     """
-    if isinstance(r, BlochVector):
-        vec = r.as_array()
-    else:
-        vec = np.asarray(r, dtype=float)
-        if vec.shape != (3,):
-            raise ValueError("Bloch vector must have three components")
-    n = float(np.linalg.norm(vec))
-    if n > 1.0 + ATOL:
-        raise ValueError(f"Bloch vector norm {n} exceeds 1")
-    m = 0.5 * (np.eye(2, dtype=complex) + sum(c * s for c, s in zip(vec, PAULIS)))
-    return DensityOperator._trusted(m)
+    vec = r.as_array() if isinstance(r, BlochVector) else np.asarray(r, dtype=float)
+    if vec.shape != (3,):
+        raise ValueError("Bloch vector must have three components")
+    return DensityOperator._trusted(_bloch_stack(vec[None])[0])
 
 
 def circle_phase(ell: int, M: int) -> float:
@@ -210,14 +230,25 @@ def circle_state_at(phase: float) -> DensityOperator:
 
 def circle_state(ell: int, M: int) -> DensityOperator:
     """Ring state ``ell`` of the ``M`` uniformly spaced great-circle states."""
-    return circle_state_at(circle_phase(ell, M))
+    return DensityOperator._trusted(circle_states([ell], M)[0])
+
+
+def _ring_phases(ells, M: int) -> np.ndarray:
+    """Phases 2*pi*(ell mod M)/M of ring indices ``ells``."""
+    return 2.0 * math.pi * (np.asarray(ells) % M) / M
+
+
+def circle_states(ells, M: int) -> np.ndarray:
+    """Ring states ``ells`` (integers, taken modulo ``M``) as an (n, 2, 2) stack."""
+    require_ring_size(M)
+    phase = _ring_phases(ells, M)
+    return _bloch_stack(np.stack([np.cos(phase), np.zeros_like(phase), np.sin(phase)], axis=1))
 
 
 def sphere_state(theta: float, phi: float) -> DensityOperator:
     """Pure state with Bloch vector (sin t cos p, cos t, sin t sin p)."""
-    return bloch_to_density(
-        (math.sin(theta) * math.cos(phi), math.cos(theta), math.sin(theta) * math.sin(phi))
-    )
+    st = math.sin(theta)
+    return bloch_to_density((st * math.cos(phi), math.cos(theta), st * math.sin(phi)))
 
 
 def rotation_unitary(angle: float) -> np.ndarray:
@@ -285,8 +316,7 @@ def partial_trace(rho: DensityOperator, dims: tuple, keep: int) -> DensityOperat
 
 def ensemble_mixture(e: Ensemble) -> DensityOperator:
     """Average state sum_i p_i rho_i of an ensemble."""
-    m = sum(p * s.matrix for p, s in zip(e.priors, e.states))
-    return DensityOperator._trusted(m)
+    return DensityOperator._trusted(e.weighted().sum(0))
 
 
 def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -298,8 +328,7 @@ def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h = np.asarray(h, dtype=complex)
     if not np.allclose(h, h.conj().T, atol=1e-8, rtol=0.0):
         raise ValueError("matrix is not Hermitian")
-    w, v = np.linalg.eigh(h)
-    return w, v
+    return np.linalg.eigh(h)
 
 
 # ---------------------------------------------------------------------------
@@ -308,20 +337,14 @@ def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def uniform_circle_ensemble(M: int) -> Ensemble:
-    """The ``M`` ring states with equal priors 1/M."""
-    states = tuple(circle_state(ell, M) for ell in range(1, M + 1))
-    return Ensemble(states, tuple(1.0 / M for _ in range(M)))
+    """The ``M`` ring states ``ell = 1..M`` with equal priors 1/M."""
+    return Ensemble(circle_states(np.arange(1, M + 1), M), np.full(M, 1.0 / M))
 
 
 def six_state_ensemble() -> Ensemble:
     """The six Bloch-axis pole states (+-x, +-y, +-z) with equal priors."""
-    axes = [
-        (1, 0, 0), (-1, 0, 0),
-        (0, 1, 0), (0, -1, 0),
-        (0, 0, 1), (0, 0, -1),
-    ]
-    states = tuple(bloch_to_density(a) for a in axes)
-    return Ensemble(states, tuple(1.0 / 6 for _ in range(6)))
+    axes = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+    return Ensemble(_bloch_stack(np.array(axes, dtype=float)), np.full(6, 1.0 / 6))
 
 
 def sphere_grid_ensemble(n: int) -> Ensemble:
@@ -336,8 +359,5 @@ def sphere_grid_ensemble(n: int) -> Ensemble:
     z = 1.0 - 2.0 * i / n
     phi = math.pi * (1.0 + math.sqrt(5.0)) * i
     s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    states = tuple(
-        bloch_to_density((s[j] * math.cos(phi[j]), s[j] * math.sin(phi[j]), z[j]))
-        for j in range(n)
-    )
-    return Ensemble(states, tuple(1.0 / n for _ in range(n)))
+    r = np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
+    return Ensemble(_bloch_stack(r), np.full(n, 1.0 / n))

@@ -37,7 +37,6 @@ from anonkey.states import (
     Ensemble,
     bloch_to_density,
     ensemble_mixture,
-    rotate_circle,
     rotation_unitary,
     six_state_ensemble,
     uniform_circle_ensemble,
@@ -99,23 +98,26 @@ def test_c02_acceptance_probability():
 
 
 def test_c03_zero_leakage_with_a_copy():
-    from anonkey.states import tensor
+    def rotated(states, angle):
+        u = rotation_unitary(angle)
+        return u @ states @ u.conj().T
+
+    def two_copies(states):
+        return np.einsum("nab,ncd->nacbd", states, states).reshape(len(states), 4, 4)
 
     worst = 0.0
     for M in range(4, 33, 4):
         e = uniform_circle_ensemble(M)
         priors = tuple(1.0 / M for _ in range(M))
-        up_states = tuple(rotate_circle(s, math.pi / 2) for s in e.states)
-        down_states = tuple(rotate_circle(s, -math.pi / 2) for s in e.states)
+        up_states = rotated(e.states, math.pi / 2)
+        down_states = rotated(e.states, -math.pi / 2)
         up = ensemble_mixture(Ensemble(up_states, priors))
         down = ensemble_mixture(Ensemble(down_states, priors))
         worst = max(worst, float(np.abs(up.matrix - down.matrix).max()))
         # even an identical copy of the returned state reveals nothing: the
         # two-copy mixtures coincide entrywise as well
-        up2 = ensemble_mixture(Ensemble(tuple(tensor(s, s) for s in up_states), priors))
-        down2 = ensemble_mixture(
-            Ensemble(tuple(tensor(s, s) for s in down_states), priors)
-        )
+        up2 = ensemble_mixture(Ensemble(two_copies(up_states), priors))
+        down2 = ensemble_mixture(Ensemble(two_copies(down_states), priors))
         worst = max(worst, float(np.abs(up2.matrix - down2.matrix).max()))
     ok = worst <= 1e-9
     report(

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -63,7 +64,7 @@ class TestSquareRootMeasurement:
         assert np.allclose(m.elements[0], a.matrix, atol=1e-9)
         assert np.allclose(m.elements[1], b.matrix, atol=1e-9)
 
-    @pytest.mark.parametrize("M", [4, 8])
+    @pytest.mark.parametrize("M", [4, 8, 64, 4096])
     def test_uniform_circle_elements(self, M):
         # direct matrix oracle: S = I/2 exactly, so S^(-1/2) = sqrt(2) I and
         # each element is (2/M) |psi><psi|
@@ -71,7 +72,7 @@ class TestSquareRootMeasurement:
         m = square_root_measurement(e)
         assert m.size == M
         for el, s in zip(m.elements, e.states):
-            assert np.allclose(el, (2.0 / M) * s.matrix, atol=1e-9)
+            assert np.allclose(el, (2.0 / M) * s, atol=1e-9)
             assert np.trace(el) == pytest.approx(2.0 / M, abs=1e-9)
 
     def test_completeness_on_random_pure_ensembles(self):
@@ -175,7 +176,7 @@ def reference_acceptance(e, m):
     total = 0.0
     for p, s in zip(e.priors, e.states):
         for el, t in zip(m.elements, e.states):
-            total += p * np.real(np.trace(el @ s.matrix)) * np.real(np.trace(s.matrix @ t.matrix))
+            total += p * np.real(np.trace(el @ s)) * np.real(np.trace(s @ t))
     return total
 
 
@@ -222,6 +223,43 @@ class TestAcceptanceMatchesDoubleSum:
         )
 
 
+# sha256 of the raw bytes of (ov, decrypt_p0, srm), recorded from the
+# element-by-element implementation; ake, aki and attack sample from these
+# tables, so the stacked implementation must reproduce them to the last bit
+RING_TABLE_SHA256 = {
+    4: (
+        "9cde20aa813c91669f87770660b5c33d73e13268ba49fd70ea6cabe4c7a28edf",
+        "2e123076c4a1275caa99990620d97f063e1465a994786787ed3f8adc0ec3604e",
+        "a23f8121611031a7d88480a63274204c721f28660ac971894f2eebb079ad4943",
+    ),
+    8: (
+        "55c8130c42ad2692a16e4974adbf04a385eed16349f5675c65995646861f69d5",
+        "3e88209392f4be250ebea662252fa72633ca257237ad15ef262215b9922b114c",
+        "e34f49600e0b25c8219b422fe298798591d860d99fb118974d05f8150bdde517",
+    ),
+    12: (
+        "7c27f0b01a90abd423179eaa409d530dccc11ed77c06d183dd5651a17640821c",
+        "52397154f4588c0e194c6911bb0def5f89d7725d718e97a5ba09b8ab13296d96",
+        "3c2d56d96781776abfb03db987fc0540a0ec715781d492763793c9b2fc7a0429",
+    ),
+    16: (
+        "e0d0d9ba823151e3be3d3dc61dcad097238424b7313a31e24769d8ff5765b0e2",
+        "3de6b7aaa2e87295ce29eb19c81342d8079875cf4b3e185ea80a028bbb221d57",
+        "770b65f5e725bc49294fdb86550655d305feb7abb15a33f4a28dd940ced3e35b",
+    ),
+    64: (
+        "664c64fafcbd24f7041a3e6447d752aa6599e1700b18b3806d560959842b3158",
+        "7784ad6a51ac79d1cfb41fee3086f37b73c205f3be8d9905fc4970b269d69ed1",
+        "b81d40d7befa91fcb4fd961944ad1b27b83ef2b7932c6478929fd55ad960091e",
+    ),
+    192: (
+        "bf0b92129c6ce770c61f35362ae147232c123e16efe4b342133e0276716034b8",
+        "4e0e14703101e7eb8b6e91f442cd2ea631ce54910bd2fa65298dc0b655eb55f2",
+        "936fc6530bc7da7306cbe24ae0addfceb3959c0eb7d26baf43f969a0eda82bef",
+    ),
+}
+
+
 class TestRingTables:
     def test_tables_match_closed_forms(self):
         # the ring simulations sample from tables computed out of the
@@ -236,6 +274,13 @@ class TestRingTables:
             assert np.allclose(t.decrypt_p0, np.cos(np.pi * (d - q) / M) ** 2, atol=1e-12)
             assert np.allclose(t.srm, (2.0 / M) * np.cos(np.pi * d / M) ** 2, atol=1e-12)
             assert t.srm.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("M", sorted(RING_TABLE_SHA256))
+    def test_table_bytes_pinned(self, M):
+        t = ring_tables(M)
+        tables = (t.ov, t.decrypt_p0, t.srm)
+        digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in tables)
+        assert digests == RING_TABLE_SHA256[M]
 
     def test_arrays_are_read_only(self):
         t = ring_tables(8)

@@ -268,12 +268,9 @@ class TestEnsembles:
         for M in (4, 8, 12, 16, 20, 24, 28, 32):
             e = uniform_circle_ensemble(M)
             priors = tuple(1.0 / M for _ in range(M))
-            up = ensemble_mixture(
-                Ensemble(tuple(rotate_circle(s, math.pi / 2) for s in e.states), priors)
-            )
-            down = ensemble_mixture(
-                Ensemble(tuple(rotate_circle(s, -math.pi / 2) for s in e.states), priors)
-            )
+            up_u, down_u = rotation_unitary(math.pi / 2), rotation_unitary(-math.pi / 2)
+            up = ensemble_mixture(Ensemble(up_u @ e.states @ up_u.conj().T, priors))
+            down = ensemble_mixture(Ensemble(down_u @ e.states @ down_u.conj().T, priors))
             assert np.allclose(up.matrix, down.matrix, atol=1e-9)
 
     def test_six_state_ensemble(self):
