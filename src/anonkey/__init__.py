@@ -10,11 +10,9 @@ re-prepared estimate survives verification.
 from .states import (
     ATOL,
     BlochVector,
-    CircleStateIndex,
     DensityOperator,
     Ensemble,
     bloch_to_density,
-    circle_phase,
     circle_state,
     circle_state_at,
     ensemble_mixture,

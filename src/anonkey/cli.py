@@ -19,8 +19,11 @@ Subcommands
               heterodyne / canonical / resend estimators, columns: alpha0,
               M, estimator, pa, stderr, trials, seed.
 
-Common flags: ``--config <json>`` (flat object of parameter names; explicit
-flags override), ``--seed``, ``--trials``, ``--out``, ``--format csv|json``.
+Common flags: ``--config <json>`` (flat object of parameter names, each value
+of its flag's JSON type: true/false for a switch, a comma string for a list,
+a string or null for ``out``; explicit flags override), ``--out``, ``--format
+csv|json``; all but ``detect`` take ``--seed`` and ``--trials``.  Every list
+needs at least one entry.
 Exit codes: 0 success, 1 internal error (Python prints the traceback),
 2 configuration error, 3 session abort.
 """
@@ -31,7 +34,7 @@ import argparse
 import json
 import math
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import adversary, aki, coding, coherent, detection, states
 from .harness import ResultTable, derive_seeds, open_output
@@ -47,42 +50,143 @@ class ConfigError(Exception):
     pass
 
 
-#: Allowed values of the keys that name a choice; flags and config files share them.
-_CHOICES = {
-    "strategy": ("impersonation", "opaque", "translucent"),
-    "eve": EVE_STRATEGIES,
-    "cecc": coding.CODES,
-    "estimator": ("heterodyne", "canonical", "heterodyne-resend", "all"),
-    "fmt": ("csv", "json"),
-}
+def _positive(key: str, v) -> int:
+    # type(), not isinstance: bool subclasses int, but {"trials": true} is not a count
+    if type(v) is not int or v < 1:
+        raise ConfigError(f"config key {key!r} must be a positive integer, got {v!r}")
+    return v
 
 
-def _number_list(cfg: dict, key: str, kind: type) -> list:
-    """Comma-separated positive finite numbers: ring sizes, qubit counts or amplitudes."""
-    text = cfg[key]
-    try:
-        values = [kind(x) for x in str(text).split(",") if x != ""]
-    except ValueError as exc:
-        what = "integers" if kind is int else "numbers"
-        raise ConfigError(
-            f"config key {key!r} must be comma-separated {what}, got {text!r}"
-        ) from exc
-    for v in values:
-        if not 0 < v < math.inf:
-            raise ConfigError(f"config key {key!r} entries must be positive and finite, got {v!r}")
-    return values
-
-
-def _ring_size(key: str, M: int) -> int:
-    if M % 4 != 0:
+def _ring_size(key: str, M) -> int:
+    if _positive(key, M) % 4 != 0:
         raise ConfigError(
             f"config key {key!r} must hold ring sizes M that are multiples of 4, got {M}"
         )
     return M
 
 
-def _ring_sizes(cfg: dict) -> list[int]:
-    return [_ring_size("m_list", M) for M in _number_list(cfg, "m_list", int)]
+def _seed(key: str, v) -> int:
+    if type(v) is not int or not 0 <= v < 2**64:
+        raise ConfigError(f"config key {key!r} must be an integer in [0, 2**64), got {v!r}")
+    return v
+
+
+def _probability(key: str, v) -> float:
+    if type(v) not in (int, float) or not 0.0 <= v <= 1.0:
+        raise ConfigError(f"config key {key!r} must be a number in [0, 1], got {v!r}")
+    return float(v)
+
+
+def _switch(key: str, v) -> bool:
+    if not isinstance(v, bool):
+        raise ConfigError(f"config key {key!r} must be true or false, got {v!r}")
+    return v
+
+
+def _path(key: str, v) -> str | None:
+    if v is not None and not isinstance(v, str):
+        raise ConfigError(f"config key {key!r} must be a path string or null, got {v!r}")
+    return v
+
+
+def _numbers(key: str, text, kind: type) -> list:
+    """Comma-separated positive finite numbers: ring sizes, qubit counts or amplitudes."""
+    try:
+        values = [kind(x) for x in text.split(",") if x != ""]
+    except (AttributeError, ValueError) as exc:  # AttributeError: not a string
+        what = "integers" if kind is int else "numbers"
+        raise ConfigError(
+            f"config key {key!r} must be comma-separated {what}, got {text!r}"
+        ) from exc
+    if not values:
+        raise ConfigError(f"config key {key!r} must list at least one entry, got {text!r}")
+    for v in values:
+        if not 0 < v < math.inf:
+            raise ConfigError(f"config key {key!r} entries must be positive and finite, got {v!r}")
+    return values
+
+
+_counts = partial(_numbers, kind=int)
+_amplitudes = partial(_numbers, kind=float)
+
+
+def _ring_sizes(key: str, text) -> list[int]:
+    return [_ring_size(key, M) for M in _numbers(key, text, int)]
+
+
+def _grid_sizes(key: str, text) -> list[int]:
+    values = _numbers(key, text, int)
+    if min(values) < 4:
+        raise ConfigError(f"config key {key!r} entries must be at least 4, got {text!r}")
+    return values
+
+
+def _choice(flag: str, allowed: tuple, default: str) -> tuple:
+    def check(key: str, v) -> str:
+        if v not in allowed:
+            raise ConfigError(f"config key {key!r} must be one of {allowed}, got {v!r}")
+        return v
+
+    return flag, check, default, {"choices": allowed}
+
+
+def _output(fmt: str = "csv") -> dict[str, tuple]:
+    return {
+        "out": ("--out", _path, None, {"help": "output path (default stdout)"}),
+        "fmt": _choice("--format", ("csv", "json"), fmt),
+    }
+
+
+def _monte_carlo(trials: int, fmt: str = "csv") -> dict[str, tuple]:
+    """The seed, trial count and output keys of a Monte Carlo subcommand."""
+    return {
+        "seed": ("--seed", _seed, 0, {"type": int, "help": "master seed"}),
+        "trials": ("--trials", _positive, trials, {"type": int, "help": "Monte Carlo trials"}),
+        **_output(fmt),
+    }
+
+
+_ESTIMATORS = ("heterodyne", "canonical", "heterodyne-resend")
+_RING_LIST = {"help": "comma list of ring sizes"}
+
+#: Each subcommand's help line and config keys; a key maps to its flag, its check,
+#: its default and the flag's other argparse settings.  A check takes the key and
+#: a flag or config-file value, and returns the typed value or raises ConfigError.
+_SUBCOMMANDS: dict[str, tuple[str, dict[str, tuple]]] = {
+    "detect": ("optimal detection figures over M", {
+        "m_list": ("--M", _ring_sizes, "4,8,16", _RING_LIST),
+        "six_state": ("--six-state", _switch, False, {"action": "store_true"}),
+        **_output(),
+    }),
+    "attack": ("adversary reports", {
+        "strategy": _choice("--strategy", ("impersonation", "opaque", "translucent"), "opaque"),
+        "k": ("--k", _positive, 8, {"type": int, "help": "block count"}),
+        "m_list": ("--M", _ring_sizes, "8", _RING_LIST),
+        **_monte_carlo(100_000),
+    }),
+    "ake": ("full key-distribution sessions", {
+        "k": ("--k", _positive, 4, {"type": int}),
+        "M": ("--M", _ring_size, 4, {"type": int}),
+        "eve": _choice("--eve", EVE_STRATEGIES, "none"),
+        "cecc": _choice("--cecc", coding.CODES, "hamming74"),
+        "loss": ("--loss", _probability, 0.0, {"type": float}),
+        "depolarize": ("--depolarize", _probability, 0.0, {"type": float}),
+        "transcript": ("--transcript", _switch, False, {
+            "action": "store_true", "help": "emit the full transcript JSON of each session"}),
+        **_monte_carlo(1, "json"),
+    }),
+    "aki": ("identification impersonation curves", {
+        "m_list": ("--m", _counts, "1,2,4,8", {"help": "comma list of qubit counts"}),
+        "M": ("--M", _ring_size, 4, {"type": int}),
+        **_monte_carlo(100_000),
+    }),
+    "coherent": ("coherent-state acceptance sweeps", {
+        "alpha_list": ("--alpha0", _amplitudes, "5,10,20", {"help": "comma list of amplitudes"}),
+        "m_list": ("--M", _grid_sizes, "4096", _RING_LIST),
+        "estimator": _choice("--estimator", (*_ESTIMATORS, "all"), "all"),
+        **_monte_carlo(100_000),
+    }),
+}
 
 
 @lru_cache(maxsize=None)
@@ -92,78 +196,19 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="anonkey", description="anonymous-key protocol experiments"
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for name, (summary, keys) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", default=None, help="JSON file of parameter values")
-        p.add_argument("--seed", type=int, default=None, help="master seed")
-        p.add_argument("--trials", type=int, default=None, help="Monte Carlo trials")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", dest="fmt", choices=_CHOICES["fmt"], default=None)
-
-    p = sub.add_parser("detect", help="optimal detection figures over M")
-    p.add_argument("--M", dest="m_list", default=None, help="comma list of ring sizes")
-    p.add_argument("--six-state", action="store_true", dest="six_state", default=None)
-    common(p)
-
-    p = sub.add_parser("attack", help="adversary reports")
-    p.add_argument("--strategy", choices=_CHOICES["strategy"], default=None)
-    p.add_argument("--k", type=int, default=None, help="block count")
-    p.add_argument("--M", dest="m_list", default=None, help="comma list of ring sizes")
-    common(p)
-
-    p = sub.add_parser("ake", help="full key-distribution sessions")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--M", dest="M", type=int, default=None)
-    p.add_argument("--eve", choices=_CHOICES["eve"], default=None)
-    p.add_argument("--cecc", choices=_CHOICES["cecc"], default=None)
-    p.add_argument("--loss", type=float, default=None)
-    p.add_argument("--depolarize", type=float, default=None)
-    p.add_argument("--transcript", action="store_true", default=None,
-                   help="emit the full transcript JSON of each session")
-    common(p)
-
-    p = sub.add_parser("aki", help="identification impersonation curves")
-    p.add_argument("--m", dest="m_list", default=None, help="comma list of qubit counts")
-    p.add_argument("--M", dest="M", type=int, default=None)
-    common(p)
-
-    p = sub.add_parser("coherent", help="coherent-state acceptance sweeps")
-    p.add_argument("--alpha0", dest="alpha_list", default=None, help="comma list of amplitudes")
-    p.add_argument("--M", dest="m_list", default=None, help="comma list of ring sizes")
-    p.add_argument("--estimator", choices=_CHOICES["estimator"], default=None)
-    common(p)
-
+        for key, (flag, _, _, settings) in keys.items():
+            p.add_argument(flag, dest=key, default=None, **settings)
     return parser
 
 
-_DEFAULTS: dict[str, dict] = {
-    "detect": {
-        "m_list": "4,8,16", "six_state": False, "seed": 0, "trials": 1,
-        "fmt": "csv", "out": None,
-    },
-    "attack": {
-        "strategy": "opaque", "k": 8, "m_list": "8", "seed": 0, "trials": 100_000,
-        "fmt": "csv", "out": None,
-    },
-    "ake": {
-        "k": 4, "M": 4, "eve": "none", "cecc": "hamming74", "loss": 0.0,
-        "depolarize": 0.0, "transcript": False, "seed": 0, "trials": 1,
-        "fmt": "json", "out": None,
-    },
-    "aki": {
-        "m_list": "1,2,4,8", "M": 4, "seed": 0, "trials": 100_000,
-        "fmt": "csv", "out": None,
-    },
-    "coherent": {
-        "alpha_list": "5,10,20", "m_list": "4096", "estimator": "all",
-        "seed": 0, "trials": 100_000, "fmt": "csv", "out": None,
-    },
-}
-
-
 def _merge_config(args: argparse.Namespace) -> dict:
-    """Defaults, then config file values, then explicit flags."""
-    merged = dict(_DEFAULTS[args.subcommand])
+    """Defaults, then config file values, then explicit flags; each key's check
+    runs once on the value that wins, and the typed values are returned."""
+    keys = _SUBCOMMANDS[args.subcommand][1]
+    merged = {key: default for key, (_, _, default, _) in keys.items()}
     if args.config is not None:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -175,46 +220,20 @@ def _merge_config(args: argparse.Namespace) -> dict:
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
         for key, value in loaded.items():
-            if key not in merged:
+            if key not in keys:
                 raise ConfigError(f"unknown config key {key!r} for subcommand {args.subcommand!r}")
             merged[key] = value
-    for key in merged:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-    seed = merged["seed"]
-    if not _is_int(seed) or not 0 <= seed < 2**64:
-        raise ConfigError(f"config key 'seed' must be an integer in [0, 2**64), got {seed!r}")
-    for key, allowed in _CHOICES.items():
-        if key in merged and merged[key] not in allowed:
-            raise ConfigError(f"config key {key!r} must be one of {allowed}, got {merged[key]!r}")
+    for key, (_, check, _, _) in keys.items():
+        flag = getattr(args, key)
+        merged[key] = check(key, merged[key] if flag is None else flag)
     return merged
-
-
-def _is_int(v) -> bool:
-    # bool subclasses int, but {"trials": true} is not a count
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _validate_positive(cfg: dict, key: str) -> int:
-    v = cfg[key]
-    if not _is_int(v) or v < 1:
-        raise ConfigError(f"config key {key!r} must be a positive integer, got {v!r}")
-    return v
-
-
-def _validate_probability(cfg: dict, key: str) -> float:
-    v = cfg[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0.0 <= v <= 1.0:
-        raise ConfigError(f"config key {key!r} must be a number in [0, 1], got {v!r}")
-    return float(v)
 
 
 def _run_detect(cfg: dict) -> ResultTable:
     table = ResultTable(
         ["ensemble", "M", "p_correct", "p_accept", "p_accept_guessing", "certified_optimal"]
     )
-    ensembles = [("circle", M, states.uniform_circle_ensemble(M)) for M in _ring_sizes(cfg)]
+    ensembles = [("circle", M, states.uniform_circle_ensemble(M)) for M in cfg["m_list"]]
     if cfg["six_state"]:
         ensembles.append(("six-state", 6, states.six_state_ensemble()))
     for name, M, e in ensembles:
@@ -228,11 +247,8 @@ def _run_detect(cfg: dict) -> ResultTable:
 
 
 def _run_attack(cfg: dict) -> ResultTable:
-    strategy = cfg["strategy"]
-    seed = cfg["seed"]
-    trials = _validate_positive(cfg, "trials")
+    strategy, k, seed, trials = cfg["strategy"], cfg["k"], cfg["seed"], cfg["trials"]
     if strategy == "impersonation":
-        k = _validate_positive(cfg, "k")
         table = ResultTable(["strategy", "k", "q", "probability"])
         for q, prob in enumerate(adversary.impersonation_order_pmf(k)):
             table.add(strategy=strategy, k=k, q=q, probability=float(prob))
@@ -241,9 +257,8 @@ def _run_attack(cfg: dict) -> ResultTable:
         table = ResultTable(
             ["strategy", "M", "bound", "sequential_estimate", "stderr", "trials", "seed"]
         )
-        m_values = _ring_sizes(cfg)
-        seeds = derive_seeds(seed, len(m_values))
-        for M, s in zip(m_values, seeds):
+        seeds = derive_seeds(seed, len(cfg["m_list"]))
+        for M, s in zip(cfg["m_list"], seeds):
             est, se = adversary.sequential_strategy_pc(M, trials, s)
             table.add(
                 strategy=strategy, M=M, bound=adversary.opaque_bound(M),
@@ -251,9 +266,8 @@ def _run_attack(cfg: dict) -> ResultTable:
             )
         return table
     # translucent
-    k = _validate_positive(cfg, "k")
     table = ResultTable(["strategy", "k", "M", "pa", "deterministic_bits", "shannon_bits"])
-    for M in _ring_sizes(cfg):
+    for M in cfg["m_list"]:
         pa = adversary.opaque_bound(M)
         det, sh = adversary.translucent_accounting(k, pa)
         table.add(strategy=strategy, k=k, M=M, pa=pa, deterministic_bits=det, shannon_bits=sh)
@@ -262,13 +276,9 @@ def _run_attack(cfg: dict) -> ResultTable:
 
 def _run_ake(cfg: dict) -> int:
     """Run the sessions and write their rows or transcripts; returns the exit code."""
-    k = _validate_positive(cfg, "k")
-    M = _ring_size("M", _validate_positive(cfg, "M"))
-    trials = _validate_positive(cfg, "trials")
-    channel = ChannelModel(
-        _validate_probability(cfg, "loss"), _validate_probability(cfg, "depolarize")
-    )
-    seeds = derive_seeds(cfg["seed"], trials)
+    k, M = cfg["k"], cfg["M"]
+    channel = ChannelModel(cfg["loss"], cfg["depolarize"])
+    seeds = derive_seeds(cfg["seed"], cfg["trials"])
     batches = run_ake_sessions(
         SessionConfig(k=k, M=M, channel=channel, cecc=cfg["cecc"], pa_hash_seed=s ^ 0x5DEECE66D,
                       rng_seed=s, eve_strategy=cfg["eve"])
@@ -302,32 +312,20 @@ def _run_ake(cfg: dict) -> int:
 
 
 def _run_aki(cfg: dict) -> ResultTable:
-    trials = _validate_positive(cfg, "trials")
-    seed = cfg["seed"]
-    M = _ring_size("M", _validate_positive(cfg, "M"))
+    M, seed, trials = cfg["M"], cfg["seed"], cfg["trials"]
     table = ResultTable(["m", "M", "estimate", "stderr", "expected", "trials", "seed"])
-    m_values = _number_list(cfg, "m_list", int)
-    seeds = derive_seeds(seed, len(m_values))
+    seeds = derive_seeds(seed, len(cfg["m_list"]))
     pa = adversary.opaque_bound(M)
-    for m, s in zip(m_values, seeds):
+    for m, s in zip(cfg["m_list"], seeds):
         est, se = aki.aki_impersonation(m, M, trials, s)
         table.add(m=m, M=M, estimate=est, stderr=se, expected=pa**m, trials=trials, seed=seed)
     return table
 
 
 def _run_coherent(cfg: dict) -> ResultTable:
-    trials = _validate_positive(cfg, "trials")
-    seed = cfg["seed"]
-    names = (
-        ("heterodyne", "canonical", "heterodyne-resend")
-        if cfg["estimator"] == "all"
-        else (cfg["estimator"],)
-    )
+    seed, trials, alphas, m_values = cfg["seed"], cfg["trials"], cfg["alpha_list"], cfg["m_list"]
+    names = _ESTIMATORS if cfg["estimator"] == "all" else (cfg["estimator"],)
     table = ResultTable(["alpha0", "M", "estimator", "pa", "stderr", "trials", "seed"])
-    alphas = _number_list(cfg, "alpha_list", float)
-    m_values = _number_list(cfg, "m_list", int)
-    if any(M < 4 for M in m_values):
-        raise ConfigError(f"config key 'm_list' entries must be at least 4, got {cfg['m_list']!r}")
     seeds = iter(derive_seeds(seed, len(alphas) * len(m_values) * len(names)))
     for a0 in alphas:
         for M in m_values:
@@ -352,15 +350,15 @@ def run_cli(argv: list[str]) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
         cfg = _merge_config(args)
-        if args.subcommand == "ake":
-            return _run_ake(cfg)
-        run = {"detect": _run_detect, "attack": _run_attack, "aki": _run_aki,
-               "coherent": _run_coherent}[args.subcommand]
-        run(cfg).write(cfg["out"], cfg["fmt"])
-        return EXIT_OK
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    if args.subcommand == "ake":
+        return _run_ake(cfg)
+    run = {"detect": _run_detect, "attack": _run_attack, "aki": _run_aki,
+           "coherent": _run_coherent}[args.subcommand]
+    run(cfg).write(cfg["out"], cfg["fmt"])
+    return EXIT_OK
 
 
 def main() -> None:  # pragma: no cover - thin wrapper

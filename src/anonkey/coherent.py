@@ -192,13 +192,7 @@ def canonical_phase_density(alpha0: float, truncation: int | None = None) -> Pha
     return PhaseDistribution(alpha0, truncation)
 
 
-def canonical_phase_pa(
-    alpha0: float,
-    M: int,
-    truncation: int | None = None,
-    trials: int = 100_000,
-    seed: int = 0,
-) -> tuple[float, float]:
+def canonical_phase_pa(alpha0: float, M: int, trials: int, seed: int) -> tuple[float, float]:
     """Acceptance of the canonical-phase interceptor, rounded to M states.
 
     Identical scoring to :func:`heterodyne_pa` with the phase error drawn
@@ -208,7 +202,7 @@ def canonical_phase_pa(
         raise ValueError("M must be at least 4")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    dist = PhaseDistribution(alpha0, truncation)
+    dist = PhaseDistribution(alpha0)
     rng = np.random.default_rng(seed)
     delta = dist.sample(rng, trials)
     dhat = _round_to_grid(delta, M)

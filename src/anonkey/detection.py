@@ -79,8 +79,6 @@ class DetectionReport:
         for name in ("pc", "pa"):
             if not 0.0 - ATOL <= getattr(self, name) <= 1.0 + ATOL:
                 raise ValueError(f"{name} must be a probability")
-        if self.pa < self.pc - ATOL:
-            raise ValueError("acceptance cannot be below correct identification")
 
 
 def _real_traces(a: np.ndarray) -> np.ndarray:

@@ -134,26 +134,6 @@ class BlochVector:
         return np.array([self.r1, self.r2, self.r3], dtype=float)
 
 
-@dataclass(frozen=True)
-class CircleStateIndex:
-    """Index ``ell`` into the ring of ``M`` great-circle states.
-
-    ``M`` must be a multiple of 4 so that a quarter-turn maps ring states to
-    ring states.  ``ell`` may be any integer; arithmetic is modulo ``M``.
-    """
-
-    ell: int
-    M: int
-
-    def __post_init__(self) -> None:
-        require_ring_size(self.M)
-
-    @property
-    def phase(self) -> float:
-        """Circle phase 2*pi*ell/M in radians."""
-        return float(_ring_phases(self.ell % self.M, self.M))
-
-
 @dataclass(frozen=True, eq=False)
 class Ensemble:
     """States with prior probabilities, held as stacked read-only arrays.
@@ -218,11 +198,6 @@ def bloch_to_density(r) -> DensityOperator:
     return DensityOperator._trusted(_bloch_stack(vec[None])[0])
 
 
-def circle_phase(ell: int, M: int) -> float:
-    """Phase angle 2*pi*ell/M of ring state ``ell``."""
-    return CircleStateIndex(ell, M).phase
-
-
 def circle_state_at(phase: float) -> DensityOperator:
     """Pure state at an arbitrary phase on the (sigma_1, sigma_3) circle."""
     return bloch_to_density((math.cos(phase), 0.0, math.sin(phase)))
@@ -233,15 +208,10 @@ def circle_state(ell: int, M: int) -> DensityOperator:
     return DensityOperator._trusted(circle_states([ell], M)[0])
 
 
-def _ring_phases(ells, M: int) -> np.ndarray:
-    """Phases 2*pi*(ell mod M)/M of ring indices ``ells``."""
-    return 2.0 * math.pi * (np.asarray(ells) % M) / M
-
-
 def circle_states(ells, M: int) -> np.ndarray:
     """Ring states ``ells`` (integers, taken modulo ``M``) as an (n, 2, 2) stack."""
     require_ring_size(M)
-    phase = _ring_phases(ells, M)
+    phase = 2.0 * math.pi * (np.asarray(ells) % M) / M
     return _bloch_stack(np.stack([np.cos(phase), np.zeros_like(phase), np.sin(phase)], axis=1))
 
 

@@ -43,6 +43,13 @@ class TestDetect:
         assert run_cli(["detect", "--M", "5"]) == 2
         assert "M" in capsys.readouterr().err
 
+    def test_takes_no_seed_or_trials(self, capsys):
+        # detect is exact: no Monte Carlo draw reads a seed or a trial count
+        assert run_cli(["detect", "--help"]) == 0
+        usage = capsys.readouterr().out
+        assert "--seed" not in usage and "--trials" not in usage
+        assert run_cli(["detect", "--M", "4", "--seed", "1"]) == 2
+
 
 class TestAttack:
     def test_impersonation_pmf(self, tmp_path):
@@ -235,7 +242,7 @@ class TestConfigFiles:
     @pytest.mark.parametrize(
         "sub, key",
         [("aki", "trials"), ("attack", "trials"), ("ake", "trials"), ("ake", "k"),
-         ("attack", "k"), ("ake", "M"), ("aki", "M"), ("ake", "seed"), ("detect", "seed")],
+         ("attack", "k"), ("ake", "M"), ("aki", "M"), ("ake", "seed"), ("coherent", "seed")],
     )
     def test_bool_rejected_for_int_keys(self, tmp_path, capsys, sub, key):
         # bool subclasses int; true must not run as 1
@@ -257,12 +264,25 @@ class TestConfigFiles:
     @pytest.mark.parametrize(
         "argv, key",
         [(["detect", "--M", "4,x"], "m_list"), (["aki", "--m", "1,x"], "m_list"),
-         (["coherent", "--alpha0", "1,x"], "alpha_list")],
-        ids=["detect", "aki", "coherent"],
+         (["coherent", "--alpha0", "1,x"], "alpha_list"), (["aki", "--m", ","], "m_list"),
+         (["attack", "--strategy", "opaque", "--M", ","], "m_list"),
+         (["coherent", "--alpha0", ","], "alpha_list")],
+        ids=["detect", "aki", "coherent", "aki-empty", "attack-empty", "coherent-empty"],
     )
     def test_list_keys_named_in_diagnostic(self, tmp_path, capsys, argv, key):
         assert run_cli(argv + ["--out", str(tmp_path / "o")]) == 2
         assert f"config key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub, key, value", [("ake", "out", 7), ("detect", "m_list", 8)])
+    def test_config_values_need_the_flag_json_type(self, tmp_path, sub, key, value):
+        # {"out": 7} used to open file descriptor 7, {"m_list": 8} to run as "8";
+        # a fresh interpreter keeps such a write away from this one's descriptors
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        proc = subprocess.run([sys.executable, "-m", "anonkey", sub, "--config", str(cfg)],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert f"config key '{key}'" in proc.stderr
 
     @pytest.mark.parametrize("sub", ["ake", "aki"])
     @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -290,20 +310,22 @@ class TestEdgeValidation:
 
     @pytest.mark.parametrize(
         "argv",
-        [["detect", "--M", "0"], ["aki", "--m", "0"], ["attack", "--M", "-4"],
-         ["coherent", "--M", "0"], ["coherent", "--M", "2"]],
+        [["detect", "--M", "0"], ["aki", "--m", "0", "--trials", "10"],
+         ["attack", "--M", "-4", "--trials", "10"], ["coherent", "--M", "0", "--trials", "10"],
+         ["coherent", "--M", "2", "--trials", "10"]],
         ids=["detect", "aki", "attack", "coherent", "coherent-below-4"],
     )
     def test_list_entries_must_be_positive(self, tmp_path, capsys, argv):
-        assert run_cli(argv + ["--trials", "10", "--out", str(tmp_path / "o")]) == 2
+        assert run_cli(argv + ["--out", str(tmp_path / "o")]) == 2
         assert "config key 'm_list'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, key",
         [(["ake", "--M", "6"], "M"), (["aki", "--M", "6"], "M"),
          (["attack", "--strategy", "opaque", "--M", "4,6"], "m_list"),
-         (["attack", "--strategy", "translucent", "--M", "6"], "m_list")],
-        ids=["ake", "aki", "attack-opaque", "attack-translucent"],
+         (["attack", "--strategy", "translucent", "--M", "6"], "m_list"),
+         (["attack", "--strategy", "impersonation", "--M", "6"], "m_list")],
+        ids=["ake", "aki", "attack-opaque", "attack-translucent", "attack-impersonation"],
     )
     def test_ring_sizes_must_be_multiples_of_4(self, tmp_path, capsys, argv, key):
         assert run_cli(argv + ["--trials", "10", "--out", str(tmp_path / "o")]) == 2
@@ -312,7 +334,7 @@ class TestEdgeValidation:
     @pytest.mark.parametrize(
         "sub, key",
         [("ake", "cecc"), ("ake", "eve"), ("attack", "strategy"), ("coherent", "estimator"),
-         ("detect", "fmt")],
+         ("detect", "fmt"), ("ake", "transcript"), ("detect", "six_state")],
     )
     def test_choice_keys_checked_in_config_files(self, tmp_path, capsys, sub, key):
         cfg = tmp_path / "cfg.json"

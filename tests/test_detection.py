@@ -426,3 +426,10 @@ class TestDetectionReport:
         assert r.pa == pytest.approx(0.75, abs=1e-9)
         assert r.certified_optimal
         assert r.povm.size == 8
+
+    def test_mixed_state_acceptance_below_identification(self):
+        # a mixed state's correct hit passes the check with probability
+        # tr(rho^2), so P_a < P_c is a valid report
+        r = evaluate_detection(Ensemble([np.eye(2) / 2], [1.0]))
+        assert r.pc == pytest.approx(1.0, abs=1e-12)
+        assert r.pa == pytest.approx(0.5, abs=1e-12)

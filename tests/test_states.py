@@ -6,7 +6,6 @@ import pytest
 from anonkey.states import (
     ATOL,
     BlochVector,
-    CircleStateIndex,
     DensityOperator,
     Ensemble,
     bloch_to_density,
@@ -125,8 +124,6 @@ class TestCircleStates:
     def test_m_multiple_of_four(self):
         with pytest.raises(ValueError):
             circle_state(1, 6)
-        with pytest.raises(ValueError):
-            CircleStateIndex(0, 10)
 
     def test_index_is_modular(self):
         assert operators_close(circle_state(1, 8), circle_state(9, 8))
