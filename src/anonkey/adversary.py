@@ -17,7 +17,7 @@ import numpy as np
 
 from .detection import helstrom_binary, ring_tables
 from .detection import square_root_measurement  # noqa: F401 - benchmarks/tracing.py patches it here
-from .harness import binomial_stderr
+from .harness import binomial_stderr, draw_blocks
 from .states import DensityOperator, circle_states, require_ring_size, tensor
 from .states import uniform_circle_ensemble  # noqa: F401 - benchmarks/tracing.py patches it here
 
@@ -112,7 +112,8 @@ def sequential_strategy_pc(M: int, trials: int, seed: int) -> tuple[float, float
     Step one measures the optimal ring detector on the outgoing copy; step
     two asks whether the returned copy sits a quarter-turn up or down from
     the estimate (an orthogonal-basis test).  Matches the joint two-copy
-    optimum.
+    optimum.  The uniforms come in blocks after the states and bits, and the
+    result equals the one-shot ``rng.choice(M, p=srm)`` form bit for bit.
 
     Returns
     -------
@@ -123,18 +124,21 @@ def sequential_strategy_pc(M: int, trials: int, seed: int) -> tuple[float, float
         raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(seed)
     tables = ring_tables(M)
-    q, ov = tables.q, tables.ov
 
-    ell = rng.integers(0, M, size=trials)
-    j = rng.integers(0, 2, size=trials)
-    est = ell + rng.choice(M, size=trials, p=tables.srm)
-    modulated = ell + q * (1 - 2 * j)
-    # the basis state meaning "bit 0" lies a quarter-turn up from the
-    # estimate; ring indices are reduced mod M once, at the table read
-    p_bit0 = ov[(modulated - est - q) % M]
-    decided = (rng.random(trials) >= p_bit0).astype(np.int64)
-    success = decided == j
-    p = float(np.mean(success))
+    # bit j sits at ell + q(1 - 2j), the estimate at ell + d and "bit 0" a
+    # quarter-turn up from it: the test reads ov[(-2qj - d) % M], where the
+    # true state ell cancels.  It is drawn only to keep the stream.
+    rng.integers(0, M, size=trials)
+    code = rng.integers(0, 2, size=trials).astype(np.min_scalar_type(2 * M - 1))
+    code *= M  # j * M + d indexes the table below
+    for s, u in draw_blocks(rng.random, trials):
+        code[s] = code[s] + tables.draw_offset(u)
+    d = np.arange(M)
+    p_bit0 = tables.ov[np.concatenate([-d, -2 * tables.q - d]) % M]
+    successes = 0
+    for s, u in draw_blocks(rng.random, trials):
+        successes += np.count_nonzero((u >= p_bit0[code[s]]) == (code[s] >= M))
+    p = successes / trials
     return p, binomial_stderr(p, trials)
 
 

@@ -16,6 +16,7 @@ only half the time.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from .detection import ring_tables
 from .detection import square_root_measurement  # noqa: F401 - benchmarks/tracing.py patches it here
-from .harness import binomial_stderr
+from .harness import BLOCK, binomial_stderr, draw_blocks
 from .states import DensityOperator, circle_state_at, overlap, require_ring_size, rotate_circle
 from .states import uniform_circle_ensemble  # noqa: F401 - benchmarks/tracing.py patches it here
 
@@ -136,7 +137,9 @@ def aki_impersonation(m: int, M: int, trials: int, seed: int) -> tuple[float, fl
     The impersonator measures a copy of the key state with the optimal ring
     detector and answers the challenge rotated by minus the estimate, so her
     response misses the expected state by exactly her estimation error.  A
-    session accepts only if all ``m`` independent rounds accept.
+    session accepts only if all ``m`` independent rounds accept.  The draws
+    come in a fixed order, in blocks of whole trials, and the result equals the
+    one-shot ``rng.choice(M, size=(trials, m), p=srm)`` form bit for bit.
 
     Returns
     -------
@@ -149,11 +152,17 @@ def aki_impersonation(m: int, M: int, trials: int, seed: int) -> tuple[float, fl
         raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(seed)
     tables = ring_tables(M)
+    size = max(1, BLOCK // m) * m  # whole trials per block
 
     # per round: estimate offset delta ~ detector pmf; the returned state
     # misses the target by delta, and the projection accepts with ov[delta]
-    delta = rng.choice(M, size=(trials, m), p=tables.srm)
-    accepted = rng.random((trials, m)) < tables.ov[delta]
-    success = accepted.all(axis=1)
-    p = float(np.mean(success))
+    delta = np.empty(trials * m, dtype=np.min_scalar_type(M - 1))
+    for s, u in draw_blocks(rng.random, trials * m, size):
+        delta[s] = tables.draw_offset(u)
+    successes = 0
+    for s, u in draw_blocks(rng.random, trials * m, size):
+        accepted = (u < tables.ov[delta[s]]).reshape(-1, m)
+        # one pass per round: ``all(axis=1)`` over short rows is slower
+        successes += np.count_nonzero(functools.reduce(np.logical_and, accepted.T))
+    p = successes / trials
     return p, binomial_stderr(p, trials)

@@ -24,6 +24,8 @@ from math import lgamma
 
 import numpy as np
 
+from .harness import BLOCK, CdfSearch, draw_blocks
+
 _MIN_GRID = 1 << 16
 
 
@@ -64,9 +66,34 @@ def two_mode_overlap_mag(alpha0: float, theta1: float, theta2: float) -> float:
     return math.exp(-(alpha0**2) * d2 / 2.0)
 
 
-def _round_to_grid(delta: np.ndarray, M: int) -> np.ndarray:
+def _noise_blocks(rng: np.random.Generator, re: np.ndarray):
+    """Yield ``(s, z)``, blocks of ``(re + 1j * im) / sqrt(2)`` with ``im`` the
+    next ``len(re)`` normals; ``re[s]`` is free once ``s`` is yielded."""
+    z = np.empty(min(len(re), BLOCK), dtype=complex)
+    for s, im in draw_blocks(rng.standard_normal, len(re)):
+        noise = z[: s.stop - s.start]
+        # numpy divides a complex by a real as a product with its reciprocal
+        np.multiply(re[s], 1.0 / math.sqrt(2.0), out=noise.real)
+        np.multiply(im, 1.0 / math.sqrt(2.0), out=noise.imag)
+        yield s, noise
+
+
+def _mean_stderr(acc: np.ndarray) -> tuple[float, float]:
+    """``np.mean(acc)`` and ``np.std(acc) / sqrt(n)`` bit for bit, overwriting ``acc``."""
+    mean = np.add.reduce(acc) / len(acc)
+    acc -= mean
+    acc *= acc
+    return float(mean), math.sqrt(np.add.reduce(acc) / len(acc)) / math.sqrt(len(acc))
+
+
+def _rounded_acceptance(alpha0: float, M: int, errors, acc: np.ndarray) -> tuple[float, float]:
+    """Mean acceptance and stderr of the phase errors ``(s, delta)`` rounded to M
+    states, read into ``acc[s]`` from a table over the M + 1 offsets."""
     step = 2.0 * math.pi / M
-    return np.round(delta / step) * step
+    table = np.exp(-2.0 * alpha0**2 * (1.0 - np.cos((np.arange(M + 1) - M // 2) * step)))
+    for s, delta in errors:
+        np.take(table, (np.round(delta / step) + M // 2).astype(np.intp), out=acc[s])
+    return _mean_stderr(acc)
 
 
 def heterodyne_pa(alpha0: float, M: int, trials: int, seed: int) -> tuple[float, float]:
@@ -75,7 +102,8 @@ def heterodyne_pa(alpha0: float, M: int, trials: int, seed: int) -> tuple[float,
     Per trial: a ring state is drawn, heterodyned, the outcome phase rounded
     to the nearest of the M ring phases, and the acceptance is the squared
     overlap between the true and estimated states.  Averaged with its
-    standard error.
+    standard error.  The noise comes in blocks after the ring states, and the
+    result equals the one-shot per-trial ``np.exp(1j * theta)`` form bit for bit.
     """
     if alpha0 <= 0.0:
         raise ValueError("alpha0 must be positive")
@@ -84,13 +112,13 @@ def heterodyne_pa(alpha0: float, M: int, trials: int, seed: int) -> tuple[float,
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(seed)
-    theta = 2.0 * math.pi * rng.integers(0, M, size=trials) / M
-    noise = (rng.standard_normal(trials) + 1j * rng.standard_normal(trials)) / math.sqrt(2.0)
-    beta = alpha0 * np.exp(1j * theta) + noise
-    delta = np.angle(beta * np.exp(-1j * theta))
-    dhat = _round_to_grid(delta, M)
-    acc = np.exp(-2.0 * alpha0**2 * (1.0 - np.cos(dhat)))
-    return float(np.mean(acc)), float(np.std(acc) / math.sqrt(trials))
+    ring = 2.0 * math.pi * np.arange(M) / M
+    sent, unwind = alpha0 * np.exp(1j * ring), np.exp(-1j * ring)
+    state = rng.integers(0, M, size=trials)
+    acc = rng.standard_normal(trials)  # the real noise parts, then the acceptances
+    errors = ((s, np.angle((beta + sent[state[s]]) * unwind[state[s]]))
+              for s, beta in _noise_blocks(rng, acc))
+    return _rounded_acceptance(alpha0, M, errors, acc)
 
 
 def heterodyne_resend_pa(alpha0: float, trials: int, seed: int) -> tuple[float, float]:
@@ -98,16 +126,19 @@ def heterodyne_resend_pa(alpha0: float, trials: int, seed: int) -> tuple[float, 
 
     The re-prepared state carries the amplitude error as well as the phase
     error; the squared overlap is ``exp(-|beta - alpha|^2)``, whose mean over
-    the outcome distribution is exactly one half at every amplitude.
+    the outcome distribution is exactly one half at every amplitude.  The
+    noise is drawn as in :func:`heterodyne_pa`, in blocks.
     """
     if alpha0 <= 0.0:
         raise ValueError("alpha0 must be positive")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(seed)
-    noise = (rng.standard_normal(trials) + 1j * rng.standard_normal(trials)) / math.sqrt(2.0)
-    acc = np.exp(-np.abs(noise) ** 2)
-    return float(np.mean(acc)), float(np.std(acc) / math.sqrt(trials))
+    acc = rng.standard_normal(trials)  # the real noise parts, then the acceptances
+    for s, noise in _noise_blocks(rng, acc):
+        sq = np.square(np.abs(noise, out=acc[s]), out=acc[s])
+        np.exp(np.negative(sq, out=sq), out=sq)
+    return _mean_stderr(acc)
 
 
 def min_truncation(alpha0: float) -> int:
@@ -162,6 +193,13 @@ class PhaseDistribution:
         cdf = np.cumsum(self.grid_density) * self._dtheta
         self._total = float(cdf[-1])
         self._cdf = cdf / self._total
+        # per search result i, the segment from cdf[i - 1]; i = 0 (below
+        # cdf[0]) has slope 0 and phase grid_theta[0]
+        with np.errstate(divide="ignore"):  # zero-width segments are never found
+            slope = np.diff(self.grid_theta) / np.diff(self._cdf)
+        self._segments = (CdfSearch(self._cdf), np.append(0.0, self._cdf),
+                          np.concatenate([[0.0], slope, [0.0]]),
+                          np.append(self.grid_theta[0], self.grid_theta))
 
     def density(self, theta) -> np.ndarray:
         """Evaluate the density at arbitrary phases (vectorized)."""
@@ -182,9 +220,12 @@ class PhaseDistribution:
         )
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Inverse-CDF draws on the grid, linearly interpolated."""
+        """Inverse-CDF draws on the grid, linearly interpolated: ``np.interp(
+        rng.random(n), cdf, grid_theta)`` bit for bit, term for term."""
         u = rng.random(n)
-        return np.interp(u, self._cdf, self.grid_theta)
+        search, start, slope, phase = self._segments
+        i = search(u)
+        return slope[i] * (u - start[i]) + phase[i]
 
 
 def canonical_phase_density(alpha0: float, truncation: int | None = None) -> PhaseDistribution:
@@ -197,6 +238,8 @@ def canonical_phase_pa(alpha0: float, M: int, trials: int, seed: int) -> tuple[f
 
     Identical scoring to :func:`heterodyne_pa` with the phase error drawn
     from the canonical phase distribution instead of the heterodyne outcome.
+    The uniforms come in blocks, and the result equals the one-shot
+    ``np.interp`` inverse-CDF form bit for bit.
     """
     if M < 4:
         raise ValueError("M must be at least 4")
@@ -204,7 +247,6 @@ def canonical_phase_pa(alpha0: float, M: int, trials: int, seed: int) -> tuple[f
         raise ValueError("trials must be at least 1")
     dist = PhaseDistribution(alpha0)
     rng = np.random.default_rng(seed)
-    delta = dist.sample(rng, trials)
-    dhat = _round_to_grid(delta, M)
-    acc = np.exp(-2.0 * alpha0**2 * (1.0 - np.cos(dhat)))
-    return float(np.mean(acc)), float(np.std(acc) / math.sqrt(trials))
+    errors = ((slice(i, i + BLOCK), dist.sample(rng, min(BLOCK, trials - i)))
+              for i in range(0, trials, BLOCK))
+    return _rounded_acceptance(alpha0, M, errors, np.empty(trials))

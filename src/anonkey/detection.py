@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .harness import binomial_stderr
+from .harness import CdfSearch, binomial_stderr
 from .states import (
     ATOL,
     DensityOperator,
@@ -207,12 +207,14 @@ class RingTables(NamedTuple):
     * ``srm[d]`` - probability that the optimal ring detector reports an
       offset of d steps from the true state.
     * ``q`` - the quarter-turn M/4 in ring steps.
+    * ``draw_offset`` - maps uniforms to offsets exactly as ``rng.choice(M, p=srm)``.
     """
 
     ov: np.ndarray
     decrypt_p0: np.ndarray
     srm: np.ndarray
     q: int
+    draw_offset: CdfSearch
 
 
 @lru_cache(maxsize=None)
@@ -235,7 +237,9 @@ def ring_tables(M: int) -> RingTables:
     srm_pmf = srm_pmf / srm_pmf.sum()
     for a in (ov, decrypt_p0, srm_pmf):
         a.setflags(write=False)
-    return RingTables(ov=ov, decrypt_p0=decrypt_p0, srm=srm_pmf, q=q)
+    cdf = srm_pmf.cumsum()  # normalized as rng.choice does
+    return RingTables(ov=ov, decrypt_p0=decrypt_p0, srm=srm_pmf, q=q,
+                      draw_offset=CdfSearch(cdf / cdf[-1]))
 
 
 def random_basis_strategy(M: int, rng_seed: int, trials: int) -> tuple[float, float]:

@@ -19,6 +19,8 @@ import sys
 
 import numpy as np
 
+BLOCK = 1 << 16  # draws per block of a Monte Carlo kernel
+
 
 def binomial_stderr(p: float, n: int) -> float:
     """Binomial standard error of a fraction ``p`` over ``n`` trials, kept above zero."""
@@ -44,6 +46,49 @@ def spawn_trial_streams(master_seed: int, n: int) -> list[np.random.Generator]:
 def derive_seeds(master_seed: int, n: int) -> list[int]:
     """Per-trial integer seeds drawn from the counter-based streams."""
     return [int(g.integers(0, 2**63)) for g in spawn_trial_streams(master_seed, n)]
+
+
+def draw_blocks(draw, n: int, size: int = BLOCK):
+    """Yield ``(s, draws)`` per block ``s`` of at most ``size`` of ``range(n)``:
+    the stream of one ``draw(n)`` call (``rng.random`` or ``rng.standard_normal``)."""
+    buf = np.empty(min(n, size))
+    for start in range(0, n, size):
+        s = slice(start, min(start + size, n))
+        yield s, draw(out=buf[: s.stop - start])
+
+
+class CdfSearch:
+    """Exactly ``cdf.searchsorted(u, side="right")`` for 1-d uniforms ``u`` in [0, 1).
+
+    ``cdf`` is sorted within [0, 1].  ``u`` falls in bucket ``floor(u * B)``
+    of ``B`` equal buckets, exactly since ``B`` is a power of two.  A bucket
+    holding at most one cdf entry answers ``count(cdf <= left edge) + (u >=
+    first entry above it)``; the few holding more fall back to ``searchsorted``.
+    A cdf of at most 8 entries is counted directly, ``sum(u >= cdf[k])``, in bytes.
+    """
+
+    def __init__(self, cdf: np.ndarray) -> None:
+        self.cdf, n = cdf, 1 << max(10, (len(cdf) - 1).bit_length())
+        self._scale = float(n)
+        # with c = cdf * B, exact: cdf <= b / B iff ceil(c) <= b, and
+        # cdf < (b + 1) / B iff floor(c) <= b
+        c = cdf * self._scale
+        below, before_next = (np.bincount(x.astype(np.intp), minlength=n + 1)[:n].cumsum()
+                              for x in (np.ceil(c), c))
+        self._crowded = before_next - below > 1
+        self._below, self._next = below, np.append(cdf, np.inf)[below]
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        if len(self.cdf) <= 8:  # a few comparisons beat the table
+            found = np.zeros(len(u), dtype=np.uint8)
+            for c in self.cdf:
+                found += u >= c
+            return found
+        bucket = (u * self._scale).astype(np.intp)
+        found = self._below[bucket] + (u >= self._next[bucket])
+        hit = np.flatnonzero(self._crowded[bucket])
+        found[hit] = self.cdf.searchsorted(u[hit], side="right")
+        return found
 
 
 def canonical_json(value, pad: str = "") -> str:

@@ -292,8 +292,7 @@ def _run_batch(configs: list[SessionConfig]) -> SessionBatch:
     steps = tables.q * (1 - 2 * slot_bits.astype(np.int64))
     if eve == "opaque":
         # Eve measures each outgoing qubit with the optimal ring detector, forwards her estimate
-        cdf = np.cumsum(tables.srm)
-        eve_offsets = np.searchsorted(cdf / cdf[-1], u_eve[used], side="right").reshape(F, n_slots)
+        eve_offsets = tables.draw_offset(u_eve[used]).reshape(F, n_slots)
         steps += eve_offsets
     if eve == "impersonate-order":
         # Adam restores with the true order; Eve packed with her guess.  The

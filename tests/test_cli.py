@@ -3,10 +3,14 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anonkey import protocol
 from anonkey.cli import run_cli
@@ -203,6 +207,27 @@ class TestCoherent:
                 "--trials", "1000", "--out", str(out)]
         assert run_cli(argv) == 0
         assert 0.0 <= float(read_csv(out)[0]["pa"]) <= 1.0
+
+
+class TestSampledRunsRepeat:
+    # the Monte Carlo subcommands: identical valid configs give identical
+    # bytes, run after run in one process
+    SUBCOMMANDS = {
+        "attack": ["attack", "--strategy", "opaque", "--M", "4,12"],
+        "aki": ["aki", "--m", "1,3", "--M", "8"],
+        "coherent": ["coherent", "--alpha0", "0.5,3", "--M", "4,16"],
+    }
+
+    @settings(max_examples=24)
+    @given(sub=st.sampled_from(sorted(SUBCOMMANDS)), seed=st.integers(0, 2**64 - 1),
+           trials=st.integers(1, 400), fmt=st.sampled_from(["csv", "json"]))
+    def test_identical_configs_give_identical_bytes(self, sub, seed, trials, fmt):
+        argv = self.SUBCOMMANDS[sub] + ["--trials", str(trials), "--seed", str(seed),
+                                        "--format", fmt]
+        with tempfile.TemporaryDirectory() as tmp:
+            outs = [Path(tmp) / "first", Path(tmp) / "second"]
+            assert [run_cli(argv + ["--out", str(out)]) for out in outs] == [0, 0]
+            assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 class TestConfigFiles:
