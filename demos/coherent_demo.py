@@ -13,7 +13,7 @@ import numpy as np
 
 from anonkey import (
     CoherentState,
-    canonical_phase_density,
+    PhaseDistribution,
     canonical_phase_pa,
     coherent_overlap_mag,
     heterodyne_pa,
@@ -28,7 +28,7 @@ for a0 in (1.0, 3.0, 10.0):
 print()
 print("phase-estimate variance x amplitude^2 (inverse-square scaling)")
 for a0 in (2, 4, 8, 16):
-    d = canonical_phase_density(float(a0))
+    d = PhaseDistribution(float(a0))
     print(f"  amplitude {a0:>2}: {d.variance() * a0 * a0:.4f}  "
           f"(cutoff {d.truncation} photons)")
 

@@ -18,11 +18,9 @@ from .states import (
     ensemble_mixture,
     hermitian_eig,
     overlap,
-    partial_trace,
     rotate_circle,
     six_state_ensemble,
     sphere_grid_ensemble,
-    sphere_state,
     tensor,
     uniform_circle_ensemble,
 )
@@ -38,7 +36,7 @@ from .detection import (
     square_root_measurement,
     uniform_guess_povm,
 )
-from .coding import cecc_decode, cecc_encode, hamming74_decode, hamming74_encode, privacy_amplify
+from .coding import cecc_decode, cecc_encode, privacy_amplify
 from .protocol import (
     ChannelModel,
     SessionConfig,
@@ -68,13 +66,11 @@ from .aki import (
 from .coherent import (
     CoherentState,
     PhaseDistribution,
-    canonical_phase_density,
     canonical_phase_pa,
     coherent_overlap_mag,
     heterodyne_pa,
     heterodyne_resend_pa,
-    two_mode_overlap_mag,
 )
-from .harness import ResultTable, derive_seeds, spawn_trial_streams
+from .harness import ResultTable, derive_seeds
 
 __version__ = "0.1.0"

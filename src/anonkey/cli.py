@@ -24,20 +24,21 @@ of its flag's JSON type: true/false for a switch, a comma string for a list,
 a string or null for ``out``; explicit flags override), ``--out``, ``--format
 csv|json``; all but ``detect`` take ``--seed`` and ``--trials``.  Every list
 needs at least one entry.
-Exit codes: 0 success, 1 internal error (Python prints the traceback),
-2 configuration error, 3 session abort.
+Exit codes: 0 success, 1 internal error (Python prints the traceback), 2 configuration
+error (also an unreadable ``--config`` or unwritable ``--out``), 3 session abort.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
 from functools import lru_cache, partial
 
 from . import adversary, aki, coding, coherent, detection, states
-from .harness import ResultTable, derive_seeds, open_output
+from .harness import ResultTable, derive_seeds
 from .protocol import EVE_STRATEGIES, ChannelModel, SessionConfig, run_ake_sessions
 from .protocol import run_ake_session  # noqa: F401 - benchmarks/tracing.py patches it here
 
@@ -213,10 +214,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 loaded = json.load(fh)
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {args.config}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config key 'config' names an unreadable file: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
         for key, value in loaded.items():
@@ -274,8 +275,18 @@ def _run_attack(cfg: dict) -> ResultTable:
     return table
 
 
-def _run_ake(cfg: dict) -> int:
-    """Run the sessions and write their rows or transcripts; returns the exit code."""
+def _open_output(path: str | None):
+    """The file at ``path``, opened for writing before the run, or stdout."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"config key 'out' names an unwritable file: {exc}") from exc
+
+
+def _run_ake(cfg: dict, fh) -> int:
+    """Run the sessions and write their rows or transcripts to ``fh``; returns the exit code."""
     k, M = cfg["k"], cfg["M"]
     channel = ChannelModel(cfg["loss"], cfg["depolarize"])
     seeds = derive_seeds(cfg["seed"], cfg["trials"])
@@ -289,13 +300,12 @@ def _run_ake(cfg: dict) -> int:
         # each chunk's transcripts are written as they are built; the bytes
         # equal json.dumps(list, sort_keys=True, indent=2), as JSON strings
         # hold no raw newlines and indenting every line nests each object
-        with open_output(cfg["out"]) as fh:
-            sep = "[\n"
-            for t in (t for batch in batches for t in batch.transcripts()):
-                aborted |= t.aborted
-                fh.write(sep + "  " + t.to_json().replace("\n", "\n  "))
-                sep = ",\n"
-            fh.write("\n]\n")
+        sep = "[\n"
+        for t in (t for batch in batches for t in batch.transcripts()):
+            aborted |= t.aborted
+            fh.write(sep + "  " + t.to_json().replace("\n", "\n  "))
+            sep = ",\n"
+        fh.write("\n]\n")
         return EXIT_ABORT if aborted else EXIT_OK
     rows = ResultTable(
         [
@@ -307,7 +317,7 @@ def _run_ake(cfg: dict) -> int:
     for i, (seed, row) in enumerate(zip(seeds, results)):
         aborted |= row["aborted"]
         rows.add(trial=i, seed=seed, k=k, M=M, eve=cfg["eve"], cecc=cfg["cecc"], **row)
-    rows.write(cfg["out"], cfg["fmt"])
+    rows.write(fh, cfg["fmt"])
     return EXIT_ABORT if aborted else EXIT_OK
 
 
@@ -350,14 +360,16 @@ def run_cli(argv: list[str]) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
         cfg = _merge_config(args)
+        out = _open_output(cfg["out"])
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.subcommand == "ake":
-        return _run_ake(cfg)
-    run = {"detect": _run_detect, "attack": _run_attack, "aki": _run_aki,
-           "coherent": _run_coherent}[args.subcommand]
-    run(cfg).write(cfg["out"], cfg["fmt"])
+    with out as fh:
+        if args.subcommand == "ake":
+            return _run_ake(cfg, fh)
+        run = {"detect": _run_detect, "attack": _run_attack, "aki": _run_aki,
+               "coherent": _run_coherent}[args.subcommand]
+        run(cfg).write(fh, cfg["fmt"])
     return EXIT_OK
 
 

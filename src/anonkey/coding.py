@@ -3,8 +3,10 @@
 Two independent pieces: a Hamming(7,4) code used bit-for-bit on the qubit
 stream so single flips per block are repaired without reconciliation, and a
 binary Toeplitz hash for privacy amplification of the sifted bits.  The code
-encodes and decodes through two small lookup tables built at import from its
-check matrix.  The hash is evaluated as one FFT convolution of the seeded
+is named by a string (:data:`CODES`): :func:`cecc_encode` encodes one row,
+:func:`cecc_decode_rows` decodes a stack of rows (:func:`cecc_decode` one
+row), both through small lookup tables built at import from the check
+matrix.  The hash is evaluated as one FFT convolution of the seeded
 strip with each input row, so it costs O(n log n) time and O(n) memory
 instead of building the matrix; a run of sessions is hashed in one call,
 each session under its own strip.
@@ -52,29 +54,17 @@ def _as_bits(bits, ndims: tuple = (1,)) -> np.ndarray:
     return a
 
 
-def hamming74_encode(data) -> np.ndarray:
-    """Encode data bits (length multiple of 4) into 7-bit codewords."""
+def cecc_encode(data, code: str = "hamming74") -> np.ndarray:
+    """Encode data bits with the named code: "none" passes them through,
+    "hamming74" maps each 4 bits (length a multiple of 4) to a 7-bit codeword."""
     d = _as_bits(data)
+    if code == "none":
+        return d
+    if code != "hamming74":
+        raise ValueError(f"unknown code {code!r}; choose from {CODES}")
     if len(d) % 4 != 0:
         raise ValueError(f"data length {len(d)} is not a multiple of 4")
     return _ENCODE[d.reshape(-1, 4) @ _WEIGHTS[3:]].reshape(-1)
-
-
-def hamming74_decode(received) -> tuple[np.ndarray, int]:
-    """Decode 7-bit blocks, correcting one flip per block.
-
-    Returns the data bits and the number of corrected blocks.
-    """
-    return cecc_decode(received, "hamming74")
-
-
-def cecc_encode(data, code: str = "hamming74") -> np.ndarray:
-    """Encode data bits with the named code ("none" passes through)."""
-    if code == "none":
-        return _as_bits(data).copy()
-    if code == "hamming74":
-        return hamming74_encode(data)
-    raise ValueError(f"unknown code {code!r}; choose from {CODES}")
 
 
 def cecc_decode(received, code: str = "hamming74") -> tuple[np.ndarray, int]:

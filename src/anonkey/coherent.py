@@ -10,8 +10,8 @@ interceptor's acceptance stays pinned regardless of amplitude.
 Acceptance convention: the interceptor's estimate is the ring state nearest
 her measured phase, and the verifier accepts with the squared overlap
 between the true and estimated states.  Under this convention heterodyne
-settles near 0.71 and the sharper canonical phase estimator near 0.82,
-both amplitude-independent.  :func:`heterodyne_resend_pa` scores the
+settles near 0.71 and the sharper canonical phase estimator, whose density
+:class:`PhaseDistribution` tabulates, near 0.82, both amplitude-independent.  :func:`heterodyne_resend_pa` scores the
 variant where the full complex outcome (amplitude error included) is
 re-prepared, which lands at exactly one half.
 """
@@ -50,20 +50,6 @@ def coherent_overlap_mag(a: CoherentState, b: CoherentState) -> float:
     if abs(a.alpha0 - b.alpha0) > 1e-12:
         raise ValueError("overlap rule requires equal amplitudes")
     return math.exp(-a.alpha0**2 * (1.0 - math.cos(a.theta - b.theta)))
-
-
-def two_mode_overlap_mag(alpha0: float, theta1: float, theta2: float) -> float:
-    """Overlap magnitude of the two-mode encoding |a cos t>|a sin t>.
-
-    Algebraically identical to the single-mode magnitude: the squared
-    distance between the two-mode amplitude vectors is
-    ``alpha0^2 [(cos t1 - cos t2)^2 + (sin t1 - sin t2)^2]
-    = 2 alpha0^2 (1 - cos dt)``.
-    """
-    if alpha0 <= 0.0:
-        raise ValueError("alpha0 must be positive")
-    d2 = (math.cos(theta1) - math.cos(theta2)) ** 2 + (math.sin(theta1) - math.sin(theta2)) ** 2
-    return math.exp(-(alpha0**2) * d2 / 2.0)
 
 
 def _noise_blocks(rng: np.random.Generator, re: np.ndarray):
@@ -151,9 +137,9 @@ class PhaseDistribution:
 
     ``p(theta) = |sum_n c_n exp(i n theta)|^2 / (2 pi)`` with Poissonian
     amplitudes ``c_n = exp(-alpha0^2/2) alpha0^n / sqrt(n!)`` accumulated in
-    log space.  The density is tabulated on a grid of 2^16 points over
-    (-pi, pi], or of the next power of two above the truncation when that is
-    larger, for normalization checks, moments, and inverse-CDF sampling
+    log space.  The density is tabulated on an ascending grid of 2^16 points
+    over (-pi, pi], or of the next power of two above the truncation when that
+    is larger, for normalization checks, moments, and inverse-CDF sampling
     with linear interpolation; :meth:`density` also evaluates the series at
     arbitrary phases.
     """
@@ -184,10 +170,10 @@ class PhaseDistribution:
         raw_theta = 2.0 * math.pi * np.arange(grid) / grid
         density = np.abs(psi) ** 2 / (2.0 * math.pi)
 
+        # wrapped to (-pi, pi], the grid ascends from index grid/2 + 1
         theta = np.where(raw_theta > math.pi, raw_theta - 2.0 * math.pi, raw_theta)
-        order = np.argsort(theta, kind="stable")
-        self.grid_theta = theta[order]
-        self.grid_density = density[order]
+        self.grid_theta = np.roll(theta, -(grid // 2 + 1))
+        self.grid_density = np.roll(density, -(grid // 2 + 1))
         self._dtheta = 2.0 * math.pi / grid
 
         cdf = np.cumsum(self.grid_density) * self._dtheta
@@ -226,11 +212,6 @@ class PhaseDistribution:
         search, start, slope, phase = self._segments
         i = search(u)
         return slope[i] * (u - start[i]) + phase[i]
-
-
-def canonical_phase_density(alpha0: float, truncation: int | None = None) -> PhaseDistribution:
-    """Build the canonical phase distribution (see :class:`PhaseDistribution`)."""
-    return PhaseDistribution(alpha0, truncation)
 
 
 def canonical_phase_pa(alpha0: float, M: int, trials: int, seed: int) -> tuple[float, float]:

@@ -1,21 +1,19 @@
-"""Seeded experiment plumbing: trial streams and result tables.
+"""Seeded experiment plumbing: per-trial seeds and result tables.
 
-Monte Carlo experiments split a master seed into per-trial streams with a
-counter-based generator, so trial ``i`` depends only on ``(master_seed, i)``
-and aggregate results do not care how trials were scheduled.  Result rows
-carry their parameters, estimate, standard error, trial count and seed, and
-serialize to CSV or to a canonical JSON form whose parse/re-serialize round
-trip is byte-identical.  :func:`canonical_json` writes that form in one pass
-for large values such as session transcripts.
+Monte Carlo experiments split a master seed into per-trial seeds read from
+one counter-based Philox stream, so seed ``i`` depends only on
+``(master_seed, i)`` and aggregate results do not care how trials were
+scheduled.  Result rows carry their parameters, estimate, standard error,
+trial count and seed, and serialize to CSV or to a canonical JSON form whose
+parse/re-serialize round trip is byte-identical.  :func:`canonical_json`
+writes that form in one pass for large values such as session transcripts.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import json
-import sys
 
 import numpy as np
 
@@ -27,25 +25,21 @@ def binomial_stderr(p: float, n: int) -> float:
     return float(np.sqrt(max(p * (1.0 - p), 1e-300) / n))
 
 
-def spawn_trial_streams(master_seed: int, n: int) -> list[np.random.Generator]:
-    """n independent generators; stream i depends only on (master_seed, i).
+def derive_seeds(master_seed: int, n: int) -> list[int]:
+    """n seeds in [0, 2**63); seed i is ``Generator(Philox(key=master_seed,
+    counter=[0, 0, 0, i])).integers(0, 2**63)``, so it depends only on (master_seed, i).
 
-    Philox is counter-based: the trial index is planted in the top counter
-    word, so streams never collide however much each one draws.
+    That draw never rejects and keeps the top 63 bits of the first word,
+    which one stream reads at counter ``[1, 0, 0, i]``; advancing by
+    ``2**192 - 1`` then moves the counter to ``[0, 0, 0, i + 1]``.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    return [
-        np.random.Generator(
-            np.random.Philox(key=np.uint64(master_seed), counter=[0, 0, 0, np.uint64(i)])
-        )
-        for i in range(n)
-    ]
-
-
-def derive_seeds(master_seed: int, n: int) -> list[int]:
-    """Per-trial integer seeds drawn from the counter-based streams."""
-    return [int(g.integers(0, 2**63)) for g in spawn_trial_streams(master_seed, n)]
+    bits, seeds = np.random.Philox(key=master_seed), []
+    for _ in range(n):
+        seeds.append(int(bits.random_raw()) >> 1)
+        bits.advance(2**192 - 1)
+    return seeds
 
 
 def draw_blocks(draw, n: int, size: int = BLOCK):
@@ -117,11 +111,6 @@ def canonical_json(value, pad: str = "") -> str:
     return "[\n" + inner + body + "\n" + pad + "]"
 
 
-def open_output(path: str | None):
-    """The file at ``path`` opened for writing, or stdout, as a context manager."""
-    return contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8")
-
-
 class ResultTable:
     """An ordered list of flat result rows with stable serialization."""
 
@@ -148,9 +137,8 @@ class ResultTable:
             writer.writerow(row)
         return buf.getvalue()
 
-    def write(self, path: str | None, fmt: str) -> None:
-        """Write the table as ``csv`` or ``json`` to ``path``, or to stdout."""
+    def write(self, fh, fmt: str) -> None:
+        """Write the table as ``csv`` or ``json`` to the open text file ``fh``."""
         if fmt not in ("csv", "json"):
             raise ValueError(f"unknown format {fmt!r}; choose csv or json")
-        with open_output(path) as fh:
-            fh.write(self.to_json() + "\n" if fmt == "json" else self.to_csv())
+        fh.write(self.to_json() + "\n" if fmt == "json" else self.to_csv())

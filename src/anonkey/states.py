@@ -215,12 +215,6 @@ def circle_states(ells, M: int) -> np.ndarray:
     return _bloch_stack(np.stack([np.cos(phase), np.zeros_like(phase), np.sin(phase)], axis=1))
 
 
-def sphere_state(theta: float, phi: float) -> DensityOperator:
-    """Pure state with Bloch vector (sin t cos p, cos t, sin t sin p)."""
-    st = math.sin(theta)
-    return bloch_to_density((st * math.cos(phi), math.cos(theta), st * math.sin(phi)))
-
-
 def rotation_unitary(angle: float) -> np.ndarray:
     """Unitary advancing the circle phase by ``+angle``.
 
@@ -258,30 +252,6 @@ def overlap(rho: DensityOperator, sigma: DensityOperator) -> float:
 def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
     """Kronecker product of two states."""
     return DensityOperator._trusted(np.kron(a.matrix, b.matrix))
-
-
-def partial_trace(rho: DensityOperator, dims: tuple, keep: int) -> DensityOperator:
-    """Trace out all subsystems except ``keep`` from a product-space state.
-
-    Parameters
-    ----------
-    dims : tuple of int
-        Subsystem dimensions whose product equals ``rho.dim``.
-    keep : int
-        Index of the subsystem to keep.
-    """
-    dims = tuple(int(d) for d in dims)
-    if int(np.prod(dims)) != rho.dim:
-        raise ValueError("subsystem dimensions do not match the operator")
-    if not 0 <= keep < len(dims):
-        raise ValueError("keep index out of range")
-    n = len(dims)
-    t = rho.matrix.reshape(dims + dims)
-    for i in reversed(range(n)):
-        if i == keep:
-            continue
-        t = np.trace(t, axis1=i, axis2=i + (t.ndim // 2))
-    return DensityOperator._trusted(t)
 
 
 def ensemble_mixture(e: Ensemble) -> DensityOperator:

@@ -22,7 +22,7 @@ from anonkey.adversary import (
     translucent_accounting,
 )
 from anonkey.aki import SecretCirclePhase, aki_impersonation, run_honest_aki_round
-from anonkey.coherent import canonical_phase_density, canonical_phase_pa, heterodyne_pa
+from anonkey.coherent import PhaseDistribution, canonical_phase_pa, heterodyne_pa
 from anonkey.detection import (
     Povm,
     acceptance_probability,
@@ -270,7 +270,7 @@ def test_c09b_canonical_phase_below_two_thirds():
 )
 def test_c09c_variance_scaling_factor():
     scaled = {
-        a0: canonical_phase_density(float(a0)).variance() * a0 * a0
+        a0: PhaseDistribution(float(a0)).variance() * a0 * a0
         for a0 in (2, 4, 8, 16)
     }
     factor = max(scaled.values()) / min(scaled.values())
@@ -286,7 +286,7 @@ def test_c09_variance_scaling_is_bounded():
     # the substantive scaling claim: variance x amplitude^2 stays within
     # fixed constants over the whole amplitude range (the inverse-square law)
     scaled = [
-        canonical_phase_density(float(a0)).variance() * a0 * a0 for a0 in (2, 4, 8, 16)
+        PhaseDistribution(float(a0)).variance() * a0 * a0 for a0 in (2, 4, 8, 16)
     ]
     ok = 0.2 <= min(scaled) and max(scaled) <= 0.4
     report(

@@ -9,10 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from anonkey import protocol
+from anonkey import aki, cli, protocol
 from anonkey.cli import run_cli
 from anonkey.harness import derive_seeds
 from anonkey.protocol import SessionConfig, run_ake_session
@@ -228,6 +228,58 @@ class TestSampledRunsRepeat:
             outs = [Path(tmp) / "first", Path(tmp) / "second"]
             assert [run_cli(argv + ["--out", str(out)]) for out in outs] == [0, 0]
             assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+    @settings(max_examples=24)
+    @given(k=st.integers(1, 12), M=st.sampled_from([4, 8, 12]),
+           eve=st.sampled_from(protocol.EVE_STRATEGIES), loss=st.floats(0.0, 0.4),
+           depolarize=st.floats(0.0, 0.1), seed=st.integers(0, 2**64 - 1),
+           trials=st.integers(1, 40),
+           mode=st.sampled_from(["--format=csv", "--format=json", "--transcript"]))
+    @example(k=3, M=8, eve="opaque", loss=0.95, depolarize=0.0, seed=5, trials=4,
+             mode="--format=csv")
+    @example(k=3, M=4, eve="none", loss=0.5, depolarize=0.05, seed=2**64 - 1, trials=9,
+             mode="--transcript")
+    def test_identical_ake_runs_give_identical_bytes(self, k, M, eve, loss, depolarize, seed,
+                                                     trials, mode):
+        # lossy sessions abort, so the exit code (0 or 3) must repeat too
+        argv = ["ake", "--k", str(k), "--M", str(M), "--eve", eve, "--loss", str(loss),
+                "--depolarize", str(depolarize), "--seed", str(seed), "--trials", str(trials),
+                mode]
+        with tempfile.TemporaryDirectory() as tmp:
+            outs = [Path(tmp) / "first", Path(tmp) / "second"]
+            codes = [run_cli(argv + ["--out", str(out)]) for out in outs]
+            assert codes[0] == codes[1] and codes[0] in (0, 3)
+            assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+class TestUnusablePaths:
+    # an unreadable --config or an unwritable --out exits 2 naming its key;
+    # the output is opened before the experiment runs
+    def test_config_that_is_a_directory(self, tmp_path, capsys):
+        assert run_cli(["detect", "--config", str(tmp_path)]) == 2
+        assert "config key 'config'" in capsys.readouterr().err
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"m_list": "8\xff"}')
+        assert run_cli(["detect", "--config", str(cfg)]) == 2
+        assert "config key 'config'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub, owner, runner", [
+        (["ake", "--k", "2"], cli, "run_ake_sessions"),
+        (["aki", "--m", "1"], aki, "aki_impersonation"),
+    ], ids=["ake", "aki"])
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_out_exits_2_before_the_run(self, tmp_path, capsys, monkeypatch,
+                                                   sub, owner, runner, where):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr(owner, runner, unexpected)
+        out = tmp_path / "missing" / "out.csv" if where == "missing-directory" else tmp_path
+        assert run_cli(sub + ["--out", str(out)]) == 2
+        assert "config key 'out'" in capsys.readouterr().err
 
 
 class TestConfigFiles:

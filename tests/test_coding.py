@@ -8,8 +8,6 @@ from anonkey.coding import (
     cecc_decode_rows,
     cecc_encode,
     code_rate,
-    hamming74_decode,
-    hamming74_encode,
     privacy_amplify,
 )
 
@@ -20,36 +18,36 @@ def all_data_words():
 
 class TestHamming74:
     def test_zero_codeword(self):
-        assert np.array_equal(hamming74_encode([0, 0, 0, 0]), np.zeros(7, dtype=np.uint8))
+        assert np.array_equal(cecc_encode([0, 0, 0, 0]), np.zeros(7, dtype=np.uint8))
 
     def test_every_word_roundtrips_clean(self):
         for d in all_data_words():
-            decoded, corrected = hamming74_decode(hamming74_encode(d))
+            decoded, corrected = cecc_decode(cecc_encode(d))
             assert np.array_equal(decoded, d)
             assert corrected == 0
 
     def test_single_flip_corrected_everywhere(self):
         # exhaustive oracle: all 16 words x all 7 flip positions
         for d in all_data_words():
-            code = hamming74_encode(d)
+            code = cecc_encode(d)
             for pos in range(7):
                 corrupted = code.copy()
                 corrupted[pos] ^= 1
-                decoded, corrected = hamming74_decode(corrupted)
+                decoded, corrected = cecc_decode(corrupted)
                 assert np.array_equal(decoded, d), (d, pos)
                 assert corrected == 1
         # the same 112 flips as one stream of blocks
         data = np.concatenate([d for d in all_data_words() for _ in range(7)])
-        code = hamming74_encode(data).reshape(-1, 7)
+        code = cecc_encode(data).reshape(-1, 7)
         code[np.arange(len(code)), np.tile(np.arange(7), 16)] ^= 1
-        decoded, corrected = hamming74_decode(code.reshape(-1))
+        decoded, corrected = cecc_decode(code.reshape(-1))
         assert np.array_equal(decoded, data)
         assert corrected == 16 * 7
 
     def test_quoted_example(self):
-        code = hamming74_encode([1, 0, 1, 1])
+        code = cecc_encode([1, 0, 1, 1])
         code[2] ^= 1  # flip bit 3
-        decoded, corrected = hamming74_decode(code)
+        decoded, corrected = cecc_decode(code)
         assert np.array_equal(decoded, [1, 0, 1, 1])
         assert corrected == 1
 
@@ -59,7 +57,7 @@ class TestHamming74:
         rng = np.random.default_rng(20)
         for _ in range(50):
             d = rng.integers(0, 2, size=4, dtype=np.uint8)
-            c = hamming74_encode(d)
+            c = cecc_encode(d)
             for b in range(3):
                 positions = [i for i in range(7) if ((i + 1) >> b) & 1]
                 assert np.bitwise_xor.reduce(c[positions]) == 0
@@ -67,7 +65,7 @@ class TestHamming74:
     def test_multiword_stream(self):
         rng = np.random.default_rng(21)
         d = rng.integers(0, 2, size=32, dtype=np.uint8)
-        decoded, corrected = hamming74_decode(hamming74_encode(d))
+        decoded, corrected = cecc_decode(cecc_encode(d))
         assert np.array_equal(decoded, d)
         assert corrected == 0
 
@@ -84,19 +82,19 @@ class TestHamming74:
             fixed = word.copy()
             if syndrome:
                 fixed[syndrome - 1] ^= 1
-            decoded, corrected = hamming74_decode(word)
+            decoded, corrected = cecc_decode(word)
             assert decoded.tolist() == fixed[[2, 4, 5, 6]].tolist(), word
             assert corrected == int(syndrome != 0)
         # the same 128 words as one stream
-        decoded, corrected = hamming74_decode(np.concatenate(words))
+        decoded, corrected = cecc_decode(np.concatenate(words))
         assert len(decoded) == 4 * 128
         assert corrected == 112
 
     def test_length_validation(self):
         with pytest.raises(ValueError):
-            hamming74_encode([1, 0, 1])
+            cecc_encode([1, 0, 1])
         with pytest.raises(ValueError):
-            hamming74_decode([1, 0, 1, 0, 1])
+            cecc_decode([1, 0, 1, 0, 1])
 
 
 class TestCeccDispatch:

@@ -6,13 +6,11 @@ import pytest
 from anonkey.coherent import (
     CoherentState,
     PhaseDistribution,
-    canonical_phase_density,
     canonical_phase_pa,
     coherent_overlap_mag,
     heterodyne_pa,
     heterodyne_resend_pa,
     min_truncation,
-    two_mode_overlap_mag,
 )
 
 
@@ -42,20 +40,6 @@ class TestOverlaps:
                 CoherentState(1.7, t1 + shift), CoherentState(1.7, t2 + shift)
             )
             assert a == pytest.approx(b, rel=1e-10)
-
-    def test_two_mode_equals_single_mode(self):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            t1, t2 = rng.uniform(0, 2 * math.pi, 2)
-            single = coherent_overlap_mag(CoherentState(2.3, t1), CoherentState(2.3, t2))
-            double = two_mode_overlap_mag(2.3, t1, t2)
-            assert double == pytest.approx(single, rel=1e-10)
-
-    def test_two_mode_quoted_values(self):
-        assert two_mode_overlap_mag(1.0, 0.4, 0.4) == pytest.approx(1.0, abs=1e-12)
-        assert two_mode_overlap_mag(1.0, 0.0, math.pi) == pytest.approx(
-            math.exp(-2.0), rel=1e-12
-        )
 
     def test_positive_amplitude_required(self):
         with pytest.raises(ValueError):
@@ -127,29 +111,48 @@ class TestHeterodyneResend:
 class TestPhaseDistribution:
     def test_normalization(self):
         for a0 in (2.0, 8.0):
-            assert canonical_phase_density(a0).normalization() == pytest.approx(
+            assert PhaseDistribution(a0).normalization() == pytest.approx(
                 1.0, abs=1e-6
             )
 
     def test_grid_grows_past_truncation(self):
         # the Fock truncation at alpha0 = 260 (69181) outgrows 2^16 points
-        d = canonical_phase_density(260.0)
+        d = PhaseDistribution(260.0)
         assert d.truncation > 2**16
         assert len(d.grid_theta) == 2**17
         assert d.normalization() == pytest.approx(1.0, abs=1e-6)
-        assert len(canonical_phase_density(8.0).grid_theta) == 2**16
+        assert len(PhaseDistribution(8.0).grid_theta) == 2**16
 
     def test_peak_at_zero(self):
-        d = canonical_phase_density(3.0)
+        d = PhaseDistribution(3.0)
         assert d.density(0.0) >= d.density(0.3)
         assert d.density(0.0) >= d.density(-0.3)
 
     def test_density_matches_grid(self):
-        d = canonical_phase_density(2.0)
+        d = PhaseDistribution(2.0)
         idx = np.arange(0, len(d.grid_theta), 4096)
         assert np.allclose(
             d.density(d.grid_theta[idx]), d.grid_density[idx], rtol=1e-9, atol=1e-12
         )
+
+    @pytest.mark.parametrize("a0", [2.0, 20.0, 260.0])  # 260 takes the 2^17 grid
+    def test_grid_is_the_stable_sort_of_the_wrapped_fft_grid(self, a0):
+        # reference: the series on the FFT grid, wrapped to (-pi, pi] and
+        # put in order by a stable argsort
+        d = PhaseDistribution(a0)
+        grid = len(d.grid_theta)
+        ns = np.arange(d.truncation + 1)
+        log_c = -0.5 * a0**2 + ns * math.log(a0) - 0.5 * np.array(
+            [math.lgamma(n + 1.0) for n in ns]
+        )
+        padded = np.zeros(grid, dtype=complex)
+        padded[: len(ns)] = np.exp(log_c)
+        density = np.abs(np.fft.ifft(padded) * grid) ** 2 / (2.0 * math.pi)
+        raw = 2.0 * math.pi * np.arange(grid) / grid
+        theta = np.where(raw > math.pi, raw - 2.0 * math.pi, raw)
+        order = np.argsort(theta, kind="stable")
+        assert np.array_equal(d.grid_theta, theta[order])
+        assert np.array_equal(d.grid_density, density[order])
 
     def test_truncation_rule_enforced(self):
         with pytest.raises(ValueError):
@@ -159,7 +162,7 @@ class TestPhaseDistribution:
     def test_variance_ratio_asymptotic(self):
         # doubling the amplitude quarters the phase variance once the
         # distribution is effectively Gaussian
-        var = {a0: canonical_phase_density(float(a0)).variance() for a0 in (4, 8, 16)}
+        var = {a0: PhaseDistribution(float(a0)).variance() for a0 in (4, 8, 16)}
         assert var[4] / var[8] == pytest.approx(4.0, rel=0.10)
         assert var[8] / var[16] == pytest.approx(4.0, rel=0.10)
 
@@ -170,19 +173,19 @@ class TestPhaseDistribution:
         "outside the 4 +- 10% asymptotic band",
     )
     def test_variance_ratio_includes_deep_quantum_point(self):
-        var2 = canonical_phase_density(2.0).variance()
-        var4 = canonical_phase_density(4.0).variance()
+        var2 = PhaseDistribution(2.0).variance()
+        var4 = PhaseDistribution(4.0).variance()
         assert var2 / var4 == pytest.approx(4.0, rel=0.10)
 
     def test_sampling_deterministic_and_in_range(self):
-        d = canonical_phase_density(4.0)
+        d = PhaseDistribution(4.0)
         rng1, rng2 = np.random.default_rng(10), np.random.default_rng(10)
         s1, s2 = d.sample(rng1, 5000), d.sample(rng2, 5000)
         assert np.array_equal(s1, s2)
         assert np.all(np.abs(s1) <= math.pi)
 
     def test_sample_variance_matches_density_variance(self):
-        d = canonical_phase_density(4.0)
+        d = PhaseDistribution(4.0)
         draws = d.sample(np.random.default_rng(11), 200_000)
         assert draws.var() == pytest.approx(d.variance(), rel=0.05)
 

@@ -14,11 +14,9 @@ from anonkey.states import (
     ensemble_mixture,
     hermitian_eig,
     overlap,
-    partial_trace,
     rotate_circle,
     rotation_unitary,
     six_state_ensemble,
-    sphere_state,
     tensor,
     uniform_circle_ensemble,
 )
@@ -94,7 +92,10 @@ class TestDensityOperatorInvariants:
                 M = 4 * int(rng.integers(1, 9))
                 rho = circle_state(int(rng.integers(-2 * M, 2 * M)), M)
             elif kind == 2:
-                rho = sphere_state(rng.uniform(-7, 7), rng.uniform(-7, 7))
+                t, p = rng.uniform(-7, 7), rng.uniform(-7, 7)
+                rho = bloch_to_density(
+                    (math.sin(t) * math.cos(p), math.cos(t), math.sin(t) * math.sin(p))
+                )
             else:
                 rho = rotate_circle(circle_state_at(rng.uniform(0, 7)), rng.uniform(-7, 7))
             m = rho.matrix
@@ -128,21 +129,6 @@ class TestCircleStates:
     def test_index_is_modular(self):
         assert operators_close(circle_state(1, 8), circle_state(9, 8))
         assert operators_close(circle_state(0, 8), circle_state(8, 8))
-
-
-class TestSphereStates:
-    @pytest.mark.parametrize(
-        "theta,phi,expected",
-        [
-            (math.pi / 2, 0.0, (1, 0, 0)),
-            (0.0, 1.234, (0, 1, 0)),
-            (math.pi / 2, math.pi / 2, (0, 0, 1)),
-        ],
-    )
-    def test_substitution(self, theta, phi, expected):
-        assert np.allclose(
-            sphere_state(theta, phi).bloch().as_array(), expected, atol=1e-12
-        )
 
 
 class TestRotateCircle:
@@ -238,14 +224,6 @@ class TestTensor:
         a = circle_state(1, 8)
         b = circle_state(5, 8)
         assert tensor(a, b).purity() == pytest.approx(1.0, abs=1e-10)
-
-    def test_partial_trace_recovers_factors(self):
-        rng = np.random.default_rng(8)
-        a = bloch_to_density(random_bloch(rng))
-        b = bloch_to_density(random_bloch(rng))
-        ab = tensor(a, b)
-        assert operators_close(partial_trace(ab, (2, 2), 0), a, atol=1e-10)
-        assert operators_close(partial_trace(ab, (2, 2), 1), b, atol=1e-10)
 
 
 class TestEnsembles:
