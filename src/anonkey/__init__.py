@@ -9,14 +9,12 @@ re-prepared estimate survives verification.
 
 from .states import (
     ATOL,
-    BlochVector,
     DensityOperator,
     Ensemble,
     bloch_to_density,
     circle_state,
     circle_state_at,
     ensemble_mixture,
-    hermitian_eig,
     overlap,
     rotate_circle,
     six_state_ensemble,
@@ -59,7 +57,6 @@ from .aki import (
     SecretCirclePhase,
     aki_challenge,
     aki_impersonation,
-    aki_respond,
     aki_verify,
     run_honest_aki_round,
 )

@@ -158,20 +158,16 @@ def translucent_accounting(k: int, pa: float) -> tuple[int, float]:
     return deterministic, shannon
 
 
-def joint_attack_factorization_check(M: int, n_bits: int = 2) -> bool:
-    """Does the optimal joint attack on a block factorize into per-bit attacks?
+def joint_attack_factorization_check(M: int) -> bool:
+    """Does the optimal joint attack on a two-bit block factorize into per-bit attacks?
 
-    For ``n_bits = 2`` the four block hypotheses are products of the
-    two-copy states, all priors equal.  The bit-error-sum optimum over joint
-    measurements is bounded below by the per-bit binary tests on the joint
-    space (each marginal problem carries an identical spectator factor), and
-    that bound is attained by the product of single-bit optima; the check
-    compares the two numerically via the four-outcome product measurement.
+    The four block hypotheses are products of the two-copy states, all
+    priors equal.  The bit-error-sum optimum over joint measurements is
+    bounded below by the per-bit binary tests on the joint space (each
+    marginal problem carries an identical spectator factor), and that bound
+    is attained by the product of single-bit optima; the check compares the
+    two numerically via the four-outcome product measurement.
     """
-    if n_bits == 1:
-        return True
-    if n_bits != 2:
-        raise ValueError("only one- and two-bit blocks are supported")
     rho0, rho1 = two_copy_states(M)
     _, single = helstrom_binary(rho0, rho1, 0.5)
 

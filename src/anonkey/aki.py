@@ -2,9 +2,11 @@
 
 The verifier (Adam) stores a key qubit whose preparation phase ``phi_b`` he
 does not know; only the legitimate prover (Babe) knows it.  A round sends
-the stored state rotated by a fresh random phase ``phi_a``; the prover
-removes ``phi_b`` and returns the bare ``phi_a`` state, which the verifier
-checks with a one-shot projection.  An impersonator who must fabricate the
+the stored state rotated by a fresh random phase ``phi_a``
+(:func:`aki_challenge`); the prover removes ``phi_b``
+(:meth:`SecretCirclePhase.remove_phase`) and returns the bare ``phi_a``
+state, which the verifier checks with a one-shot projection
+(:func:`aki_verify`).  An impersonator who must fabricate the
 response from a measured estimate of the key phase is accepted on one qubit
 with probability equal to the acceptance bound of the ring detector (3/4 at
 M = 4), so m qubits push the cheat rate to that value to the m-th power.
@@ -83,28 +85,11 @@ class SecretCirclePhase:
         return self._phase
 
 
-def aki_challenge(
-    phi_b: float,
-    rng: np.random.Generator,
-    M: int = 4,
-    phi_a: float | None = None,
-) -> AkiChallenge:
-    """Draw a fresh challenge phase from the M-point ring and mask the key.
-
-    ``phi_a`` can be forced for deterministic tests; otherwise it is uniform
-    over the M ring phases.
-    """
+def aki_challenge(phi_b: float, rng: np.random.Generator, M: int = 4) -> AkiChallenge:
+    """Mask the key with a challenge phase drawn uniformly from the M-point ring."""
     require_ring_size(M)
-    if phi_a is None:
-        phi_a = _TWO_PI * int(rng.integers(0, M)) / M
-    return AkiChallenge(
-        phi_a=float(phi_a), phi_b=float(phi_b), sent_state=circle_state_at(phi_b + phi_a)
-    )
-
-
-def aki_respond(state: DensityOperator, phi_b: float) -> DensityOperator:
-    """Honest response: rotate the received state by ``-phi_b``."""
-    return rotate_circle(state, -phi_b)
+    phi_a = _TWO_PI * int(rng.integers(0, M)) / M
+    return AkiChallenge(phi_a=phi_a, phi_b=float(phi_b), sent_state=circle_state_at(phi_b + phi_a))
 
 
 def aki_verify(returned: DensityOperator, phi_a: float, rng: np.random.Generator) -> bool:

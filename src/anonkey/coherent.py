@@ -11,9 +11,13 @@ Acceptance convention: the interceptor's estimate is the ring state nearest
 her measured phase, and the verifier accepts with the squared overlap
 between the true and estimated states.  Under this convention heterodyne
 settles near 0.71 and the sharper canonical phase estimator, whose density
-:class:`PhaseDistribution` tabulates, near 0.82, both amplitude-independent.  :func:`heterodyne_resend_pa` scores the
-variant where the full complex outcome (amplitude error included) is
-re-prepared, which lands at exactly one half.
+:class:`PhaseDistribution` tabulates, near 0.82, both amplitude-independent.
+:func:`heterodyne_resend_pa` scores the variant where the full complex
+outcome (amplitude error included) is re-prepared, which lands at exactly
+one half.
+
+The states, :class:`PhaseDistribution` and the Monte Carlo kernels raise
+``ValueError`` unless the amplitude ``alpha0`` is positive and finite.
 """
 
 from __future__ import annotations
@@ -29,16 +33,20 @@ from .harness import BLOCK, CdfSearch, draw_blocks
 _MIN_GRID = 1 << 16
 
 
+def _require_amplitude(alpha0: float) -> None:
+    if not 0.0 < alpha0 < math.inf:  # also rejects nan
+        raise ValueError(f"alpha0 must be positive and finite, got {alpha0}")
+
+
 @dataclass(frozen=True)
 class CoherentState:
-    """Amplitude-phase pair alpha0 * exp(i theta), alpha0 > 0."""
+    """Amplitude-phase pair alpha0 * exp(i theta), 0 < alpha0 < inf."""
 
     alpha0: float
     theta: float
 
     def __post_init__(self) -> None:
-        if self.alpha0 <= 0.0:
-            raise ValueError("alpha0 must be positive")
+        _require_amplitude(self.alpha0)
 
     @property
     def amplitude(self) -> complex:
@@ -91,8 +99,7 @@ def heterodyne_pa(alpha0: float, M: int, trials: int, seed: int) -> tuple[float,
     standard error.  The noise comes in blocks after the ring states, and the
     result equals the one-shot per-trial ``np.exp(1j * theta)`` form bit for bit.
     """
-    if alpha0 <= 0.0:
-        raise ValueError("alpha0 must be positive")
+    _require_amplitude(alpha0)
     if M < 4:
         raise ValueError("M must be at least 4")
     if trials < 1:
@@ -115,8 +122,7 @@ def heterodyne_resend_pa(alpha0: float, trials: int, seed: int) -> tuple[float, 
     the outcome distribution is exactly one half at every amplitude.  The
     noise is drawn as in :func:`heterodyne_pa`, in blocks.
     """
-    if alpha0 <= 0.0:
-        raise ValueError("alpha0 must be positive")
+    _require_amplitude(alpha0)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(seed)
@@ -137,23 +143,18 @@ class PhaseDistribution:
 
     ``p(theta) = |sum_n c_n exp(i n theta)|^2 / (2 pi)`` with Poissonian
     amplitudes ``c_n = exp(-alpha0^2/2) alpha0^n / sqrt(n!)`` accumulated in
-    log space.  The density is tabulated on an ascending grid of 2^16 points
-    over (-pi, pi], or of the next power of two above the truncation when that
-    is larger, for normalization checks, moments, and inverse-CDF sampling
-    with linear interpolation; :meth:`density` also evaluates the series at
+    log space up to the Fock cutoff ``truncation = min_truncation(alpha0)``.
+    The density is tabulated on an ascending grid of 2^16 points over
+    (-pi, pi], or of the next power of two above the truncation when that is
+    larger, for normalization checks, moments, and inverse-CDF sampling with
+    linear interpolation; :meth:`density` also evaluates the series at
     arbitrary phases.
     """
 
-    def __init__(self, alpha0: float, truncation: int | None = None) -> None:
-        if alpha0 <= 0.0:
-            raise ValueError("alpha0 must be positive")
-        needed = min_truncation(alpha0)
-        if truncation is None:
-            truncation = needed
-        if truncation < needed:
-            raise ValueError(f"truncation {truncation} below required {needed} for alpha0={alpha0}")
+    def __init__(self, alpha0: float) -> None:
+        _require_amplitude(alpha0)
         self.alpha0 = float(alpha0)
-        self.truncation = int(truncation)
+        self.truncation = min_truncation(alpha0)
 
         ns = np.arange(self.truncation + 1)
         log_c = -0.5 * alpha0**2 + ns * math.log(alpha0) - 0.5 * np.array(

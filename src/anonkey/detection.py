@@ -31,7 +31,6 @@ from .states import (
     Ensemble,
     checked_stack,
     circle_states,
-    hermitian_eig,
     require_ring_size,
     uniform_circle_ensemble,
 )
@@ -95,7 +94,7 @@ def square_root_measurement(e: Ensemble) -> Povm:
     "state i".
     """
     weighted = e.weighted()
-    w, v = hermitian_eig(weighted.sum(0))  # trace 1, so never rank zero
+    w, v = np.linalg.eigh(weighted.sum(0))  # trace 1, so never rank zero
     on_support = w > SUPPORT_CUTOFF
     inv = np.where(on_support, 1.0 / np.sqrt(np.maximum(w, SUPPORT_CUTOFF)), 0.0)
     s_inv = (v * inv) @ v.conj().T
@@ -157,7 +156,7 @@ def helstrom_binary(
     if not 0.0 <= p0 <= 1.0:
         raise ValueError("p0 must be a probability")
     gamma = p0 * rho0.matrix - (1.0 - p0) * rho1.matrix
-    w, v = hermitian_eig(gamma)
+    w, v = np.linalg.eigh(gamma)
     positive = w > SUPPORT_CUTOFF
     pi0 = (v * positive) @ v.conj().T
     pi1 = np.eye(rho0.dim) - pi0
@@ -168,26 +167,26 @@ def helstrom_binary(
     return povm, float(pc)
 
 
-def certify_optimality(e: Ensemble, m: Povm, atol: float = OPTIMALITY_ATOL) -> bool:
+def certify_optimality(e: Ensemble, m: Povm) -> bool:
     """Check the standard optimality conditions for minimum-error detection.
 
     ``Y = sum_j p_j rho_j Pi_j`` must be Hermitian, and ``Y - p_j rho_j``
-    must be PSD for every j (one batched ``eigvalsh``).  Both are necessary
-    and sufficient.
+    must be PSD for every j (one batched ``eigvalsh``), both within
+    ``OPTIMALITY_ATOL``.  Together they are necessary and sufficient.
     """
     _check_sizes(e, m)
     weighted = e.weighted()
     y = (weighted @ m.elements[: e.size]).sum(0)
-    if not np.allclose(y, y.conj().T, atol=atol, rtol=0.0):
+    if not np.allclose(y, y.conj().T, atol=OPTIMALITY_ATOL, rtol=0.0):
         return False
     y = (y + y.conj().T) / 2
-    return bool(np.linalg.eigvalsh(y - weighted).min() >= -atol)
+    return bool(np.linalg.eigvalsh(y - weighted).min() >= -OPTIMALITY_ATOL)
 
 
-def evaluate_detection(e: Ensemble, m: Povm | None = None) -> DetectionReport:
-    """Convenience wrapper: build the SRM if no POVM is given, score it."""
-    if m is None:
-        m = square_root_measurement(e)
+def evaluate_detection(e: Ensemble) -> DetectionReport:
+    """Build the square-root measurement of ``e`` and score it: ``pc``, ``pa``
+    and whether it passes :func:`certify_optimality`."""
+    m = square_root_measurement(e)
     return DetectionReport(
         pc=correct_id_probability(e, m),
         pa=acceptance_probability(e, m),

@@ -13,7 +13,8 @@ the scalar :class:`DensityOperator` is the API-edge type for single states.
 Conventions
 -----------
 * A qubit density operator is ``rho = (I + r1*s1 + r2*s2 + r3*s3) / 2`` with
-  real Bloch vector ``(r1, r2, r3)``.
+  real Bloch vector ``(r1, r2, r3)``: :func:`bloch_to_density` takes any
+  length-3 sequence and :meth:`DensityOperator.bloch` returns a float array.
 * Circle state ``ell`` (out of ``M``, a multiple of 4) is the pure state with
   Bloch vector ``(cos(2*pi*ell/M), 0, sin(2*pi*ell/M))``.  Indices are taken
   modulo ``M``; ``ell = M`` and ``ell = 0`` are the same reference state.
@@ -105,33 +106,17 @@ class DensityOperator:
         # lets np.array stack a sequence of states into one (n, d, d) array
         return np.array(self._matrix, dtype=dtype, copy=copy)
 
-    def bloch(self) -> "BlochVector":
-        """Bloch vector of a qubit operator."""
+    def bloch(self) -> np.ndarray:
+        """Bloch vector ``(r1, r2, r3)`` of a qubit operator, as a float array."""
         if self.dim != 2:
             raise ValueError("bloch() is defined for qubits only")
-        r = [float(np.real(np.trace(self._matrix @ s))) for s in PAULIS]
-        return BlochVector(*r)
+        return np.array([np.real(np.trace(self._matrix @ s)) for s in PAULIS])
 
     def purity(self) -> float:
         return float(np.real(np.trace(self._matrix @ self._matrix)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DensityOperator(dim={self.dim})"
-
-
-@dataclass(frozen=True)
-class BlochVector:
-    """Real 3-vector representing a qubit state."""
-
-    r1: float
-    r2: float
-    r3: float
-
-    def norm(self) -> float:
-        return math.sqrt(self.r1**2 + self.r2**2 + self.r3**2)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.r1, self.r2, self.r3], dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,9 +175,9 @@ def _bloch_stack(r: np.ndarray) -> np.ndarray:
 def bloch_to_density(r) -> DensityOperator:
     """Build the qubit density operator (I + r.sigma)/2.
 
-    ``r`` is a :class:`BlochVector` or length-3 sequence; raises if its norm exceeds 1 + 1e-9.
+    ``r`` is a length-3 sequence; raises if its norm exceeds 1 + 1e-9.
     """
-    vec = r.as_array() if isinstance(r, BlochVector) else np.asarray(r, dtype=float)
+    vec = np.asarray(r, dtype=float)
     if vec.shape != (3,):
         raise ValueError("Bloch vector must have three components")
     return DensityOperator._trusted(_bloch_stack(vec[None])[0])
@@ -257,18 +242,6 @@ def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
 def ensemble_mixture(e: Ensemble) -> DensityOperator:
     """Average state sum_i p_i rho_i of an ensemble."""
     return DensityOperator._trusted(e.weighted().sum(0))
-
-
-def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, ascending eigenvalues.
-
-    Returns ``(w, V)`` with ``h = V diag(w) V^dagger``.  Raises on visibly
-    non-Hermitian input instead of silently symmetrizing it.
-    """
-    h = np.asarray(h, dtype=complex)
-    if not np.allclose(h, h.conj().T, atol=1e-8, rtol=0.0):
-        raise ValueError("matrix is not Hermitian")
-    return np.linalg.eigh(h)
 
 
 # ---------------------------------------------------------------------------

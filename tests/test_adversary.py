@@ -159,13 +159,6 @@ class TestJointAttackFactorization:
     def test_two_bit_blocks_factorize(self, M):
         assert joint_attack_factorization_check(M)
 
-    def test_single_bit_trivial(self):
-        assert joint_attack_factorization_check(4, n_bits=1)
-
-    def test_larger_blocks_unsupported(self):
-        with pytest.raises(ValueError):
-            joint_attack_factorization_check(4, n_bits=3)
-
 
 class TestBinaryEntropy:
     def test_known_values(self):

@@ -8,7 +8,6 @@ from anonkey.aki import (
     SecretCirclePhase,
     aki_challenge,
     aki_impersonation,
-    aki_respond,
     aki_verify,
     run_honest_aki_round,
 )
@@ -21,13 +20,12 @@ def operators_close(a, b, atol=1e-9):
 
 class TestChallenge:
     def test_forced_zero_phase(self):
-        rng = np.random.default_rng(0)
-        ch = aki_challenge(0.0, rng, M=4, phi_a=0.0)
+        ch = AkiChallenge(phi_a=0.0, phi_b=0.0, sent_state=circle_state_at(0.0))
         assert operators_close(ch.sent_state, circle_state_at(0.0))
 
     def test_forced_phase_addition(self):
-        rng = np.random.default_rng(0)
-        ch = aki_challenge(math.pi / 2, rng, M=4, phi_a=math.pi / 2)
+        # the constructor accepts the state at phi_b + phi_a
+        ch = AkiChallenge(phi_a=math.pi / 2, phi_b=math.pi / 2, sent_state=circle_state_at(math.pi))
         assert operators_close(ch.sent_state, circle_state_at(math.pi), atol=1e-12)
 
     def test_challenge_state_consistency_enforced(self):
@@ -69,16 +67,16 @@ class TestRespond:
         rng = np.random.default_rng(3)
         for phi_b in (0.0, 0.7, 2.0, 5.5):
             ch = aki_challenge(phi_b, rng, M=8)
-            returned = aki_respond(ch.sent_state, phi_b)
+            returned = SecretCirclePhase(phi_b).remove_phase(ch.sent_state)
             assert operators_close(returned, circle_state_at(ch.phi_a), atol=1e-9)
 
     def test_zero_phase_is_identity(self):
         rho = circle_state(3, 8)
-        assert operators_close(aki_respond(rho, 0.0), rho)
+        assert operators_close(SecretCirclePhase(0.0).remove_phase(rho), rho)
 
     def test_round_trip_unitarity(self):
         rho = circle_state(1, 8)
-        out = aki_respond(rotate_circle(rho, 1.234), 1.234)
+        out = SecretCirclePhase(1.234).remove_phase(rotate_circle(rho, 1.234))
         assert operators_close(out, rho, atol=1e-9)
 
 
@@ -99,13 +97,11 @@ class TestVerify:
         # without a fresh challenge phase a cheat could always return the
         # reference state; with it, the average ring overlap is one half.
         # Exact: average the acceptance over the M = 8 challenge phases.
-        rng = np.random.default_rng(6)
         M = 8
-        accept = [
-            overlap(circle_state_at(0.0),
-                    circle_state_at(aki_challenge(1.3, rng, M=M, phi_a=2 * math.pi * j / M).phi_a))
-            for j in range(M)
-        ]
+        challenges = [AkiChallenge(phi_a=2 * math.pi * j / M, phi_b=1.3,
+                                   sent_state=circle_state_at(1.3 + 2 * math.pi * j / M))
+                      for j in range(M)]
+        accept = [overlap(circle_state_at(0.0), circle_state_at(ch.phi_a)) for ch in challenges]
         assert sum(accept) / M == pytest.approx(0.5, abs=1e-12)
 
     def test_fixed_reference_replay_sampled(self):

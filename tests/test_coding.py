@@ -104,9 +104,15 @@ class TestCeccDispatch:
         decoded, corrected = cecc_decode(bits, "none")
         assert np.array_equal(decoded, bits) and corrected == 0
 
-    def test_unknown_code(self):
-        with pytest.raises(ValueError):
-            cecc_encode([0, 0, 0, 0], "reed-muller")
+    @pytest.mark.parametrize("call", [
+        lambda code: cecc_encode([0, 0, 0, 0], code),
+        lambda code: cecc_decode([0] * 7, code),
+        lambda code: cecc_decode_rows(np.zeros((1, 7), dtype=np.uint8), code),
+        code_rate,
+    ], ids=["cecc_encode", "cecc_decode", "cecc_decode_rows", "code_rate"])
+    def test_unknown_code(self, call):
+        with pytest.raises(ValueError, match="unknown code 'reed-muller'"):
+            call("reed-muller")
 
     @pytest.mark.parametrize("code", ["none", "hamming74"])
     def test_rows_decode_like_single_calls(self, code):

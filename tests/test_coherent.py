@@ -155,9 +155,8 @@ class TestPhaseDistribution:
         assert np.array_equal(d.grid_density, density[order])
 
     def test_truncation_rule_enforced(self):
-        with pytest.raises(ValueError):
-            PhaseDistribution(5.0, truncation=10)
         assert min_truncation(5.0) == 75
+        assert PhaseDistribution(5.0).truncation == 75
 
     def test_variance_ratio_asymptotic(self):
         # doubling the amplitude quarters the phase variance once the
@@ -211,3 +210,19 @@ class TestCanonicalPhasePa:
     def test_validation(self):
         with pytest.raises(ValueError):
             canonical_phase_pa(5.0, 2, trials=10, seed=0)
+
+
+class TestAmplitudeValidation:
+    ENTRY_POINTS = {
+        "CoherentState": lambda a0: CoherentState(a0, 0.0),
+        "PhaseDistribution": PhaseDistribution,
+        "heterodyne_pa": lambda a0: heterodyne_pa(a0, 4, 10, 0),
+        "heterodyne_resend_pa": lambda a0: heterodyne_resend_pa(a0, 10, 0),
+        "canonical_phase_pa": lambda a0: canonical_phase_pa(a0, 4, 10, 0),
+    }
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    @pytest.mark.parametrize("alpha0", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_nonpositive_or_nonfinite(self, name, alpha0):
+        with pytest.raises(ValueError, match="alpha0"):
+            self.ENTRY_POINTS[name](alpha0)

@@ -5,14 +5,12 @@ import pytest
 
 from anonkey.states import (
     ATOL,
-    BlochVector,
     DensityOperator,
     Ensemble,
     bloch_to_density,
     circle_state,
     circle_state_at,
     ensemble_mixture,
-    hermitian_eig,
     overlap,
     rotate_circle,
     rotation_unitary,
@@ -59,7 +57,7 @@ class TestBlochToDensity:
         rng = np.random.default_rng(1)
         for _ in range(100):
             v = random_bloch(rng)
-            back = bloch_to_density(v).bloch().as_array()
+            back = bloch_to_density(v).bloch()
             assert np.allclose(back, v, atol=1e-12)
 
 
@@ -107,17 +105,17 @@ class TestDensityOperatorInvariants:
 class TestCircleStates:
     def test_reference_state(self):
         assert np.allclose(
-            circle_state(4, 4).bloch().as_array(), [1, 0, 0], atol=1e-12
+            circle_state(4, 4).bloch(), [1, 0, 0], atol=1e-12
         )
 
     def test_quarter_state(self):
         assert np.allclose(
-            circle_state(1, 4).bloch().as_array(), [0, 0, 1], atol=1e-12
+            circle_state(1, 4).bloch(), [0, 0, 1], atol=1e-12
         )
 
     def test_direct_substitution_m8(self):
         assert np.allclose(
-            circle_state(2, 8).bloch().as_array(),
+            circle_state(2, 8).bloch(),
             [math.cos(math.pi / 2), 0, math.sin(math.pi / 2)],
             atol=1e-12,
         )
@@ -263,24 +261,3 @@ class TestEnsembles:
             Ensemble((rho, rho), (0.5, 0.6))
         with pytest.raises(ValueError):
             Ensemble((rho, tensor(rho, rho)), (0.5, 0.5))
-
-
-class TestHermitianEig:
-    def test_reconstruction_2x2_and_4x4(self):
-        rng = np.random.default_rng(9)
-        for dim in (2, 4):
-            for _ in range(100):
-                a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-                h = a + a.conj().T
-                w, v = hermitian_eig(h)
-                assert np.allclose((v * w) @ v.conj().T, h, atol=1e-8)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-class TestBlochVector:
-    def test_norm(self):
-        assert BlochVector(1, 0, 0).norm() == pytest.approx(1.0)
-        assert BlochVector(0.3, 0.4, 0.0).norm() == pytest.approx(0.5)
