@@ -27,8 +27,8 @@ print(f"verifier-side phase reads in the audit log: "
 replays = 20_000
 hits = 0
 for _ in range(replays):
-    ch = aki_challenge(float(rng.uniform(0, 2 * math.pi)), rng, M=8)
-    hits += aki_verify(circle_state_at(0.0), ch.phi_a, rng)
+    phi_a, _ = aki_challenge(SecretCirclePhase(rng.uniform(0, 2 * math.pi)), rng, M=8)
+    hits += aki_verify(circle_state_at(0.0), phi_a, rng)
 print(f"replaying the fixed reference state: {hits / replays:.3f} accepted "
       f"(the fresh challenge phase is what makes this fail)")
 

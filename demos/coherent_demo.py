@@ -12,7 +12,6 @@ raw heterodyne outcome lands at exactly one half.
 import numpy as np
 
 from anonkey import (
-    CoherentState,
     PhaseDistribution,
     canonical_phase_pa,
     coherent_overlap_mag,
@@ -22,7 +21,7 @@ from anonkey import (
 
 print("ring-state overlaps |<a e^i t1 | a e^i t2>| at opposite phases")
 for a0 in (1.0, 3.0, 10.0):
-    mag = coherent_overlap_mag(CoherentState(a0, 0.0), CoherentState(a0, np.pi))
+    mag = coherent_overlap_mag(a0, np.pi)
     print(f"  amplitude {a0:>4}: {mag:.3e}")
 
 print()

@@ -43,7 +43,6 @@ from .protocol import (
     run_ake_sessions,
 )
 from .adversary import (
-    AttackReport,
     binary_entropy,
     impersonation_order_pmf,
     joint_attack_factorization_check,
@@ -53,7 +52,6 @@ from .adversary import (
     two_copy_states,
 )
 from .aki import (
-    AkiChallenge,
     SecretCirclePhase,
     aki_challenge,
     aki_impersonation,
@@ -61,7 +59,6 @@ from .aki import (
     run_honest_aki_round,
 )
 from .coherent import (
-    CoherentState,
     PhaseDistribution,
     canonical_phase_pa,
     coherent_overlap_mag,

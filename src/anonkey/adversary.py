@@ -10,7 +10,6 @@ live in :mod:`anonkey.protocol`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -20,23 +19,6 @@ from .detection import square_root_measurement  # noqa: F401 - benchmarks/tracin
 from .harness import binomial_stderr, draw_blocks
 from .states import DensityOperator, circle_states, require_ring_size, tensor
 from .states import uniform_circle_ensemble  # noqa: F401 - benchmarks/tracing.py patches it here
-
-
-@dataclass(frozen=True)
-class AttackReport:
-    """Attack-side statistics, embedded into session transcripts."""
-
-    strategy: str
-    per_qubit_success: float = 0.0
-    deterministic_bits: int = 0
-    shannon_bits: float = 0.0
-    order_guess_distribution: tuple = ()
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.per_qubit_success <= 1.0:
-            raise ValueError("per_qubit_success must be a probability")
-        if self.shannon_bits < 0.0:
-            raise ValueError("shannon_bits must be nonnegative")
 
 
 def binary_entropy(p: float) -> float:

@@ -1,11 +1,11 @@
 """Anonymous-key identification: challenge, response, verification.
 
 The verifier (Adam) stores a key qubit whose preparation phase ``phi_b`` he
-does not know; only the legitimate prover (Babe) knows it.  A round sends
-the stored state rotated by a fresh random phase ``phi_a``
-(:func:`aki_challenge`); the prover removes ``phi_b``
-(:meth:`SecretCirclePhase.remove_phase`) and returns the bare ``phi_a``
-state, which the verifier checks with a one-shot projection
+does not know; only the legitimate prover (Babe) knows it.  A round rotates
+the audited stored key (:class:`SecretCirclePhase`) by a fresh random phase
+``phi_a`` (:func:`aki_challenge`, which never reads ``phi_b``); the prover
+removes ``phi_b`` (:meth:`SecretCirclePhase.remove_phase`) and returns the
+bare ``phi_a`` state, which the verifier checks with a one-shot projection
 (:func:`aki_verify`).  An impersonator who must fabricate the
 response from a measured estimate of the key phase is accepted on one qubit
 with probability equal to the acceptance bound of the ring detector (3/4 at
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,24 +31,6 @@ from .states import uniform_circle_ensemble  # noqa: F401 - benchmarks/tracing.p
 
 _TWO_PI = 2.0 * math.pi
 _EXACT_ATOL = 1e-12
-
-
-@dataclass(frozen=True)
-class AkiChallenge:
-    """One outgoing challenge: the masked state and both phases.
-
-    ``phi_b`` rides along for bookkeeping only; verifier-side code must not
-    read it (see :class:`SecretCirclePhase` for the audited holder).
-    """
-
-    phi_a: float
-    phi_b: float
-    sent_state: DensityOperator
-
-    def __post_init__(self) -> None:
-        expected = circle_state_at(self.phi_a + self.phi_b)
-        if abs(overlap(expected, self.sent_state) - 1.0) > 1e-9:
-            raise ValueError("sent_state must be the pure state at phi_b + phi_a")
 
 
 class SecretCirclePhase:
@@ -85,11 +66,13 @@ class SecretCirclePhase:
         return self._phase
 
 
-def aki_challenge(phi_b: float, rng: np.random.Generator, M: int = 4) -> AkiChallenge:
-    """Mask the key with a challenge phase drawn uniformly from the M-point ring."""
+def aki_challenge(key: SecretCirclePhase, rng: np.random.Generator,
+                  M: int = 4) -> tuple[float, DensityOperator]:
+    """Rotate the stored key by a phase ``phi_a`` drawn uniformly from the M-point
+    ring; returns ``(phi_a, sent_state)`` without reading the key phase."""
     require_ring_size(M)
     phi_a = _TWO_PI * int(rng.integers(0, M)) / M
-    return AkiChallenge(phi_a=phi_a, phi_b=float(phi_b), sent_state=circle_state_at(phi_b + phi_a))
+    return phi_a, key.modulated_state(phi_a)
 
 
 def aki_verify(returned: DensityOperator, phi_a: float, rng: np.random.Generator) -> bool:
@@ -110,10 +93,8 @@ def aki_verify(returned: DensityOperator, phi_a: float, rng: np.random.Generator
 
 def run_honest_aki_round(key: SecretCirclePhase, rng: np.random.Generator, M: int = 4) -> bool:
     """One full honest round against an audited key: never reads the phase."""
-    phi_a = _TWO_PI * int(rng.integers(0, M)) / M
-    sent = key.modulated_state(phi_a)
-    returned = key.remove_phase(sent)
-    return aki_verify(returned, phi_a, rng)
+    phi_a, sent = aki_challenge(key, rng, M)
+    return aki_verify(key.remove_phase(sent), phi_a, rng)
 
 
 def aki_impersonation(m: int, M: int, trials: int, seed: int) -> tuple[float, float]:

@@ -108,7 +108,16 @@ def _numbers(key: str, text, kind: type) -> list:
 
 
 _counts = partial(_numbers, kind=int)
-_amplitudes = partial(_numbers, kind=float)
+
+
+def _amplitudes(key: str, text) -> list[float]:
+    values = _numbers(key, text, float)
+    for a0 in values:
+        try:
+            coherent._require_amplitude(a0)
+        except ValueError as exc:
+            raise ConfigError(f"config key {key!r}: {exc}") from exc
+    return values
 
 
 def _ring_sizes(key: str, text) -> list[int]:

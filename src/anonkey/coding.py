@@ -9,7 +9,7 @@ row), both through small lookup tables built at import from the check
 matrix.  The hash is evaluated as one FFT convolution of the seeded
 strip with each input row, so it costs O(n log n) time and O(n) memory
 instead of building the matrix; a run of sessions is hashed in one call,
-each session under its own strip.
+each session's rows under its own strip.
 """
 
 from __future__ import annotations
@@ -43,11 +43,10 @@ def _lookup_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _ENCODE, _DECODE, _CORRECTED = _lookup_tables()
 
 
-def _as_bits(bits, ndims: tuple = (1,)) -> np.ndarray:
+def _as_bits(bits, ndim: int = 1) -> np.ndarray:
     a = np.asarray(bits)
-    if a.ndim not in ndims:
-        allowed = " or ".join(map(str, ndims))
-        raise ValueError(f"bit sequence must be {allowed}-D, got {a.ndim}-D")
+    if a.ndim != ndim:
+        raise ValueError(f"bit sequence must be {ndim}-D, got {a.ndim}-D")
     a = a.astype(np.uint8)
     if np.any(a > 1):
         raise ValueError("bit sequence must contain only 0 and 1")
@@ -75,7 +74,7 @@ def cecc_decode(received, code: str = "hamming74") -> tuple[np.ndarray, int]:
 
 def cecc_decode_rows(received, code: str = "hamming74") -> tuple[np.ndarray, np.ndarray]:
     """Decode every row of a 2-D stack; returns the data rows and each row's corrected count."""
-    r = _as_bits(received, ndims=(2,))
+    r = _as_bits(received, ndim=2)
     if code == "none":
         return r.copy(), np.zeros(len(r), dtype=np.int64)
     if code == "hamming74":
@@ -93,20 +92,15 @@ def code_rate(code: str) -> float:
     return 4.0 / 7.0 if code == "hamming74" else 1.0
 
 
-def privacy_amplify(bits, hash_seed, out_len: int) -> np.ndarray:
-    """Compress bits with a seeded binary Toeplitz matrix over GF(2).
+def privacy_amplify(bits, hash_seeds, out_len: int) -> np.ndarray:
+    """Hash a ``(groups, rows, n)`` stack of bits, group g under the seeded
+    binary Toeplitz matrix of ``hash_seeds[g]``, to ``(groups, rows, out_len)``.
 
-    The matrix is derived deterministically from ``hash_seed``: a strip of
+    A matrix is derived deterministically from its seed: a strip of
     ``n + out_len - 1`` random bits defines every diagonal, entry ``(i, j)``
-    being ``strip[i - j + n - 1]``, and the output is the matrix-vector
+    being ``strip[i - j + n - 1]``, and a row's hash is the matrix-vector
     product mod 2.  Linear, so equal inputs under the same seed always hash
     identically.
-
-    ``bits`` is one row of n bits or a 2-D stack of rows; every row is hashed
-    by the same matrix, and the result has the input's leading shape with
-    ``out_len`` bits per row.  ``hash_seed`` may instead hold one seed per
-    leading index of a 2-D or 3-D ``bits``, whose ``bits[g]`` is then hashed
-    by the matrix of ``hash_seed[g]``: all strips are transformed together.
 
     The product is the slice ``[n - 1, n - 1 + out_len)`` of the linear
     convolution of the strip with each row, taken with a real FFT on the
@@ -117,24 +111,20 @@ def privacy_amplify(bits, hash_seed, out_len: int) -> np.ndarray:
     it exactly; a value that lands 0.25 or more from an integer raises
     ``RuntimeError`` rather than returning a wrong key.
     """
-    single = np.ndim(hash_seed) == 0
-    x = _as_bits(bits, ndims=(1, 2) if single else (2, 3))
-    seeds = [hash_seed] if single else list(hash_seed)
+    x = _as_bits(bits, ndim=3)
+    seeds = list(hash_seeds)
     n = x.shape[-1]
     if out_len < 0 or out_len > n:
         raise ValueError(f"output length {out_len} must be between 0 and {n}")
-    if not single and len(seeds) != len(x):
+    if len(seeds) != len(x):
         raise ValueError(f"{len(seeds)} hash seeds for {len(x)} groups of rows")
     if out_len == 0:
         return np.zeros(x.shape[:-1] + (0,), dtype=np.uint8)
-    groups = x[None] if single else x
-    if groups.ndim == 2:
-        groups = groups[:, None]
     strips = np.empty((len(seeds), n + out_len - 1), dtype=np.uint8)
     for g, seed in enumerate(seeds):
         strips[g] = np.random.default_rng(seed).integers(0, 2, size=strips.shape[1], dtype=np.uint8)
     grid = 1 << (n + out_len - 2).bit_length()
-    spectrum = np.fft.rfft(groups, grid)
+    spectrum = np.fft.rfft(x, grid)
     spectrum *= np.fft.rfft(strips, grid)[:, None, :]
     conv = np.fft.irfft(spectrum, grid)
     y = conv[..., n - 1 : n - 1 + out_len]
@@ -145,4 +135,4 @@ def privacy_amplify(bits, hash_seed, out_len: int) -> np.ndarray:
             f"FFT privacy amplification lost exactness: a convolution value is {drift:.3g} "
             f"from an integer (n={n}, out_len={out_len})"
         )
-    return (counts.astype(np.int64) & 1).astype(np.uint8).reshape(x.shape[:-1] + (out_len,))
+    return (counts.astype(np.int64) & 1).astype(np.uint8)

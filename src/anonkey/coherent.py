@@ -16,14 +16,14 @@ settles near 0.71 and the sharper canonical phase estimator, whose density
 outcome (amplitude error included) is re-prepared, which lands at exactly
 one half.
 
-The states, :class:`PhaseDistribution` and the Monte Carlo kernels raise
-``ValueError`` unless the amplitude ``alpha0`` is positive and finite.
+The overlap, :class:`PhaseDistribution` and the kernels raise ``ValueError``
+(the CLI exits 2) unless ``alpha0 > 0`` and ``2 * alpha0**2``, the factor of
+the overlap exponents, is finite (``alpha0`` up to about 9.48e153).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import lgamma
 
 import numpy as np
@@ -34,30 +34,15 @@ _MIN_GRID = 1 << 16
 
 
 def _require_amplitude(alpha0: float) -> None:
-    if not 0.0 < alpha0 < math.inf:  # also rejects nan
-        raise ValueError(f"alpha0 must be positive and finite, got {alpha0}")
+    # a float product overflows to inf where ``alpha0**2`` raises; nan fails too
+    if not (alpha0 > 0.0 and math.isfinite(2.0 * float(alpha0) * float(alpha0))):
+        raise ValueError(f"alpha0 must be positive with 2 * alpha0**2 finite, got {alpha0}")
 
 
-@dataclass(frozen=True)
-class CoherentState:
-    """Amplitude-phase pair alpha0 * exp(i theta), 0 < alpha0 < inf."""
-
-    alpha0: float
-    theta: float
-
-    def __post_init__(self) -> None:
-        _require_amplitude(self.alpha0)
-
-    @property
-    def amplitude(self) -> complex:
-        return self.alpha0 * complex(math.cos(self.theta), math.sin(self.theta))
-
-
-def coherent_overlap_mag(a: CoherentState, b: CoherentState) -> float:
-    """|<a|b>| = exp(-alpha0^2 (1 - cos dtheta)) for equal amplitudes."""
-    if abs(a.alpha0 - b.alpha0) > 1e-12:
-        raise ValueError("overlap rule requires equal amplitudes")
-    return math.exp(-a.alpha0**2 * (1.0 - math.cos(a.theta - b.theta)))
+def coherent_overlap_mag(alpha0: float, dtheta: float) -> float:
+    """|<alpha0 e^(i theta) | alpha0 e^(i (theta + dtheta))>| = exp(-alpha0^2 (1 - cos dtheta))."""
+    _require_amplitude(alpha0)
+    return math.exp(-alpha0**2 * (1.0 - math.cos(dtheta)))
 
 
 def _noise_blocks(rng: np.random.Generator, re: np.ndarray):
@@ -84,7 +69,8 @@ def _rounded_acceptance(alpha0: float, M: int, errors, acc: np.ndarray) -> tuple
     """Mean acceptance and stderr of the phase errors ``(s, delta)`` rounded to M
     states, read into ``acc[s]`` from a table over the M + 1 offsets."""
     step = 2.0 * math.pi / M
-    table = np.exp(-2.0 * alpha0**2 * (1.0 - np.cos((np.arange(M + 1) - M // 2) * step)))
+    with np.errstate(over="ignore"):  # an exponent of -inf gives overlap 0
+        table = np.exp(-2.0 * alpha0**2 * (1.0 - np.cos((np.arange(M + 1) - M // 2) * step)))
     for s, delta in errors:
         np.take(table, (np.round(delta / step) + M // 2).astype(np.intp), out=acc[s])
     return _mean_stderr(acc)

@@ -50,7 +50,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import coding
-from .adversary import AttackReport, binary_entropy, impersonation_order_pmf, opaque_bound
+from .adversary import binary_entropy, impersonation_order_pmf, opaque_bound
 from .detection import ring_tables
 from .detection import square_root_measurement  # noqa: F401 - benchmarks/tracing.py patches it here
 from .harness import canonical_json
@@ -182,7 +182,8 @@ class SessionBatch:
     def transcript(self, i: int) -> SessionTranscript:
         """Session ``i``'s transcript, built from the arrays."""
         cfg, aborted = self.configs[i], self.columns["aborted"]
-        report = asdict(AttackReport(strategy=cfg.eve_strategy))
+        report = dict(strategy=cfg.eve_strategy, per_qubit_success=0.0, deterministic_bits=0,
+                      shannon_bits=0.0, order_guess_distribution=())
         head = dict(config=asdict(cfg), states_sent=self.states_sent[i].tolist(), eve_report=report)
         if aborted[i]:
             need = _layout(cfg)[3]

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from anonkey.adversary import (
-    AttackReport,
     binary_entropy,
     impersonation_order_pmf,
     joint_attack_factorization_check,
@@ -171,9 +170,3 @@ class TestBinaryEntropy:
         with pytest.raises(ValueError):
             binary_entropy(1.2)
 
-
-class TestAttackReport:
-    def test_validation(self):
-        AttackReport(strategy="opaque", per_qubit_success=0.75)
-        with pytest.raises(ValueError):
-            AttackReport(strategy="opaque", per_qubit_success=1.5)

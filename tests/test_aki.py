@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from anonkey.aki import (
-    AkiChallenge,
     SecretCirclePhase,
     aki_challenge,
     aki_impersonation,
@@ -19,26 +18,19 @@ def operators_close(a, b, atol=1e-9):
 
 
 class TestChallenge:
-    def test_forced_zero_phase(self):
-        ch = AkiChallenge(phi_a=0.0, phi_b=0.0, sent_state=circle_state_at(0.0))
-        assert operators_close(ch.sent_state, circle_state_at(0.0))
-
-    def test_forced_phase_addition(self):
-        # the constructor accepts the state at phi_b + phi_a
-        ch = AkiChallenge(phi_a=math.pi / 2, phi_b=math.pi / 2, sent_state=circle_state_at(math.pi))
-        assert operators_close(ch.sent_state, circle_state_at(math.pi), atol=1e-12)
-
-    def test_challenge_state_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            AkiChallenge(phi_a=0.0, phi_b=0.0, sent_state=circle_state_at(math.pi / 2))
+    def test_sent_state_is_key_rotated_by_challenge(self):
+        rng = np.random.default_rng(0)
+        for phi_b in (0.0, 0.7, math.pi / 2, 5.5, 2 * math.pi + 1.0):
+            phi_a, sent = aki_challenge(SecretCirclePhase(phi_b), rng, M=8)
+            assert operators_close(sent, circle_state_at(phi_b + phi_a), atol=1e-12)
 
     def test_phases_drawn_from_ring(self):
         rng = np.random.default_rng(1)
         M = 8
         step = 2 * math.pi / M
         for _ in range(200):
-            ch = aki_challenge(0.3, rng, M=M)
-            ratio = ch.phi_a / step
+            phi_a, _ = aki_challenge(SecretCirclePhase(0.3), rng, M=M)
+            ratio = phi_a / step
             assert ratio == pytest.approx(round(ratio), abs=1e-9)
 
     def test_challenge_phases_replay_the_generator_stream(self):
@@ -46,8 +38,9 @@ class TestChallenge:
         # so the uniformity check below on a vectorized draw applies to it
         M, n = 8, 2_000
         rng, ref = np.random.default_rng(2), np.random.default_rng(2)
+        key = SecretCirclePhase(0.0)
         for _ in range(n):
-            assert aki_challenge(0.0, rng, M=M).phi_a == 2 * math.pi * int(ref.integers(0, M)) / M
+            assert aki_challenge(key, rng, M=M)[0] == 2 * math.pi * int(ref.integers(0, M)) / M
 
     def test_challenge_phase_uniformity_chi2(self):
         # chi-squared goodness of fit at the 0.01 level, df = 7
@@ -57,18 +50,20 @@ class TestChallenge:
         chi2 = float(np.sum((counts - n / M) ** 2 / (n / M)))
         assert chi2 < 18.475  # critical value, df=7, alpha=0.01
 
-    def test_rejects_bad_m(self):
-        with pytest.raises(ValueError):
-            aki_challenge(0.0, np.random.default_rng(0), M=6)
+    @pytest.mark.parametrize("round_fn", [aki_challenge, run_honest_aki_round])
+    @pytest.mark.parametrize("M", [0, 6])
+    def test_rejects_bad_m(self, round_fn, M):
+        with pytest.raises(ValueError, match="multiple of 4"):
+            round_fn(SecretCirclePhase(0.0), np.random.default_rng(0), M=M)
 
 
 class TestRespond:
     def test_inverse_rotation(self):
         rng = np.random.default_rng(3)
         for phi_b in (0.0, 0.7, 2.0, 5.5):
-            ch = aki_challenge(phi_b, rng, M=8)
-            returned = SecretCirclePhase(phi_b).remove_phase(ch.sent_state)
-            assert operators_close(returned, circle_state_at(ch.phi_a), atol=1e-9)
+            key = SecretCirclePhase(phi_b)
+            phi_a, sent = aki_challenge(key, rng, M=8)
+            assert operators_close(key.remove_phase(sent), circle_state_at(phi_a), atol=1e-9)
 
     def test_zero_phase_is_identity(self):
         rho = circle_state(3, 8)
@@ -98,10 +93,8 @@ class TestVerify:
         # reference state; with it, the average ring overlap is one half.
         # Exact: average the acceptance over the M = 8 challenge phases.
         M = 8
-        challenges = [AkiChallenge(phi_a=2 * math.pi * j / M, phi_b=1.3,
-                                   sent_state=circle_state_at(1.3 + 2 * math.pi * j / M))
-                      for j in range(M)]
-        accept = [overlap(circle_state_at(0.0), circle_state_at(ch.phi_a)) for ch in challenges]
+        phases = [2 * math.pi * j / M for j in range(M)]
+        accept = [overlap(circle_state_at(0.0), circle_state_at(phi_a)) for phi_a in phases]
         assert sum(accept) / M == pytest.approx(0.5, abs=1e-12)
 
     def test_fixed_reference_replay_sampled(self):
@@ -111,8 +104,8 @@ class TestVerify:
         n = 10_000
         hits = 0
         for _ in range(n):
-            ch = aki_challenge(float(rng.uniform(0, 2 * math.pi)), rng, M=8)
-            hits += aki_verify(circle_state_at(0.0), ch.phi_a, rng)
+            phi_a, _ = aki_challenge(SecretCirclePhase(rng.uniform(0, 2 * math.pi)), rng, M=8)
+            hits += aki_verify(circle_state_at(0.0), phi_a, rng)
         assert abs(hits / n - 0.5) <= 4 * math.sqrt(0.25 / n)
 
 

@@ -376,10 +376,11 @@ class TestConfigFiles:
 
 
 class TestEdgeValidation:
-    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "1e154"])
     def test_amplitudes_must_be_positive_and_finite(self, tmp_path, capsys, value):
         # nan used to reach the Fock truncation and report
-        # "cannot convert float NaN to integer"
+        # "cannot convert float NaN to integer"; 1e154 printed pa=nan, as
+        # 2 * alpha0**2 overflows
         argv = ["coherent", "--alpha0", value, "--M", "16", "--trials", "10",
                 "--out", str(tmp_path / "o")]
         assert run_cli(argv) == 2

@@ -138,23 +138,31 @@ class TestCeccDispatch:
         assert code_rate("hamming74") == pytest.approx(4 / 7)
 
 
+def pa_rows(bits, hash_seed, out_len):
+    """One row, or one stack of rows, hashed under one seed: the stacked
+    ``(groups, rows, n)`` form of ``privacy_amplify`` with a single group."""
+    x = np.asarray(bits)
+    out = privacy_amplify(x.reshape(1, -1, x.shape[-1]), [hash_seed], out_len)
+    return out.reshape(x.shape[:-1] + (out_len,))
+
+
 class TestPrivacyAmplify:
     def test_zero_input_zero_output(self):
-        out = privacy_amplify(np.zeros(64, dtype=np.uint8), hash_seed=5, out_len=32)
+        out = pa_rows(np.zeros(64, dtype=np.uint8), 5, 32)
         assert np.array_equal(out, np.zeros(32, dtype=np.uint8))
 
     def test_deterministic(self):
         rng = np.random.default_rng(22)
         bits = rng.integers(0, 2, size=64, dtype=np.uint8)
-        a = privacy_amplify(bits, hash_seed=9, out_len=32)
-        b = privacy_amplify(bits, hash_seed=9, out_len=32)
+        a = pa_rows(bits, 9, 32)
+        b = pa_rows(bits, 9, 32)
         assert np.array_equal(a, b)
 
     def test_seed_changes_hash(self):
         rng = np.random.default_rng(23)
         bits = rng.integers(0, 2, size=64, dtype=np.uint8)
-        a = privacy_amplify(bits, hash_seed=1, out_len=32)
-        b = privacy_amplify(bits, hash_seed=2, out_len=32)
+        a = pa_rows(bits, 1, 32)
+        b = pa_rows(bits, 2, 32)
         assert not np.array_equal(a, b)
 
     def test_gf2_linearity(self):
@@ -162,9 +170,9 @@ class TestPrivacyAmplify:
         for _ in range(50):
             x = rng.integers(0, 2, size=48, dtype=np.uint8)
             y = rng.integers(0, 2, size=48, dtype=np.uint8)
-            hx = privacy_amplify(x, hash_seed=3, out_len=24)
-            hy = privacy_amplify(y, hash_seed=3, out_len=24)
-            hxy = privacy_amplify(x ^ y, hash_seed=3, out_len=24)
+            hx = pa_rows(x, 3, 24)
+            hy = pa_rows(y, 3, 24)
+            hxy = pa_rows(x ^ y, 3, 24)
             assert np.array_equal(hxy, hx ^ hy)
 
     def test_toeplitz_structure(self):
@@ -175,13 +183,13 @@ class TestPrivacyAmplify:
         for j in range(n):
             e = np.zeros(n, dtype=np.uint8)
             e[j] = 1
-            cols.append(privacy_amplify(e, hash_seed=11, out_len=out))
+            cols.append(pa_rows(e, 11, out))
         for j in range(1, n):
             assert np.array_equal(cols[j][1:], cols[j - 1][:-1])
 
     def test_out_len_validation(self):
         with pytest.raises(ValueError):
-            privacy_amplify(np.zeros(8, dtype=np.uint8), 0, 9)
+            pa_rows(np.zeros(8, dtype=np.uint8), 0, 9)
 
 
 def dense_toeplitz_pa(bits, hash_seed, out_len):
@@ -227,15 +235,14 @@ class TestPrivacyAmplifyFFT:
     @example(grid_edge_case(*GRID_EDGES[7], 0.97))
     def test_equals_dense_toeplitz_product(self, case):
         bits, seed, out_len = case
-        assert np.array_equal(privacy_amplify(bits, seed, out_len),
-                              dense_toeplitz_pa(bits, seed, out_len))
+        assert np.array_equal(pa_rows(bits, seed, out_len), dense_toeplitz_pa(bits, seed, out_len))
 
     @given(pa_cases(), st.integers(0, 2**32 - 1))
     def test_linear_over_gf2(self, case, other_seed):
         x, seed, out_len = case
         y = np.random.default_rng(other_seed).integers(0, 2, size=len(x), dtype=np.uint8)
-        assert np.array_equal(privacy_amplify(x ^ y, seed, out_len),
-                              privacy_amplify(x, seed, out_len) ^ privacy_amplify(y, seed, out_len))
+        assert np.array_equal(pa_rows(x ^ y, seed, out_len),
+                              pa_rows(x, seed, out_len) ^ pa_rows(y, seed, out_len))
 
     def test_exact_at_a_million_bits(self):
         # n = 2^20: the dense index matrix would need terabytes, so the
@@ -251,28 +258,28 @@ class TestPrivacyAmplifyFFT:
         for j in (0, n // 2 + 7, n - 1):
             e = np.zeros(n, dtype=np.uint8)
             e[j] = 1
-            assert np.array_equal(privacy_amplify(e, seed, out), column(j)), j
+            assert np.array_equal(pa_rows(e, seed, out), column(j)), j
 
         picks = np.random.default_rng(5).choice(n, size=40, replace=False)
         sparse = np.zeros(n, dtype=np.uint8)
         sparse[picks] = 1
         expected = np.bitwise_xor.reduce([column(j) for j in picks])
-        assert np.array_equal(privacy_amplify(sparse, seed, out), expected)
+        assert np.array_equal(pa_rows(sparse, seed, out), expected)
 
         window = np.concatenate([[0], np.cumsum(strip, dtype=np.int64)])
         i = np.arange(out)
         expected = ((window[i + n] - window[i]) % 2).astype(np.uint8)
-        assert np.array_equal(privacy_amplify(np.ones(n, dtype=np.uint8), seed, out), expected)
+        assert np.array_equal(pa_rows(np.ones(n, dtype=np.uint8), seed, out), expected)
 
     @given(pa_cases(max_n=512), st.integers(1, 4))
     def test_rows_hash_like_single_calls(self, case, n_rows):
         bits, seed, out_len = case
         rows = np.stack([bits] + [np.random.default_rng(seed + r).integers(0, 2, size=len(bits))
                                   for r in range(1, n_rows)])
-        out = privacy_amplify(rows, seed, out_len)
-        assert out.shape == (n_rows, out_len) and out.dtype == np.uint8
-        for row, hashed in zip(rows, out):
-            assert np.array_equal(hashed, privacy_amplify(row, seed, out_len))
+        out = privacy_amplify(rows[None], [seed], out_len)
+        assert out.shape == (1, n_rows, out_len) and out.dtype == np.uint8
+        for row, hashed in zip(rows, out[0]):
+            assert np.array_equal(hashed, pa_rows(row, seed, out_len))
             assert np.array_equal(hashed, dense_toeplitz_pa(row, seed, out_len))
 
     @pytest.mark.parametrize("n, out_len", GRID_EDGES)
@@ -280,7 +287,7 @@ class TestPrivacyAmplifyFFT:
         grids = []
         rfft = np.fft.rfft
         monkeypatch.setattr(np.fft, "rfft", lambda a, m, *rest: grids.append(m) or rfft(a, m, *rest))
-        privacy_amplify(np.ones(n, dtype=np.uint8), 1, out_len)
+        pa_rows(np.ones(n, dtype=np.uint8), 1, out_len)
         size = n + out_len - 1
         assert set(grids) == {1 << (size - 1).bit_length()}
         assert grids[0] >= size and grids[0] // 2 < size
@@ -294,9 +301,7 @@ class TestPrivacyAmplifyFFT:
         out = privacy_amplify(groups, seeds, out_len)
         assert out.shape == (n_groups, n_rows, out_len)
         for g, s in enumerate(seeds):
-            assert np.array_equal(out[g], privacy_amplify(groups[g], s, out_len))
-        flat = privacy_amplify(groups[:, 0], seeds, out_len)
-        assert np.array_equal(flat, out[:, 0])
+            assert np.array_equal(out[g], pa_rows(groups[g], s, out_len))
 
     def test_seed_per_group_validation(self):
         with pytest.raises(ValueError, match="hash seeds"):
@@ -306,27 +311,20 @@ class TestPrivacyAmplifyFFT:
         assert privacy_amplify(np.zeros((0, 2, 8), dtype=np.uint8), [], 4).shape == (0, 2, 4)
 
     def test_rows_shape_validation(self):
+        with pytest.raises(ValueError, match="3-D"):
+            privacy_amplify(np.zeros((2, 8), dtype=np.uint8), [0, 1], 4)
         with pytest.raises(ValueError):
-            privacy_amplify(np.zeros((2, 2, 8), dtype=np.uint8), 0, 4)
+            privacy_amplify(np.array([[[0, 1, 2, 0]]]), [0], 2)
         with pytest.raises(ValueError):
-            privacy_amplify(np.array([[0, 1, 2, 0]]), 0, 2)
-        with pytest.raises(ValueError):
-            privacy_amplify(np.zeros((2, 8), dtype=np.uint8), 0, 9)
+            privacy_amplify(np.zeros((1, 2, 8), dtype=np.uint8), [0], 9)
 
     def test_rows_zero_output_length(self):
-        out = privacy_amplify(np.ones((3, 8), dtype=np.uint8), 0, 0)
-        assert out.shape == (3, 0) and out.dtype == np.uint8
-        assert privacy_amplify(np.ones(8, dtype=np.uint8), 0, 0).shape == (0,)
-
-    def test_inexact_convolution_raises_on_rows(self, monkeypatch):
-        irfft = np.fft.irfft
-        monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: irfft(*a, **kw) + 0.3)
-        with pytest.raises(RuntimeError, match="exactness"):
-            privacy_amplify(np.ones((2, 64), dtype=np.uint8), 1, 32)
+        out = privacy_amplify(np.ones((2, 3, 8), dtype=np.uint8), [0, 1], 0)
+        assert out.shape == (2, 3, 0) and out.dtype == np.uint8
 
     def test_inexact_convolution_raises(self, monkeypatch):
         # a result that is not near an integer must never be rounded into a key
         irfft = np.fft.irfft
         monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: irfft(*a, **kw) + 0.3)
         with pytest.raises(RuntimeError, match="exactness"):
-            privacy_amplify(np.ones(64, dtype=np.uint8), 1, 32)
+            privacy_amplify(np.ones((2, 2, 64), dtype=np.uint8), [1, 2], 32)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from anonkey import coding, protocol
-from anonkey.adversary import AttackReport, binary_entropy, impersonation_order_pmf, opaque_bound
+from anonkey.adversary import binary_entropy, impersonation_order_pmf, opaque_bound
 from anonkey.detection import ring_tables
 from anonkey.harness import derive_seeds
 from anonkey.protocol import (
@@ -328,6 +328,12 @@ class TestTranscriptJson:
         assert t.to_json() == json.dumps(asdict(t), sort_keys=True, indent=2)
 
 
+def attack_report(strategy, **fields):
+    """A transcript's ``eve_report``: the fields every strategy reports, then its own."""
+    return {"strategy": strategy, "per_qubit_success": 0.0, "deterministic_bits": 0,
+            "shannon_bits": 0.0, "order_guess_distribution": (), **fields}
+
+
 def reference_session(cfg):
     """One session computed on its own, one numpy call per step: the
     reference that the batched core's transcripts must equal."""
@@ -364,7 +370,7 @@ def reference_session(cfg):
         return SessionTranscript(
             config=asdict(cfg),
             states_sent=sent.tolist(),
-            eve_report=asdict(AttackReport(strategy=cfg.eve_strategy)),
+            eve_report=attack_report(cfg.eve_strategy),
             aborted=True,
             abort_reason=f"only {len(arrived)} of {n_slots} needed qubits survived the channel",
         )
@@ -406,8 +412,8 @@ def reference_session(cfg):
     # privacy amplification of the 8k sifted bits down to 4k
     out_len = 4 * cfg.k
     key_adam, key_counterpart = coding.privacy_amplify(
-        np.stack([adam_raw, counterpart_raw]), cfg.pa_hash_seed, out_len
-    )
+        np.stack([adam_raw, counterpart_raw])[None], [cfg.pa_hash_seed], out_len
+    )[0]
 
     # step (iv): trial encryption of the fixed public plaintext
     t = min(len(TRIAL_PLAINTEXT), out_len)
@@ -417,23 +423,17 @@ def reference_session(cfg):
     if cfg.eve_strategy == "opaque":
         hits = eve_offsets[used] == 0
         pre_code_err = float(np.mean(adam_coded[:n_coded] != coded))
-        eve_report = asdict(
-            AttackReport(strategy="opaque", per_qubit_success=float(np.mean(hits)))
-        )
-        eve_report.update(adam_coded_bit_error_rate=pre_code_err, intercepted_qubits=n_sent)
+        eve_report = attack_report("opaque", per_qubit_success=float(np.mean(hits)),
+                                   adam_coded_bit_error_rate=pre_code_err, intercepted_qubits=n_sent)
     elif cfg.eve_strategy == "impersonate-order":
         right = guesses == orders
         wrong_slots = np.repeat(~right, BLOCK_SIZE)
         coded_slots_mask = np.arange(n_slots) < n_coded
         wrong_errs = int(np.sum((adam_coded != slot_bits) & wrong_slots & coded_slots_mask))
-        eve_report = asdict(
-            AttackReport(
-                strategy="impersonate-order",
-                per_qubit_success=float(np.mean(adam_coded[:n_coded] == coded)),
-                order_guess_distribution=tuple(impersonation_order_pmf(n_blocks).tolist()),
-            )
-        )
-        eve_report.update(
+        eve_report = attack_report(
+            "impersonate-order",
+            per_qubit_success=float(np.mean(adam_coded[:n_coded] == coded)),
+            order_guess_distribution=tuple(impersonation_order_pmf(n_blocks).tolist()),
             blocks_guessed_right=int(np.sum(right)),
             blocks_total=n_blocks,
             wrong_block_qubits=int(np.sum(wrong_slots & coded_slots_mask)),
@@ -447,17 +447,15 @@ def reference_session(cfg):
         guessed = rng.random(n_blocks) < 0.25
         det_bits = int(np.sum(guessed) * BLOCK_SIZE)
         other = int(n_slots - det_bits)
-        eve_report = asdict(
-            AttackReport(
-                strategy="translucent",
-                per_qubit_success=pa,
-                deterministic_bits=det_bits,
-                shannon_bits=float(other * (1.0 - binary_entropy(pa))),
-            )
+        eve_report = attack_report(
+            "translucent",
+            per_qubit_success=pa,
+            deterministic_bits=det_bits,
+            shannon_bits=float(other * (1.0 - binary_entropy(pa))),
+            blocks_guessed_right=int(np.sum(guessed)),
         )
-        eve_report.update(blocks_guessed_right=int(np.sum(guessed)))
     else:
-        eve_report = asdict(AttackReport(strategy="none"))
+        eve_report = attack_report("none")
 
     return SessionTranscript(
         config=asdict(cfg),
