@@ -16,15 +16,14 @@ import numpy as np
 
 from .detection import helstrom_binary, ring_tables
 from .detection import square_root_measurement  # noqa: F401 - benchmarks/tracing.py patches it here
-from .harness import binomial_stderr, draw_blocks
+from .harness import binomial_stderr, draw_blocks, require_count, require_probability
 from .states import DensityOperator, circle_states, require_ring_size, tensor
 from .states import uniform_circle_ensemble  # noqa: F401 - benchmarks/tracing.py patches it here
 
 
 def binary_entropy(p: float) -> float:
     """Binary entropy in bits."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be a probability")
+    require_probability("p", p)
     if p in (0.0, 1.0):
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
@@ -44,8 +43,7 @@ def impersonation_order_pmf(k: int) -> np.ndarray:
     correctly, so no term overflows or loses precision at any k.  Cached per
     k and returned read-only.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    require_count("k", k)
     denom = 4**k
     t = 3**k
     pmf = np.empty(k + 1)
@@ -102,8 +100,7 @@ def sequential_strategy_pc(M: int, trials: int, seed: int) -> tuple[float, float
     (estimate, stderr)
     """
     require_ring_size(M)
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    require_count("trials", trials)
     rng = np.random.default_rng(seed)
     tables = ring_tables(M)
 
@@ -131,8 +128,7 @@ def translucent_accounting(k: int, pa: float) -> tuple[int, float]:
     (2k deterministic bits); the rest leak at the capacity of a binary
     symmetric channel whose success rate is the two-copy optimum ``pa``.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    require_count("k", k)
     if not 0.5 <= pa <= 1.0:
         raise ValueError("pa must lie in [0.5, 1]")
     deterministic = 2 * k
@@ -151,7 +147,7 @@ def joint_attack_factorization_check(M: int) -> bool:
     two numerically via the four-outcome product measurement.
     """
     rho0, rho1 = two_copy_states(M)
-    _, single = helstrom_binary(rho0, rho1, 0.5)
+    povm, single = helstrom_binary(rho0, rho1, 0.5)
 
     # marginal problems on the 16-dimensional joint space: the other bit's
     # factor averages to the same spectator state under both hypotheses
@@ -161,7 +157,6 @@ def joint_attack_factorization_check(M: int) -> bool:
     best_joint_errsum = (1.0 - joint_bit1) + (1.0 - joint_bit2)
 
     # exhaustive enumeration of the product measurement's four outcomes
-    povm, _ = helstrom_binary(rho0, rho1, 0.5)
     hyp = [tensor(a, b).matrix for a in (rho0, rho1) for b in (rho0, rho1)]
     errsum = 0.0
     for h_idx, h in enumerate(hyp):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .detection import ring_tables
 from .detection import square_root_measurement  # noqa: F401 - benchmarks/tracing.py patches it here
-from .harness import BLOCK, binomial_stderr, draw_blocks
+from .harness import BLOCK, binomial_stderr, draw_blocks, require_count
 from .states import DensityOperator, circle_state_at, overlap, require_ring_size, rotate_circle
 from .states import uniform_circle_ensemble  # noqa: F401 - benchmarks/tracing.py patches it here
 
@@ -111,11 +111,9 @@ def aki_impersonation(m: int, M: int, trials: int, seed: int) -> tuple[float, fl
     -------
     (estimate, stderr)
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    require_count("m", m)
     require_ring_size(M)
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    require_count("trials", trials)
     rng = np.random.default_rng(seed)
     tables = ring_tables(M)
     size = max(1, BLOCK // m) * m  # whole trials per block

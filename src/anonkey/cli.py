@@ -23,7 +23,8 @@ Common flags: ``--config <json>`` (flat object of parameter names, each value
 of its flag's JSON type: true/false for a switch, a comma string for a list,
 a string or null for ``out``; explicit flags override), ``--out``, ``--format
 csv|json``; all but ``detect`` take ``--seed`` and ``--trials``.  Every list
-needs at least one entry.
+needs at least one entry.  The CLI checks JSON types, list syntax, choices and the
+seed range; every other rule is the library's ``require_*`` function for the value.
 Exit codes: 0 success, 1 internal error (Python prints the traceback), 2 configuration
 error (also an unreadable ``--config`` or unwritable ``--out``), 3 session abort.
 """
@@ -33,12 +34,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import sys
 from functools import lru_cache, partial
 
 from . import adversary, aki, coding, coherent, detection, states
-from .harness import ResultTable, derive_seeds
+from .harness import ResultTable, derive_seeds, require_count, require_probability
 from .protocol import EVE_STRATEGIES, ChannelModel, SessionConfig, run_ake_sessions
 from .protocol import run_ake_session  # noqa: F401 - benchmarks/tracing.py patches it here
 
@@ -51,19 +51,24 @@ class ConfigError(Exception):
     pass
 
 
-def _positive(key: str, v) -> int:
+def _rule(key: str, rule, value):
+    """``value``, once the library input ``rule`` accepts it; its ValueError names the key."""
+    try:
+        rule(value)
+    except ValueError as exc:
+        raise ConfigError(f"config key {key!r}: {exc}") from exc
+    return value
+
+
+def _integer(key: str, v, rule=None) -> int:
+    """An integer that ``rule`` accepts, by default the count rule under the key's name."""
     # type(), not isinstance: bool subclasses int, but {"trials": true} is not a count
-    if type(v) is not int or v < 1:
-        raise ConfigError(f"config key {key!r} must be a positive integer, got {v!r}")
-    return v
+    if type(v) is not int:
+        raise ConfigError(f"config key {key!r} must be an integer, got {v!r}")
+    return _rule(key, rule or partial(require_count, key), v)
 
 
-def _ring_size(key: str, M) -> int:
-    if _positive(key, M) % 4 != 0:
-        raise ConfigError(
-            f"config key {key!r} must hold ring sizes M that are multiples of 4, got {M}"
-        )
-    return M
+_ring_size = partial(_integer, rule=states.require_ring_size)
 
 
 def _seed(key: str, v) -> int:
@@ -73,9 +78,9 @@ def _seed(key: str, v) -> int:
 
 
 def _probability(key: str, v) -> float:
-    if type(v) not in (int, float) or not 0.0 <= v <= 1.0:
-        raise ConfigError(f"config key {key!r} must be a number in [0, 1], got {v!r}")
-    return float(v)
+    if type(v) not in (int, float):
+        raise ConfigError(f"config key {key!r} must be a number, got {v!r}")
+    return float(_rule(key, partial(require_probability, key), v))
 
 
 def _switch(key: str, v) -> bool:
@@ -90,8 +95,8 @@ def _path(key: str, v) -> str | None:
     return v
 
 
-def _numbers(key: str, text, kind: type) -> list:
-    """Comma-separated positive finite numbers: ring sizes, qubit counts or amplitudes."""
+def _numbers(key: str, text, kind: type, rule) -> list:
+    """Comma-separated numbers of ``kind``, each passing the library ``rule``."""
     try:
         values = [kind(x) for x in text.split(",") if x != ""]
     except (AttributeError, ValueError) as exc:  # AttributeError: not a string
@@ -101,34 +106,13 @@ def _numbers(key: str, text, kind: type) -> list:
         ) from exc
     if not values:
         raise ConfigError(f"config key {key!r} must list at least one entry, got {text!r}")
-    for v in values:
-        if not 0 < v < math.inf:
-            raise ConfigError(f"config key {key!r} entries must be positive and finite, got {v!r}")
-    return values
+    return [_rule(key, rule, v) for v in values]
 
 
-_counts = partial(_numbers, kind=int)
-
-
-def _amplitudes(key: str, text) -> list[float]:
-    values = _numbers(key, text, float)
-    for a0 in values:
-        try:
-            coherent._require_amplitude(a0)
-        except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: {exc}") from exc
-    return values
-
-
-def _ring_sizes(key: str, text) -> list[int]:
-    return [_ring_size(key, M) for M in _numbers(key, text, int)]
-
-
-def _grid_sizes(key: str, text) -> list[int]:
-    values = _numbers(key, text, int)
-    if min(values) < 4:
-        raise ConfigError(f"config key {key!r} entries must be at least 4, got {text!r}")
-    return values
+_counts = partial(_numbers, kind=int, rule=partial(require_count, "m"))
+_ring_sizes = partial(_numbers, kind=int, rule=states.require_ring_size)
+_grid_sizes = partial(_numbers, kind=int, rule=coherent.require_grid_size)
+_amplitudes = partial(_numbers, kind=float, rule=coherent.require_amplitude)
 
 
 def _choice(flag: str, allowed: tuple, default: str) -> tuple:
@@ -151,7 +135,7 @@ def _monte_carlo(trials: int, fmt: str = "csv") -> dict[str, tuple]:
     """The seed, trial count and output keys of a Monte Carlo subcommand."""
     return {
         "seed": ("--seed", _seed, 0, {"type": int, "help": "master seed"}),
-        "trials": ("--trials", _positive, trials, {"type": int, "help": "Monte Carlo trials"}),
+        "trials": ("--trials", _integer, trials, {"type": int, "help": "Monte Carlo trials"}),
         **_output(fmt),
     }
 
@@ -170,12 +154,12 @@ _SUBCOMMANDS: dict[str, tuple[str, dict[str, tuple]]] = {
     }),
     "attack": ("adversary reports", {
         "strategy": _choice("--strategy", ("impersonation", "opaque", "translucent"), "opaque"),
-        "k": ("--k", _positive, 8, {"type": int, "help": "block count"}),
+        "k": ("--k", _integer, 8, {"type": int, "help": "block count"}),
         "m_list": ("--M", _ring_sizes, "8", _RING_LIST),
         **_monte_carlo(100_000),
     }),
     "ake": ("full key-distribution sessions", {
-        "k": ("--k", _positive, 4, {"type": int}),
+        "k": ("--k", _integer, 4, {"type": int}),
         "M": ("--M", _ring_size, 4, {"type": int}),
         "eve": _choice("--eve", EVE_STRATEGIES, "none"),
         "cecc": _choice("--cecc", coding.CODES, "hamming74"),
@@ -236,6 +220,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
     for key, (_, check, _, _) in keys.items():
         flag = getattr(args, key)
         merged[key] = check(key, merged[key] if flag is None else flag)
+    # the one rule that spans keys: the canonical estimator's amplitude budget
+    if merged.get("estimator") in ("canonical", "all"):
+        for a0 in merged["alpha_list"]:
+            _rule("alpha_list", coherent.require_canonical_amplitude, a0)
     return merged
 
 

@@ -43,6 +43,12 @@ def _lookup_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _ENCODE, _DECODE, _CORRECTED = _lookup_tables()
 
 
+def require_code(code: str) -> None:
+    """Raise unless ``code`` names one of :data:`CODES`."""
+    if code not in CODES:
+        raise ValueError(f"unknown code {code!r}; choose from {CODES}")
+
+
 def _as_bits(bits, ndim: int = 1) -> np.ndarray:
     a = np.asarray(bits)
     if a.ndim != ndim:
@@ -56,11 +62,10 @@ def _as_bits(bits, ndim: int = 1) -> np.ndarray:
 def cecc_encode(data, code: str = "hamming74") -> np.ndarray:
     """Encode data bits with the named code: "none" passes them through,
     "hamming74" maps each 4 bits (length a multiple of 4) to a 7-bit codeword."""
+    require_code(code)
     d = _as_bits(data)
     if code == "none":
         return d
-    if code != "hamming74":
-        raise ValueError(f"unknown code {code!r}; choose from {CODES}")
     if len(d) % 4 != 0:
         raise ValueError(f"data length {len(d)} is not a multiple of 4")
     return _ENCODE[d.reshape(-1, 4) @ _WEIGHTS[3:]].reshape(-1)
@@ -74,21 +79,19 @@ def cecc_decode(received, code: str = "hamming74") -> tuple[np.ndarray, int]:
 
 def cecc_decode_rows(received, code: str = "hamming74") -> tuple[np.ndarray, np.ndarray]:
     """Decode every row of a 2-D stack; returns the data rows and each row's corrected count."""
+    require_code(code)
     r = _as_bits(received, ndim=2)
     if code == "none":
         return r.copy(), np.zeros(len(r), dtype=np.int64)
-    if code == "hamming74":
-        if r.shape[1] % 7 != 0:
-            raise ValueError(f"received length {r.shape[1]} is not a multiple of 7")
-        blocks = r.shape[1] // 7
-        words = r.reshape(len(r), blocks, 7) @ _WEIGHTS
-        return _DECODE[words].reshape(len(r), 4 * blocks), _CORRECTED[words].sum(axis=1)
-    raise ValueError(f"unknown code {code!r}; choose from {CODES}")
+    if r.shape[1] % 7 != 0:
+        raise ValueError(f"received length {r.shape[1]} is not a multiple of 7")
+    blocks = r.shape[1] // 7
+    words = r.reshape(len(r), blocks, 7) @ _WEIGHTS
+    return _DECODE[words].reshape(len(r), 4 * blocks), _CORRECTED[words].sum(axis=1)
 
 
 def code_rate(code: str) -> float:
-    if code not in CODES:
-        raise ValueError(f"unknown code {code!r}; choose from {CODES}")
+    require_code(code)
     return 4.0 / 7.0 if code == "hamming74" else 1.0
 
 

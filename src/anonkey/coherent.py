@@ -16,9 +16,10 @@ settles near 0.71 and the sharper canonical phase estimator, whose density
 outcome (amplitude error included) is re-prepared, which lands at exactly
 one half.
 
-The overlap, :class:`PhaseDistribution` and the kernels raise ``ValueError``
-(the CLI exits 2) unless ``alpha0 > 0`` and ``2 * alpha0**2``, the factor of
-the overlap exponents, is finite (``alpha0`` up to about 9.48e153).
+Every entry point raises ``ValueError`` (the CLI exits 2) unless ``alpha0 > 0``
+with ``2 * alpha0**2``, the overlap exponents' factor, finite (up to about
+9.48e153) and any ``M >= 4``; the canonical phase grid also holds at most
+:data:`MAX_PHASE_GRID` = 2^20 points, so there ``alpha0`` is at most about 1020.
 """
 
 from __future__ import annotations
@@ -28,20 +29,34 @@ from math import lgamma
 
 import numpy as np
 
-from .harness import BLOCK, CdfSearch, draw_blocks
+from .harness import BLOCK, CdfSearch, draw_blocks, require_count
 
 _MIN_GRID = 1 << 16
+MAX_PHASE_GRID = 1 << 20  # points of the canonical phase grid, at most
 
 
-def _require_amplitude(alpha0: float) -> None:
-    # a float product overflows to inf where ``alpha0**2`` raises; nan fails too
+def require_amplitude(alpha0: float) -> None:
+    """Raise unless ``alpha0 > 0`` and the float product ``2 * alpha0 * alpha0`` is finite."""
     if not (alpha0 > 0.0 and math.isfinite(2.0 * float(alpha0) * float(alpha0))):
         raise ValueError(f"alpha0 must be positive with 2 * alpha0**2 finite, got {alpha0}")
 
 
+def require_canonical_amplitude(alpha0: float) -> None:
+    """Raise unless ``alpha0`` is an amplitude whose Fock cutoff fits the phase grid."""
+    require_amplitude(alpha0)
+    if not min_truncation(alpha0) < MAX_PHASE_GRID:
+        raise ValueError(f"alpha0 must be at most about 1020 for the canonical grid, got {alpha0}")
+
+
+def require_grid_size(M: int) -> None:
+    """Raise unless the rounding ring size ``M`` is at least 4; nan fails too."""
+    if not M >= 4:
+        raise ValueError(f"M must be at least 4, got {M}")
+
+
 def coherent_overlap_mag(alpha0: float, dtheta: float) -> float:
     """|<alpha0 e^(i theta) | alpha0 e^(i (theta + dtheta))>| = exp(-alpha0^2 (1 - cos dtheta))."""
-    _require_amplitude(alpha0)
+    require_amplitude(alpha0)
     return math.exp(-alpha0**2 * (1.0 - math.cos(dtheta)))
 
 
@@ -85,11 +100,9 @@ def heterodyne_pa(alpha0: float, M: int, trials: int, seed: int) -> tuple[float,
     standard error.  The noise comes in blocks after the ring states, and the
     result equals the one-shot per-trial ``np.exp(1j * theta)`` form bit for bit.
     """
-    _require_amplitude(alpha0)
-    if M < 4:
-        raise ValueError("M must be at least 4")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    require_amplitude(alpha0)
+    require_grid_size(M)
+    require_count("trials", trials)
     rng = np.random.default_rng(seed)
     ring = 2.0 * math.pi * np.arange(M) / M
     sent, unwind = alpha0 * np.exp(1j * ring), np.exp(-1j * ring)
@@ -108,9 +121,8 @@ def heterodyne_resend_pa(alpha0: float, trials: int, seed: int) -> tuple[float, 
     the outcome distribution is exactly one half at every amplitude.  The
     noise is drawn as in :func:`heterodyne_pa`, in blocks.
     """
-    _require_amplitude(alpha0)
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    require_amplitude(alpha0)
+    require_count("trials", trials)
     rng = np.random.default_rng(seed)
     acc = rng.standard_normal(trials)  # the real noise parts, then the acceptances
     for s, noise in _noise_blocks(rng, acc):
@@ -138,7 +150,7 @@ class PhaseDistribution:
     """
 
     def __init__(self, alpha0: float) -> None:
-        _require_amplitude(alpha0)
+        require_canonical_amplitude(alpha0)
         self.alpha0 = float(alpha0)
         self.truncation = min_truncation(alpha0)
 
@@ -209,10 +221,8 @@ def canonical_phase_pa(alpha0: float, M: int, trials: int, seed: int) -> tuple[f
     The uniforms come in blocks, and the result equals the one-shot
     ``np.interp`` inverse-CDF form bit for bit.
     """
-    if M < 4:
-        raise ValueError("M must be at least 4")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    require_grid_size(M)
+    require_count("trials", trials)
     dist = PhaseDistribution(alpha0)
     rng = np.random.default_rng(seed)
     errors = ((slice(i, i + BLOCK), dist.sample(rng, min(BLOCK, trials - i)))

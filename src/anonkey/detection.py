@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .harness import CdfSearch, binomial_stderr
+from .harness import CdfSearch, binomial_stderr, require_count, require_probability
 from .states import (
     ATOL,
     DensityOperator,
@@ -153,8 +153,7 @@ def helstrom_binary(
     """
     if rho0.dim != rho1.dim:
         raise ValueError("states must share one dimension")
-    if not 0.0 <= p0 <= 1.0:
-        raise ValueError("p0 must be a probability")
+    require_probability("p0", p0)
     gamma = p0 * rho0.matrix - (1.0 - p0) * rho1.matrix
     w, v = np.linalg.eigh(gamma)
     positive = w > SUPPORT_CUTOFF
@@ -255,8 +254,7 @@ def random_basis_strategy(M: int, rng_seed: int, trials: int) -> tuple[float, fl
         Fraction of accepted trials and its binomial standard error.
     """
     require_ring_size(M)
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    require_count("trials", trials)
     rng = np.random.default_rng(rng_seed)
     ov = ring_tables(M).ov
     true = rng.integers(0, M, size=trials)

@@ -7,6 +7,7 @@ scheduled.  Result rows carry their parameters, estimate, standard error,
 trial count and seed, and serialize to CSV or to a canonical JSON form whose
 parse/re-serialize round trip is byte-identical.  :func:`canonical_json`
 writes that form in one pass for large values such as session transcripts.
+:func:`require_count` and :func:`require_probability` are input rules for every module.
 """
 
 from __future__ import annotations
@@ -18,6 +19,18 @@ import json
 import numpy as np
 
 BLOCK = 1 << 16  # draws per block of a Monte Carlo kernel
+
+
+def require_count(name: str, value) -> None:
+    """Raise unless the count ``name`` is at least 1; NaN fails too."""
+    if not value >= 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+
+
+def require_probability(name: str, value) -> None:
+    """Raise unless the probability ``name`` lies in [0, 1]; NaN fails too."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be a probability in [0, 1], got {value}")
 
 
 def binomial_stderr(p: float, n: int) -> float:
@@ -33,8 +46,7 @@ def derive_seeds(master_seed: int, n: int) -> list[int]:
     which one stream reads at counter ``[1, 0, 0, i]``; advancing by
     ``2**192 - 1`` then moves the counter to ``[0, 0, 0, i + 1]``.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    require_count("n", n)
     bits, seeds = np.random.Philox(key=master_seed), []
     for _ in range(n):
         seeds.append(int(bits.random_raw()) >> 1)

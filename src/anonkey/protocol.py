@@ -1,7 +1,7 @@
 """Anonymous-key encryption sessions: state machines for Adam and Babe.
 
 One session runs the four protocol steps: Adam sends random ring states
-(enough to cover loss and the code rate); Babe encodes her raw bits through
+(the code's slots plus a quarter for loss); Babe encodes her raw bits through
 the classical code, modulates each surviving qubit a quarter-turn up or down
 the circle, and returns the stream in secret per-block orders (two secret
 bits select one of four overlap-free arrangements per 8-qubit block); Adam
@@ -53,7 +53,7 @@ from . import coding
 from .adversary import binary_entropy, impersonation_order_pmf, opaque_bound
 from .detection import ring_tables
 from .detection import square_root_measurement  # noqa: F401 - benchmarks/tracing.py patches it here
-from .harness import canonical_json
+from .harness import canonical_json, require_count, require_probability
 from .states import require_ring_size
 from .states import uniform_circle_ensemble  # noqa: F401 - benchmarks/tracing.py patches it here
 
@@ -65,6 +65,7 @@ ORDER_STRINGS = ("12345678", "87654321", "38462715", "41236587")
 ORDER_TABLE = np.array([[int(c) - 1 for c in s] for s in ORDER_STRINGS])
 INVERSE_ORDER_TABLE = np.argsort(ORDER_TABLE, axis=1)
 BLOCK_SIZE = 8
+SEND_MARGIN = 0.25  # qubits sent beyond the block slots, as a fraction of them
 
 #: Fixed public plaintext for the trial encryption (hex digits of pi).
 TRIAL_PLAINTEXT = np.array(
@@ -80,10 +81,8 @@ class ChannelModel:
     depolarize_prob: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("loss_prob", "depolarize_prob"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
+        require_probability("loss_prob", self.loss_prob)
+        require_probability("depolarize_prob", self.depolarize_prob)
 
 
 @dataclass(frozen=True)
@@ -102,20 +101,15 @@ class SessionConfig:
     pa_hash_seed: int = 0
     rng_seed: int = 0
     eve_strategy: str = "none"
-    send_margin: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
+        require_count("k", self.k)
         require_ring_size(self.M)
-        if self.cecc not in coding.CODES:
-            raise ValueError(f"unknown cecc {self.cecc!r}; choose from {coding.CODES}")
+        coding.require_code(self.cecc)
         if self.eve_strategy not in EVE_STRATEGIES:
             raise ValueError(
                 f"unknown eve_strategy {self.eve_strategy!r}; choose from {EVE_STRATEGIES}"
             )
-        if self.send_margin < 0.0:
-            raise ValueError("send_margin must be nonnegative")
 
 
 @dataclass
@@ -184,7 +178,8 @@ class SessionBatch:
         cfg, aborted = self.configs[i], self.columns["aborted"]
         report = dict(strategy=cfg.eve_strategy, per_qubit_success=0.0, deterministic_bits=0,
                       shannon_bits=0.0, order_guess_distribution=())
-        head = dict(config=asdict(cfg), states_sent=self.states_sent[i].tolist(), eve_report=report)
+        config = dict(asdict(cfg), send_margin=SEND_MARGIN)  # transcripts record the margin
+        head = dict(config=config, states_sent=self.states_sent[i].tolist(), eve_report=report)
         if aborted[i]:
             need = _layout(cfg)[3]
             reason = f"only {self.arrived[i]} of {need} needed qubits survived the channel"
@@ -222,7 +217,7 @@ def run_ake_sessions(configs: Sequence[SessionConfig]) -> Iterator[SessionBatch]
     bounded.  No session depends on the others or on the chunking.
     """
     configs = list(configs)
-    if len({(c.k, c.M, c.channel, c.cecc, c.eve_strategy, c.send_margin) for c in configs}) > 1:
+    if len({(c.k, c.M, c.channel, c.cecc, c.eve_strategy) for c in configs}) > 1:
         raise ValueError("sessions run together must differ only in their seeds")
     step = max(1, _SLOT_BUDGET // _layout(configs[0])[4]) if configs else 1
     for start in range(0, len(configs), step):
@@ -235,7 +230,7 @@ def _layout(cfg: SessionConfig) -> tuple[int, int, int, int, int]:
     n_coded = round(n_raw / coding.code_rate(cfg.cecc))
     n_blocks = math.ceil(n_coded / BLOCK_SIZE)
     n_slots = BLOCK_SIZE * n_blocks
-    return n_raw, n_coded, n_blocks, n_slots, math.ceil(n_slots * (1.0 + cfg.send_margin))
+    return n_raw, n_coded, n_blocks, n_slots, math.ceil(n_slots * (1.0 + SEND_MARGIN))
 
 
 def _run_batch(configs: list[SessionConfig]) -> SessionBatch:

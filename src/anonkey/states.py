@@ -39,7 +39,7 @@ PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 
 def require_ring_size(M: int) -> None:
     """Raise unless ``M`` is a positive multiple of 4 (a valid ring size)."""
-    if M <= 0 or M % 4 != 0:
+    if not (M > 0 and M % 4 == 0):  # nan fails too
         raise ValueError(f"M must be a positive multiple of 4, got {M}")
 
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from anonkey import aki, cli, protocol
+from anonkey import aki, cli, coherent, protocol, states
 from anonkey.cli import run_cli
-from anonkey.harness import derive_seeds
+from anonkey.harness import derive_seeds, require_count, require_probability
 from anonkey.protocol import SessionConfig, run_ake_session
 
 
@@ -444,6 +445,63 @@ class TestEdgeValidation:
         assert proc.returncode == 1
         assert "Traceback" in proc.stderr and "RuntimeError" in proc.stderr
         assert "configuration error" not in proc.stderr
+
+
+# each CLI key backed by a library rule: its argv up to the value, the value's
+# type and the rule.  Integer keys take the integer boundary values, number
+# keys nan, inf and a huge amplitude as well
+RULE_KEYS = {
+    "trials": (["aki", "--m", "1", "--trials"], int, partial(require_count, "trials")),
+    "attack-k": (["attack", "--strategy", "impersonation", "--k"], int,
+                 partial(require_count, "k")),
+    "ake-k": (["ake", "--k"], int, partial(require_count, "k")),
+    "aki-m_list": (["aki", "--trials", "10", "--m"], int, partial(require_count, "m")),
+    "aki-M": (["aki", "--m", "1", "--trials", "10", "--M"], int, states.require_ring_size),
+    "ake-M": (["ake", "--M"], int, states.require_ring_size),
+    "detect-m_list": (["detect", "--M"], int, states.require_ring_size),
+    "attack-m_list": (["attack", "--strategy", "opaque", "--trials", "10", "--M"], int,
+                      states.require_ring_size),
+    "coherent-m_list": (["coherent", "--alpha0", "3", "--trials", "10", "--M"], int,
+                        coherent.require_grid_size),
+    "alpha_list": (["coherent", "--M", "4", "--estimator", "heterodyne", "--trials", "10",
+                    "--alpha0"], float, coherent.require_amplitude),
+    "canonical-alpha_list": (["coherent", "--M", "4", "--estimator", "canonical",
+                              "--trials", "10", "--alpha0"], float,
+                             coherent.require_canonical_amplitude),
+    "loss": (["ake", "--loss"], float, partial(require_probability, "loss")),
+    "depolarize": (["ake", "--depolarize"], float, partial(require_probability, "depolarize")),
+}
+RULE_CASES = [
+    (key, value) for key, (_, kind, _) in RULE_KEYS.items()
+    for value in ["0", "-1", "3", "6"] + (["nan", "inf", "1e100"] if kind is float else [])
+]
+
+
+class TestLibraryRules:
+    # a key exits 2 naming itself exactly when its library rule refuses the
+    # value; otherwise the run goes ahead
+    @pytest.mark.parametrize("key, value", RULE_CASES, ids=[f"{k}={v}" for k, v in RULE_CASES])
+    def test_cli_refuses_what_the_rule_refuses(self, tmp_path, capsys, key, value):
+        argv, kind, rule = RULE_KEYS[key]
+        try:
+            rule(kind(value))
+            refused = False
+        except ValueError:
+            refused = True
+        code = run_cli(argv + [value, "--out", str(tmp_path / "o")])
+        named = f"config key '{key.split('-')[-1]}'" in capsys.readouterr().err
+        assert (code, named) == ((2, True) if refused else (0, False))
+
+    @pytest.mark.parametrize("estimator, code", [("canonical", 2), ("all", 2), ("heterodyne", 0)])
+    def test_canonical_amplitude_budget(self, tmp_path, capsys, estimator, code):
+        # only the canonical estimator builds a Fock series, so only it limits alpha0;
+        # the refusal comes before the output file is opened
+        out = tmp_path / "o.csv"
+        argv = ["coherent", "--alpha0", "1e100", "--M", "4", "--trials", "10",
+                "--estimator", estimator, "--out", str(out)]
+        assert run_cli(argv) == code
+        assert ("config key 'alpha_list'" in capsys.readouterr().err) == (code == 2)
+        assert out.exists() == (code == 0)
 
 
 def fresh_stdout(argv):

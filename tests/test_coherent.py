@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from anonkey.coherent import (
+    MAX_PHASE_GRID,
     PhaseDistribution,
     canonical_phase_pa,
     coherent_overlap_mag,
     heterodyne_pa,
     heterodyne_resend_pa,
     min_truncation,
+    require_canonical_amplitude,
 )
 
 
@@ -199,6 +201,23 @@ class TestCanonicalPhasePa:
     def test_validation(self):
         with pytest.raises(ValueError):
             canonical_phase_pa(5.0, 2, trials=10, seed=0)
+
+
+class TestCanonicalBudget:
+    def test_refused_before_anything_is_allocated(self):
+        # the Fock series of 1e100 would need about 1e200 coefficients; it
+        # used to fail inside np.arange with "Maximum allowed size exceeded"
+        with pytest.raises(ValueError, match="alpha0"):
+            PhaseDistribution(1e100)
+        with pytest.raises(ValueError, match="alpha0"):
+            canonical_phase_pa(1e100, 4, 10, 0)
+
+    def test_budget_is_the_largest_grid(self):
+        # checked by the rule alone: a grid at the limit takes seconds to build
+        require_canonical_amplitude(1020.0)
+        assert min_truncation(1020.0) < MAX_PHASE_GRID <= min_truncation(1021.0)
+        with pytest.raises(ValueError, match="alpha0"):
+            require_canonical_amplitude(1021.0)
 
 
 class TestAmplitudeValidation:

@@ -1,16 +1,21 @@
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anonkey import adversary, aki, coherent, detection, protocol
 from anonkey.harness import (
     ResultTable,
     canonical_json,
     derive_seeds,
+    require_count,
+    require_probability,
 )
+from anonkey.states import circle_state
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
@@ -50,6 +55,60 @@ class TestDeriveSeeds:
     def test_validation(self):
         with pytest.raises(ValueError):
             derive_seeds(0, 0)
+
+
+class TestInputRules:
+    @pytest.mark.parametrize("value", [1, 2, 10**30])
+    def test_count_accepts(self, value):
+        require_count("n", value)
+
+    @pytest.mark.parametrize("value", [0, -1, 0.5, -math.inf, math.nan])
+    def test_count_refuses(self, value):
+        with pytest.raises(ValueError, match="^n must be at least 1"):
+            require_count("n", value)
+
+    @pytest.mark.parametrize("value", [0, 0.0, 0.5, 1, 1.0])
+    def test_probability_accepts(self, value):
+        require_probability("p", value)
+
+    @pytest.mark.parametrize("value", [-1e-300, 1.0000001, 3, math.inf, math.nan])
+    def test_probability_refuses(self, value):
+        with pytest.raises(ValueError, match=r"^p must be a probability in \[0, 1\]"):
+            require_probability("p", value)
+
+    # each entry point, given nan for one parameter, refuses it by name;
+    # checks written as ``x < 1`` or ``M < 4`` used to let nan into numpy
+    NAN_CASES = {
+        "sequential_strategy_pc-trials": ("trials",
+                                          lambda v: adversary.sequential_strategy_pc(4, v, 0)),
+        "aki_impersonation-trials": ("trials", lambda v: aki.aki_impersonation(1, 4, v, 0)),
+        "aki_impersonation-m": ("m", lambda v: aki.aki_impersonation(v, 4, 10, 0)),
+        "random_basis_strategy-trials": ("trials",
+                                         lambda v: detection.random_basis_strategy(4, 0, v)),
+        "heterodyne_pa-trials": ("trials", lambda v: coherent.heterodyne_pa(3.0, 4, v, 0)),
+        "heterodyne_pa-M": ("M", lambda v: coherent.heterodyne_pa(3.0, v, 10, 0)),
+        "heterodyne_resend_pa-trials": ("trials",
+                                        lambda v: coherent.heterodyne_resend_pa(3.0, v, 0)),
+        "canonical_phase_pa-trials": ("trials",
+                                      lambda v: coherent.canonical_phase_pa(3.0, 4, v, 0)),
+        "canonical_phase_pa-M": ("M", lambda v: coherent.canonical_phase_pa(3.0, v, 10, 0)),
+        "impersonation_order_pmf-k": ("k", adversary.impersonation_order_pmf),
+        "translucent_accounting-k": ("k", lambda v: adversary.translucent_accounting(v, 0.75)),
+        "SessionConfig-k": ("k", lambda v: protocol.SessionConfig(k=v)),
+        "derive_seeds-n": ("n", lambda v: derive_seeds(0, v)),
+        "ChannelModel-loss_prob": ("loss_prob", protocol.ChannelModel),
+        "ChannelModel-depolarize_prob": ("depolarize_prob",
+                                         lambda v: protocol.ChannelModel(0.0, v)),
+        "binary_entropy-p": ("p", adversary.binary_entropy),
+        "helstrom_binary-p0": ("p0", lambda v: detection.helstrom_binary(
+            circle_state(0, 4), circle_state(1, 4), v)),
+    }
+
+    @pytest.mark.parametrize("case", NAN_CASES)
+    def test_entry_points_refuse_nan_by_name(self, case):
+        name, call = self.NAN_CASES[case]
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            call(math.nan)
 
 
 class TestResultTable:

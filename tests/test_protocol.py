@@ -346,7 +346,9 @@ def reference_session(cfg):
     n_blocks = math.ceil(n_coded / BLOCK_SIZE)
     n_slots = BLOCK_SIZE * n_blocks
     n_pad = n_slots - n_coded
-    n_sent = math.ceil(n_slots * (1.0 + cfg.send_margin))
+    send_margin = 0.25  # fixed, and recorded in every transcript's config
+    n_sent = math.ceil(n_slots * (1.0 + send_margin))
+    config = dict(asdict(cfg), send_margin=send_margin)
 
     # step (i): Adam transmits random ring states
     sent = rng.integers(0, M, size=n_sent)
@@ -368,7 +370,7 @@ def reference_session(cfg):
     arrived = np.flatnonzero(~lost)
     if len(arrived) < n_slots:
         return SessionTranscript(
-            config=asdict(cfg),
+            config=config,
             states_sent=sent.tolist(),
             eve_report=attack_report(cfg.eve_strategy),
             aborted=True,
@@ -458,7 +460,7 @@ def reference_session(cfg):
         eve_report = attack_report("none")
 
     return SessionTranscript(
-        config=asdict(cfg),
+        config=config,
         states_sent=sent.tolist(),
         eve_report=eve_report,
         orders_used=orders.tolist(),
