@@ -16,7 +16,7 @@ import numpy as np
 
 from .detection import helstrom_binary, ring_tables
 from .detection import square_root_measurement  # noqa: F401 - benchmarks/tracing.py patches it here
-from .harness import binomial_stderr, draw_blocks, require_count, require_probability
+from .harness import binomial_stderr, draw_blocks, require_count, require_probability, seeded_rng
 from .states import DensityOperator, circle_states, require_ring_size, tensor
 from .states import uniform_circle_ensemble  # noqa: F401 - benchmarks/tracing.py patches it here
 
@@ -29,7 +29,7 @@ def binary_entropy(p: float) -> float:
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)  # typed: 4.0 and True must not hit 4 and 1
 def impersonation_order_pmf(k: int) -> np.ndarray:
     """PMF of guessing q of k block orders right; success rate 1/4 each.
 
@@ -61,6 +61,7 @@ def two_copy_states(M: int) -> tuple[DensityOperator, DensityOperator]:
     correctly modulated return, bit j presents the average over the ring of
     ``rho(l) (x) rho(l +- M/4)`` (bit 0 rotates up the circle, bit 1 down).
     """
+    require_ring_size(M)
     q = M // 4
     ell = np.arange(M)
     first = circle_states(ell, M)
@@ -73,7 +74,7 @@ def two_copy_states(M: int) -> tuple[DensityOperator, DensityOperator]:
     return ring_average(circle_states(ell + q, M)), ring_average(circle_states(ell - q, M))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def opaque_bound(M: int) -> float:
     """Optimal two-copy success probability for reading the modulated bit.
 
@@ -99,17 +100,16 @@ def sequential_strategy_pc(M: int, trials: int, seed: int) -> tuple[float, float
     -------
     (estimate, stderr)
     """
-    require_ring_size(M)
     require_count("trials", trials)
-    rng = np.random.default_rng(seed)
-    tables = ring_tables(M)
+    rng = seeded_rng("seed", seed)
+    tables = ring_tables(M)  # refuses a bad M
 
     # bit j sits at ell + q(1 - 2j), the estimate at ell + d and "bit 0" a
     # quarter-turn up from it: the test reads ov[(-2qj - d) % M], where the
     # true state ell cancels.  It is drawn only to keep the stream.
     rng.integers(0, M, size=trials)
     code = rng.integers(0, 2, size=trials).astype(np.min_scalar_type(2 * M - 1))
-    code *= M  # j * M + d indexes the table below
+    code *= int(M)  # j * M + d indexes the table below; a numpy M would widen code
     for s, u in draw_blocks(rng.random, trials):
         code[s] = code[s] + tables.draw_offset(u)
     d = np.arange(M)
@@ -129,8 +129,9 @@ def translucent_accounting(k: int, pa: float) -> tuple[int, float]:
     symmetric channel whose success rate is the two-copy optimum ``pa``.
     """
     require_count("k", k)
-    if not 0.5 <= pa <= 1.0:
-        raise ValueError("pa must lie in [0.5, 1]")
+    require_probability("pa", pa)
+    if pa < 0.5:
+        raise ValueError(f"pa must be at least 0.5, got {pa!r}")
     deterministic = 2 * k
     shannon = 6.0 * k * (1.0 - binary_entropy(pa))
     return deterministic, shannon

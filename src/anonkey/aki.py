@@ -25,7 +25,7 @@ import numpy as np
 
 from .detection import ring_tables
 from .detection import square_root_measurement  # noqa: F401 - benchmarks/tracing.py patches it here
-from .harness import BLOCK, binomial_stderr, draw_blocks, require_count
+from .harness import BLOCK, binomial_stderr, draw_blocks, require_angle, require_count, seeded_rng
 from .states import DensityOperator, circle_state_at, overlap, require_ring_size, rotate_circle
 from .states import uniform_circle_ensemble  # noqa: F401 - benchmarks/tracing.py patches it here
 
@@ -47,6 +47,7 @@ class SecretCirclePhase:
     __slots__ = ("_phase", "audit_log")
 
     def __init__(self, phase: float) -> None:
+        require_angle("phase", phase)
         self._phase = float(phase) % _TWO_PI
         self.audit_log: list[tuple[str, str]] = []
 
@@ -82,6 +83,7 @@ def aki_verify(returned: DensityOperator, phi_a: float, rng: np.random.Generator
     honest noiseless round accepts with probability one rather than
     one-minus-rounding-error.
     """
+    require_angle("phi_a", phi_a)
     p = overlap(returned, circle_state_at(phi_a))
     p = min(max(p, 0.0), 1.0)
     if p >= 1.0 - _EXACT_ATOL:
@@ -112,10 +114,9 @@ def aki_impersonation(m: int, M: int, trials: int, seed: int) -> tuple[float, fl
     (estimate, stderr)
     """
     require_count("m", m)
-    require_ring_size(M)
     require_count("trials", trials)
-    rng = np.random.default_rng(seed)
-    tables = ring_tables(M)
+    rng = seeded_rng("seed", seed)
+    tables = ring_tables(M)  # refuses a bad M
     size = max(1, BLOCK // m) * m  # whole trials per block
 
     # per round: estimate offset delta ~ detector pmf; the returned state

@@ -23,8 +23,9 @@ Common flags: ``--config <json>`` (flat object of parameter names, each value
 of its flag's JSON type: true/false for a switch, a comma string for a list,
 a string or null for ``out``; explicit flags override), ``--out``, ``--format
 csv|json``; all but ``detect`` take ``--seed`` and ``--trials``.  Every list
-needs at least one entry.  The CLI checks JSON types, list syntax, choices and the
-seed range; every other rule is the library's ``require_*`` function for the value.
+needs at least one entry.  The CLI checks switches, paths, list syntax and choices;
+every number rule, type included, is the library's ``require_*`` function for the
+value (for the seed, ``harness.require_seed``).
 Exit codes: 0 success, 1 internal error (Python prints the traceback), 2 configuration
 error (also an unreadable ``--config`` or unwritable ``--out``), 3 session abort.
 """
@@ -38,7 +39,7 @@ import sys
 from functools import lru_cache, partial
 
 from . import adversary, aki, coding, coherent, detection, states
-from .harness import ResultTable, derive_seeds, require_count, require_probability
+from .harness import ResultTable, derive_seeds, require_count, require_probability, require_seed
 from .protocol import EVE_STRATEGIES, ChannelModel, SessionConfig, run_ake_sessions
 from .protocol import run_ake_session  # noqa: F401 - benchmarks/tracing.py patches it here
 
@@ -51,7 +52,7 @@ class ConfigError(Exception):
     pass
 
 
-def _rule(key: str, rule, value):
+def _rule(key: str, value, rule):
     """``value``, once the library input ``rule`` accepts it; its ValueError names the key."""
     try:
         rule(value)
@@ -60,27 +61,16 @@ def _rule(key: str, rule, value):
     return value
 
 
-def _integer(key: str, v, rule=None) -> int:
-    """An integer that ``rule`` accepts, by default the count rule under the key's name."""
-    # type(), not isinstance: bool subclasses int, but {"trials": true} is not a count
-    if type(v) is not int:
-        raise ConfigError(f"config key {key!r} must be an integer, got {v!r}")
-    return _rule(key, rule or partial(require_count, key), v)
+def _integer(key: str, v, rule=require_count) -> int:
+    """``v``, once the library ``rule(key, v)`` accepts it: by default the count rule."""
+    return _rule(key, v, partial(rule, key))
 
 
-_ring_size = partial(_integer, rule=states.require_ring_size)
-
-
-def _seed(key: str, v) -> int:
-    if type(v) is not int or not 0 <= v < 2**64:
-        raise ConfigError(f"config key {key!r} must be an integer in [0, 2**64), got {v!r}")
-    return v
+_ring_size = partial(_rule, rule=states.require_ring_size)
 
 
 def _probability(key: str, v) -> float:
-    if type(v) not in (int, float):
-        raise ConfigError(f"config key {key!r} must be a number, got {v!r}")
-    return float(_rule(key, partial(require_probability, key), v))
+    return float(_rule(key, v, partial(require_probability, key)))
 
 
 def _switch(key: str, v) -> bool:
@@ -106,7 +96,7 @@ def _numbers(key: str, text, kind: type, rule) -> list:
         ) from exc
     if not values:
         raise ConfigError(f"config key {key!r} must list at least one entry, got {text!r}")
-    return [_rule(key, rule, v) for v in values]
+    return [_rule(key, v, rule) for v in values]
 
 
 _counts = partial(_numbers, kind=int, rule=partial(require_count, "m"))
@@ -134,7 +124,8 @@ def _output(fmt: str = "csv") -> dict[str, tuple]:
 def _monte_carlo(trials: int, fmt: str = "csv") -> dict[str, tuple]:
     """The seed, trial count and output keys of a Monte Carlo subcommand."""
     return {
-        "seed": ("--seed", _seed, 0, {"type": int, "help": "master seed"}),
+        "seed": ("--seed", partial(_integer, rule=require_seed), 0,
+                 {"type": int, "help": "master seed"}),
         "trials": ("--trials", _integer, trials, {"type": int, "help": "Monte Carlo trials"}),
         **_output(fmt),
     }
@@ -223,7 +214,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
     # the one rule that spans keys: the canonical estimator's amplitude budget
     if merged.get("estimator") in ("canonical", "all"):
         for a0 in merged["alpha_list"]:
-            _rule("alpha_list", coherent.require_canonical_amplitude, a0)
+            _rule("alpha_list", a0, coherent.require_canonical_amplitude)
     return merged
 
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .harness import is_integer, require_seed
+
 CODES = ("none", "hamming74")
 
 # Hamming(7,4), 1-indexed codeword layout [p1 p2 d1 p3 d2 d3 d4]: column i of
@@ -115,10 +117,11 @@ def privacy_amplify(bits, hash_seeds, out_len: int) -> np.ndarray:
     ``RuntimeError`` rather than returning a wrong key.
     """
     x = _as_bits(bits, ndim=3)
-    seeds = list(hash_seeds)
+    for seed in (seeds := list(hash_seeds)):
+        require_seed("hash_seeds", seed)
     n = x.shape[-1]
-    if out_len < 0 or out_len > n:
-        raise ValueError(f"output length {out_len} must be between 0 and {n}")
+    if not (is_integer(out_len) and 0 <= out_len <= n):
+        raise ValueError(f"out_len must be an integer in [0, {n}], got {out_len!r}")
     if len(seeds) != len(x):
         raise ValueError(f"{len(seeds)} hash seeds for {len(x)} groups of rows")
     if out_len == 0:
@@ -126,7 +129,7 @@ def privacy_amplify(bits, hash_seeds, out_len: int) -> np.ndarray:
     strips = np.empty((len(seeds), n + out_len - 1), dtype=np.uint8)
     for g, seed in enumerate(seeds):
         strips[g] = np.random.default_rng(seed).integers(0, 2, size=strips.shape[1], dtype=np.uint8)
-    grid = 1 << (n + out_len - 2).bit_length()
+    grid = 1 << (n + int(out_len) - 2).bit_length()  # a numpy int has no bit_length
     spectrum = np.fft.rfft(x, grid)
     spectrum *= np.fft.rfft(strips, grid)[:, None, :]
     conv = np.fft.irfft(spectrum, grid)

@@ -16,10 +16,13 @@ settles near 0.71 and the sharper canonical phase estimator, whose density
 outcome (amplitude error included) is re-prepared, which lands at exactly
 one half.
 
-Every entry point raises ``ValueError`` (the CLI exits 2) unless ``alpha0 > 0``
-with ``2 * alpha0**2``, the overlap exponents' factor, finite (up to about
-9.48e153) and any ``M >= 4``; the canonical phase grid also holds at most
-:data:`MAX_PHASE_GRID` = 2^20 points, so there ``alpha0`` is at most about 1020.
+Every entry point raises ``ValueError`` (the CLI exits 2) unless its inputs
+pass their rules, none of which accepts a ``bool``: :func:`require_amplitude`
+(a real ``alpha0 > 0`` with ``2 * alpha0**2``, the overlap exponents' factor,
+finite: up to about 9.48e153), :func:`require_grid_size` (an integer ``M >= 4``)
+and the ``harness`` rules for ``trials``, ``seed`` and ``dtheta``.  The canonical
+phase grid also holds at most :data:`MAX_PHASE_GRID` = 2^20 points, so there
+``alpha0`` is at most about 1020 (:func:`require_canonical_amplitude`).
 """
 
 from __future__ import annotations
@@ -29,16 +32,18 @@ from math import lgamma
 
 import numpy as np
 
-from .harness import BLOCK, CdfSearch, draw_blocks, require_count
+from .harness import (BLOCK, CdfSearch, draw_blocks, is_integer, is_real, require_angle,
+                      require_count, seeded_rng)
 
 _MIN_GRID = 1 << 16
 MAX_PHASE_GRID = 1 << 20  # points of the canonical phase grid, at most
 
 
 def require_amplitude(alpha0: float) -> None:
-    """Raise unless ``alpha0 > 0`` and the float product ``2 * alpha0 * alpha0`` is finite."""
-    if not (alpha0 > 0.0 and math.isfinite(2.0 * float(alpha0) * float(alpha0))):
-        raise ValueError(f"alpha0 must be positive with 2 * alpha0**2 finite, got {alpha0}")
+    """Raise unless ``alpha0`` is real, ``alpha0 > 0`` and the float product
+    ``2 * alpha0 * alpha0`` is finite."""
+    if not (is_real(alpha0) and alpha0 > 0 and math.isfinite(2 * float(alpha0) * float(alpha0))):
+        raise ValueError(f"alpha0 must be positive with 2 * alpha0**2 finite, got {alpha0!r}")
 
 
 def require_canonical_amplitude(alpha0: float) -> None:
@@ -49,14 +54,15 @@ def require_canonical_amplitude(alpha0: float) -> None:
 
 
 def require_grid_size(M: int) -> None:
-    """Raise unless the rounding ring size ``M`` is at least 4; nan fails too."""
-    if not M >= 4:
-        raise ValueError(f"M must be at least 4, got {M}")
+    """Raise unless the rounding ring size ``M`` is an integer of at least 4."""
+    if not (is_integer(M) and M >= 4):
+        raise ValueError(f"M must be at least 4 (an integer), got {M!r}")
 
 
 def coherent_overlap_mag(alpha0: float, dtheta: float) -> float:
     """|<alpha0 e^(i theta) | alpha0 e^(i (theta + dtheta))>| = exp(-alpha0^2 (1 - cos dtheta))."""
     require_amplitude(alpha0)
+    require_angle("dtheta", dtheta)
     return math.exp(-alpha0**2 * (1.0 - math.cos(dtheta)))
 
 
@@ -103,7 +109,7 @@ def heterodyne_pa(alpha0: float, M: int, trials: int, seed: int) -> tuple[float,
     require_amplitude(alpha0)
     require_grid_size(M)
     require_count("trials", trials)
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng("seed", seed)
     ring = 2.0 * math.pi * np.arange(M) / M
     sent, unwind = alpha0 * np.exp(1j * ring), np.exp(-1j * ring)
     state = rng.integers(0, M, size=trials)
@@ -123,7 +129,7 @@ def heterodyne_resend_pa(alpha0: float, trials: int, seed: int) -> tuple[float, 
     """
     require_amplitude(alpha0)
     require_count("trials", trials)
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng("seed", seed)
     acc = rng.standard_normal(trials)  # the real noise parts, then the acceptances
     for s, noise in _noise_blocks(rng, acc):
         sq = np.square(np.abs(noise, out=acc[s]), out=acc[s])
@@ -224,7 +230,7 @@ def canonical_phase_pa(alpha0: float, M: int, trials: int, seed: int) -> tuple[f
     require_grid_size(M)
     require_count("trials", trials)
     dist = PhaseDistribution(alpha0)
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng("seed", seed)
     errors = ((slice(i, i + BLOCK), dist.sample(rng, min(BLOCK, trials - i)))
               for i in range(0, trials, BLOCK))
     return _rounded_acceptance(alpha0, M, errors, np.empty(trials))

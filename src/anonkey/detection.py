@@ -24,7 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .harness import CdfSearch, binomial_stderr, require_count, require_probability
+from .harness import (CdfSearch, binomial_stderr, is_real, require_count, require_probability,
+                      seeded_rng)
 from .states import (
     ATOL,
     DensityOperator,
@@ -75,9 +76,10 @@ class DetectionReport:
     certified_optimal: bool
 
     def __post_init__(self) -> None:
-        for name in ("pc", "pa"):
-            if not 0.0 - ATOL <= getattr(self, name) <= 1.0 + ATOL:
-                raise ValueError(f"{name} must be a probability")
+        # computed probabilities: a real number in [0, 1] within ATOL
+        for name, value in (("pc", self.pc), ("pa", self.pa)):
+            if not (is_real(value) and -ATOL <= value <= 1.0 + ATOL):
+                raise ValueError(f"{name} must be a probability, got {value!r}")
 
 
 def _real_traces(a: np.ndarray) -> np.ndarray:
@@ -106,7 +108,9 @@ def square_root_measurement(e: Ensemble) -> Povm:
 
 
 def uniform_guess_povm(n: int, dim: int) -> Povm:
-    """The n-outcome POVM I/n: reporting an estimate without measuring."""
+    """The n-outcome POVM I/n on ``dim`` dimensions: reporting an estimate without measuring."""
+    require_count("n", n)
+    require_count("dim", dim)
     return Povm(np.broadcast_to(np.eye(dim, dtype=complex) / n, (n, dim, dim)))
 
 
@@ -215,7 +219,7 @@ class RingTables(NamedTuple):
     draw_offset: CdfSearch
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 4.0 must not hit the entry for 4
 def ring_tables(M: int) -> RingTables:
     """The ring tables for ``M``, derived once from the density-operator algebra.
 
@@ -253,10 +257,9 @@ def random_basis_strategy(M: int, rng_seed: int, trials: int) -> tuple[float, fl
     (estimate, stderr)
         Fraction of accepted trials and its binomial standard error.
     """
-    require_ring_size(M)
     require_count("trials", trials)
-    rng = np.random.default_rng(rng_seed)
-    ov = ring_tables(M).ov
+    rng = seeded_rng("rng_seed", rng_seed)
+    ov = ring_tables(M).ov  # refuses a bad M
     true = rng.integers(0, M, size=trials)
     k = rng.integers(0, M, size=trials)
     p_first = ov[(k - true) % M]

@@ -7,7 +7,11 @@ scheduled.  Result rows carry their parameters, estimate, standard error,
 trial count and seed, and serialize to CSV or to a canonical JSON form whose
 parse/re-serialize round trip is byte-identical.  :func:`canonical_json`
 writes that form in one pass for large values such as session transcripts.
-:func:`require_count` and :func:`require_probability` are input rules for every module.
+:func:`require_count`, :func:`require_probability`, :func:`require_angle` and
+:func:`require_seed` are input rules for every module.  Each checks the value's
+type as well as its range, through :func:`is_integer` (a ``numbers.Integral``
+that is not a ``bool``) or :func:`is_real` (a ``numbers.Real`` that is not a
+``bool``).  :func:`seeded_rng` is ``np.random.default_rng`` behind the seed rule.
 """
 
 from __future__ import annotations
@@ -15,22 +19,51 @@ from __future__ import annotations
 import csv
 import io
 import json
+from numbers import Integral, Real
 
 import numpy as np
 
 BLOCK = 1 << 16  # draws per block of a Monte Carlo kernel
 
 
+def is_integer(value) -> bool:
+    """Is ``value`` a ``numbers.Integral`` other than a ``bool``?  A plain int is checked first."""
+    return type(value) is int or isinstance(value, Integral) and type(value) is not bool
+
+
+def is_real(value) -> bool:
+    """Is ``value`` a ``numbers.Real`` other than a ``bool``?  A float or int is checked first."""
+    return type(value) in (float, int) or isinstance(value, Real) and type(value) is not bool
+
+
 def require_count(name: str, value) -> None:
-    """Raise unless the count ``name`` is at least 1; NaN fails too."""
-    if not value >= 1:
-        raise ValueError(f"{name} must be at least 1, got {value}")
+    """Raise unless the count ``name`` is an integer of at least 1."""
+    if not (is_integer(value) and value >= 1):
+        raise ValueError(f"{name} must be at least 1 (an integer), got {value!r}")
 
 
 def require_probability(name: str, value) -> None:
-    """Raise unless the probability ``name`` lies in [0, 1]; NaN fails too."""
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be a probability in [0, 1], got {value}")
+    """Raise unless the probability ``name`` is a real number in [0, 1]; NaN fails too."""
+    if not (is_real(value) and 0.0 <= value <= 1.0):
+        raise ValueError(f"{name} must be a probability in [0, 1], got {value!r}")
+
+
+def require_angle(name: str, value) -> None:
+    """Raise unless the angle ``name`` is a finite real number (radians)."""
+    if not (is_real(value) and -np.inf < value < np.inf):
+        raise ValueError(f"{name} must be a finite angle, got {value!r}")
+
+
+def require_seed(name: str, value) -> None:
+    """Raise unless the seed ``name`` is an integer in [0, 2**64)."""
+    if not (is_integer(value) and 0 <= value < 2**64):
+        raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+
+
+def seeded_rng(name: str, seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)``, once :func:`require_seed` accepts the seed ``name``."""
+    require_seed(name, seed)
+    return np.random.default_rng(seed)
 
 
 def binomial_stderr(p: float, n: int) -> float:
@@ -46,6 +79,7 @@ def derive_seeds(master_seed: int, n: int) -> list[int]:
     which one stream reads at counter ``[1, 0, 0, i]``; advancing by
     ``2**192 - 1`` then moves the counter to ``[0, 0, 0, i + 1]``.
     """
+    require_seed("master_seed", master_seed)
     require_count("n", n)
     bits, seeds = np.random.Philox(key=master_seed), []
     for _ in range(n):

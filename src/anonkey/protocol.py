@@ -53,7 +53,7 @@ from . import coding
 from .adversary import binary_entropy, impersonation_order_pmf, opaque_bound
 from .detection import ring_tables
 from .detection import square_root_measurement  # noqa: F401 - benchmarks/tracing.py patches it here
-from .harness import canonical_json, require_count, require_probability
+from .harness import canonical_json, require_count, require_probability, require_seed
 from .states import require_ring_size
 from .states import uniform_circle_ensemble  # noqa: F401 - benchmarks/tracing.py patches it here
 
@@ -105,6 +105,8 @@ class SessionConfig:
     def __post_init__(self) -> None:
         require_count("k", self.k)
         require_ring_size(self.M)
+        require_seed("pa_hash_seed", self.pa_hash_seed)
+        require_seed("rng_seed", self.rng_seed)
         coding.require_code(self.cecc)
         if self.eve_strategy not in EVE_STRATEGIES:
             raise ValueError(

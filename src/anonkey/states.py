@@ -29,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .harness import is_integer, require_angle, require_count
+
 ATOL = 1e-9
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -38,9 +40,9 @@ PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 
 
 def require_ring_size(M: int) -> None:
-    """Raise unless ``M`` is a positive multiple of 4 (a valid ring size)."""
-    if not (M > 0 and M % 4 == 0):  # nan fails too
-        raise ValueError(f"M must be a positive multiple of 4, got {M}")
+    """Raise unless ``M`` is an integer and a positive multiple of 4 (a valid ring size)."""
+    if not (is_integer(M) and M > 0 and M % 4 == 0):
+        raise ValueError(f"M must be a positive multiple of 4 (an integer), got {M!r}")
 
 
 def checked_stack(mats, what: str, unit_trace: bool = False) -> np.ndarray:
@@ -165,8 +167,8 @@ class Ensemble:
 def _bloch_stack(r: np.ndarray) -> np.ndarray:
     """Stack of (I + r.sigma)/2, one per row of an (n, 3) Bloch array."""
     norm = np.linalg.norm(r, axis=1)
-    if (norm > 1.0 + ATOL).any():
-        raise ValueError(f"Bloch vector norm {norm.max()} exceeds 1")
+    if not (norm <= 1.0 + ATOL).all():  # a NaN norm fails too
+        raise ValueError(f"Bloch vector norm must be at most 1, got {norm.max()}")
     r = r[:, :, None, None]
     paulis = r[:, 0] * PAULI_X + r[:, 1] * PAULI_Y + r[:, 2] * PAULI_Z
     return 0.5 * (np.eye(2, dtype=complex) + paulis)
@@ -175,7 +177,7 @@ def _bloch_stack(r: np.ndarray) -> np.ndarray:
 def bloch_to_density(r) -> DensityOperator:
     """Build the qubit density operator (I + r.sigma)/2.
 
-    ``r`` is a length-3 sequence; raises if its norm exceeds 1 + 1e-9.
+    ``r`` is a length-3 sequence; raises unless its norm is at most 1 + 1e-9.
     """
     vec = np.asarray(r, dtype=float)
     if vec.shape != (3,):
@@ -184,7 +186,8 @@ def bloch_to_density(r) -> DensityOperator:
 
 
 def circle_state_at(phase: float) -> DensityOperator:
-    """Pure state at an arbitrary phase on the (sigma_1, sigma_3) circle."""
+    """Pure state at an arbitrary finite phase on the (sigma_1, sigma_3) circle."""
+    require_angle("phase", phase)
     return bloch_to_density((math.cos(phase), 0.0, math.sin(phase)))
 
 
@@ -218,6 +221,7 @@ def rotate_circle(state: DensityOperator, angle: float) -> DensityOperator:
     """
     if state.dim != 2:
         raise ValueError("rotate_circle acts on qubits")
+    require_angle("angle", angle)
     u = rotation_unitary(angle)
     return DensityOperator._trusted(u @ state.matrix @ u.conj().T)
 
@@ -251,6 +255,7 @@ def ensemble_mixture(e: Ensemble) -> DensityOperator:
 
 def uniform_circle_ensemble(M: int) -> Ensemble:
     """The ``M`` ring states ``ell = 1..M`` with equal priors 1/M."""
+    require_ring_size(M)
     return Ensemble(circle_states(np.arange(1, M + 1), M), np.full(M, 1.0 / M))
 
 
@@ -266,6 +271,7 @@ def sphere_grid_ensemble(n: int) -> Ensemble:
     ``n = 6`` returns the exact axis poles; larger ``n`` uses a Fibonacci
     lattice.  Used to probe the full-sphere (continuum) limit numerically.
     """
+    require_count("n", n)
     if n == 6:
         return six_state_ensemble()
     i = np.arange(n) + 0.5

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from anonkey import aki, cli, coherent, protocol, states
 from anonkey.cli import run_cli
-from anonkey.harness import derive_seeds, require_count, require_probability
+from anonkey.harness import derive_seeds, require_count, require_probability, require_seed
 from anonkey.protocol import SessionConfig, run_ake_session
 
 
@@ -470,11 +470,20 @@ RULE_KEYS = {
                              coherent.require_canonical_amplitude),
     "loss": (["ake", "--loss"], float, partial(require_probability, "loss")),
     "depolarize": (["ake", "--depolarize"], float, partial(require_probability, "depolarize")),
+    "seed": (["aki", "--m", "1", "--trials", "10", "--seed"], int, partial(require_seed, "seed")),
 }
 RULE_CASES = [
     (key, value) for key, (_, kind, _) in RULE_KEYS.items()
     for value in ["0", "-1", "3", "6"] + (["nan", "inf", "1e100"] if kind is float else [])
+    + ([str(2**64)] if key == "seed" else [])
 ]
+
+
+def _same_check(a, b):
+    """Do two key checks run the same code?  ``_monte_carlo`` builds a new seed partial per call."""
+    if isinstance(a, partial) and isinstance(b, partial):
+        return (a.func, a.args, a.keywords) == (b.func, b.args, b.keywords)
+    return a is b
 
 
 class TestLibraryRules:
@@ -491,6 +500,17 @@ class TestLibraryRules:
         code = run_cli(argv + [value, "--out", str(tmp_path / "o")])
         named = f"config key '{key.split('-')[-1]}'" in capsys.readouterr().err
         assert (code, named) == ((2, True) if refused else (0, False))
+
+    def test_every_rule_backed_key_has_a_row(self):
+        # a key whose check runs a library rule, rather than testing a switch,
+        # a path or a choice, needs a row in RULE_KEYS for its check
+        tested = [cli._SUBCOMMANDS[argv[0]][1][key.split("-")[-1]][1]
+                  for key, (argv, _, _) in RULE_KEYS.items()]
+        missing = [(sub, key) for sub, (_, keys) in cli._SUBCOMMANDS.items()
+                   for key, (_, check, _, settings) in keys.items()
+                   if check not in (cli._switch, cli._path) and "choices" not in settings
+                   and not any(_same_check(check, t) for t in tested)]
+        assert missing == []
 
     @pytest.mark.parametrize("estimator, code", [("canonical", 2), ("all", 2), ("heterodyne", 0)])
     def test_canonical_amplitude_budget(self, tmp_path, capsys, estimator, code):

@@ -43,8 +43,10 @@ class TestBlochToDensity:
         assert np.allclose(rho.matrix, 0.5 * np.ones((2, 2)), atol=ATOL)
 
     def test_norm_violation(self):
-        with pytest.raises(ValueError):
-            bloch_to_density((0, 0, 2))
+        # a NaN norm compares false with everything, so it must fail the test too
+        for r in [(0, 0, 2), (math.nan, 0, 0), (0, math.nan, 0), (0, 0, math.inf)]:
+            with pytest.raises(ValueError, match="^Bloch vector norm must be at most 1"):
+                bloch_to_density(r)
 
     def test_pure_iff_unit_norm(self):
         rng = np.random.default_rng(0)
