@@ -27,9 +27,7 @@ pmf = impersonation_order_pmf(16)
 print(f"  P(all 16 orders right) = {pmf[16]:.3e}")
 errors = qubits = fails = 0
 for s in derive_seeds(1, 50):
-    t = run_ake_session(
-        SessionConfig(k=16, rng_seed=s, cecc="none", eve_strategy="impersonate-order")
-    )
+    t = run_ake_session(SessionConfig(k=16, cecc="none", eve_strategy="impersonate-order"), s)
     errors += t.eve_report["wrong_block_errors"]
     qubits += t.eve_report["wrong_block_qubits"]
     fails += int(not t.trial_check_passed)

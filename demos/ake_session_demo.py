@@ -9,7 +9,7 @@ show the code earning its keep, and a third shows the abort path.
 
 from anonkey import ChannelModel, SessionConfig, run_ake_session
 
-t = run_ake_session(SessionConfig(k=4, M=4, rng_seed=11, pa_hash_seed=5, cecc="none"))
+t = run_ake_session(SessionConfig(k=4, M=4, cecc="none"), 11)
 print("noiseless session, k=4, no code (the ideal accounting)")
 print(f"  qubits sent:        {len(t.states_sent)}")
 print(f"  order blocks:       {len(t.orders_used)} ({t.expended_order_bits} secret bits)")
@@ -18,15 +18,13 @@ print(f"  keys equal:         {t.final_key_adam == t.final_key_babe}")
 print(f"  key bits:           {len(t.final_key_adam)}  -> net expansion "
       f"{len(t.final_key_adam) - t.expended_order_bits}")
 
-noisy = run_ake_session(
-    SessionConfig(k=8, rng_seed=12, pa_hash_seed=5, channel=ChannelModel(0.05, 0.01))
-)
+noisy = run_ake_session(SessionConfig(k=8, channel=ChannelModel(0.05, 0.01)), 12)
 print()
 print("5% loss + 1% depolarization, Hamming(7,4) on")
 print(f"  aborted:            {noisy.aborted}")
 print(f"  corrected blocks:   {noisy.corrected_blocks}")
 print(f"  trial check passed: {noisy.trial_check_passed}")
 
-dead = run_ake_session(SessionConfig(k=4, rng_seed=13, channel=ChannelModel(0.9, 0.0)))
+dead = run_ake_session(SessionConfig(k=4, channel=ChannelModel(0.9, 0.0)), 13)
 print()
 print("90% loss: aborted =", dead.aborted, "--", dead.abort_reason)

@@ -32,7 +32,7 @@ print()
 print("guessing without measuring: accepted "
       f"{acceptance_probability(uniform_circle_ensemble(4), uniform_guess_povm(4, 2)):.4f}")
 
-est, se = random_basis_strategy(16, rng_seed=1, trials=200_000)
+est, se = random_basis_strategy(16, trials=200_000, seed=1)
 print(f"random orthogonal basis, no knowledge of M: accepted {est:.4f} +- {se:.4f}")
 
 print()

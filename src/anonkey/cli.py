@@ -61,16 +61,13 @@ def _rule(key: str, value, rule):
     return value
 
 
-def _integer(key: str, v, rule=require_count) -> int:
+def _number(key: str, v, rule=require_count):
     """``v``, once the library ``rule(key, v)`` accepts it: by default the count rule."""
     return _rule(key, v, partial(rule, key))
 
 
 _ring_size = partial(_rule, rule=states.require_ring_size)
-
-
-def _probability(key: str, v) -> float:
-    return float(_rule(key, v, partial(require_probability, key)))
+_probability = partial(_number, rule=require_probability)
 
 
 def _switch(key: str, v) -> bool:
@@ -124,9 +121,9 @@ def _output(fmt: str = "csv") -> dict[str, tuple]:
 def _monte_carlo(trials: int, fmt: str = "csv") -> dict[str, tuple]:
     """The seed, trial count and output keys of a Monte Carlo subcommand."""
     return {
-        "seed": ("--seed", partial(_integer, rule=require_seed), 0,
+        "seed": ("--seed", partial(_number, rule=require_seed), 0,
                  {"type": int, "help": "master seed"}),
-        "trials": ("--trials", _integer, trials, {"type": int, "help": "Monte Carlo trials"}),
+        "trials": ("--trials", _number, trials, {"type": int, "help": "Monte Carlo trials"}),
         **_output(fmt),
     }
 
@@ -145,12 +142,12 @@ _SUBCOMMANDS: dict[str, tuple[str, dict[str, tuple]]] = {
     }),
     "attack": ("adversary reports", {
         "strategy": _choice("--strategy", ("impersonation", "opaque", "translucent"), "opaque"),
-        "k": ("--k", _integer, 8, {"type": int, "help": "block count"}),
+        "k": ("--k", _number, 8, {"type": int, "help": "block count"}),
         "m_list": ("--M", _ring_sizes, "8", _RING_LIST),
         **_monte_carlo(100_000),
     }),
     "ake": ("full key-distribution sessions", {
-        "k": ("--k", _integer, 4, {"type": int}),
+        "k": ("--k", _number, 4, {"type": int}),
         "M": ("--M", _ring_size, 4, {"type": int}),
         "eve": _choice("--eve", EVE_STRATEGIES, "none"),
         "cecc": _choice("--cecc", coding.CODES, "hamming74"),
@@ -277,12 +274,9 @@ def _run_ake(cfg: dict, fh) -> int:
     """Run the sessions and write their rows or transcripts to ``fh``; returns the exit code."""
     k, M = cfg["k"], cfg["M"]
     channel = ChannelModel(cfg["loss"], cfg["depolarize"])
+    session = SessionConfig(k=k, M=M, channel=channel, cecc=cfg["cecc"], eve_strategy=cfg["eve"])
     seeds = derive_seeds(cfg["seed"], cfg["trials"])
-    batches = run_ake_sessions(
-        SessionConfig(k=k, M=M, channel=channel, cecc=cfg["cecc"], pa_hash_seed=s ^ 0x5DEECE66D,
-                      rng_seed=s, eve_strategy=cfg["eve"])
-        for s in seeds
-    )
+    batches = run_ake_sessions(session, seeds)
     aborted = False
     if cfg["transcript"]:
         # each chunk's transcripts are written as they are built; the bytes

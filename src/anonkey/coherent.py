@@ -41,8 +41,10 @@ MAX_PHASE_GRID = 1 << 20  # points of the canonical phase grid, at most
 
 def require_amplitude(alpha0: float) -> None:
     """Raise unless ``alpha0`` is real, ``alpha0 > 0`` and the float product
-    ``2 * alpha0 * alpha0`` is finite."""
-    if not (is_real(alpha0) and alpha0 > 0 and math.isfinite(2 * float(alpha0) * float(alpha0))):
+    ``2 * alpha0 * alpha0`` is finite.  The exact comparison with 1e154 comes
+    first, so an int too large for a float is refused rather than converted."""
+    if not (is_real(alpha0) and 0 < alpha0 < 1e154
+            and math.isfinite(2 * float(alpha0) * float(alpha0))):
         raise ValueError(f"alpha0 must be positive with 2 * alpha0**2 finite, got {alpha0!r}")
 
 

@@ -244,7 +244,7 @@ def ring_tables(M: int) -> RingTables:
                       draw_offset=CdfSearch(cdf / cdf[-1]))
 
 
-def random_basis_strategy(M: int, rng_seed: int, trials: int) -> tuple[float, float]:
+def random_basis_strategy(M: int, trials: int, seed: int) -> tuple[float, float]:
     """Monte Carlo acceptance of the random-orthogonal-basis interceptor.
 
     The interceptor picks ``k`` uniformly, measures the orthogonal basis
@@ -258,7 +258,7 @@ def random_basis_strategy(M: int, rng_seed: int, trials: int) -> tuple[float, fl
         Fraction of accepted trials and its binomial standard error.
     """
     require_count("trials", trials)
-    rng = seeded_rng("rng_seed", rng_seed)
+    rng = seeded_rng("seed", seed)
     ov = ring_tables(M).ov  # refuses a bad M
     true = rng.integers(0, M, size=trials)
     k = rng.integers(0, M, size=trials)
@@ -268,20 +268,3 @@ def random_basis_strategy(M: int, rng_seed: int, trials: int) -> tuple[float, fl
     accepted = rng.random(trials) < ov[(reported - true) % M]
     p = float(np.mean(accepted))
     return p, binomial_stderr(p, trials)
-
-
-def rotated_srm_acceptance(M: int, angles: np.ndarray) -> np.ndarray:
-    """Acceptance of the SRM conjugated by a circle rotation of each angle.
-
-    Used to confirm numerically that no rotated variant of the square-root
-    measurement improves the acceptance probability on the uniform ring.
-    """
-    ov = ring_tables(M).ov
-    angles = np.asarray(angles, dtype=float)
-    # p(l'|l) for the rotated SRM is (2/M) |<psi_l | U(a) psi_l'>|^2 and the
-    # check passes with ov[(l' - l) mod M]; both depend on d = l - l' only,
-    # and each d occurs for M of the uniformly weighted (1/M) pairs
-    d = np.arange(M)
-    dphi = 2.0 * np.pi * d / M  # phase(l) - phase(l')
-    cond = (2.0 / M) * (1.0 + np.cos(dphi - angles[..., None])) / 2.0
-    return np.sum(cond * ov[(-d) % M], axis=-1)

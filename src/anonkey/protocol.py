@@ -18,12 +18,15 @@ anything.  The :class:`ChannelModel` loss and depolarization are sampled per
 qubit the same way, and a depolarized qubit reads as a fair coin at Adam's
 measurement.
 
-One core runs every session: :func:`run_ake_sessions` takes the sessions of
-a run, which differ only in their seeds.  Each draws on its own generator in
-a fixed order; all later steps are one pass over ``(sessions, qubits)``
-arrays, in memory-bounded chunks held by :class:`SessionBatch`, which builds
-a :class:`SessionTranscript` only when asked.  :func:`run_ake_session` is its
-one-session call.
+One core runs every session: :func:`run_ake_sessions` takes a run's one
+:class:`SessionConfig` and a seed per session.  Each session draws on its own
+generator, seeded with its seed, in a fixed order; all later steps are one
+pass over ``(sessions, qubits)`` arrays, in memory-bounded chunks held by
+:class:`SessionBatch`, which builds a :class:`SessionTranscript` only when
+asked.  :func:`run_ake_session` is its one-session call.  The privacy
+amplification hash is a public per-session choice fixed by the seed: a
+transcript's ``config`` records the seed as ``rng_seed`` and the hash seed,
+``pa_hash_seed = rng_seed XOR 0x5DEECE66D``.
 
 Adversaries
 -----------
@@ -44,7 +47,7 @@ Adversaries
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -66,6 +69,7 @@ ORDER_TABLE = np.array([[int(c) - 1 for c in s] for s in ORDER_STRINGS])
 INVERSE_ORDER_TABLE = np.argsort(ORDER_TABLE, axis=1)
 BLOCK_SIZE = 8
 SEND_MARGIN = 0.25  # qubits sent beyond the block slots, as a fraction of them
+PA_SEED_XOR = 0x5DEECE66D  # a session's hash seed is its seed XOR this
 
 #: Fixed public plaintext for the trial encryption (hex digits of pi).
 TRIAL_PLAINTEXT = np.array(
@@ -83,6 +87,9 @@ class ChannelModel:
     def __post_init__(self) -> None:
         require_probability("loss_prob", self.loss_prob)
         require_probability("depolarize_prob", self.depolarize_prob)
+        # numpy scalars pass the rules; plain floats serialize to JSON
+        object.__setattr__(self, "loss_prob", float(self.loss_prob))
+        object.__setattr__(self, "depolarize_prob", float(self.depolarize_prob))
 
 
 @dataclass(frozen=True)
@@ -90,23 +97,22 @@ class SessionConfig:
     """Everything one key-distribution session depends on.
 
     ``k`` counts 8-qubit data blocks: the session distills a 4k-bit key from
-    8k sifted bits.  Identical configs (seeds included) produce bit-identical
-    transcripts.
+    8k sifted bits.  Seeds are not part of it: identical configs run with
+    the same seed produce bit-identical transcripts.
     """
 
     k: int
     M: int = 4
     channel: ChannelModel = field(default_factory=ChannelModel)
     cecc: str = "hamming74"
-    pa_hash_seed: int = 0
-    rng_seed: int = 0
     eve_strategy: str = "none"
 
     def __post_init__(self) -> None:
         require_count("k", self.k)
         require_ring_size(self.M)
-        require_seed("pa_hash_seed", self.pa_hash_seed)
-        require_seed("rng_seed", self.rng_seed)
+        # numpy integers pass the rules; plain ints serialize to JSON
+        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "M", int(self.M))
         coding.require_code(self.cecc)
         if self.eve_strategy not in EVE_STRATEGIES:
             raise ValueError(
@@ -156,14 +162,16 @@ _SLOT_BUDGET = 1 << 14
 
 @dataclass
 class SessionBatch:
-    """Consecutive sessions of one run, held as arrays.
+    """Consecutive sessions of one run, held as arrays: the run's ``cfg`` and
+    the sessions' ``seeds``, one per session.
 
     ``columns`` holds one entry per session for each result column.  Aborted
     sessions stop at the loss check, so ``bits`` (the transcript's bit lists)
     and the array values of ``eve_stats`` hold one row per finished session.
     """
 
-    configs: list
+    cfg: SessionConfig
+    seeds: list
     states_sent: np.ndarray
     arrived: np.ndarray
     columns: dict
@@ -177,10 +185,12 @@ class SessionBatch:
 
     def transcript(self, i: int) -> SessionTranscript:
         """Session ``i``'s transcript, built from the arrays."""
-        cfg, aborted = self.configs[i], self.columns["aborted"]
+        cfg, seed, aborted = self.cfg, self.seeds[i], self.columns["aborted"]
         report = dict(strategy=cfg.eve_strategy, per_qubit_success=0.0, deterministic_bits=0,
                       shannon_bits=0.0, order_guess_distribution=())
-        config = dict(asdict(cfg), send_margin=SEND_MARGIN)  # transcripts record the margin
+        # transcripts record the seeds and the margin beside the config
+        config = dict(asdict(cfg), rng_seed=seed, pa_hash_seed=seed ^ PA_SEED_XOR,
+                      send_margin=SEND_MARGIN)
         head = dict(config=config, states_sent=self.states_sent[i].tolist(), eve_report=report)
         if aborted[i]:
             need = _layout(cfg)[3]
@@ -197,33 +207,34 @@ class SessionBatch:
         )
 
     def transcripts(self) -> Iterator[SessionTranscript]:
-        return (self.transcript(i) for i in range(len(self.configs)))
+        return (self.transcript(i) for i in range(len(self.seeds)))
 
 
-def run_ake_session(cfg: SessionConfig) -> SessionTranscript:
+def run_ake_session(cfg: SessionConfig, seed: int) -> SessionTranscript:
     """Run one full key-distribution session: :func:`run_ake_sessions` of one.
 
     Insufficient surviving qubits produce an aborted transcript, not an
-    exception.  All randomness flows from ``cfg.rng_seed`` in a fixed draw
-    order, so equal configs give byte-identical transcripts.
+    exception.  All randomness flows from ``seed`` in a fixed draw order, so
+    an equal config and seed give byte-identical transcripts.
     """
-    (batch,) = run_ake_sessions([cfg])
+    (batch,) = run_ake_sessions(cfg, [seed])
     return batch.transcript(0)
 
 
-def run_ake_sessions(configs: Sequence[SessionConfig]) -> Iterator[SessionBatch]:
-    """Run sessions that differ only in their seeds, in array passes.
+def run_ake_sessions(cfg: SessionConfig, seeds: Iterable[int]) -> Iterator[SessionBatch]:
+    """Run one session of ``cfg`` per seed, in array passes.
 
     Yields a :class:`SessionBatch` per chunk of consecutive sessions holding
     at most ``_SLOT_BUDGET`` sent qubits (or one session), so memory stays
     bounded.  No session depends on the others or on the chunking.
     """
-    configs = list(configs)
-    if len({(c.k, c.M, c.channel, c.cecc, c.eve_strategy) for c in configs}) > 1:
-        raise ValueError("sessions run together must differ only in their seeds")
-    step = max(1, _SLOT_BUDGET // _layout(configs[0])[4]) if configs else 1
-    for start in range(0, len(configs), step):
-        yield _run_batch(configs[start : start + step])
+    seeds = list(seeds)
+    for seed in seeds:
+        require_seed("seed", seed)
+    seeds = [int(seed) for seed in seeds]  # numpy integers pass the rule; ints serialize to JSON
+    step = max(1, _SLOT_BUDGET // _layout(cfg)[4])
+    for start in range(0, len(seeds), step):
+        yield _run_batch(cfg, seeds[start : start + step])
 
 
 def _layout(cfg: SessionConfig) -> tuple[int, int, int, int, int]:
@@ -235,8 +246,8 @@ def _layout(cfg: SessionConfig) -> tuple[int, int, int, int, int]:
     return n_raw, n_coded, n_blocks, n_slots, math.ceil(n_slots * (1.0 + SEND_MARGIN))
 
 
-def _run_batch(configs: list[SessionConfig]) -> SessionBatch:
-    cfg, S = configs[0], len(configs)
+def _run_batch(cfg: SessionConfig, seeds: list[int]) -> SessionBatch:
+    S = len(seeds)
     M, eve, channel, tables = cfg.M, cfg.eve_strategy, cfg.channel, ring_tables(cfg.M)
     n_raw, n_coded, n_blocks, n_slots, n_sent = _layout(cfg)
 
@@ -250,8 +261,8 @@ def _run_batch(configs: list[SessionConfig]) -> SessionBatch:
     u_adam, u_tap = np.empty((S, n_slots)), np.empty((S, n_blocks))
     arrived = np.empty(S, dtype=np.int64)
     F = 0
-    for i, c in enumerate(configs):
-        rng = np.random.default_rng(c.rng_seed)
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
         # step (i): Adam transmits random ring states; the channel acts once
         # per qubit round trip
         sent[i] = rng.integers(0, M, size=n_sent)
@@ -310,7 +321,7 @@ def _run_batch(configs: list[SessionConfig]) -> SessionBatch:
 
     # privacy amplification of the 8k sifted bits down to 4k, each session
     # under its own hash seed
-    pa_seeds = [c.pa_hash_seed for c, ok in zip(configs, done) if ok]
+    pa_seeds = [seed ^ PA_SEED_XOR for seed, ok in zip(seeds, done) if ok]
     keys = coding.privacy_amplify(np.stack([adam_raw, raw], axis=1), pa_seeds, 4 * cfg.k)
     key_adam, key_babe = keys[:, 0], keys[:, 1]
 
@@ -352,4 +363,4 @@ def _run_batch(configs: list[SessionConfig]) -> SessionBatch:
     columns["corrected_blocks"][done] = corrected
     bits = dict(orders_used=orders, raw_bits_babe=raw, raw_bits_adam=adam_raw,
                 final_key_adam=key_adam, final_key_babe=key_babe)
-    return SessionBatch(configs, sent, arrived, columns, bits, eve_stats)
+    return SessionBatch(cfg, seeds, sent, arrived, columns, bits, eve_stats)

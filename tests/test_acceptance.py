@@ -151,13 +151,7 @@ def test_c05_impersonation_detection():
         errors = qubits = failures = 0
         for s in derive_seeds(20_250_805, sessions):
             t = run_ake_session(
-                SessionConfig(
-                    k=64,
-                    rng_seed=s,
-                    pa_hash_seed=s ^ 0xA5A5A5,
-                    cecc="none",
-                    eve_strategy="impersonate-order",
-                )
+                SessionConfig(k=64, cecc="none", eve_strategy="impersonate-order"), s
             )
             errors += t.eve_report["wrong_block_errors"]
             qubits += t.eve_report["wrong_block_qubits"]
@@ -175,7 +169,7 @@ def test_c05_impersonation_detection():
 def test_c06_key_accounting():
     ok = True
     for k in range(1, 17):
-        t = run_ake_session(SessionConfig(k=k, cecc="none", rng_seed=k, pa_hash_seed=k))
+        t = run_ake_session(SessionConfig(k=k, cecc="none"), k)
         ok &= not t.aborted
         ok &= t.trial_check_passed
         ok &= t.final_key_adam == t.final_key_babe

@@ -139,8 +139,7 @@ class TestAke:
                 "--transcript", "--out", str(out)]
         assert run_cli(argv) == 0
         sessions = [
-            asdict(run_ake_session(SessionConfig(
-                k=k, M=8, eve_strategy=eve, pa_hash_seed=s ^ 0x5DEECE66D, rng_seed=s)))
+            asdict(run_ake_session(SessionConfig(k=k, M=8, eve_strategy=eve), s))
             for s in derive_seeds(12, 3)
         ]
         assert out.read_text() == json.dumps(sessions, sort_keys=True, indent=2) + "\n"

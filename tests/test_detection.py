@@ -14,7 +14,6 @@ from anonkey.detection import (
     helstrom_binary,
     random_basis_strategy,
     ring_tables,
-    rotated_srm_acceptance,
     square_root_measurement,
     uniform_guess_povm,
 )
@@ -22,6 +21,7 @@ from anonkey.states import (
     Ensemble,
     bloch_to_density,
     circle_state,
+    rotation_unitary,
     six_state_ensemble,
     sphere_grid_ensemble,
     uniform_circle_ensemble,
@@ -383,8 +383,6 @@ class TestCertifyOptimality:
         assert not certify_optimality(e, uniform_guess_povm(4, 2))
 
     def test_rotated_srm_fails_certificate(self):
-        from anonkey.states import rotation_unitary
-
         e = uniform_circle_ensemble(8)
         m = square_root_measurement(e)
         rng = np.random.default_rng(15)
@@ -397,7 +395,7 @@ class TestCertifyOptimality:
 class TestRandomBasisStrategy:
     @pytest.mark.parametrize("M", [4, 16])
     def test_three_quarters_without_knowing_m(self, M):
-        est, se = random_basis_strategy(M, rng_seed=100 + M, trials=100_000)
+        est, se = random_basis_strategy(M, trials=100_000, seed=100 + M)
         assert se < 0.005
         assert est == pytest.approx(0.75, abs=max(3 * se, 0.005))
 
@@ -406,17 +404,27 @@ class TestRandomBasisStrategy:
             random_basis_strategy(4, 0, 0)
 
     def test_deterministic(self):
-        assert random_basis_strategy(8, 7, 1000) == random_basis_strategy(8, 7, 1000)
+        # (M, trials, seed), the order of the other Monte Carlo kernels; the
+        # pinned pair fixes the draw stream
+        assert random_basis_strategy(8, 1000, 7) == random_basis_strategy(8, 1000, 7)
+        assert random_basis_strategy(8, 1000, 7) == (0.749, 0.013711272734505722)
 
 
 class TestRotatedSrmScan:
     def test_no_rotation_improves_acceptance(self):
-        # scan the rotated-detector family on a fine grid; the unrotated
-        # square-root measurement should sit at the maximum
-        angles = np.linspace(0.0, 2 * math.pi, 10_000, endpoint=False)
-        scores = rotated_srm_acceptance(8, angles)
+        # conjugate the ring's square-root measurement by a circle rotation
+        # of each angle on a grid and score it: the acceptance follows
+        # 1/2 + cos(angle)/4, so the unrotated measurement sits at the maximum
+        e = uniform_circle_ensemble(8)
+        m = square_root_measurement(e)
+        angles = np.linspace(0.0, 2 * math.pi, 720, endpoint=False)
+        scores = np.array([
+            acceptance_probability(e, Povm(u @ m.elements @ u.T))
+            for u in map(rotation_unitary, angles)
+        ])
         assert scores.max() <= 0.75 + 1e-9
         assert scores[0] == pytest.approx(0.75, abs=1e-9)
+        np.testing.assert_allclose(scores, 0.5 + np.cos(angles) / 4, rtol=0, atol=1e-12)
 
 
 class TestDetectionReport:

@@ -117,10 +117,11 @@ ACCEPTS = {
 # are checked through their rules elsewhere
 DRAWS = [0, -1, 1, 4, 8, 16, 2.5, 4.0, True, math.nan, math.inf, -math.inf, "3", None,
          np.int64(4)]
-EXTRA_DRAWS = {"seed": [2**64 - 1, 2**64, 2**70], "amplitude": [1e200, 20.0]}
+EXTRA_DRAWS = {"seed": [2**64 - 1, 2**64, 2**70], "amplitude": [1e200, 20.0, 10**400]}
 
 _STATE = circle_state(0, 4)
 _PA_BITS = np.ones((1, 1, 16), dtype=np.uint8)
+_SESSION = protocol.SessionConfig(k=1)
 
 # (callable, parameter, kind, the call with that parameter set to v); every
 # other argument is a small valid value
@@ -136,10 +137,9 @@ ENTRY_POINTS = [
      lambda v: detection.DetectionReport(0.5, v, None, True)),
     ("helstrom_binary", "p0", "probability",
      lambda v: detection.helstrom_binary(_STATE, circle_state(1, 4), v)),
-    ("random_basis_strategy", "M", "ring size", lambda v: detection.random_basis_strategy(v, 0, 10)),
-    ("random_basis_strategy", "rng_seed", "seed",
-     lambda v: detection.random_basis_strategy(4, v, 10)),
-    ("random_basis_strategy", "trials", "count", lambda v: detection.random_basis_strategy(4, 0, v)),
+    ("random_basis_strategy", "M", "ring size", lambda v: detection.random_basis_strategy(v, 10, 0)),
+    ("random_basis_strategy", "trials", "count", lambda v: detection.random_basis_strategy(4, v, 0)),
+    ("random_basis_strategy", "seed", "seed", lambda v: detection.random_basis_strategy(4, 10, v)),
     ("uniform_guess_povm", "n", "count", lambda v: detection.uniform_guess_povm(v, 2)),
     ("uniform_guess_povm", "dim", "count", lambda v: detection.uniform_guess_povm(2, v)),
     ("privacy_amplify", "hash_seeds", "seed", lambda v: coding.privacy_amplify(_PA_BITS, [v], 8)),
@@ -148,8 +148,7 @@ ENTRY_POINTS = [
     ("ChannelModel", "depolarize_prob", "probability", lambda v: protocol.ChannelModel(0.0, v)),
     ("SessionConfig", "k", "count", lambda v: protocol.SessionConfig(k=v)),
     ("SessionConfig", "M", "ring size", lambda v: protocol.SessionConfig(k=1, M=v)),
-    ("SessionConfig", "pa_hash_seed", "seed", lambda v: protocol.SessionConfig(k=1, pa_hash_seed=v)),
-    ("SessionConfig", "rng_seed", "seed", lambda v: protocol.SessionConfig(k=1, rng_seed=v)),
+    ("run_ake_session", "seed", "seed", lambda v: protocol.run_ake_session(_SESSION, v)),
     ("binary_entropy", "p", "probability", adversary.binary_entropy),
     ("impersonation_order_pmf", "k", "count", adversary.impersonation_order_pmf),
     ("joint_attack_factorization_check", "M", "ring size",

@@ -73,9 +73,7 @@ class TestHonestSessions:
     @pytest.mark.parametrize("cecc", ["none", "hamming74"])
     def test_noiseless_success_all_k(self, M, cecc):
         for k in range(1, 17):
-            t = run_ake_session(
-                SessionConfig(k=k, M=M, cecc=cecc, rng_seed=1000 * k + M, pa_hash_seed=k)
-            )
+            t = run_ake_session(SessionConfig(k=k, M=M, cecc=cecc), 1000 * k + M)
             assert not t.aborted
             assert t.trial_check_passed
             assert t.final_key_adam == t.final_key_babe
@@ -85,38 +83,34 @@ class TestHonestSessions:
         # ideal configuration: k order blocks cost 2k secret bits against a
         # 4k-bit key, a net expansion of 2k
         for k in (1, 3, 8, 16):
-            t = run_ake_session(SessionConfig(k=k, cecc="none", rng_seed=k))
+            t = run_ake_session(SessionConfig(k=k, cecc="none"), k)
             assert t.expended_order_bits == 2 * k
             assert len(t.orders_used) == k
             assert all(0 <= g <= 3 for g in t.orders_used)
             assert len(t.final_key_adam) - t.expended_order_bits == 2 * k
 
     def test_coded_sessions_use_more_order_bits(self):
-        t = run_ake_session(SessionConfig(k=4, cecc="hamming74", rng_seed=1))
+        t = run_ake_session(SessionConfig(k=4, cecc="hamming74"), 1)
         # 56 coded qubits fill exactly 7 blocks of 8
         assert t.expended_order_bits == 14
 
     def test_determinism_bit_for_bit(self):
-        cfg = SessionConfig(k=4, M=8, rng_seed=99, pa_hash_seed=7, eve_strategy="opaque")
-        assert run_ake_session(cfg).to_json() == run_ake_session(cfg).to_json()
+        cfg = SessionConfig(k=4, M=8, eve_strategy="opaque")
+        assert run_ake_session(cfg, 99).to_json() == run_ake_session(cfg, 99).to_json()
 
     def test_seed_changes_transcript(self):
-        a = run_ake_session(SessionConfig(k=4, rng_seed=1))
-        b = run_ake_session(SessionConfig(k=4, rng_seed=2))
+        a = run_ake_session(SessionConfig(k=4), 1)
+        b = run_ake_session(SessionConfig(k=4), 2)
         assert a.to_json() != b.to_json()
 
     def test_abort_on_heavy_loss(self):
-        t = run_ake_session(
-            SessionConfig(k=2, rng_seed=5, channel=ChannelModel(loss_prob=0.9))
-        )
+        t = run_ake_session(SessionConfig(k=2, channel=ChannelModel(loss_prob=0.9)), 5)
         assert t.aborted
         assert "survived" in t.abort_reason
         assert not t.trial_check_passed
 
     def test_loss_within_margin_succeeds(self):
-        t = run_ake_session(
-            SessionConfig(k=4, rng_seed=6, channel=ChannelModel(loss_prob=0.1))
-        )
+        t = run_ake_session(SessionConfig(k=4, channel=ChannelModel(loss_prob=0.1)), 6)
         assert not t.aborted and t.trial_check_passed
 
     def test_cecc_survives_one_percent_depolarization(self):
@@ -129,13 +123,7 @@ class TestHonestSessions:
         ok = 0
         for s in derive_seeds(424242, n):
             t = run_ake_session(
-                SessionConfig(
-                    k=8,
-                    rng_seed=s,
-                    pa_hash_seed=s ^ 0x77,
-                    cecc="hamming74",
-                    channel=ChannelModel(0.0, 0.01),
-                )
+                SessionConfig(k=8, cecc="hamming74", channel=ChannelModel(0.0, 0.01)), s
             )
             ok += int(
                 not t.aborted
@@ -150,11 +138,7 @@ class TestHonestSessions:
         # a fully depolarized qubit yields a uniform measurement outcome
         errs = total = 0
         for s in derive_seeds(515, 20):
-            t = run_ake_session(
-                SessionConfig(
-                    k=64, rng_seed=s, cecc="none", channel=ChannelModel(0.0, 1.0)
-                )
-            )
+            t = run_ake_session(SessionConfig(k=64, cecc="none", channel=ChannelModel(0.0, 1.0)), s)
             a = np.array(t.raw_bits_adam)
             b = np.array(t.raw_bits_babe)
             errs += int(np.sum(a != b))
@@ -167,9 +151,7 @@ class TestHonestSessions:
         passed = 0
         for s in derive_seeds(616, 200):
             t = run_ake_session(
-                SessionConfig(
-                    k=6, rng_seed=s, cecc="hamming74", channel=ChannelModel(0.0, 0.02)
-                )
+                SessionConfig(k=6, cecc="hamming74", channel=ChannelModel(0.0, 0.02)), s
             )
             if t.trial_check_passed:
                 passed += 1
@@ -178,9 +160,7 @@ class TestHonestSessions:
 
     def test_eve_report_carries_attack_report_fields(self):
         for strategy in ("none", "opaque", "impersonate-order", "translucent"):
-            t = run_ake_session(
-                SessionConfig(k=2, rng_seed=9, cecc="none", eve_strategy=strategy)
-            )
+            t = run_ake_session(SessionConfig(k=2, cecc="none", eve_strategy=strategy), 9)
             for key in (
                 "strategy",
                 "per_qubit_success",
@@ -194,16 +174,14 @@ class TestHonestSessions:
     def test_uncoded_sessions_fail_under_noise(self):
         fails = 0
         for s in derive_seeds(11, 50):
-            t = run_ake_session(
-                SessionConfig(k=8, rng_seed=s, cecc="none", channel=ChannelModel(0.0, 0.05))
-            )
+            t = run_ake_session(SessionConfig(k=8, cecc="none", channel=ChannelModel(0.0, 0.05)), s)
             fails += int(not t.trial_check_passed)
         assert fails > 25  # without the code, 5% noise ruins most sessions
 
     def test_transcript_json_shape(self):
         import json
 
-        t = run_ake_session(SessionConfig(k=2, rng_seed=3))
+        t = run_ake_session(SessionConfig(k=2), 3)
         data = json.loads(t.to_json())
         for key in (
             "config",
@@ -228,18 +206,14 @@ class TestOpaqueEve:
         errs = 0
         total = 0
         for s in derive_seeds(303, 10):
-            t = run_ake_session(
-                SessionConfig(k=64, rng_seed=s, cecc="none", eve_strategy="opaque")
-            )
+            t = run_ake_session(SessionConfig(k=64, cecc="none", eve_strategy="opaque"), s)
             r = t.eve_report
             errs += r["adam_coded_bit_error_rate"] * 512
             total += 512
         assert errs / total == pytest.approx(0.25, abs=0.01)
 
     def test_eve_identification_rate(self):
-        t = run_ake_session(
-            SessionConfig(k=64, M=8, rng_seed=5, cecc="none", eve_strategy="opaque")
-        )
+        t = run_ake_session(SessionConfig(k=64, M=8, cecc="none", eve_strategy="opaque"), 5)
         # optimal ring detector identifies with probability 2/M
         assert t.eve_report["per_qubit_success"] == pytest.approx(0.25, abs=0.06)
 
@@ -249,7 +223,7 @@ class TestImpersonationEve:
         errs = qubits = 0
         for s in derive_seeds(77, 100):
             t = run_ake_session(
-                SessionConfig(k=64, rng_seed=s, cecc="none", eve_strategy="impersonate-order")
+                SessionConfig(k=64, cecc="none", eve_strategy="impersonate-order"), s
             )
             errs += t.eve_report["wrong_block_errors"]
             qubits += t.eve_report["wrong_block_qubits"]
@@ -258,7 +232,7 @@ class TestImpersonationEve:
     def test_right_guess_blocks_decode_perfectly(self):
         for s in derive_seeds(88, 20):
             t = run_ake_session(
-                SessionConfig(k=16, rng_seed=s, cecc="none", eve_strategy="impersonate-order")
+                SessionConfig(k=16, cecc="none", eve_strategy="impersonate-order"), s
             )
             r = t.eve_report
             right_qubits = r["blocks_guessed_right"] * BLOCK_SIZE
@@ -270,7 +244,7 @@ class TestImpersonationEve:
         fails = 0
         for s in derive_seeds(99, 100):
             t = run_ake_session(
-                SessionConfig(k=64, rng_seed=s, cecc="none", eve_strategy="impersonate-order")
+                SessionConfig(k=64, cecc="none", eve_strategy="impersonate-order"), s
             )
             fails += int(not t.trial_check_passed)
         assert fails == 100
@@ -279,7 +253,7 @@ class TestImpersonationEve:
         rights = []
         for s in derive_seeds(111, 200):
             t = run_ake_session(
-                SessionConfig(k=16, rng_seed=s, cecc="none", eve_strategy="impersonate-order")
+                SessionConfig(k=16, cecc="none", eve_strategy="impersonate-order"), s
             )
             rights.append(t.eve_report["blocks_guessed_right"])
         mean = np.mean(rights)
@@ -289,7 +263,7 @@ class TestImpersonationEve:
 
 class TestTranslucentEve:
     def test_non_disturbing_and_accounted(self):
-        t = run_ake_session(SessionConfig(k=8, rng_seed=12, eve_strategy="translucent"))
+        t = run_ake_session(SessionConfig(k=8, eve_strategy="translucent"), 12)
         assert t.trial_check_passed  # tap leaves the states alone
         r = t.eve_report
         assert r["deterministic_bits"] == r["blocks_guessed_right"] * BLOCK_SIZE
@@ -314,15 +288,13 @@ TRANSCRIPT_CASES = [
 class TestTranscriptJson:
     @pytest.mark.parametrize("eve, cecc, k", TRANSCRIPT_CASES)
     def test_equals_deep_copy_dump(self, eve, cecc, k):
-        t = run_ake_session(
-            SessionConfig(k=k, M=8, cecc=cecc, eve_strategy=eve, rng_seed=k, pa_hash_seed=3)
-        )
+        t = run_ake_session(SessionConfig(k=k, M=8, cecc=cecc, eve_strategy=eve), k)
         assert t.to_json() == json.dumps(asdict(t), sort_keys=True, indent=2)
 
     @pytest.mark.parametrize("eve", EVE_STRATEGIES)
     def test_aborted_equals_deep_copy_dump(self, eve):
         t = run_ake_session(
-            SessionConfig(k=3, channel=ChannelModel(loss_prob=0.95), eve_strategy=eve, rng_seed=4)
+            SessionConfig(k=3, channel=ChannelModel(loss_prob=0.95), eve_strategy=eve), 4
         )
         assert t.aborted
         assert t.to_json() == json.dumps(asdict(t), sort_keys=True, indent=2)
@@ -334,10 +306,11 @@ def attack_report(strategy, **fields):
             "shannon_bits": 0.0, "order_guess_distribution": (), **fields}
 
 
-def reference_session(cfg):
+def reference_session(cfg, seed):
     """One session computed on its own, one numpy call per step: the
     reference that the batched core's transcripts must equal."""
-    rng = np.random.default_rng(cfg.rng_seed)
+    rng = np.random.default_rng(seed)
+    pa_hash_seed = seed ^ 0x5DEECE66D  # the public hash choice, fixed by the seed
     tables = ring_tables(cfg.M)
     M, q = cfg.M, tables.q
 
@@ -348,7 +321,7 @@ def reference_session(cfg):
     n_pad = n_slots - n_coded
     send_margin = 0.25  # fixed, and recorded in every transcript's config
     n_sent = math.ceil(n_slots * (1.0 + send_margin))
-    config = dict(asdict(cfg), send_margin=send_margin)
+    config = dict(asdict(cfg), rng_seed=seed, pa_hash_seed=pa_hash_seed, send_margin=send_margin)
 
     # step (i): Adam transmits random ring states
     sent = rng.integers(0, M, size=n_sent)
@@ -414,7 +387,7 @@ def reference_session(cfg):
     # privacy amplification of the 8k sifted bits down to 4k
     out_len = 4 * cfg.k
     key_adam, key_counterpart = coding.privacy_amplify(
-        np.stack([adam_raw, counterpart_raw])[None], [cfg.pa_hash_seed], out_len
+        np.stack([adam_raw, counterpart_raw])[None], [pa_hash_seed], out_len
     )[0]
 
     # step (iv): trial encryption of the fixed public plaintext
@@ -486,14 +459,12 @@ def session_row(t):
     }
 
 
-def run_configs(eve, cecc, M, k, n, loss=0.2, depolarize=0.02):
-    # loss 0.2 sits at the abort threshold of the 25% send margin, so about
-    # half of the sessions abort
-    return [
-        SessionConfig(k=k, M=M, cecc=cecc, eve_strategy=eve, rng_seed=s, pa_hash_seed=s ^ 0x5A,
-                      channel=ChannelModel(loss, depolarize))
-        for s in derive_seeds(1000 * k + M, n)
-    ]
+def run_config(eve, cecc, M, k, n, loss=0.2, depolarize=0.02):
+    """A run's config and its ``n`` seeds.  Loss 0.2 sits at the abort
+    threshold of the 25% send margin, so about half of the sessions abort."""
+    cfg = SessionConfig(k=k, M=M, cecc=cecc, eve_strategy=eve,
+                        channel=ChannelModel(loss, depolarize))
+    return cfg, derive_seeds(1000 * k + M, n)
 
 
 class TestBatchedSessions:
@@ -502,44 +473,60 @@ class TestBatchedSessions:
     @pytest.mark.parametrize("cecc", ["none", "hamming74"])
     @pytest.mark.parametrize("eve", EVE_STRATEGIES)
     def test_batch_equals_single_sessions(self, eve, cecc, M, k):
-        configs = run_configs(eve, cecc, M, k, 12)
-        (batch,) = run_ake_sessions(configs)
-        singles = [run_ake_session(c) for c in configs]
+        cfg, seeds = run_config(eve, cecc, M, k, 12)
+        (batch,) = run_ake_sessions(cfg, seeds)
+        singles = [run_ake_session(cfg, s) for s in seeds]
         aborted = [t.aborted for t in singles]
         assert any(aborted) and not all(aborted)
         assert batch.rows() == [session_row(t) for t in singles]
-        for got, want, cfg in zip(batch.transcripts(), singles, configs):
-            assert got.to_json() == want.to_json() == reference_session(cfg).to_json()
+        for got, want, s in zip(batch.transcripts(), singles, seeds):
+            assert got.to_json() == want.to_json() == reference_session(cfg, s).to_json()
 
     def test_rows_hold_plain_python_values(self):
-        (batch,) = run_ake_sessions(run_configs("opaque", "hamming74", 8, 7, 12))
+        (batch,) = run_ake_sessions(*run_config("opaque", "hamming74", 8, 7, 12))
         for row in batch.rows():
             assert {type(v) for v in row.values()} <= {bool, int}
 
     def test_all_sessions_aborted(self):
-        configs = run_configs("impersonate-order", "hamming74", 4, 3, 3, loss=0.95)
-        (batch,) = run_ake_sessions(configs)
+        cfg, seeds = run_config("impersonate-order", "hamming74", 4, 3, 3, loss=0.95)
+        (batch,) = run_ake_sessions(cfg, seeds)
         assert [r["aborted"] for r in batch.rows()] == [True] * 3
         assert [t.to_json() for t in batch.transcripts()] == [
-            run_ake_session(c).to_json() for c in configs
+            run_ake_session(cfg, s).to_json() for s in seeds
         ]
 
     def test_chunks_keep_the_slot_budget_and_the_results(self, monkeypatch):
-        configs = run_configs("translucent", "hamming74", 8, 7, 10)
-        (whole,) = run_ake_sessions(configs)
+        cfg, seeds = run_config("translucent", "hamming74", 8, 7, 10)
+        (whole,) = run_ake_sessions(cfg, seeds)
         n_sent = whole.states_sent.shape[1]
         monkeypatch.setattr(protocol, "_SLOT_BUDGET", 3 * n_sent + 1)
-        chunks = list(run_ake_sessions(configs))
-        assert [len(b.configs) for b in chunks] == [3, 3, 3, 1]
+        chunks = list(run_ake_sessions(cfg, seeds))
+        assert [len(b.seeds) for b in chunks] == [3, 3, 3, 1]
         assert [r for b in chunks for r in b.rows()] == whole.rows()
         assert [t.to_json() for b in chunks for t in b.transcripts()] == [
             t.to_json() for t in whole.transcripts()
         ]
         monkeypatch.setattr(protocol, "_SLOT_BUDGET", 1)
-        assert [len(b.configs) for b in run_ake_sessions(configs)] == [1] * 10
+        assert [len(b.seeds) for b in run_ake_sessions(cfg, seeds)] == [1] * 10
 
-    def test_sessions_must_share_all_but_seeds(self):
-        configs = [SessionConfig(k=2, rng_seed=1), SessionConfig(k=3, rng_seed=2)]
-        with pytest.raises(ValueError, match="seeds"):
-            list(run_ake_sessions(configs))
-        assert list(run_ake_sessions([])) == []
+    def test_no_seeds_no_batches(self):
+        assert list(run_ake_sessions(SessionConfig(k=2), [])) == []
+
+    def test_every_seed_passes_the_seed_rule(self):
+        # every seed of the list is checked, not only the first
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            list(run_ake_sessions(SessionConfig(k=2), [1, 2**64]))
+
+
+class TestNumpyScalars:
+    def test_numpy_scalars_give_the_python_scalars_transcript(self):
+        # numpy scalars pass the number rules; configs and batches keep
+        # plain Python numbers, so the transcript serializes to the same bytes
+        channel = ChannelModel(np.float32(0.25), np.float64(0.01))
+        cfg = SessionConfig(k=np.int64(2), M=np.int64(8), channel=channel)
+        plain = SessionConfig(k=2, M=8, channel=ChannelModel(0.25, 0.01))
+        assert cfg == plain
+        for seed in (3, 4):
+            want = run_ake_session(plain, seed).to_json()
+            assert run_ake_session(cfg, np.uint64(seed)).to_json() == want
+            assert run_ake_session(cfg, np.int64(seed)).to_json() == want
