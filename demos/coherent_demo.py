@@ -29,7 +29,7 @@ print("phase-estimate variance x amplitude^2 (inverse-square scaling)")
 for a0 in (2, 4, 8, 16):
     d = PhaseDistribution(float(a0))
     print(f"  amplitude {a0:>2}: {d.variance() * a0 * a0:.4f}  "
-          f"(cutoff {d.truncation} photons)")
+          f"(photons {d.window.start}..{d.window.stop - 1})")
 
 print()
 print("interceptor acceptance on a 4096-state ring, 100k trials")

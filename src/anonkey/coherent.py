@@ -22,13 +22,13 @@ pass their rules, none of which accepts a ``bool``: :func:`require_amplitude`
 finite: up to about 9.48e153), :func:`require_grid_size` (an integer ``M >= 4``)
 and the ``harness`` rules for ``trials``, ``seed`` and ``dtheta``.  The canonical
 phase grid also holds at most :data:`MAX_PHASE_GRID` = 2^20 points, so there
-``alpha0`` is at most about 1020 (:func:`require_canonical_amplitude`).
+``alpha0`` is at most about 5215 (:func:`require_canonical_amplitude`).
 """
 
 from __future__ import annotations
 
 import math
-from math import lgamma
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,6 +37,12 @@ from .harness import (BLOCK, CdfSearch, draw_blocks, is_integer, is_real, requir
 
 _MIN_GRID = 1 << 16
 MAX_PHASE_GRID = 1 << 20  # points of the canonical phase grid, at most
+_DROPPED = 1e-16  # of sum_n c_n^2 = 1, the Fock window drops at most this much
+_LOG_TAIL = math.log(2.0 / _DROPPED)  # each tail of the window holds at most e^-L
+# stirlerr(n) for n < 16, where its asymptotic series is short of double precision
+_STIRLERR = np.array([0.0] + [math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n
+                              - 0.5 * math.log(2.0 * math.pi) for n in range(1, 16)])
+_DENSITY_ENTRIES = 1 << 19  # phases x window entries of one density block's arrays
 
 
 def require_amplitude(alpha0: float) -> None:
@@ -49,10 +55,13 @@ def require_amplitude(alpha0: float) -> None:
 
 
 def require_canonical_amplitude(alpha0: float) -> None:
-    """Raise unless ``alpha0`` is an amplitude whose Fock cutoff fits the phase grid."""
+    """Raise unless ``alpha0`` is an amplitude whose phase grid fits :data:`MAX_PHASE_GRID`.
+
+    The grid is worked out in closed form, so nothing is allocated to refuse an amplitude.
+    """
     require_amplitude(alpha0)
-    if not min_truncation(alpha0) < MAX_PHASE_GRID:
-        raise ValueError(f"alpha0 must be at most about 1020 for the canonical grid, got {alpha0}")
+    if not _phase_grid(alpha0) <= MAX_PHASE_GRID:
+        raise ValueError(f"alpha0 must be at most about 5215 for the canonical grid, got {alpha0}")
 
 
 def require_grid_size(M: int) -> None:
@@ -88,15 +97,11 @@ def _mean_stderr(acc: np.ndarray) -> tuple[float, float]:
     return float(mean), math.sqrt(np.add.reduce(acc) / len(acc)) / math.sqrt(len(acc))
 
 
-def _rounded_acceptance(alpha0: float, M: int, errors, acc: np.ndarray) -> tuple[float, float]:
-    """Mean acceptance and stderr of the phase errors ``(s, delta)`` rounded to M
-    states, read into ``acc[s]`` from a table over the M + 1 offsets."""
+def _overlap_table(alpha0: float, M: int) -> np.ndarray:
+    """Acceptance of each of the M + 1 rounding offsets ``j - M // 2`` ring steps."""
     step = 2.0 * math.pi / M
     with np.errstate(over="ignore"):  # an exponent of -inf gives overlap 0
-        table = np.exp(-2.0 * alpha0**2 * (1.0 - np.cos((np.arange(M + 1) - M // 2) * step)))
-    for s, delta in errors:
-        np.take(table, (np.round(delta / step) + M // 2).astype(np.intp), out=acc[s])
-    return _mean_stderr(acc)
+        return np.exp(-2.0 * alpha0**2 * (1.0 - np.cos((np.arange(M + 1) - M // 2) * step)))
 
 
 def heterodyne_pa(alpha0: float, M: int, trials: int, seed: int) -> tuple[float, float]:
@@ -116,9 +121,11 @@ def heterodyne_pa(alpha0: float, M: int, trials: int, seed: int) -> tuple[float,
     sent, unwind = alpha0 * np.exp(1j * ring), np.exp(-1j * ring)
     state = rng.integers(0, M, size=trials)
     acc = rng.standard_normal(trials)  # the real noise parts, then the acceptances
-    errors = ((s, np.angle((beta + sent[state[s]]) * unwind[state[s]]))
-              for s, beta in _noise_blocks(rng, acc))
-    return _rounded_acceptance(alpha0, M, errors, acc)
+    step, table = 2.0 * math.pi / M, _overlap_table(alpha0, M)
+    for s, beta in _noise_blocks(rng, acc):
+        delta = np.angle((beta + sent[state[s]]) * unwind[state[s]])
+        np.take(table, (np.round(delta / step) + M // 2).astype(np.intp), out=acc[s])
+    return _mean_stderr(acc)
 
 
 def heterodyne_resend_pa(alpha0: float, trials: int, seed: int) -> tuple[float, float]:
@@ -139,38 +146,90 @@ def heterodyne_resend_pa(alpha0: float, trials: int, seed: int) -> tuple[float, 
     return _mean_stderr(acc)
 
 
-def min_truncation(alpha0: float) -> int:
-    """Smallest Fock cutoff keeping truncated tail mass below ~1e-10."""
-    return int(math.ceil(alpha0**2 + 6.0 * alpha0 + 20.0))
+def _fock_window(alpha0: float) -> range:
+    """The Fock numbers whose amplitudes the canonical phase keeps.
+
+    By the Chernoff bound a Poisson count N of mean ``lam = alpha0^2`` has
+    ``P(N <= x) <= exp(-bd0(x, lam))`` below the mean and ``P(N >= x) <=
+    exp(-bd0(x, lam))`` above it, with ``bd0(lam - t, lam) >= t^2 / (2 lam)``
+    and ``bd0(lam + t, lam) >= t^2 / (2 lam + t)``.  Both reach ``L`` by
+    ``t = alpha0 sqrt(2 L)`` below and ``t = alpha0 sqrt(2 L) + L`` above, so
+    each dropped tail of ``sum_n c_n^2`` holds at most ``e^-L = _DROPPED / 2``.
+    """
+    lam = float(alpha0) ** 2
+    half = alpha0 * math.sqrt(2.0 * _LOG_TAIL)
+    return range(max(0, math.floor(lam - half)), math.ceil(lam + half + _LOG_TAIL) + 1)
+
+
+def _phase_grid(alpha0: float) -> int:
+    """Points of the canonical phase grid: the smallest power of two of at least
+    2^16, twice the Fock window and 16 per phase standard deviation 1 / (2 alpha0)."""
+    window = _fock_window(alpha0)
+    points = max(_MIN_GRID, 2 * (window.stop - window.start), math.ceil(64.0 * math.pi * alpha0))
+    return 1 << (points - 1).bit_length()
+
+
+def _stirlerr(n: np.ndarray) -> np.ndarray:
+    """``log n! - log(sqrt(2 pi n) (n / e)^n)`` for integers ``n >= 1`` held as floats:
+    tabulated below 16, past that the series whose first dropped term is under 2e-16."""
+    nn = n * n
+    out = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * nn)) / nn) / nn) / nn) / n
+    small = n < len(_STIRLERR)
+    out[small] = _STIRLERR[n[small].astype(np.intp)]
+    return out
+
+
+def _bd0(x: np.ndarray, alpha0: float) -> np.ndarray:
+    """Loader's ``bd0(x, lam) = x log(x / lam) + lam - x`` at ``lam = alpha0^2``, ``x > 0``;
+    within 10% of ``lam`` it is summed as a series free of cancellation."""
+    lam = float(alpha0) ** 2
+    out = x * (np.log(x) - 2.0 * math.log(alpha0)) + lam - x
+    near = np.flatnonzero(np.abs(x - lam) < 0.1 * (x + lam))
+    v = (x[near] - lam) / (x[near] + lam)
+    total, term, v2 = (x[near] - lam) * v, 2.0 * x[near] * v, v * v
+    for j in range(3, 100, 2):  # |v| < 0.1: each term is at most 1% of the last
+        term *= v2
+        grown = total + term / j
+        if np.array_equal(grown, total):
+            break
+        total = grown
+    out[near] = total
+    return out
+
+
+def _fock_amplitudes(alpha0: float) -> tuple[range, np.ndarray]:
+    """The Fock window and its amplitudes ``c_n = sqrt(e^-lam lam^n / n!)``, ``lam =
+    alpha0^2``, from Loader's form ``log c_n^2 = -stirlerr(n) - bd0(n, lam) - log(2 pi n) / 2``,
+    which keeps full relative precision where ``n log lam`` and ``log n!`` would cancel."""
+    window = _fock_window(alpha0)
+    n = np.arange(max(window.start, 1), window.stop, dtype=float)
+    log_p = -_stirlerr(n) - _bd0(n, alpha0) - 0.5 * np.log(2.0 * math.pi * n)
+    if window.start == 0:
+        log_p = np.append(-float(alpha0) ** 2, log_p)
+    return window, np.exp(0.5 * log_p)
 
 
 class PhaseDistribution:
     """Canonical phase density of a coherent state of amplitude alpha0.
 
     ``p(theta) = |sum_n c_n exp(i n theta)|^2 / (2 pi)`` with Poissonian
-    amplitudes ``c_n = exp(-alpha0^2/2) alpha0^n / sqrt(n!)`` accumulated in
-    log space up to the Fock cutoff ``truncation = min_truncation(alpha0)``.
-    The density is tabulated on an ascending grid of 2^16 points over
-    (-pi, pi], or of the next power of two above the truncation when that is
-    larger, for normalization checks, moments, and inverse-CDF sampling with
-    linear interpolation; :meth:`density` also evaluates the series at
-    arbitrary phases.
+    amplitudes ``c_n = exp(-alpha0^2/2) alpha0^n / sqrt(n!)`` over the Fock
+    window ``window``, a range around ``alpha0^2`` dropping at most 1e-16 of
+    ``sum_n c_n^2``; the factor ``exp(i window.start theta)`` drops out of the
+    modulus.  The density is tabulated on an ascending grid over (-pi, pi] of
+    the smallest power of two of at least 2^16 points, twice the window and
+    16 points per phase standard deviation ``1 / (2 alpha0)``, for
+    normalization checks and moments; :meth:`density` also evaluates the
+    series at arbitrary phases.
     """
 
     def __init__(self, alpha0: float) -> None:
         require_canonical_amplitude(alpha0)
         self.alpha0 = float(alpha0)
-        self.truncation = min_truncation(alpha0)
+        self.window, self._coeff = _fock_amplitudes(alpha0)
 
-        ns = np.arange(self.truncation + 1)
-        log_c = -0.5 * alpha0**2 + ns * math.log(alpha0) - 0.5 * np.array(
-            [lgamma(n + 1.0) for n in ns]
-        )
-        self._coeff = np.exp(log_c)
-
-        # band-limited series: a DFT longer than the truncation evaluates it
-        # exactly
-        grid = max(_MIN_GRID, 1 << self.truncation.bit_length())
+        # band-limited series: a DFT longer than the window evaluates it exactly
+        grid = _phase_grid(alpha0)
         padded = np.zeros(grid, dtype=complex)
         padded[: len(self._coeff)] = self._coeff
         psi = np.fft.ifft(padded) * grid
@@ -182,25 +241,22 @@ class PhaseDistribution:
         self.grid_theta = np.roll(theta, -(grid // 2 + 1))
         self.grid_density = np.roll(density, -(grid // 2 + 1))
         self._dtheta = 2.0 * math.pi / grid
-
-        cdf = np.cumsum(self.grid_density) * self._dtheta
-        self._total = float(cdf[-1])
-        self._cdf = cdf / self._total
-        # per search result i, the segment from cdf[i - 1]; i = 0 (below
-        # cdf[0]) has slope 0 and phase grid_theta[0]
-        with np.errstate(divide="ignore"):  # zero-width segments are never found
-            slope = np.diff(self.grid_theta) / np.diff(self._cdf)
-        self._segments = (CdfSearch(self._cdf), np.append(0.0, self._cdf),
-                          np.concatenate([[0.0], slope, [0.0]]),
-                          np.append(self.grid_theta[0], self.grid_theta))
+        self._total = float(np.sum(self.grid_density) * self._dtheta)
 
     def density(self, theta) -> np.ndarray:
-        """Evaluate the density at arbitrary phases (vectorized)."""
+        """Evaluate the density at arbitrary phases (vectorized).  Phases are
+        taken a block at a time, so the two (phases x window) arrays of a block
+        hold at most 2^19 entries each, 8 MiB in all."""
         theta = np.asarray(theta, dtype=float)
-        ns = np.arange(self.truncation + 1)
-        phases = np.exp(1j * np.multiply.outer(theta, ns))
-        psi = phases @ self._coeff
-        return np.abs(psi) ** 2 / (2.0 * math.pi)
+        flat, out = theta.ravel(), np.empty(theta.size)
+        ns = np.arange(len(self._coeff), dtype=float)
+        rows = max(1, _DENSITY_ENTRIES // len(ns))
+        for start in range(0, len(flat), rows):
+            phase = np.multiply.outer(flat[start:start + rows], ns)
+            re = np.cos(phase) @ self._coeff
+            im = np.sin(phase, out=phase) @ self._coeff
+            out[start:start + rows] = (re * re + im * im) / (2.0 * math.pi)
+        return out.reshape(theta.shape)
 
     def normalization(self) -> float:
         """Grid integral of the density; 1 within 1e-6 at a valid cutoff."""
@@ -212,13 +268,40 @@ class PhaseDistribution:
             np.sum(self.grid_theta**2 * self.grid_density) * self._dtheta / self._total
         )
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Inverse-CDF draws on the grid, linearly interpolated: ``np.interp(
-        rng.random(n), cdf, grid_theta)`` bit for bit, term for term."""
-        u = rng.random(n)
-        search, start, slope, phase = self._segments
-        i = search(u)
-        return slope[i] * (u - start[i]) + phase[i]
+
+def _bin_probabilities(alpha0: float, M: int) -> np.ndarray:
+    """Exact probabilities of the M + 1 rounding bins ``round(delta / step) + M // 2``
+    of a canonical phase error ``delta`` in (-pi, pi], ``step = 2 pi / M``.
+
+    The density has the antiderivative ``G(t) = t r_0 / (2 pi) + (1 / pi) sum_d
+    r_d sin(d t) / d`` with ``r_d = sum_n c_n c_{n+d}``, one FFT autocorrelation.
+    At the bin edges ``t = (m - 1/2) step`` the sine sum is one length-M FFT,
+    since ``sin(d t)`` depends on ``d`` only through ``d mod M`` and the sign
+    ``(-1)^(d // M)``.  Edges beyond +-pi are clipped there, where ``G = +-r_0 / 2``;
+    for odd M that leaves bin M empty.
+    """
+    _, c = _fock_amplitudes(alpha0)
+    width = len(c)
+    size = 1 << (2 * width - 1).bit_length()
+    spectrum = np.fft.rfft(c, size)
+    r = np.fft.irfft(spectrum.real**2 + spectrum.imag**2, size)[:width]
+    d = np.arange(1, width)
+    folded = np.bincount(d % M, weights=r[1:] / d * (1 - 2 * (d // M % 2)), minlength=M)
+    sines = (np.fft.ifft(folded * np.exp(-1j * math.pi * np.arange(M) / M)) * M).imag
+    m = np.arange(M + 2) - M // 2
+    t = (m - 0.5) * (2.0 * math.pi / M)
+    g = t * (r[0] / (2.0 * math.pi)) + sines[m % M] / math.pi
+    g[t <= -math.pi], g[t >= math.pi] = -0.5 * r[0], 0.5 * r[0]
+    pmf = np.maximum(np.diff(g), 0.0)  # rounding leaves far bins near +-1e-17
+    return pmf / pmf.sum()
+
+
+@lru_cache(maxsize=8, typed=True)
+def _canonical_tables(alpha0: float, M: int) -> tuple[CdfSearch, np.ndarray]:
+    """The bin search, mapping uniforms to bins as ``rng.choice(M + 1, p=pmf)``
+    does, and the overlap table of :func:`canonical_phase_pa` at ``(alpha0, M)``."""
+    cdf = _bin_probabilities(alpha0, M).cumsum()
+    return CdfSearch(cdf / cdf[-1]), _overlap_table(alpha0, M)
 
 
 def canonical_phase_pa(alpha0: float, M: int, trials: int, seed: int) -> tuple[float, float]:
@@ -226,13 +309,17 @@ def canonical_phase_pa(alpha0: float, M: int, trials: int, seed: int) -> tuple[f
 
     Identical scoring to :func:`heterodyne_pa` with the phase error drawn
     from the canonical phase distribution instead of the heterodyne outcome.
-    The uniforms come in blocks, and the result equals the one-shot
-    ``np.interp`` inverse-CDF form bit for bit.
+    Only the rounding bin of the error matters, so each trial draws its bin
+    from the exact bin probabilities; the uniforms come in blocks, and the
+    result equals ``table[rng.choice(M + 1, size=trials, p=pmf)]`` scored by
+    ``np.mean`` and ``np.std`` bit for bit.
     """
     require_grid_size(M)
     require_count("trials", trials)
-    dist = PhaseDistribution(alpha0)
+    require_canonical_amplitude(alpha0)
     rng = seeded_rng("seed", seed)
-    errors = ((slice(i, i + BLOCK), dist.sample(rng, min(BLOCK, trials - i)))
-              for i in range(0, trials, BLOCK))
-    return _rounded_acceptance(alpha0, M, errors, np.empty(trials))
+    search, table = _canonical_tables(alpha0, M)
+    acc = np.empty(trials)
+    for s, u in draw_blocks(rng.random, trials):
+        np.take(table, search(u), out=acc[s])
+    return _mean_stderr(acc)

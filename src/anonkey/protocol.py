@@ -114,6 +114,8 @@ class SessionConfig:
         object.__setattr__(self, "k", int(self.k))
         object.__setattr__(self, "M", int(self.M))
         coding.require_code(self.cecc)
+        if not isinstance(self.channel, ChannelModel):
+            raise ValueError(f"channel must be a ChannelModel, got {self.channel!r}")
         if self.eve_strategy not in EVE_STRATEGIES:
             raise ValueError(
                 f"unknown eve_strategy {self.eve_strategy!r}; choose from {EVE_STRATEGIES}"

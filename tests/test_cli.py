@@ -201,9 +201,10 @@ class TestCoherent:
             assert float(r["stderr"]) > 0.0
 
     def test_canonical_beyond_default_grid_runs(self, tmp_path):
-        # alpha0 = 260 needs a Fock truncation of 69181, past 2^16 points
+        # the largest amplitude the canonical budget admits, whose phase grid
+        # would take 2^20 points; the bin sampler builds no grid
         out = tmp_path / "coh.csv"
-        argv = ["coherent", "--alpha0", "260", "--M", "4096", "--estimator", "canonical",
+        argv = ["coherent", "--alpha0", "5215", "--M", "4096", "--estimator", "canonical",
                 "--trials", "1000", "--out", str(out)]
         assert run_cli(argv) == 0
         assert 0.0 <= float(read_csv(out)[0]["pa"]) <= 1.0

@@ -1,9 +1,11 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from anonkey import coherent
 from anonkey.coherent import (
     MAX_PHASE_GRID,
     PhaseDistribution,
@@ -11,7 +13,6 @@ from anonkey.coherent import (
     coherent_overlap_mag,
     heterodyne_pa,
     heterodyne_resend_pa,
-    min_truncation,
     require_canonical_amplitude,
 )
 
@@ -106,13 +107,14 @@ class TestPhaseDistribution:
                 1.0, abs=1e-6
             )
 
-    def test_grid_grows_past_truncation(self):
-        # the Fock truncation at alpha0 = 260 (69181) outgrows 2^16 points
-        d = PhaseDistribution(260.0)
-        assert d.truncation > 2**16
+    def test_grid_grows_with_the_amplitude(self):
+        # 16 points per phase standard deviation 1 / (2 alpha0) outgrow 2^16
+        # points from alpha0 = 326: alpha0 = 400 takes 2^17
+        d = PhaseDistribution(400.0)
         assert len(d.grid_theta) == 2**17
         assert d.normalization() == pytest.approx(1.0, abs=1e-6)
         assert len(PhaseDistribution(8.0).grid_theta) == 2**16
+        assert coherent._phase_grid(325.0) == 2**16 < coherent._phase_grid(326.0)
 
     def test_peak_at_zero(self):
         d = PhaseDistribution(3.0)
@@ -126,18 +128,14 @@ class TestPhaseDistribution:
             d.density(d.grid_theta[idx]), d.grid_density[idx], rtol=1e-9, atol=1e-12
         )
 
-    @pytest.mark.parametrize("a0", [2.0, 20.0, 260.0])  # 260 takes the 2^17 grid
+    @pytest.mark.parametrize("a0", [2.0, 20.0, 400.0])  # 400 takes the 2^17 grid
     def test_grid_is_the_stable_sort_of_the_wrapped_fft_grid(self, a0):
-        # reference: the series on the FFT grid, wrapped to (-pi, pi] and
-        # put in order by a stable argsort
+        # reference: the window's series on the FFT grid, wrapped to (-pi, pi]
+        # and put in order by a stable argsort
         d = PhaseDistribution(a0)
         grid = len(d.grid_theta)
-        ns = np.arange(d.truncation + 1)
-        log_c = -0.5 * a0**2 + ns * math.log(a0) - 0.5 * np.array(
-            [math.lgamma(n + 1.0) for n in ns]
-        )
         padded = np.zeros(grid, dtype=complex)
-        padded[: len(ns)] = np.exp(log_c)
+        padded[: len(d.window)] = coherent._fock_amplitudes(a0)[1]
         density = np.abs(np.fft.ifft(padded) * grid) ** 2 / (2.0 * math.pi)
         raw = 2.0 * math.pi * np.arange(grid) / grid
         theta = np.where(raw > math.pi, raw - 2.0 * math.pi, raw)
@@ -145,9 +143,22 @@ class TestPhaseDistribution:
         assert np.array_equal(d.grid_theta, theta[order])
         assert np.array_equal(d.grid_density, density[order])
 
-    def test_truncation_rule_enforced(self):
-        assert min_truncation(5.0) == 75
-        assert PhaseDistribution(5.0).truncation == 75
+    def test_density_stays_small_and_matches_grid(self):
+        # the (phases x Fock series) matrix of 1000 phases at alpha0 = 1000
+        # would hold 1000 x 1006021 complex entries, 16 GB, over the whole
+        # series; over the window and a block of phases at a time it is 8 MiB
+        d = PhaseDistribution(1000.0)
+        zero = len(d.grid_theta) // 2 - 1  # where the grid holds theta = 0
+        idx = np.concatenate([zero + np.arange(-250, 250),  # the peak: sd 5e-4, 8 points
+                              np.linspace(0, len(d.grid_theta) - 1, 500).astype(int)])
+        tracemalloc.start()
+        try:
+            values = d.density(d.grid_theta[idx])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+        assert np.allclose(values, d.grid_density[idx], rtol=1e-9, atol=1e-9)
 
     def test_variance_ratio_asymptotic(self):
         # doubling the amplitude quarters the phase variance once the
@@ -166,18 +177,6 @@ class TestPhaseDistribution:
         var2 = PhaseDistribution(2.0).variance()
         var4 = PhaseDistribution(4.0).variance()
         assert var2 / var4 == pytest.approx(4.0, rel=0.10)
-
-    def test_sampling_deterministic_and_in_range(self):
-        d = PhaseDistribution(4.0)
-        rng1, rng2 = np.random.default_rng(10), np.random.default_rng(10)
-        s1, s2 = d.sample(rng1, 5000), d.sample(rng2, 5000)
-        assert np.array_equal(s1, s2)
-        assert np.all(np.abs(s1) <= math.pi)
-
-    def test_sample_variance_matches_density_variance(self):
-        d = PhaseDistribution(4.0)
-        draws = d.sample(np.random.default_rng(11), 200_000)
-        assert draws.var() == pytest.approx(d.variance(), rel=0.05)
 
 
 class TestCanonicalPhasePa:
@@ -213,11 +212,72 @@ class TestCanonicalBudget:
             canonical_phase_pa(1e100, 4, 10, 0)
 
     def test_budget_is_the_largest_grid(self):
-        # checked by the rule alone: a grid at the limit takes seconds to build
-        require_canonical_amplitude(1020.0)
-        assert min_truncation(1020.0) < MAX_PHASE_GRID <= min_truncation(1021.0)
+        # 16 points per standard deviation 1 / (2 alpha0) fill 2^20 points
+        # at alpha0 = 2^20 / (64 pi), about 5215.19
+        require_canonical_amplitude(5215.0)
+        assert coherent._phase_grid(5215.0) == MAX_PHASE_GRID < coherent._phase_grid(5216.0)
         with pytest.raises(ValueError, match="alpha0"):
-            require_canonical_amplitude(1021.0)
+            require_canonical_amplitude(5216.0)
+        pa, _ = canonical_phase_pa(5215.0, 4096, 1000, 0)
+        assert 0.0 <= pa <= 1.0
+
+
+def lgamma_log_amplitudes(a0, window):
+    """log c_n by the direct form n log(a0) - a0^2 / 2 - log(n!) / 2."""
+    ns = np.arange(window.start, window.stop)
+    return -0.5 * a0**2 + ns * math.log(a0) - 0.5 * np.array([math.lgamma(n + 1.0) for n in ns])
+
+
+def bin_integrals(d, M):
+    """The density integrated over each of the M + 1 rounding bins by
+    Gauss-Legendre, with enough nodes for the series' highest frequency."""
+    step = 2.0 * math.pi / M
+    j = np.arange(M + 1) - M // 2
+    lo, hi = np.clip((j - 0.5) * step, -math.pi, math.pi), np.clip((j + 0.5) * step, -math.pi, math.pi)
+    x, w = np.polynomial.legendre.leggauss(12 + math.ceil(len(d.window) * step))
+    half = (hi - lo)[:, None] / 2
+    return (half * w * d.density((lo + hi)[:, None] / 2 + half * x)).sum(axis=1)
+
+
+BIN_CASES = [(a0, M) for a0 in (0.4, 2.5, 23.0) for M in (4, 5, 7, 16, 4096)]
+
+
+class TestCanonicalBins:
+    @pytest.mark.parametrize("a0, M", BIN_CASES)
+    def test_pmf_sums_to_one_and_is_symmetric(self, a0, M):
+        pmf = coherent._bin_probabilities(a0, M)
+        assert len(pmf) == M + 1 and np.all(pmf >= 0.0)
+        assert math.fsum(pmf) == pytest.approx(1.0, abs=1e-15)
+        # bins j and M - j (odd M: M - 1 - j, and bin M is empty) mirror each other
+        inner = pmf if M % 2 == 0 else pmf[:-1]
+        assert np.allclose(inner, inner[::-1], rtol=0, atol=1e-15)
+        assert M % 2 == 0 or pmf[-1] == 0.0
+
+    @pytest.mark.parametrize("a0, M", BIN_CASES)
+    def test_pmf_is_the_density_over_each_bin(self, a0, M):
+        integrals = bin_integrals(PhaseDistribution(a0), M)
+        assert np.allclose(coherent._bin_probabilities(a0, M), integrals, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("a0", [0.4, 2.5, 5.0, 23.0, 400.0, 5215.0])
+    def test_window_drops_at_most_the_bound(self, a0):
+        # the dropped tails, summed term by term in the direct form
+        window = coherent._fock_window(a0)
+        span = len(window)
+        below = range(max(0, window.start - span), window.start)
+        above = range(window.stop, window.stop + span)
+        dropped = sum(math.fsum(np.exp(2 * lgamma_log_amplitudes(a0, r))) for r in (below, above))
+        assert dropped <= coherent._DROPPED
+        assert math.fsum(coherent._fock_amplitudes(a0)[1] ** 2) >= 1.0 - coherent._DROPPED - 1e-14
+
+    def test_window_sums_to_one_at_the_largest_amplitude(self):
+        # the direct form loses about 1e-8 here, to n log(a0) of order 4e8
+        c = coherent._fock_amplitudes(5215.0)[1]
+        assert abs(math.fsum(c * c) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("a0", [0.4, 2.5, 8.0])  # where the direct form is exact enough
+    def test_loader_form_matches_the_direct_form(self, a0):
+        window, c = coherent._fock_amplitudes(a0)
+        assert np.allclose(np.log(c), lgamma_log_amplitudes(a0, window), rtol=0, atol=1e-13)
 
 
 class TestAmplitudeValidation:

@@ -58,8 +58,8 @@ GOLDEN = [
                        "--seed", "2", "--format", "json"], 0,
      "64402c2c3fc98fb7ef19ec726e1c58942da4257126c747f2ed4c0ab88d142385"),
     # cdf buckets holding several detector offsets (M = 12, 60, 192), draws
-    # crossing a block boundary, phase errors below the first canonical cdf
-    # entry (alpha0 = 0.4) and the session's opaque interceptor
+    # crossing a block boundary, canonical draws in the bin at -pi, below the
+    # first cdf entry (alpha0 = 0.4) and the session's opaque interceptor
     ("attack-opaque-crowded", ["attack", "--strategy", "opaque", "--M", "12,60,192",
                                "--trials", "70000", "--seed", "3"], 0,
      "1fef16f8c74f58b68f1fc3ef4913a290985f42f0463bb49c07461ac46f75cab9"),
@@ -68,7 +68,7 @@ GOLDEN = [
      "c990763a8c4998b9b052656296de46c1ee1311bdcf9354d66743d9b35ff214fc"),
     ("coherent-across-blocks", ["coherent", "--alpha0", "0.4,2.5,23", "--M", "4,4096",
                                 "--trials", "70000", "--seed", "5"], 0,
-     "ea5fc86e336c37f468910b1ab0651e8e0f458f5ccb09fad0db4f4e23f8b02938"),
+     "baf99800238f842473e765719a7e068a6672c08a2b57e3a5d2d85f6a04652944"),
     ("ake-opaque-M12", ["ake", "--k", "16", "--M", "12", "--eve", "opaque", "--trials", "3",
                         "--seed", "6"], 0,
      "afc50ee2ef7cc09ea8dd365d55c6282551d78431b8e6e7e93a0f44ff4a0f82a0"),

@@ -1,7 +1,7 @@
 """The blocked Monte Carlo kernels against their one-shot numpy formulations.
 
 Each reference below is the plain form of a kernel: ``rng.choice`` for the
-ring detector, ``np.interp`` for the canonical phase, per-trial complex
+ring detector and for the canonical phase's rounding bin, per-trial complex
 exponentials for the heterodyne noise, ``np.mean`` and ``np.std`` over every
 trial.  The kernels draw the same streams in blocks and read small tables
 instead, and must return the same floats.  Trial counts sit on both sides of
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from anonkey.adversary import sequential_strategy_pc
 from anonkey.aki import aki_impersonation
 from anonkey.coherent import (
-    PhaseDistribution,
+    _bin_probabilities,
     canonical_phase_pa,
     heterodyne_pa,
     heterodyne_resend_pa,
@@ -66,9 +66,9 @@ def ref_heterodyne(alpha0, M, trials, seed):
 
 
 def ref_canonical(alpha0, M, trials, seed):
-    dist = PhaseDistribution(alpha0)
     rng = np.random.default_rng(seed)
-    return rounded_acceptance(alpha0, M, np.interp(rng.random(trials), dist._cdf, dist.grid_theta))
+    bins = rng.choice(M + 1, size=trials, p=_bin_probabilities(alpha0, M))
+    return rounded_acceptance(alpha0, M, (bins - M // 2) * (2.0 * math.pi / M))
 
 
 def ref_resend(trials, seed):
@@ -103,9 +103,9 @@ def test_heterodyne_matches_exp_form(alpha0, M, trials):
 
 
 @pytest.mark.parametrize("trials", [1, 2, BLOCK + 1])
-@pytest.mark.parametrize("M", [4, 4096])
+@pytest.mark.parametrize("M", [4, 7, 4096])
 @pytest.mark.parametrize("alpha0", [0.3, 0.4, 2.5, 23.0, 120.0])
-def test_canonical_matches_interp_form(alpha0, M, trials):
+def test_canonical_matches_choice_form(alpha0, M, trials):
     seed = M + trials
     assert canonical_phase_pa(alpha0, M, trials, seed) == ref_canonical(alpha0, M, trials, seed)
 
@@ -113,31 +113,6 @@ def test_canonical_matches_interp_form(alpha0, M, trials):
 @pytest.mark.parametrize("trials", [1, 2, BLOCK, BLOCK + 1, 2 * BLOCK + 7])
 def test_resend_matches_complex_form(trials):
     assert heterodyne_resend_pa(5.0, trials, trials) == ref_resend(trials, trials)
-
-
-class FixedUniforms:
-    """Stands in for a generator whose ``random(n)`` returns chosen values."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self, n):
-        assert n == len(self.u)
-        return self.u.copy()
-
-
-@pytest.mark.parametrize("alpha0", [0.3, 4.0, 30.0])
-def test_phase_samples_match_interp(alpha0):
-    dist = PhaseDistribution(alpha0)
-    cdf = dist._cdf
-    # below the first cdf entry, on every entry and next to it, and at random
-    u = np.concatenate([
-        np.linspace(0.0, cdf[0], 5, endpoint=False), cdf, np.nextafter(cdf, 0.0),
-        np.nextafter(cdf, 1.0), np.random.default_rng(7).random(BLOCK + 11),
-    ])
-    u = u[u < 1.0]
-    expected = np.interp(u, cdf, dist.grid_theta)
-    assert np.array_equal(dist.sample(FixedUniforms(u), len(u)), expected)
 
 
 @pytest.mark.parametrize("M", [4, 8, 12, 60, 192, 1024])

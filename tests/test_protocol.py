@@ -279,6 +279,12 @@ class TestTranslucentEve:
         with pytest.raises(ValueError):
             SessionConfig(k=1, eve_strategy="quantum-memory")
 
+    @pytest.mark.parametrize("channel", [(0.1, 0.0), None, 0.1])
+    def test_channel_must_be_a_channel_model(self, channel):
+        # a tuple used to pass and fail inside the batch with an AttributeError
+        with pytest.raises(ValueError, match="channel"):
+            SessionConfig(k=1, channel=channel)
+
 
 TRANSCRIPT_CASES = [
     (eve, cecc, k) for eve in EVE_STRATEGIES for cecc in ("none", "hamming74") for k in (1, 7, 300)
