@@ -28,7 +28,6 @@ phase grid also holds at most :data:`MAX_PHASE_GRID` = 2^20 points, so there
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -37,7 +36,9 @@ from .harness import (BLOCK, CdfSearch, draw_blocks, is_integer, is_real, requir
 
 _MIN_GRID = 1 << 16
 MAX_PHASE_GRID = 1 << 20  # points of the canonical phase grid, at most
-_DROPPED = 1e-16  # of sum_n c_n^2 = 1, the Fock window drops at most this much
+# of sum_n c_n^2 = 1, the Fock window drops at most this much, so that a bin
+# probability moves by at most _DROPPED + 2 sqrt(_DROPPED) = 2e-16 (see _fock_window)
+_DROPPED = 1e-32
 _LOG_TAIL = math.log(2.0 / _DROPPED)  # each tail of the window holds at most e^-L
 # stirlerr(n) for n < 16, where its asymptotic series is short of double precision
 _STIRLERR = np.array([0.0] + [math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n
@@ -155,6 +156,13 @@ def _fock_window(alpha0: float) -> range:
     and ``bd0(lam + t, lam) >= t^2 / (2 lam + t)``.  Both reach ``L`` by
     ``t = alpha0 sqrt(2 L)`` below and ``t = alpha0 sqrt(2 L) + L`` above, so
     each dropped tail of ``sum_n c_n^2`` holds at most ``e^-L = _DROPPED / 2``.
+
+    The probability of an arc B is ``int_B |psi|^2 dtheta / (2 pi)``; dropping
+    the tail ``psi_T`` of ``psi = psi_W + psi_T`` moves it by at most ``int_B
+    |psi_T|^2 + 2 |int_B psi_W conj(psi_T)|``, at most ``eps + 2 sqrt(eps)``
+    with ``eps = _DROPPED`` by Cauchy-Schwarz.  A bound of 1e-16 on the mass
+    would allow 2e-8 there, so the mass bound is 1e-32 and the bins are exact
+    to 2e-16.
     """
     lam = float(alpha0) ** 2
     half = alpha0 * math.sqrt(2.0 * _LOG_TAIL)
@@ -163,7 +171,11 @@ def _fock_window(alpha0: float) -> range:
 
 def _phase_grid(alpha0: float) -> int:
     """Points of the canonical phase grid: the smallest power of two of at least
-    2^16, twice the Fock window and 16 per phase standard deviation 1 / (2 alpha0)."""
+    2^16, twice the Fock window and 16 per phase standard deviation 1 / (2 alpha0).
+
+    The window term is an invariant rather than a cost: a DFT at least as long
+    as the window evaluates its series without aliasing.  It never decides the
+    size, since past 2^16 points ``64 pi alpha0`` exceeds twice the window."""
     window = _fock_window(alpha0)
     points = max(_MIN_GRID, 2 * (window.stop - window.start), math.ceil(64.0 * math.pi * alpha0))
     return 1 << (points - 1).bit_length()
@@ -214,7 +226,7 @@ class PhaseDistribution:
 
     ``p(theta) = |sum_n c_n exp(i n theta)|^2 / (2 pi)`` with Poissonian
     amplitudes ``c_n = exp(-alpha0^2/2) alpha0^n / sqrt(n!)`` over the Fock
-    window ``window``, a range around ``alpha0^2`` dropping at most 1e-16 of
+    window ``window``, a range around ``alpha0^2`` dropping at most 1e-32 of
     ``sum_n c_n^2``; the factor ``exp(i window.start theta)`` drops out of the
     modulus.  The density is tabulated on an ascending grid over (-pi, pi] of
     the smallest power of two of at least 2^16 points, twice the window and
@@ -270,8 +282,9 @@ class PhaseDistribution:
 
 
 def _bin_probabilities(alpha0: float, M: int) -> np.ndarray:
-    """Exact probabilities of the M + 1 rounding bins ``round(delta / step) + M // 2``
-    of a canonical phase error ``delta`` in (-pi, pi], ``step = 2 pi / M``.
+    """Probabilities of the M + 1 rounding bins ``round(delta / step) + M // 2``
+    of a canonical phase error ``delta`` in (-pi, pi], ``step = 2 pi / M``, each
+    within 2e-16 of its value over the full Fock series (see :func:`_fock_window`).
 
     The density has the antiderivative ``G(t) = t r_0 / (2 pi) + (1 / pi) sum_d
     r_d sin(d t) / d`` with ``r_d = sum_n c_n c_{n+d}``, one FFT autocorrelation.
@@ -296,29 +309,24 @@ def _bin_probabilities(alpha0: float, M: int) -> np.ndarray:
     return pmf / pmf.sum()
 
 
-@lru_cache(maxsize=8, typed=True)
-def _canonical_tables(alpha0: float, M: int) -> tuple[CdfSearch, np.ndarray]:
-    """The bin search, mapping uniforms to bins as ``rng.choice(M + 1, p=pmf)``
-    does, and the overlap table of :func:`canonical_phase_pa` at ``(alpha0, M)``."""
-    cdf = _bin_probabilities(alpha0, M).cumsum()
-    return CdfSearch(cdf / cdf[-1]), _overlap_table(alpha0, M)
-
-
 def canonical_phase_pa(alpha0: float, M: int, trials: int, seed: int) -> tuple[float, float]:
     """Acceptance of the canonical-phase interceptor, rounded to M states.
 
     Identical scoring to :func:`heterodyne_pa` with the phase error drawn
     from the canonical phase distribution instead of the heterodyne outcome.
     Only the rounding bin of the error matters, so each trial draws its bin
-    from the exact bin probabilities; the uniforms come in blocks, and the
-    result equals ``table[rng.choice(M + 1, size=trials, p=pmf)]`` scored by
-    ``np.mean`` and ``np.std`` bit for bit.
+    from the bin probabilities ``pmf`` of :func:`_bin_probabilities`, each
+    within 2e-16 of exact; the uniforms come in blocks, and the result equals
+    ``table[rng.choice(M + 1, size=trials, p=pmf)]`` scored by ``np.mean`` and
+    ``np.std`` bit for bit.  Both tables are built per call, in about
+    ``O(alpha0 log alpha0 + M log M)``.
     """
     require_grid_size(M)
     require_count("trials", trials)
     require_canonical_amplitude(alpha0)
     rng = seeded_rng("seed", seed)
-    search, table = _canonical_tables(alpha0, M)
+    cdf = _bin_probabilities(alpha0, M).cumsum()
+    search, table = CdfSearch(cdf / cdf[-1]), _overlap_table(alpha0, M)
     acc = np.empty(trials)
     for s, u in draw_blocks(rng.random, trials):
         np.take(table, search(u), out=acc[s])

@@ -239,6 +239,18 @@ def bin_integrals(d, M):
     return (half * w * d.density((lo + hi)[:, None] / 2 + half * x)).sum(axis=1)
 
 
+def full_series_bins(a0, M):
+    """The M + 1 bin probabilities over the whole Fock series from n = 0, far
+    past where its terms underflow, with the antiderivative's sine sum taken
+    term by term: no window and no FFT."""
+    n_max = math.ceil(a0 * a0 + 20 * a0 + 100)
+    c = np.exp(lgamma_log_amplitudes(a0, range(n_max + 1)))
+    r = np.correlate(c, c, "full")[n_max:]  # r_d = sum_n c_n c_{n+d}
+    t = np.clip((np.arange(M + 2) - M // 2 - 0.5) * (2.0 * math.pi / M), -math.pi, math.pi)
+    g = t * r[0] / (2.0 * math.pi) + sum(r[d] / d * np.sin(d * t) for d in range(1, n_max + 1)) / math.pi
+    return np.diff(g) / r[0]
+
+
 BIN_CASES = [(a0, M) for a0 in (0.4, 2.5, 23.0) for M in (4, 5, 7, 16, 4096)]
 
 
@@ -258,6 +270,13 @@ class TestCanonicalBins:
         integrals = bin_integrals(PhaseDistribution(a0), M)
         assert np.allclose(coherent._bin_probabilities(a0, M), integrals, rtol=0, atol=1e-9)
 
+    # 23: the window drops terms below as well as above; a mass bound of 1e-16
+    # (each bin then within 2e-8) left 1.1e-12 at M = 4096
+    @pytest.mark.parametrize("a0, M", [(a0, M) for a0 in (2.5, 23.0) for M in (5, 16, 4096)])
+    def test_pmf_matches_the_full_series(self, a0, M):
+        full = full_series_bins(a0, M)
+        assert np.allclose(coherent._bin_probabilities(a0, M), full, rtol=0, atol=1e-14)
+
     @pytest.mark.parametrize("a0", [0.4, 2.5, 5.0, 23.0, 400.0, 5215.0])
     def test_window_drops_at_most_the_bound(self, a0):
         # the dropped tails, summed term by term in the direct form
@@ -274,7 +293,9 @@ class TestCanonicalBins:
         c = coherent._fock_amplitudes(5215.0)[1]
         assert abs(math.fsum(c * c) - 1.0) < 1e-12
 
-    @pytest.mark.parametrize("a0", [0.4, 2.5, 8.0])  # where the direct form is exact enough
+    # where the direct form is exact enough: at 8.0 the window reaches n = 236,
+    # where its terms of about 500 cancel to within 1.4e-13
+    @pytest.mark.parametrize("a0", [0.4, 2.5, 5.0])
     def test_loader_form_matches_the_direct_form(self, a0):
         window, c = coherent._fock_amplitudes(a0)
         assert np.allclose(np.log(c), lgamma_log_amplitudes(a0, window), rtol=0, atol=1e-13)
