@@ -40,7 +40,8 @@ from functools import lru_cache, partial
 
 from . import adversary, aki, coding, coherent, detection, states
 from .harness import ResultTable, derive_seeds, require_count, require_probability, require_seed
-from .protocol import EVE_STRATEGIES, ChannelModel, SessionConfig, run_ake_sessions
+from .protocol import (EVE_STRATEGIES, ChannelModel, SessionConfig, require_block_count,
+                       run_ake_sessions)
 from .protocol import run_ake_session  # noqa: F401 - benchmarks/tracing.py patches it here
 
 EXIT_OK = 0
@@ -67,6 +68,7 @@ def _number(key: str, v, rule=require_count):
 
 
 _ring_size = partial(_rule, rule=states.require_ring_size)
+_block_count = partial(_rule, rule=require_block_count)
 _probability = partial(_number, rule=require_probability)
 
 
@@ -147,7 +149,7 @@ _SUBCOMMANDS: dict[str, tuple[str, dict[str, tuple]]] = {
         **_monte_carlo(100_000),
     }),
     "ake": ("full key-distribution sessions", {
-        "k": ("--k", _number, 4, {"type": int}),
+        "k": ("--k", _block_count, 4, {"type": int}),
         "M": ("--M", _ring_size, 4, {"type": int}),
         "eve": _choice("--eve", EVE_STRATEGIES, "none"),
         "cecc": _choice("--cecc", coding.CODES, "hamming74"),

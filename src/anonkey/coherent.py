@@ -19,10 +19,11 @@ one half.
 Every entry point raises ``ValueError`` (the CLI exits 2) unless its inputs
 pass their rules, none of which accepts a ``bool``: :func:`require_amplitude`
 (a real ``alpha0 > 0`` with ``2 * alpha0**2``, the overlap exponents' factor,
-finite: up to about 9.48e153), :func:`require_grid_size` (an integer ``M >= 4``)
-and the ``harness`` rules for ``trials``, ``seed`` and ``dtheta``.  The canonical
-phase grid also holds at most :data:`MAX_PHASE_GRID` = 2^20 points, so there
-``alpha0`` is at most about 5215 (:func:`require_canonical_amplitude`).
+finite: up to about 9.48e153), :func:`require_grid_size` (an integer ``M`` in
+``[4, MAX_GRID_SIZE = 2^20]``) and the ``harness`` rules for ``trials``, ``seed``
+and ``dtheta``.  The canonical phase keeps at most :data:`MAX_FOCK_WINDOW` = 2^17
+Fock amplitudes, so there ``alpha0`` is at most about 5370
+(:func:`require_canonical_amplitude`).
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ import numpy as np
 from .harness import (BLOCK, CdfSearch, draw_blocks, is_integer, is_real, require_angle,
                       require_count, seeded_rng)
 
-_MIN_GRID = 1 << 16
-MAX_PHASE_GRID = 1 << 20  # points of the canonical phase grid, at most
+MAX_GRID_SIZE = 1 << 20  # rounding ring size M, at most: every entry point builds O(M) tables
+MAX_FOCK_WINDOW = 1 << 17  # Fock amplitudes of the canonical phase, at most
 # of sum_n c_n^2 = 1, the Fock window drops at most this much, so that a bin
 # probability moves by at most _DROPPED + 2 sqrt(_DROPPED) = 2e-16 (see _fock_window)
 _DROPPED = 1e-32
@@ -56,19 +57,23 @@ def require_amplitude(alpha0: float) -> None:
 
 
 def require_canonical_amplitude(alpha0: float) -> None:
-    """Raise unless ``alpha0`` is an amplitude whose phase grid fits :data:`MAX_PHASE_GRID`.
+    """Raise unless ``alpha0`` is an amplitude whose Fock window holds at most
+    :data:`MAX_FOCK_WINDOW` terms.
 
-    The grid is worked out in closed form, so nothing is allocated to refuse an amplitude.
+    The width is bounded in closed form: :func:`_fock_window` spans fewer than
+    ``2 alpha0 sqrt(2 L) + L + 3`` integers, so it fits whenever ``2 alpha0 sqrt(2 L)
+    + L + 2`` does.  Nothing is allocated to refuse an amplitude, and one so large
+    that the window's float ends cancel (1e100) is refused all the same.
     """
     require_amplitude(alpha0)
-    if not _phase_grid(alpha0) <= MAX_PHASE_GRID:
-        raise ValueError(f"alpha0 must be at most about 5215 for the canonical grid, got {alpha0}")
+    if not 2.0 * float(alpha0) * math.sqrt(2.0 * _LOG_TAIL) + _LOG_TAIL + 2.0 <= MAX_FOCK_WINDOW:
+        raise ValueError(f"alpha0 must be at most about 5370 for the canonical phase, got {alpha0}")
 
 
 def require_grid_size(M: int) -> None:
-    """Raise unless the rounding ring size ``M`` is an integer of at least 4."""
-    if not (is_integer(M) and M >= 4):
-        raise ValueError(f"M must be at least 4 (an integer), got {M!r}")
+    """Raise unless the rounding ring size ``M`` is an integer in ``[4, MAX_GRID_SIZE]``."""
+    if not (is_integer(M) and 4 <= M <= MAX_GRID_SIZE):
+        raise ValueError(f"M must be an integer in [4, 2**20], got {M!r}")
 
 
 def coherent_overlap_mag(alpha0: float, dtheta: float) -> float:
@@ -169,18 +174,6 @@ def _fock_window(alpha0: float) -> range:
     return range(max(0, math.floor(lam - half)), math.ceil(lam + half + _LOG_TAIL) + 1)
 
 
-def _phase_grid(alpha0: float) -> int:
-    """Points of the canonical phase grid: the smallest power of two of at least
-    2^16, twice the Fock window and 16 per phase standard deviation 1 / (2 alpha0).
-
-    The window term is an invariant rather than a cost: a DFT at least as long
-    as the window evaluates its series without aliasing.  It never decides the
-    size, since past 2^16 points ``64 pi alpha0`` exceeds twice the window."""
-    window = _fock_window(alpha0)
-    points = max(_MIN_GRID, 2 * (window.stop - window.start), math.ceil(64.0 * math.pi * alpha0))
-    return 1 << (points - 1).bit_length()
-
-
 def _stirlerr(n: np.ndarray) -> np.ndarray:
     """``log n! - log(sqrt(2 pi n) (n / e)^n)`` for integers ``n >= 1`` held as floats:
     tabulated below 16, past that the series whose first dropped term is under 2e-16."""
@@ -221,39 +214,32 @@ def _fock_amplitudes(alpha0: float) -> tuple[range, np.ndarray]:
     return window, np.exp(0.5 * log_p)
 
 
+def _autocorrelation(c: np.ndarray) -> np.ndarray:
+    """``r_d = sum_n c_n c_{n+d}`` for ``0 <= d < len(c)``: one zero-padded rfft."""
+    width = len(c)
+    size = 1 << (2 * width - 1).bit_length()
+    spectrum = np.fft.rfft(c, size)
+    return np.fft.irfft(spectrum.real**2 + spectrum.imag**2, size)[:width]
+
+
 class PhaseDistribution:
     """Canonical phase density of a coherent state of amplitude alpha0.
 
-    ``p(theta) = |sum_n c_n exp(i n theta)|^2 / (2 pi)`` with Poissonian
-    amplitudes ``c_n = exp(-alpha0^2/2) alpha0^n / sqrt(n!)`` over the Fock
-    window ``window``, a range around ``alpha0^2`` dropping at most 1e-32 of
-    ``sum_n c_n^2``; the factor ``exp(i window.start theta)`` drops out of the
-    modulus.  The density is tabulated on an ascending grid over (-pi, pi] of
-    the smallest power of two of at least 2^16 points, twice the window and
-    16 points per phase standard deviation ``1 / (2 alpha0)``, for
-    normalization checks and moments; :meth:`density` also evaluates the
-    series at arbitrary phases.
+    ``p(theta) = |sum_n c_n exp(i n theta)|^2 / (2 pi) = (r_0 + 2 sum_d r_d cos(d
+    theta)) / (2 pi)`` with Poissonian amplitudes ``c_n = exp(-alpha0^2/2) alpha0^n /
+    sqrt(n!)`` over the Fock window ``window``, a range around ``alpha0^2`` dropping
+    at most 1e-32 of ``sum_n c_n^2``, and their autocorrelation ``r_d = sum_n c_n
+    c_{n+d}``; the factor ``exp(i window.start theta)`` drops out of the modulus.
+    The moments are exact Fourier sums in ``r_d`` (Leonhardt, Vaccaro, Boehmer
+    and Paul, PRA 51, 84 (1995)); :meth:`density` evaluates the series at
+    arbitrary phases.
     """
 
     def __init__(self, alpha0: float) -> None:
         require_canonical_amplitude(alpha0)
         self.alpha0 = float(alpha0)
         self.window, self._coeff = _fock_amplitudes(alpha0)
-
-        # band-limited series: a DFT longer than the window evaluates it exactly
-        grid = _phase_grid(alpha0)
-        padded = np.zeros(grid, dtype=complex)
-        padded[: len(self._coeff)] = self._coeff
-        psi = np.fft.ifft(padded) * grid
-        raw_theta = 2.0 * math.pi * np.arange(grid) / grid
-        density = np.abs(psi) ** 2 / (2.0 * math.pi)
-
-        # wrapped to (-pi, pi], the grid ascends from index grid/2 + 1
-        theta = np.where(raw_theta > math.pi, raw_theta - 2.0 * math.pi, raw_theta)
-        self.grid_theta = np.roll(theta, -(grid // 2 + 1))
-        self.grid_density = np.roll(density, -(grid // 2 + 1))
-        self._dtheta = 2.0 * math.pi / grid
-        self._total = float(np.sum(self.grid_density) * self._dtheta)
+        self._r = _autocorrelation(self._coeff)
 
     def density(self, theta) -> np.ndarray:
         """Evaluate the density at arbitrary phases (vectorized).  Phases are
@@ -271,14 +257,18 @@ class PhaseDistribution:
         return out.reshape(theta.shape)
 
     def normalization(self) -> float:
-        """Grid integral of the density; 1 within 1e-6 at a valid cutoff."""
-        return self._total
+        """Integral of the density over a period, ``r_0 = sum_n c_n^2``: 1 but for the
+        dropped 1e-32 and rounding."""
+        return float(self._r[0])
 
     def variance(self) -> float:
-        """Second moment of the phase around the peak, over (-pi, pi]."""
-        return float(
-            np.sum(self.grid_theta**2 * self.grid_density) * self._dtheta / self._total
-        )
+        """Second moment of the phase around the peak, over (-pi, pi]: ``theta^2`` has
+        the Fourier coefficients ``pi^2 / 3`` and ``4 (-1)^d / d^2``, so the moment is
+        ``pi^2 r_0 / 3 + 4 sum_d (-1)^d r_d / d^2``, divided by ``r_0``.  Its terms of
+        order 1 cancel to about ``1 / (4 alpha0^2)``, so they are summed exactly."""
+        d = np.arange(1, len(self._r), dtype=float)
+        terms = 4.0 * (-1.0) ** d / (d * d) * self._r[1:]
+        return math.fsum([math.pi**2 / 3.0 * self._r[0], *terms]) / float(self._r[0])
 
 
 def _bin_probabilities(alpha0: float, M: int) -> np.ndarray:
@@ -287,18 +277,14 @@ def _bin_probabilities(alpha0: float, M: int) -> np.ndarray:
     within 2e-16 of its value over the full Fock series (see :func:`_fock_window`).
 
     The density has the antiderivative ``G(t) = t r_0 / (2 pi) + (1 / pi) sum_d
-    r_d sin(d t) / d`` with ``r_d = sum_n c_n c_{n+d}``, one FFT autocorrelation.
+    r_d sin(d t) / d`` with ``r_d`` from :func:`_autocorrelation`.
     At the bin edges ``t = (m - 1/2) step`` the sine sum is one length-M FFT,
     since ``sin(d t)`` depends on ``d`` only through ``d mod M`` and the sign
     ``(-1)^(d // M)``.  Edges beyond +-pi are clipped there, where ``G = +-r_0 / 2``;
     for odd M that leaves bin M empty.
     """
-    _, c = _fock_amplitudes(alpha0)
-    width = len(c)
-    size = 1 << (2 * width - 1).bit_length()
-    spectrum = np.fft.rfft(c, size)
-    r = np.fft.irfft(spectrum.real**2 + spectrum.imag**2, size)[:width]
-    d = np.arange(1, width)
+    r = _autocorrelation(_fock_amplitudes(alpha0)[1])
+    d = np.arange(1, len(r))
     folded = np.bincount(d % M, weights=r[1:] / d * (1 - 2 * (d // M % 2)), minlength=M)
     sines = (np.fft.ifft(folded * np.exp(-1j * math.pi * np.arange(M) / M)) * M).imag
     m = np.arange(M + 2) - M // 2

@@ -56,7 +56,7 @@ from . import coding
 from .adversary import binary_entropy, impersonation_order_pmf, opaque_bound
 from .detection import ring_tables
 from .detection import square_root_measurement  # noqa: F401 - benchmarks/tracing.py patches it here
-from .harness import canonical_json, require_count, require_probability, require_seed
+from .harness import canonical_json, is_integer, require_probability, require_seed
 from .states import require_ring_size
 from .states import uniform_circle_ensemble  # noqa: F401 - benchmarks/tracing.py patches it here
 
@@ -108,7 +108,7 @@ class SessionConfig:
     eve_strategy: str = "none"
 
     def __post_init__(self) -> None:
-        require_count("k", self.k)
+        require_block_count(self.k)
         require_ring_size(self.M)
         # numpy integers pass the rules; plain ints serialize to JSON
         object.__setattr__(self, "k", int(self.k))
@@ -160,6 +160,15 @@ class SessionTranscript:
 #: Qubits sent per array pass; longer runs go through in chunks of sessions.
 #: Each qubit costs some tens of bytes of arrays along the pass.
 _SLOT_BUDGET = 1 << 14
+#: Data blocks of one session, at most: a session of k blocks peaks near 1.9 KB
+#: per block (252 MB at this bound), since it is never split across passes.
+MAX_K = 1 << 17
+
+
+def require_block_count(k: int) -> None:
+    """Raise unless the block count ``k`` is an integer in ``[1, MAX_K]``."""
+    if not (is_integer(k) and 1 <= k <= MAX_K):
+        raise ValueError(f"k must be an integer in [1, 2**17], got {k!r}")
 
 
 @dataclass

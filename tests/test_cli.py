@@ -201,10 +201,10 @@ class TestCoherent:
             assert float(r["stderr"]) > 0.0
 
     def test_canonical_beyond_default_grid_runs(self, tmp_path):
-        # the largest amplitude the canonical budget admits, whose phase grid
-        # would take 2^20 points; the bin sampler builds no grid
+        # the largest amplitude the canonical budget admits: a Fock window
+        # of nearly 2^17 terms
         out = tmp_path / "coh.csv"
-        argv = ["coherent", "--alpha0", "5215", "--M", "4096", "--estimator", "canonical",
+        argv = ["coherent", "--alpha0", "5370", "--M", "4096", "--estimator", "canonical",
                 "--trials", "1000", "--out", str(out)]
         assert run_cli(argv) == 0
         assert 0.0 <= float(read_csv(out)[0]["pa"]) <= 1.0
@@ -454,7 +454,7 @@ RULE_KEYS = {
     "trials": (["aki", "--m", "1", "--trials"], int, partial(require_count, "trials")),
     "attack-k": (["attack", "--strategy", "impersonation", "--k"], int,
                  partial(require_count, "k")),
-    "ake-k": (["ake", "--k"], int, partial(require_count, "k")),
+    "ake-k": (["ake", "--k"], int, protocol.require_block_count),
     "aki-m_list": (["aki", "--trials", "10", "--m"], int, partial(require_count, "m")),
     "aki-M": (["aki", "--m", "1", "--trials", "10", "--M"], int, states.require_ring_size),
     "ake-M": (["ake", "--M"], int, states.require_ring_size),
@@ -472,10 +472,13 @@ RULE_KEYS = {
     "depolarize": (["ake", "--depolarize"], float, partial(require_probability, "depolarize")),
     "seed": (["aki", "--m", "1", "--trials", "10", "--seed"], int, partial(require_seed, "seed")),
 }
+# values just past a rule's upper end, each refused before anything is allocated
+BUDGET_CASES = {"seed": [str(2**64)], "ake-k": [str(2**17 + 1)],
+                "coherent-m_list": [str(2**20 + 1)], "canonical-alpha_list": ["5371"]}
 RULE_CASES = [
     (key, value) for key, (_, kind, _) in RULE_KEYS.items()
     for value in ["0", "-1", "3", "6"] + (["nan", "inf", "1e100"] if kind is float else [])
-    + ([str(2**64)] if key == "seed" else [])
+    + BUDGET_CASES.get(key, [])
 ]
 
 

@@ -7,13 +7,14 @@ import pytest
 
 from anonkey import coherent
 from anonkey.coherent import (
-    MAX_PHASE_GRID,
+    MAX_GRID_SIZE,
     PhaseDistribution,
     canonical_phase_pa,
     coherent_overlap_mag,
     heterodyne_pa,
     heterodyne_resend_pa,
     require_canonical_amplitude,
+    require_grid_size,
 )
 
 
@@ -104,61 +105,54 @@ class TestPhaseDistribution:
     def test_normalization(self):
         for a0 in (2.0, 8.0):
             assert PhaseDistribution(a0).normalization() == pytest.approx(
-                1.0, abs=1e-6
+                1.0, abs=1e-12
             )
-
-    def test_grid_grows_with_the_amplitude(self):
-        # 16 points per phase standard deviation 1 / (2 alpha0) outgrow 2^16
-        # points from alpha0 = 326: alpha0 = 400 takes 2^17
-        d = PhaseDistribution(400.0)
-        assert len(d.grid_theta) == 2**17
-        assert d.normalization() == pytest.approx(1.0, abs=1e-6)
-        assert len(PhaseDistribution(8.0).grid_theta) == 2**16
-        assert coherent._phase_grid(325.0) == 2**16 < coherent._phase_grid(326.0)
 
     def test_peak_at_zero(self):
         d = PhaseDistribution(3.0)
         assert d.density(0.0) >= d.density(0.3)
         assert d.density(0.0) >= d.density(-0.3)
 
-    def test_density_matches_grid(self):
-        d = PhaseDistribution(2.0)
-        idx = np.arange(0, len(d.grid_theta), 4096)
-        assert np.allclose(
-            d.density(d.grid_theta[idx]), d.grid_density[idx], rtol=1e-9, atol=1e-12
-        )
-
-    @pytest.mark.parametrize("a0", [2.0, 20.0, 400.0])  # 400 takes the 2^17 grid
-    def test_grid_is_the_stable_sort_of_the_wrapped_fft_grid(self, a0):
-        # reference: the window's series on the FFT grid, wrapped to (-pi, pi]
-        # and put in order by a stable argsort
-        d = PhaseDistribution(a0)
-        grid = len(d.grid_theta)
-        padded = np.zeros(grid, dtype=complex)
-        padded[: len(d.window)] = coherent._fock_amplitudes(a0)[1]
-        density = np.abs(np.fft.ifft(padded) * grid) ** 2 / (2.0 * math.pi)
-        raw = 2.0 * math.pi * np.arange(grid) / grid
-        theta = np.where(raw > math.pi, raw - 2.0 * math.pi, raw)
-        order = np.argsort(theta, kind="stable")
-        assert np.array_equal(d.grid_theta, theta[order])
-        assert np.array_equal(d.grid_density, density[order])
-
     def test_density_stays_small_and_matches_grid(self):
         # the (phases x Fock series) matrix of 1000 phases at alpha0 = 1000
         # would hold 1000 x 1006021 complex entries, 16 GB, over the whole
-        # series; over the window and a block of phases at a time it is 8 MiB
-        d = PhaseDistribution(1000.0)
-        zero = len(d.grid_theta) // 2 - 1  # where the grid holds theta = 0
-        idx = np.concatenate([zero + np.arange(-250, 250),  # the peak: sd 5e-4, 8 points
-                              np.linspace(0, len(d.grid_theta) - 1, 500).astype(int)])
+        # series; over the window and a block of phases at a time it is 8 MiB.
+        # reference: the window's series on a 2^18-point FFT grid, longer than
+        # the window, so evaluated there without aliasing
+        a0, grid = 1000.0, 2**18
+        d = PhaseDistribution(a0)
+        padded = np.zeros(grid, dtype=complex)
+        padded[: len(d.window)] = coherent._fock_amplitudes(a0)[1]
+        reference = np.abs(np.fft.ifft(padded) * grid) ** 2 / (2.0 * math.pi)
+        idx = np.concatenate([np.arange(-250, 250) % grid,  # the peak: sd 5e-4, 20 points
+                              np.linspace(0, grid - 1, 500).astype(int)])
+        theta = 2.0 * math.pi * idx / grid
+        theta = np.where(theta > math.pi, theta - 2.0 * math.pi, theta)
         tracemalloc.start()
         try:
-            values = d.density(d.grid_theta[idx])
+            values = d.density(theta)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 10 * 2**20
-        assert np.allclose(values, d.grid_density[idx], rtol=1e-9, atol=1e-9)
+        assert np.allclose(values, reference[idx], rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("a0", [0.4, 2.0, 8.0, 16.0])
+    def test_variance_matches_quadrature(self, a0):
+        # theta^2 times the density by Gauss-Legendre over (-pi, pi], with
+        # nodes to spare for the series' highest frequency
+        d = PhaseDistribution(a0)
+        x, w = np.polynomial.legendre.leggauss(4 * len(d.window) + 100)
+        theta = math.pi * x
+        p = d.density(theta)
+        assert d.variance() == pytest.approx((w @ (theta**2 * p)) / (w @ p), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("a0", [1000.0, 5370.0])  # 5370: the largest admitted amplitude
+    def test_variance_matches_the_asymptotic_form(self, a0):
+        # 1 / (4 a^2) + 1 / (8 a^4), whose next term is far below rounding here;
+        # the Fourier sum's terms of order 1 leave an absolute error near 5e-16
+        assert PhaseDistribution(a0).variance() == pytest.approx(
+            1 / (4 * a0**2) + 1 / (8 * a0**4), rel=0, abs=1e-15)
 
     def test_variance_ratio_asymptotic(self):
         # doubling the amplitude quarters the phase variance once the
@@ -203,23 +197,34 @@ class TestCanonicalPhasePa:
 
 
 class TestCanonicalBudget:
-    def test_refused_before_anything_is_allocated(self):
+    @pytest.mark.parametrize("a0", [1e100, 9e153])
+    def test_refused_before_anything_is_allocated(self, a0):
         # the Fock series of 1e100 would need about 1e200 coefficients; it
-        # used to fail inside np.arange with "Maximum allowed size exceeded"
+        # used to fail inside np.arange with "Maximum allowed size exceeded".
+        # There the window's float ends cancel to a one-term range, so the
+        # rule bounds the width in closed form
         with pytest.raises(ValueError, match="alpha0"):
-            PhaseDistribution(1e100)
+            PhaseDistribution(a0)
         with pytest.raises(ValueError, match="alpha0"):
-            canonical_phase_pa(1e100, 4, 10, 0)
+            canonical_phase_pa(a0, 4, 10, 0)
 
-    def test_budget_is_the_largest_grid(self):
-        # 16 points per standard deviation 1 / (2 alpha0) fill 2^20 points
-        # at alpha0 = 2^20 / (64 pi), about 5215.19
-        require_canonical_amplitude(5215.0)
-        assert coherent._phase_grid(5215.0) == MAX_PHASE_GRID < coherent._phase_grid(5216.0)
+    def test_budget_is_the_largest_window(self):
+        # a window of 2 a sqrt(2 L) + L + 2 terms fills 2^17 at a = about 5370.27
+        require_canonical_amplitude(5370.0)
+        assert len(coherent._fock_window(5370.0)) <= coherent.MAX_FOCK_WINDOW
         with pytest.raises(ValueError, match="alpha0"):
-            require_canonical_amplitude(5216.0)
-        pa, _ = canonical_phase_pa(5215.0, 4096, 1000, 0)
+            require_canonical_amplitude(5371.0)
+        pa, _ = canonical_phase_pa(5370.0, 4096, 1000, 0)
         assert 0.0 <= pa <= 1.0
+
+
+class TestGridSizeBudget:
+    def test_budget_is_the_largest_ring(self):
+        # the tables are O(M): M = 2^20 peaks near 125 MB, so 10^9 would ask for about 90 GB
+        require_grid_size(MAX_GRID_SIZE)
+        for M in (MAX_GRID_SIZE + 1, 10**9):
+            with pytest.raises(ValueError, match="^M must"):
+                heterodyne_pa(3.0, M, 10, 0)
 
 
 def lgamma_log_amplitudes(a0, window):
@@ -277,7 +282,7 @@ class TestCanonicalBins:
         full = full_series_bins(a0, M)
         assert np.allclose(coherent._bin_probabilities(a0, M), full, rtol=0, atol=1e-14)
 
-    @pytest.mark.parametrize("a0", [0.4, 2.5, 5.0, 23.0, 400.0, 5215.0])
+    @pytest.mark.parametrize("a0", [0.4, 2.5, 5.0, 23.0, 400.0, 5370.0])
     def test_window_drops_at_most_the_bound(self, a0):
         # the dropped tails, summed term by term in the direct form
         window = coherent._fock_window(a0)
@@ -290,7 +295,7 @@ class TestCanonicalBins:
 
     def test_window_sums_to_one_at_the_largest_amplitude(self):
         # the direct form loses about 1e-8 here, to n log(a0) of order 4e8
-        c = coherent._fock_amplitudes(5215.0)[1]
+        c = coherent._fock_amplitudes(5370.0)[1]
         assert abs(math.fsum(c * c) - 1.0) < 1e-12
 
     # where the direct form is exact enough: at 8.0 the window reaches n = 236,

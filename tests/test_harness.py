@@ -106,18 +106,21 @@ def _real(v):
 ACCEPTS = {
     "count": lambda v: _integral(v) and v >= 1,
     "ring size": lambda v: _integral(v) and v > 0 and v % 4 == 0,
-    "grid size": lambda v: _integral(v) and v >= 4,
+    "block count": lambda v: _integral(v) and 1 <= v <= 2**17,
+    "grid size": lambda v: _integral(v) and 4 <= v <= 2**20,
     "seed": lambda v: _integral(v) and 0 <= v < 2**64,
     "length": lambda v: _integral(v) and 0 <= v <= 16,
     "probability": lambda v: _real(v) and 0 <= v <= 1,
     "amplitude": lambda v: _real(v) and 0 < v < 1e150,
     "angle": lambda v: _real(v) and math.isfinite(v),
 }
-# valid sizes stay small (M <= 16, amplitudes <= 20); budgets for large ones
-# are checked through their rules elsewhere
+# valid sizes stay small (M <= 16, amplitudes <= 20); the sizes past a budget
+# are refused before anything is allocated, and the canonical amplitude budget
+# is checked through its rule elsewhere
 DRAWS = [0, -1, 1, 4, 8, 16, 2.5, 4.0, True, math.nan, math.inf, -math.inf, "3", None,
          np.int64(4)]
-EXTRA_DRAWS = {"seed": [2**64 - 1, 2**64, 2**70], "amplitude": [1e200, 20.0, 10**400]}
+EXTRA_DRAWS = {"seed": [2**64 - 1, 2**64, 2**70], "amplitude": [1e200, 20.0, 10**400],
+               "block count": [2**17 + 1], "grid size": [2**20 + 1]}
 
 _STATE = circle_state(0, 4)
 _PA_BITS = np.ones((1, 1, 16), dtype=np.uint8)
@@ -146,7 +149,7 @@ ENTRY_POINTS = [
     ("privacy_amplify", "out_len", "length", lambda v: coding.privacy_amplify(_PA_BITS, [0], v)),
     ("ChannelModel", "loss_prob", "probability", protocol.ChannelModel),
     ("ChannelModel", "depolarize_prob", "probability", lambda v: protocol.ChannelModel(0.0, v)),
-    ("SessionConfig", "k", "count", lambda v: protocol.SessionConfig(k=v)),
+    ("SessionConfig", "k", "block count", lambda v: protocol.SessionConfig(k=v)),
     ("SessionConfig", "M", "ring size", lambda v: protocol.SessionConfig(k=1, M=v)),
     ("run_ake_session", "seed", "seed", lambda v: protocol.run_ake_session(_SESSION, v)),
     ("binary_entropy", "p", "probability", adversary.binary_entropy),

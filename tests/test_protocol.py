@@ -279,6 +279,14 @@ class TestTranslucentEve:
         with pytest.raises(ValueError):
             SessionConfig(k=1, eve_strategy="quantum-memory")
 
+    def test_block_count_budget(self):
+        # a session is one array pass, about 1.9 KB per block; the budget is
+        # checked on the config, before any session draws
+        assert SessionConfig(k=protocol.MAX_K).k == 2**17
+        for k in (protocol.MAX_K + 1, 10**8):
+            with pytest.raises(ValueError, match=r"^k must be an integer in \[1, 2\*\*17\]"):
+                SessionConfig(k=k)
+
     @pytest.mark.parametrize("channel", [(0.1, 0.0), None, 0.1])
     def test_channel_must_be_a_channel_model(self, channel):
         # a tuple used to pass and fail inside the batch with an AttributeError
