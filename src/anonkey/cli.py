@@ -210,10 +210,11 @@ def _merge_config(args: argparse.Namespace) -> dict:
     for key, (_, check, _, _) in keys.items():
         flag = getattr(args, key)
         merged[key] = check(key, merged[key] if flag is None else flag)
-    # the one rule that spans keys: the canonical estimator's amplitude budget
+    # the rules that span keys: the canonical estimator's amplitude and trials budgets
     if merged.get("estimator") in ("canonical", "all"):
         for a0 in merged["alpha_list"]:
             _rule("alpha_list", a0, coherent.require_canonical_amplitude)
+        _rule("trials", merged["trials"], coherent.require_canonical_trials)
     return merged
 
 

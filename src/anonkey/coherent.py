@@ -10,8 +10,8 @@ interceptor's acceptance stays pinned regardless of amplitude.
 Acceptance convention: the interceptor's estimate is the ring state nearest
 her measured phase, and the verifier accepts with the squared overlap
 between the true and estimated states.  Under this convention heterodyne
-settles near 0.71 and the sharper canonical phase estimator, whose density
-:class:`PhaseDistribution` tabulates, near 0.82, both amplitude-independent.
+settles near 0.71 and the sharper canonical phase estimator, of density
+:class:`PhaseDistribution`, near 0.82, both amplitude-independent.
 :func:`heterodyne_resend_pa` scores the variant where the full complex
 outcome (amplitude error included) is re-prepared, which lands at exactly
 one half.
@@ -22,8 +22,8 @@ pass their rules, none of which accepts a ``bool``: :func:`require_amplitude`
 finite: up to about 9.48e153), :func:`require_grid_size` (an integer ``M`` in
 ``[4, MAX_GRID_SIZE = 2^20]``) and the ``harness`` rules for ``trials``, ``seed``
 and ``dtheta``.  The canonical phase keeps at most :data:`MAX_FOCK_WINDOW` = 2^17
-Fock amplitudes, so there ``alpha0`` is at most about 5370
-(:func:`require_canonical_amplitude`).
+Fock amplitudes, so there ``alpha0`` is at most about 5370 (:func:`require_canonical_amplitude`),
+and ``trials``, one int64 multinomial count, below 2^63 (:func:`require_canonical_trials`).
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ import math
 
 import numpy as np
 
-from .harness import (BLOCK, CdfSearch, draw_blocks, is_integer, is_real, require_angle,
-                      require_count, seeded_rng)
+from .harness import (BLOCK, draw_blocks, is_integer, is_real, require_angle, require_count,
+                      seeded_rng)
 
 MAX_GRID_SIZE = 1 << 20  # rounding ring size M, at most: every entry point builds O(M) tables
 MAX_FOCK_WINDOW = 1 << 17  # Fock amplitudes of the canonical phase, at most
@@ -68,6 +68,12 @@ def require_canonical_amplitude(alpha0: float) -> None:
     require_amplitude(alpha0)
     if not 2.0 * float(alpha0) * math.sqrt(2.0 * _LOG_TAIL) + _LOG_TAIL + 2.0 <= MAX_FOCK_WINDOW:
         raise ValueError(f"alpha0 must be at most about 5370 for the canonical phase, got {alpha0}")
+
+
+def require_canonical_trials(trials: int) -> None:
+    """Raise unless ``trials`` is an integer in ``[1, 2^63)``, as ``rng.multinomial`` takes."""
+    if not (is_integer(trials) and 1 <= trials < 2**63):
+        raise ValueError(f"trials must be an integer in [1, 2**63), got {trials!r}")
 
 
 def require_grid_size(M: int) -> None:
@@ -300,20 +306,18 @@ def canonical_phase_pa(alpha0: float, M: int, trials: int, seed: int) -> tuple[f
 
     Identical scoring to :func:`heterodyne_pa` with the phase error drawn
     from the canonical phase distribution instead of the heterodyne outcome.
-    Only the rounding bin of the error matters, so each trial draws its bin
-    from the bin probabilities ``pmf`` of :func:`_bin_probabilities`, each
-    within 2e-16 of exact; the uniforms come in blocks, and the result equals
-    ``table[rng.choice(M + 1, size=trials, p=pmf)]`` scored by ``np.mean`` and
-    ``np.std`` bit for bit.  Both tables are built per call, in about
-    ``O(alpha0 log alpha0 + M log M)``.
+    A trial's acceptance depends only on its rounding bin, so the bin counts
+    are one draw ``rng.multinomial(trials, pmf)``, ``pmf`` from
+    :func:`_bin_probabilities`, and the mean and ``np.std / sqrt(trials)`` are
+    ``math.fsum`` sums over the bins hit: the per-trial law, in bytes free of
+    summation order, in ``O(alpha0 log alpha0 + M log M)`` whatever ``trials`` is.
     """
     require_grid_size(M)
-    require_count("trials", trials)
+    require_canonical_trials(trials)
     require_canonical_amplitude(alpha0)
     rng = seeded_rng("seed", seed)
-    cdf = _bin_probabilities(alpha0, M).cumsum()
-    search, table = CdfSearch(cdf / cdf[-1]), _overlap_table(alpha0, M)
-    acc = np.empty(trials)
-    for s, u in draw_blocks(rng.random, trials):
-        np.take(table, search(u), out=acc[s])
-    return _mean_stderr(acc)
+    counts = rng.multinomial(trials, _bin_probabilities(alpha0, M))
+    hit = np.flatnonzero(counts)
+    c, t = counts[hit], _overlap_table(alpha0, M)[hit]
+    pa = math.fsum(c * t) / trials
+    return pa, math.sqrt(math.fsum(c * (t - pa) ** 2) / trials) / math.sqrt(trials)

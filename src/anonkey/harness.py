@@ -98,7 +98,8 @@ def draw_blocks(draw, n: int, size: int = BLOCK):
 
 
 class CdfSearch:
-    """Exactly ``cdf.searchsorted(u, side="right")`` for 1-d uniforms ``u`` in [0, 1).
+    """Exactly ``cdf.searchsorted(u, side="right")`` for 1-d uniforms ``u`` in [0, 1):
+    the ring detector's offset draws, ``detection.RingTables.draw_offset``.
 
     ``cdf`` is sorted within [0, 1].  ``u`` falls in bucket ``floor(u * B)``
     of ``B`` equal buckets, exactly since ``B`` is a power of two.  A bucket

@@ -468,13 +468,16 @@ RULE_KEYS = {
     "canonical-alpha_list": (["coherent", "--M", "4", "--estimator", "canonical",
                               "--trials", "10", "--alpha0"], float,
                              coherent.require_canonical_amplitude),
+    "canonical-trials": (["coherent", "--alpha0", "3", "--M", "4", "--estimator", "canonical",
+                          "--trials"], int, coherent.require_canonical_trials),
     "loss": (["ake", "--loss"], float, partial(require_probability, "loss")),
     "depolarize": (["ake", "--depolarize"], float, partial(require_probability, "depolarize")),
     "seed": (["aki", "--m", "1", "--trials", "10", "--seed"], int, partial(require_seed, "seed")),
 }
 # values just past a rule's upper end, each refused before anything is allocated
 BUDGET_CASES = {"seed": [str(2**64)], "ake-k": [str(2**17 + 1)],
-                "coherent-m_list": [str(2**20 + 1)], "canonical-alpha_list": ["5371"]}
+                "coherent-m_list": [str(2**20 + 1)], "canonical-alpha_list": ["5371"],
+                "canonical-trials": [str(2**63 - 1), str(2**63)]}
 RULE_CASES = [
     (key, value) for key, (_, kind, _) in RULE_KEYS.items()
     for value in ["0", "-1", "3", "6"] + (["nan", "inf", "1e100"] if kind is float else [])

@@ -102,9 +102,11 @@ def _real(v):
 
 
 # what each kind of number parameter accepts, written out independently of the
-# library's rules; ``length`` is privacy_amplify's out_len for 16 input bits
+# library's rules; ``length`` is privacy_amplify's out_len for 16 input bits,
+# and ``canonical count`` the canonical phase's trials, an int64 multinomial count
 ACCEPTS = {
     "count": lambda v: _integral(v) and v >= 1,
+    "canonical count": lambda v: _integral(v) and 1 <= v < 2**63,
     "ring size": lambda v: _integral(v) and v > 0 and v % 4 == 0,
     "block count": lambda v: _integral(v) and 1 <= v <= 2**17,
     "grid size": lambda v: _integral(v) and 4 <= v <= 2**20,
@@ -120,6 +122,7 @@ ACCEPTS = {
 DRAWS = [0, -1, 1, 4, 8, 16, 2.5, 4.0, True, math.nan, math.inf, -math.inf, "3", None,
          np.int64(4)]
 EXTRA_DRAWS = {"seed": [2**64 - 1, 2**64, 2**70], "amplitude": [1e200, 20.0, 10**400],
+               "canonical count": [2**63 - 1, 2**63],
                "block count": [2**17 + 1], "grid size": [2**20 + 1]}
 
 _STATE = circle_state(0, 4)
@@ -177,7 +180,8 @@ ENTRY_POINTS = [
     ("PhaseDistribution", "alpha0", "amplitude", coherent.PhaseDistribution),
     ("canonical_phase_pa", "alpha0", "amplitude", lambda v: coherent.canonical_phase_pa(v, 4, 10, 0)),
     ("canonical_phase_pa", "M", "grid size", lambda v: coherent.canonical_phase_pa(3.0, v, 10, 0)),
-    ("canonical_phase_pa", "trials", "count", lambda v: coherent.canonical_phase_pa(3.0, 4, v, 0)),
+    ("canonical_phase_pa", "trials", "canonical count",
+     lambda v: coherent.canonical_phase_pa(3.0, 4, v, 0)),
     ("canonical_phase_pa", "seed", "seed", lambda v: coherent.canonical_phase_pa(3.0, 4, 10, v)),
     ("coherent_overlap_mag", "alpha0", "amplitude", lambda v: coherent.coherent_overlap_mag(v, 0.1)),
     ("coherent_overlap_mag", "dtheta", "angle", lambda v: coherent.coherent_overlap_mag(3.0, v)),

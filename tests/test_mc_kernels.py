@@ -1,11 +1,13 @@
-"""The blocked Monte Carlo kernels against their one-shot numpy formulations.
+"""The Monte Carlo kernels against their one-shot numpy formulations.
 
 Each reference below is the plain form of a kernel: ``rng.choice`` for the
-ring detector and for the canonical phase's rounding bin, per-trial complex
-exponentials for the heterodyne noise, ``np.mean`` and ``np.std`` over every
-trial.  The kernels draw the same streams in blocks and read small tables
-instead, and must return the same floats.  Trial counts sit on both sides of
-the block size.
+ring detector, per-trial complex exponentials for the heterodyne noise,
+``np.mean`` and ``np.std`` over every trial.  The blocked kernels draw the
+same streams in blocks and read small tables instead, and must return the
+same floats; trial counts sit on both sides of the block size.  The
+canonical phase draws its bin counts in one ``rng.multinomial`` call, so it
+must match the per-trial acceptances those counts stand for, to rounding,
+and its per-trial form ``rng.choice(M + 1, p=pmf)`` in distribution.
 """
 
 import math
@@ -20,6 +22,7 @@ from anonkey.adversary import sequential_strategy_pc
 from anonkey.aki import aki_impersonation
 from anonkey.coherent import (
     _bin_probabilities,
+    _overlap_table,
     canonical_phase_pa,
     heterodyne_pa,
     heterodyne_resend_pa,
@@ -71,6 +74,13 @@ def ref_canonical(alpha0, M, trials, seed):
     return rounded_acceptance(alpha0, M, (bins - M // 2) * (2.0 * math.pi / M))
 
 
+def ref_canonical_counts(alpha0, M, trials, seed):
+    rng = np.random.default_rng(seed)
+    counts = rng.multinomial(trials, _bin_probabilities(alpha0, M))
+    bins = np.repeat(np.arange(M + 1), counts)
+    return rounded_acceptance(alpha0, M, (bins - M // 2) * (2.0 * math.pi / M))
+
+
 def ref_resend(trials, seed):
     rng = np.random.default_rng(seed)
     noise = (rng.standard_normal(trials) + 1j * rng.standard_normal(trials)) / math.sqrt(2.0)
@@ -105,9 +115,31 @@ def test_heterodyne_matches_exp_form(alpha0, M, trials):
 @pytest.mark.parametrize("trials", [1, 2, BLOCK + 1])
 @pytest.mark.parametrize("M", [4, 7, 4096])
 @pytest.mark.parametrize("alpha0", [0.3, 0.4, 2.5, 23.0, 120.0])
-def test_canonical_matches_choice_form(alpha0, M, trials):
+def test_canonical_matches_repeat_form(alpha0, M, trials):
     seed = M + trials
-    assert canonical_phase_pa(alpha0, M, trials, seed) == ref_canonical(alpha0, M, trials, seed)
+    expected = ref_canonical_counts(alpha0, M, trials, seed)
+    assert canonical_phase_pa(alpha0, M, trials, seed) == pytest.approx(expected, rel=1e-15)
+
+
+@pytest.mark.parametrize("alpha0, M", [(0.4, 7), (2.5, 16)])
+def test_canonical_matches_choice_form_in_distribution(alpha0, M):
+    # the mean and variance of 1000 estimates at 20 trials each: the multinomial
+    # kernel against the per-trial rng.choice form, and both against the exact
+    # pmf @ t and pmf @ (t - pmf @ t)^2 scaled to 20 trials
+    trials, seeds = 20, range(1000)
+    pmf, t = _bin_probabilities(alpha0, M), _overlap_table(alpha0, M)
+    mean = pmf @ t
+    exact = (mean, pmf @ (t - mean) ** 2 / trials)
+    forms = [np.array([f(alpha0, M, trials, s)[0] for s in seeds])
+             for f in (canonical_phase_pa, ref_canonical)]
+    moments = [[(e.mean(), e.std() / math.sqrt(len(e))),
+                (e.var(ddof=1), math.sqrt(np.var((e - e.mean()) ** 2, ddof=1) / len(e)))]
+               for e in forms]
+    for got, other in zip(*moments):
+        assert abs(got[0] - other[0]) < 4 * math.hypot(got[1], other[1])
+    for form in moments:
+        for (value, sd), want in zip(form, exact):
+            assert abs(value - want) < 4 * sd
 
 
 @pytest.mark.parametrize("trials", [1, 2, BLOCK, BLOCK + 1, 2 * BLOCK + 7])
@@ -141,12 +173,13 @@ def test_search_matches_searchsorted(pmf, seed):
     assert np.array_equal(search(u), np.searchsorted(cdf, u, side="right"))
 
 
-@pytest.mark.parametrize("kernel", [
-    lambda: aki_impersonation(8, 4, 300_000, 5),
-    lambda: sequential_strategy_pc(64, 1_000_000, 5),
-], ids=["aki", "opaque"])
-def test_kernels_stay_small(kernel):
-    # the one-shot forms peak at 57.2 and 46.8 MiB
+@pytest.mark.parametrize("kernel, bound", [
+    (lambda: aki_impersonation(8, 4, 300_000, 5), 16 * 2**20),
+    (lambda: sequential_strategy_pc(64, 1_000_000, 5), 16 * 2**20),
+    (lambda: canonical_phase_pa(5.0, 4096, 10**12, 5), 4 * 2**20),
+], ids=["aki", "opaque", "canonical"])
+def test_kernels_stay_small(kernel, bound):
+    # the one-shot forms peak at 57.2 and 46.8 MiB, and at 7.3 TiB for canonical
     ring_tables(64)
     tracemalloc.start()
     try:
@@ -154,4 +187,4 @@ def test_kernels_stay_small(kernel):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak < bound
