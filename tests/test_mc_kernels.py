@@ -118,7 +118,7 @@ def test_heterodyne_matches_exp_form(alpha0, M, trials):
 def test_canonical_matches_repeat_form(alpha0, M, trials):
     seed = M + trials
     expected = ref_canonical_counts(alpha0, M, trials, seed)
-    assert canonical_phase_pa(alpha0, M, trials, seed) == pytest.approx(expected, rel=1e-15)
+    assert canonical_phase_pa(alpha0, M, trials, seed) == pytest.approx(expected, rel=1e-15, abs=0)
 
 
 @pytest.mark.parametrize("alpha0, M", [(0.4, 7), (2.5, 16)])
