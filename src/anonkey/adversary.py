@@ -16,7 +16,7 @@ import numpy as np
 
 from .detection import helstrom_binary, ring_tables
 from .detection import square_root_measurement  # noqa: F401 - benchmarks/tracing.py patches it here
-from .harness import binomial_stderr, draw_blocks, require_count, require_probability, seeded_rng
+from .harness import BLOCK, binomial_stderr, require_count, require_probability, seeded_rng
 from .states import DensityOperator, circle_states, require_ring_size, tensor
 from .states import uniform_circle_ensemble  # noqa: F401 - benchmarks/tracing.py patches it here
 
@@ -93,8 +93,9 @@ def sequential_strategy_pc(M: int, trials: int, seed: int) -> tuple[float, float
     Step one measures the optimal ring detector on the outgoing copy; step
     two asks whether the returned copy sits a quarter-turn up or down from
     the estimate (an orthogonal-basis test).  Matches the joint two-copy
-    optimum.  The uniforms come in blocks after the states and bits, and the
-    result equals the one-shot ``rng.choice(M, p=srm)`` form bit for bit.
+    optimum.  Trials run in blocks of ``BLOCK``; each block draws, in order,
+    its true states, its bits, its detector offsets (as ``rng.choice(M, p=srm)``
+    would) and its decision uniforms, and only the count of bits read right is kept.
 
     Returns
     -------
@@ -107,16 +108,15 @@ def sequential_strategy_pc(M: int, trials: int, seed: int) -> tuple[float, float
     # bit j sits at ell + q(1 - 2j), the estimate at ell + d and "bit 0" a
     # quarter-turn up from it: the test reads ov[(-2qj - d) % M], where the
     # true state ell cancels.  It is drawn only to keep the stream.
-    rng.integers(0, M, size=trials)
-    code = rng.integers(0, 2, size=trials).astype(np.min_scalar_type(2 * M - 1))
-    code *= int(M)  # j * M + d indexes the table below; a numpy M would widen code
-    for s, u in draw_blocks(rng.random, trials):
-        code[s] = code[s] + tables.draw_offset(u)
     d = np.arange(M)
     p_bit0 = tables.ov[np.concatenate([-d, -2 * tables.q - d]) % M]
-    successes = 0
-    for s, u in draw_blocks(rng.random, trials):
-        successes += np.count_nonzero((u >= p_bit0[code[s]]) == (code[s] >= M))
+    successes, buf = 0, np.empty(min(trials, BLOCK))
+    for start in range(0, trials, BLOCK):
+        u = buf[: min(BLOCK, trials - start)]  # a buffer the draws refill
+        rng.integers(0, M, size=len(u))
+        j = rng.integers(0, 2, size=len(u))
+        code = j * M + tables.draw_offset(rng.random(out=u))  # j * M + d indexes p_bit0
+        successes += int(np.count_nonzero((rng.random(out=u) >= p_bit0[code]) == j))
     p = successes / trials
     return p, binomial_stderr(p, trials)
 

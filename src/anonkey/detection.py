@@ -24,8 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .harness import (CdfSearch, binomial_stderr, is_real, require_count, require_probability,
-                      seeded_rng)
+from .harness import (BLOCK, CdfSearch, binomial_stderr, is_real, require_count,
+                      require_probability, seeded_rng)
 from .states import (
     ATOL,
     DensityOperator,
@@ -250,7 +250,8 @@ def random_basis_strategy(M: int, trials: int, seed: int) -> tuple[float, float]
     The interceptor picks ``k`` uniformly, measures the orthogonal basis
     formed by ring states ``k`` and ``k + M/2`` (the antipodal pair), and
     re-prepares the outcome state.  Works without knowledge of ``M``:
-    the acceptance is 3/4 on the ring for every M.
+    the acceptance is 3/4 on the ring for every M.  Each block of ``BLOCK``
+    trials draws its true states, ``k``, measurement and acceptance uniforms.
 
     Returns
     -------
@@ -260,11 +261,13 @@ def random_basis_strategy(M: int, trials: int, seed: int) -> tuple[float, float]
     require_count("trials", trials)
     rng = seeded_rng("seed", seed)
     ov = ring_tables(M).ov  # refuses a bad M
-    true = rng.integers(0, M, size=trials)
-    k = rng.integers(0, M, size=trials)
-    p_first = ov[(k - true) % M]
-    first = rng.random(trials) < p_first
-    reported = np.where(first, k, k + M // 2)  # reduced mod M at the table read
-    accepted = rng.random(trials) < ov[(reported - true) % M]
-    p = float(np.mean(accepted))
+    successes, buf = 0, np.empty(min(trials, BLOCK))
+    for start in range(0, trials, BLOCK):
+        u = buf[: min(BLOCK, trials - start)]  # a buffer the draws refill
+        true = rng.integers(0, M, size=len(u))
+        k = rng.integers(0, M, size=len(u))
+        first = rng.random(out=u) < ov[(k - true) % M]
+        reported = np.where(first, k, k + M // 2)  # reduced mod M at the table read
+        successes += int(np.count_nonzero(rng.random(out=u) < ov[(reported - true) % M]))
+    p = successes / trials
     return p, binomial_stderr(p, trials)

@@ -23,7 +23,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-BLOCK = 1 << 16  # draws per block of a Monte Carlo kernel
+BLOCK = 1 << 16  # trials per block of a Monte Carlo kernel (aki: BLOCK // m whole trials)
 
 
 def is_integer(value) -> bool:
@@ -86,15 +86,6 @@ def derive_seeds(master_seed: int, n: int) -> list[int]:
         seeds.append(int(bits.random_raw()) >> 1)
         bits.advance(2**192 - 1)
     return seeds
-
-
-def draw_blocks(draw, n: int, size: int = BLOCK):
-    """Yield ``(s, draws)`` per block ``s`` of at most ``size`` of ``range(n)``:
-    the stream of one ``draw(n)`` call (``rng.random`` or ``rng.standard_normal``)."""
-    buf = np.empty(min(n, size))
-    for start in range(0, n, size):
-        s = slice(start, min(start + size, n))
-        yield s, draw(out=buf[: s.stop - start])
 
 
 class CdfSearch:

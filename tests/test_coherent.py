@@ -191,6 +191,16 @@ class TestCanonicalPhasePa:
         ]
         assert max(values) - min(values) < 0.02
 
+    # the exact acceptances the README and the coherent docstring quote: flat only
+    # while alpha0 * 2 pi / M << 1, then rising to 1 as rounding resolves the state
+    @pytest.mark.parametrize("M, a0, pa", [
+        (64, 5.0, 0.8037), (64, 23.0, 0.9761), (64, 100.0, 1.0000),
+        (4096, 5.0, 0.8144), (4096, 300.0, 0.8070), (4096, 2000.0, 0.9978),
+    ])
+    def test_flat_only_while_the_ring_step_is_fine(self, M, a0, pa):
+        exact = coherent._bin_probabilities(a0, M) @ coherent._overlap_table(a0, M)
+        assert exact == pytest.approx(pa, rel=0, abs=1e-4)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             canonical_phase_pa(5.0, 2, trials=10, seed=0)

@@ -56,19 +56,19 @@ GOLDEN = [
      "29ca8420296c5627df765a37a9939b2fe99c1b6ac6272442783a8bd18fae5ba4"),
     ("coherent-json", ["coherent", "--alpha0", "3", "--M", "16", "--trials", "500",
                        "--seed", "2", "--format", "json"], 0,
-     "b41d68cf06c9cf8275a4dd510b323968aacd167164a265655926805d548c5fa9"),
+     "fe8da8cefc379a9cf275d9540be49b5d5ade7ff0b36ba79b38e0ec3d40e8d70d"),
     # cdf buckets holding several detector offsets (M = 12, 60, 192), draws
     # crossing a block boundary, canonical counts in the bin at -pi (alpha0 =
     # 0.4) and the session's opaque interceptor
     ("attack-opaque-crowded", ["attack", "--strategy", "opaque", "--M", "12,60,192",
                                "--trials", "70000", "--seed", "3"], 0,
-     "1fef16f8c74f58b68f1fc3ef4913a290985f42f0463bb49c07461ac46f75cab9"),
+     "8635184f63ac6b3b49cf976190f535013820beda2d6f643c70a1a5ac8b071ded"),
     ("aki-across-blocks", ["aki", "--m", "1,3", "--M", "60", "--trials", "70000",
                            "--seed", "4"], 0,
-     "c990763a8c4998b9b052656296de46c1ee1311bdcf9354d66743d9b35ff214fc"),
+     "1fa5ce2f637c98f4decd23295c8aa73c12ed95de135bdc468242297aff659bde"),
     ("coherent-across-blocks", ["coherent", "--alpha0", "0.4,2.5,23", "--M", "4,4096",
                                 "--trials", "70000", "--seed", "5"], 0,
-     "278f1af2aff35d191303b0ebad742ab391889d433ff059c2fb9c83ad31c3cafa"),
+     "5aa24d3ba8ec6cbe6764f8d7e2312f9a77db4424ef408c7b3031129dac48bbe8"),
     ("ake-opaque-M12", ["ake", "--k", "16", "--M", "12", "--eve", "opaque", "--trials", "3",
                         "--seed", "6"], 0,
      "afc50ee2ef7cc09ea8dd365d55c6282551d78431b8e6e7e93a0f44ff4a0f82a0"),

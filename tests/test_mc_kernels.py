@@ -1,13 +1,16 @@
-"""The Monte Carlo kernels against their one-shot numpy formulations.
+"""The Monte Carlo kernels against their plain numpy formulations, block by block.
 
-Each reference below is the plain form of a kernel: ``rng.choice`` for the
-ring detector, per-trial complex exponentials for the heterodyne noise,
-``np.mean`` and ``np.std`` over every trial.  The blocked kernels draw the
-same streams in blocks and read small tables instead, and must return the
-same floats; trial counts sit on both sides of the block size.  The
-canonical phase draws its bin counts in one ``rng.multinomial`` call, so it
-must match the per-trial acceptances those counts stand for, to rounding,
-and its per-trial form ``rng.choice(M + 1, p=pmf)`` in distribution.
+Each kernel runs its trials in blocks of ``BLOCK`` (``BLOCK // m`` whole
+trials in ``aki``), draws each block's values in a fixed order and keeps only
+counts or sums.  Each reference below applies the plain form of a kernel to
+the same blocks: ``rng.choice`` for the ring detector, per-trial complex
+exponentials for the heterodyne noise, ``np.mean`` and ``np.std`` over every
+trial.  Trial counts sit on both sides of the block size.  The counting
+kernels must return the same floats; heterodyne and canonical score their
+rounding-bin counts with ``math.fsum``, so they must match to rounding, and
+resend keeps running sums, so it must match to 1e-12.  The canonical phase
+draws its bin counts in one ``rng.multinomial`` call, so it must also match
+its per-trial form ``rng.choice(M + 1, p=pmf)`` in distribution.
 """
 
 import math
@@ -27,30 +30,57 @@ from anonkey.coherent import (
     heterodyne_pa,
     heterodyne_resend_pa,
 )
-from anonkey.detection import ring_tables
+from anonkey.detection import random_basis_strategy, ring_tables
 from anonkey.harness import BLOCK, CdfSearch, binomial_stderr
+
+
+def blocks(trials, size=BLOCK):
+    """The trial counts of the blocks that a kernel splits ``trials`` into."""
+    return [min(size, trials - start) for start in range(0, trials, size)]
+
+
+def fraction(successes, trials):
+    p = float(np.mean(np.concatenate(successes)))
+    return p, binomial_stderr(p, trials)
 
 
 def ref_aki(m, M, trials, seed):
     rng = np.random.default_rng(seed)
     tables = ring_tables(M)
-    delta = rng.choice(M, size=(trials, m), p=tables.srm)
-    accepted = rng.random((trials, m)) < tables.ov[delta]
-    p = float(np.mean(accepted.all(axis=1)))
-    return p, binomial_stderr(p, trials)
+    sessions = []
+    for n in blocks(trials, max(1, BLOCK // m)):
+        delta = rng.choice(M, size=(n, m), p=tables.srm)
+        accepted = rng.random((n, m)) < tables.ov[delta]
+        sessions.append(accepted.all(axis=1))
+    return fraction(sessions, trials)
 
 
 def ref_opaque(M, trials, seed):
     rng = np.random.default_rng(seed)
     tables = ring_tables(M)
-    ell = rng.integers(0, M, size=trials)
-    j = rng.integers(0, 2, size=trials)
-    est = ell + rng.choice(M, size=trials, p=tables.srm)
-    modulated = ell + tables.q * (1 - 2 * j)
-    p_bit0 = tables.ov[(modulated - est - tables.q) % M]
-    decided = (rng.random(trials) >= p_bit0).astype(np.int64)
-    p = float(np.mean(decided == j))
-    return p, binomial_stderr(p, trials)
+    right = []
+    for n in blocks(trials):
+        ell = rng.integers(0, M, size=n)
+        j = rng.integers(0, 2, size=n)
+        est = ell + rng.choice(M, size=n, p=tables.srm)
+        modulated = ell + tables.q * (1 - 2 * j)
+        p_bit0 = tables.ov[(modulated - est - tables.q) % M]
+        decided = (rng.random(n) >= p_bit0).astype(np.int64)
+        right.append(decided == j)
+    return fraction(right, trials)
+
+
+def ref_random_basis(M, trials, seed):
+    rng = np.random.default_rng(seed)
+    ov = ring_tables(M).ov
+    accepted = []
+    for n in blocks(trials):
+        true = rng.integers(0, M, size=n)
+        k = rng.integers(0, M, size=n)
+        first = rng.random(n) < ov[(k - true) % M]
+        reported = np.where(first, k, k + M // 2)
+        accepted.append(rng.random(n) < ov[(reported - true) % M])
+    return fraction(accepted, trials)
 
 
 def rounded_acceptance(alpha0, M, delta):
@@ -60,12 +90,18 @@ def rounded_acceptance(alpha0, M, delta):
     return float(np.mean(acc)), float(np.std(acc) / math.sqrt(len(acc)))
 
 
+def ref_noise(rng, n):
+    return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
+
+
 def ref_heterodyne(alpha0, M, trials, seed):
     rng = np.random.default_rng(seed)
-    theta = 2.0 * math.pi * rng.integers(0, M, size=trials) / M
-    noise = (rng.standard_normal(trials) + 1j * rng.standard_normal(trials)) / math.sqrt(2.0)
-    beta = alpha0 * np.exp(1j * theta) + noise
-    return rounded_acceptance(alpha0, M, np.angle(beta * np.exp(-1j * theta)))
+    delta = []
+    for n in blocks(trials):
+        theta = 2.0 * math.pi * rng.integers(0, M, size=n) / M
+        beta = alpha0 * np.exp(1j * theta) + ref_noise(rng, n)
+        delta.append(np.angle(beta * np.exp(-1j * theta)))
+    return rounded_acceptance(alpha0, M, np.concatenate(delta))
 
 
 def ref_canonical(alpha0, M, trials, seed):
@@ -83,8 +119,7 @@ def ref_canonical_counts(alpha0, M, trials, seed):
 
 def ref_resend(trials, seed):
     rng = np.random.default_rng(seed)
-    noise = (rng.standard_normal(trials) + 1j * rng.standard_normal(trials)) / math.sqrt(2.0)
-    acc = np.exp(-np.abs(noise) ** 2)
+    acc = np.concatenate([np.exp(-np.abs(ref_noise(rng, n)) ** 2) for n in blocks(trials)])
     return float(np.mean(acc)), float(np.std(acc) / math.sqrt(trials))
 
 
@@ -104,12 +139,19 @@ def test_opaque_matches_choice_form(M, trials):
     assert sequential_strategy_pc(M, trials, M + trials) == ref_opaque(M, trials, M + trials)
 
 
+@pytest.mark.parametrize("trials", ACROSS_BLOCKS + (2 * BLOCK + 5,))
+@pytest.mark.parametrize("M", [4, 8, 12, 60])
+def test_random_basis_matches_plain_form(M, trials):
+    assert random_basis_strategy(M, trials, M + trials) == ref_random_basis(M, trials, M + trials)
+
+
 @pytest.mark.parametrize("trials", [1, 2, BLOCK + 1])
 @pytest.mark.parametrize("M", [4, 12, 4096])
 @pytest.mark.parametrize("alpha0", [0.3, 2.5, 23.0])
 def test_heterodyne_matches_exp_form(alpha0, M, trials):
     seed = M + trials
-    assert heterodyne_pa(alpha0, M, trials, seed) == ref_heterodyne(alpha0, M, trials, seed)
+    expected = ref_heterodyne(alpha0, M, trials, seed)
+    assert heterodyne_pa(alpha0, M, trials, seed) == pytest.approx(expected, rel=1e-15, abs=0)
 
 
 @pytest.mark.parametrize("trials", [1, 2, BLOCK + 1])
@@ -144,7 +186,8 @@ def test_canonical_matches_choice_form_in_distribution(alpha0, M):
 
 @pytest.mark.parametrize("trials", [1, 2, BLOCK, BLOCK + 1, 2 * BLOCK + 7])
 def test_resend_matches_complex_form(trials):
-    assert heterodyne_resend_pa(5.0, trials, trials) == ref_resend(trials, trials)
+    expected = ref_resend(trials, trials)
+    assert heterodyne_resend_pa(5.0, trials, trials) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("M", [4, 8, 12, 60, 192, 1024])
@@ -173,13 +216,33 @@ def test_search_matches_searchsorted(pmf, seed):
     assert np.array_equal(search(u), np.searchsorted(cdf, u, side="right"))
 
 
+SAMPLED = {
+    "aki": lambda trials: aki_impersonation(3, 12, trials, 5),
+    "opaque": lambda trials: sequential_strategy_pc(64, trials, 5),
+    "random-basis": lambda trials: random_basis_strategy(64, trials, 5),
+    "heterodyne": lambda trials: heterodyne_pa(5.0, 4096, trials, 5),
+    "canonical": lambda trials: canonical_phase_pa(5.0, 4096, trials, 5),
+    "resend": lambda trials: heterodyne_resend_pa(5.0, trials, 5),
+}
+
+
+@pytest.mark.parametrize("trials", [1, BLOCK + 1])
+@pytest.mark.parametrize("name", SAMPLED)
+def test_kernels_return_python_floats(name, trials):
+    assert [type(v) for v in SAMPLED[name](trials)] == [float, float]
+
+
 @pytest.mark.parametrize("kernel, bound", [
     (lambda: aki_impersonation(8, 4, 300_000, 5), 16 * 2**20),
     (lambda: sequential_strategy_pc(64, 1_000_000, 5), 16 * 2**20),
     (lambda: canonical_phase_pa(5.0, 4096, 10**12, 5), 4 * 2**20),
-], ids=["aki", "opaque", "canonical"])
+    (lambda: heterodyne_pa(5.0, 4096, 10**7, 5), 8 * 2**20),
+    (lambda: heterodyne_resend_pa(5.0, 10**7, 5), 8 * 2**20),
+    (lambda: random_basis_strategy(64, 10**7, 5), 8 * 2**20),
+], ids=["aki", "opaque", "canonical", "heterodyne", "resend", "random-basis"])
 def test_kernels_stay_small(kernel, bound):
-    # the one-shot forms peak at 57.2 and 46.8 MiB, and at 7.3 TiB for canonical
+    # the one-shot forms peak at 57.2 and 46.8 MiB, at 7.3 TiB for canonical,
+    # and at 157.5, 77.8 and 544.3 MiB for heterodyne, resend and random-basis
     ring_tables(64)
     tracemalloc.start()
     try:
