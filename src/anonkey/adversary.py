@@ -16,7 +16,8 @@ import numpy as np
 
 from .detection import helstrom_binary, ring_tables
 from .detection import square_root_measurement  # noqa: F401 - benchmarks/tracing.py patches it here
-from .harness import BLOCK, binomial_stderr, require_count, require_probability, seeded_rng
+from .harness import (binomial_stderr, require_count, require_draw_count, require_probability,
+                      seeded_rng)
 from .states import DensityOperator, circle_states, require_ring_size, tensor
 from .states import uniform_circle_ensemble  # noqa: F401 - benchmarks/tracing.py patches it here
 
@@ -93,32 +94,27 @@ def sequential_strategy_pc(M: int, trials: int, seed: int) -> tuple[float, float
     Step one measures the optimal ring detector on the outgoing copy; step
     two asks whether the returned copy sits a quarter-turn up or down from
     the estimate (an orthogonal-basis test).  Matches the joint two-copy
-    optimum.  Trials run in blocks of ``BLOCK``; each block draws, in order,
-    its true states, its bits, its detector offsets (as ``rng.choice(M, p=srm)``
-    would) and its decision uniforms, and only the count of bits read right is kept.
+    optimum.  A trial reads its uniform bit right with a probability that
+    depends only on the bit and the detector offset, so the count of bits
+    read right is one draw ``rng.binomial(trials, p)`` with ``p`` summed over
+    the table: the per-trial law, in O(M) whatever ``trials`` is.
 
     Returns
     -------
     (estimate, stderr)
     """
-    require_count("trials", trials)
+    require_draw_count("trials", trials)
     rng = seeded_rng("seed", seed)
     tables = ring_tables(M)  # refuses a bad M
 
     # bit j sits at ell + q(1 - 2j), the estimate at ell + d and "bit 0" a
-    # quarter-turn up from it: the test reads ov[(-2qj - d) % M], where the
-    # true state ell cancels.  It is drawn only to keep the stream.
+    # quarter-turn up from it, so the test reads 0 with ov[(-2qj - d) % M]
+    # whatever ell: bit 0 is read right with ov[-d], bit 1 with 1 - ov[-2q - d]
     d = np.arange(M)
-    p_bit0 = tables.ov[np.concatenate([-d, -2 * tables.q - d]) % M]
-    successes, buf = 0, np.empty(min(trials, BLOCK))
-    for start in range(0, trials, BLOCK):
-        u = buf[: min(BLOCK, trials - start)]  # a buffer the draws refill
-        rng.integers(0, M, size=len(u))
-        j = rng.integers(0, 2, size=len(u))
-        code = j * M + tables.draw_offset(rng.random(out=u))  # j * M + d indexes p_bit0
-        successes += int(np.count_nonzero((rng.random(out=u) >= p_bit0[code]) == j))
-    p = successes / trials
-    return p, binomial_stderr(p, trials)
+    right = tables.ov[-d % M] + 1.0 - tables.ov[(-2 * tables.q - d) % M]
+    p = 0.5 * float(tables.srm @ right)
+    est = int(rng.binomial(trials, p)) / trials
+    return est, binomial_stderr(est, trials)
 
 
 def translucent_accounting(k: int, pa: float) -> tuple[int, float]:

@@ -18,14 +18,13 @@ only half the time.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
 from .detection import ring_tables
 from .detection import square_root_measurement  # noqa: F401 - benchmarks/tracing.py patches it here
-from .harness import BLOCK, binomial_stderr, require_angle, require_count, seeded_rng
+from .harness import binomial_stderr, require_angle, require_count, require_draw_count, seeded_rng
 from .states import DensityOperator, circle_state_at, overlap, require_ring_size, rotate_circle
 from .states import uniform_circle_ensemble  # noqa: F401 - benchmarks/tracing.py patches it here
 
@@ -105,29 +104,19 @@ def aki_impersonation(m: int, M: int, trials: int, seed: int) -> tuple[float, fl
     The impersonator measures a copy of the key state with the optimal ring
     detector and answers the challenge rotated by minus the estimate, so her
     response misses the expected state by exactly her estimation error.  A
-    session accepts only if all ``m`` independent rounds accept.  Trials run in
-    blocks of ``max(1, BLOCK // m)``; each block draws its ``(n, m)`` detector
-    offsets as ``rng.choice(M, size=(n, m), p=srm)`` would, then its ``(n, m)``
-    acceptance uniforms, and only the count of accepted sessions is kept.
+    round accepts with probability ``srm @ ov`` and a session only if all ``m``
+    independent rounds accept, so the count of accepted sessions is one draw
+    ``rng.binomial(trials, (srm @ ov) ** m)``: the per-trial law, in O(M)
+    whatever ``trials`` and ``m`` are.
 
     Returns
     -------
     (estimate, stderr)
     """
     require_count("m", m)
-    require_count("trials", trials)
+    require_draw_count("trials", trials)
     rng = seeded_rng("seed", seed)
     tables = ring_tables(M)  # refuses a bad M
-    size = max(1, BLOCK // m)  # whole trials per block
-
-    # per round: estimate offset delta ~ detector pmf; the returned state
-    # misses the target by delta, and the projection accepts with ov[delta]
-    successes, buf = 0, np.empty(min(trials, size) * m)
-    for start in range(0, trials, size):
-        u = buf[: min(size, trials - start) * m]  # a buffer the draws refill
-        delta = tables.draw_offset(rng.random(out=u))
-        accepted = (rng.random(out=u) < tables.ov[delta]).reshape(-1, m)
-        # one pass per round: ``all(axis=1)`` over short rows is slower
-        successes += int(np.count_nonzero(functools.reduce(np.logical_and, accepted.T)))
-    p = successes / trials
-    return p, binomial_stderr(p, trials)
+    p = float(tables.srm @ tables.ov) ** m  # all m rounds accept
+    est = int(rng.binomial(trials, p)) / trials
+    return est, binomial_stderr(est, trials)

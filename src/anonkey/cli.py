@@ -39,7 +39,8 @@ import sys
 from functools import lru_cache, partial
 
 from . import adversary, aki, coding, coherent, detection, states
-from .harness import ResultTable, derive_seeds, require_count, require_probability, require_seed
+from .harness import (ResultTable, derive_seeds, require_count, require_draw_count,
+                      require_probability, require_seed)
 from .protocol import (EVE_STRATEGIES, ChannelModel, SessionConfig, require_block_count,
                        run_ake_sessions)
 from .protocol import run_ake_session  # noqa: F401 - benchmarks/tracing.py patches it here
@@ -70,6 +71,7 @@ def _number(key: str, v, rule=require_count):
 _ring_size = partial(_rule, rule=states.require_ring_size)
 _block_count = partial(_rule, rule=require_block_count)
 _probability = partial(_number, rule=require_probability)
+_draw_count = partial(_number, rule=require_draw_count)
 
 
 def _switch(key: str, v) -> bool:
@@ -120,12 +122,13 @@ def _output(fmt: str = "csv") -> dict[str, tuple]:
     }
 
 
-def _monte_carlo(trials: int, fmt: str = "csv") -> dict[str, tuple]:
-    """The seed, trial count and output keys of a Monte Carlo subcommand."""
+def _monte_carlo(trials: int, fmt: str = "csv", count=_number) -> dict[str, tuple]:
+    """The seed, trial count and output keys of a Monte Carlo subcommand; ``count``
+    checks the trial count (``_draw_count`` where one int64 draw takes it)."""
     return {
         "seed": ("--seed", partial(_number, rule=require_seed), 0,
                  {"type": int, "help": "master seed"}),
-        "trials": ("--trials", _number, trials, {"type": int, "help": "Monte Carlo trials"}),
+        "trials": ("--trials", count, trials, {"type": int, "help": "Monte Carlo trials"}),
         **_output(fmt),
     }
 
@@ -146,7 +149,7 @@ _SUBCOMMANDS: dict[str, tuple[str, dict[str, tuple]]] = {
         "strategy": _choice("--strategy", ("impersonation", "opaque", "translucent"), "opaque"),
         "k": ("--k", _number, 8, {"type": int, "help": "block count"}),
         "m_list": ("--M", _ring_sizes, "8", _RING_LIST),
-        **_monte_carlo(100_000),
+        **_monte_carlo(100_000, count=_draw_count),
     }),
     "ake": ("full key-distribution sessions", {
         "k": ("--k", _block_count, 4, {"type": int}),
@@ -162,7 +165,7 @@ _SUBCOMMANDS: dict[str, tuple[str, dict[str, tuple]]] = {
     "aki": ("identification impersonation curves", {
         "m_list": ("--m", _counts, "1,2,4,8", {"help": "comma list of qubit counts"}),
         "M": ("--M", _ring_size, 4, {"type": int}),
-        **_monte_carlo(100_000),
+        **_monte_carlo(100_000, count=_draw_count),
     }),
     "coherent": ("coherent-state acceptance sweeps", {
         "alpha_list": ("--alpha0", _amplitudes, "5,10,20", {"help": "comma list of amplitudes"}),
@@ -214,7 +217,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
     if merged.get("estimator") in ("canonical", "all"):
         for a0 in merged["alpha_list"]:
             _rule("alpha_list", a0, coherent.require_canonical_amplitude)
-        _rule("trials", merged["trials"], coherent.require_canonical_trials)
+        _draw_count("trials", merged["trials"])
     return merged
 
 

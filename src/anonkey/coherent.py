@@ -26,7 +26,7 @@ finite: up to about 9.48e153), :func:`require_grid_size` (an integer ``M`` in
 ``[4, MAX_GRID_SIZE = 2^20]``) and the ``harness`` rules for ``trials``, ``seed``
 and ``dtheta``.  The canonical phase keeps at most :data:`MAX_FOCK_WINDOW` = 2^17
 Fock amplitudes, so there ``alpha0`` is at most about 5370 (:func:`require_canonical_amplitude`),
-and ``trials``, one int64 multinomial count, below 2^63 (:func:`require_canonical_trials`).
+and ``trials``, one int64 multinomial count, below 2^63 (``harness.require_draw_count``).
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ import math
 
 import numpy as np
 
-from .harness import BLOCK, is_integer, is_real, require_angle, require_count, seeded_rng
+from .harness import (BLOCK, is_integer, is_real, require_angle, require_count,
+                      require_draw_count, seeded_rng)
 
 MAX_GRID_SIZE = 1 << 20  # rounding ring size M, at most: every entry point builds O(M) tables
 MAX_FOCK_WINDOW = 1 << 17  # Fock amplitudes of the canonical phase, at most
@@ -70,12 +71,6 @@ def require_canonical_amplitude(alpha0: float) -> None:
     require_amplitude(alpha0)
     if not 2.0 * float(alpha0) * math.sqrt(2.0 * _LOG_TAIL) + _LOG_TAIL + 2.0 <= MAX_FOCK_WINDOW:
         raise ValueError(f"alpha0 must be at most about 5370 for the canonical phase, got {alpha0}")
-
-
-def require_canonical_trials(trials: int) -> None:
-    """Raise unless ``trials`` is an integer in ``[1, 2^63)``, as ``rng.multinomial`` takes."""
-    if not (is_integer(trials) and 1 <= trials < 2**63):
-        raise ValueError(f"trials must be an integer in [1, 2**63), got {trials!r}")
 
 
 def require_grid_size(M: int) -> None:
@@ -321,7 +316,7 @@ def canonical_phase_pa(alpha0: float, M: int, trials: int, seed: int) -> tuple[f
     in ``O(alpha0 log alpha0 + M log M)`` whatever ``trials`` is.
     """
     require_grid_size(M)
-    require_canonical_trials(trials)
+    require_draw_count("trials", trials)
     require_canonical_amplitude(alpha0)
     rng = seeded_rng("seed", seed)
     return _bin_score(rng.multinomial(trials, _bin_probabilities(alpha0, M)), alpha0, M)

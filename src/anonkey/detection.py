@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .harness import (BLOCK, CdfSearch, binomial_stderr, is_real, require_count,
+from .harness import (CdfSearch, binomial_stderr, is_real, require_count, require_draw_count,
                       require_probability, seeded_rng)
 from .states import (
     ATOL,
@@ -209,7 +209,8 @@ class RingTables(NamedTuple):
     * ``srm[d]`` - probability that the optimal ring detector reports an
       offset of d steps from the true state.
     * ``q`` - the quarter-turn M/4 in ring steps.
-    * ``draw_offset`` - maps uniforms to offsets exactly as ``rng.choice(M, p=srm)``.
+    * ``draw_offset`` - maps uniforms to offsets exactly as ``rng.choice(M, p=srm)``,
+      for the in-session opaque interceptor of :mod:`anonkey.protocol`.
     """
 
     ov: np.ndarray
@@ -250,24 +251,22 @@ def random_basis_strategy(M: int, trials: int, seed: int) -> tuple[float, float]
     The interceptor picks ``k`` uniformly, measures the orthogonal basis
     formed by ring states ``k`` and ``k + M/2`` (the antipodal pair), and
     re-prepares the outcome state.  Works without knowledge of ``M``:
-    the acceptance is 3/4 on the ring for every M.  Each block of ``BLOCK``
-    trials draws its true states, ``k``, measurement and acceptance uniforms.
+    the acceptance is 3/4 on the ring for every M.  A trial accepts with a
+    probability that depends only on the uniform offset ``d = k - true``, so
+    the count of accepted trials is one draw ``rng.binomial(trials, p)``,
+    ``p = mean(ov^2 + (1 - ov) ov[d + M/2])``: the per-trial law, in O(M)
+    whatever ``trials`` is.
 
     Returns
     -------
     (estimate, stderr)
         Fraction of accepted trials and its binomial standard error.
     """
-    require_count("trials", trials)
+    require_draw_count("trials", trials)
     rng = seeded_rng("seed", seed)
     ov = ring_tables(M).ov  # refuses a bad M
-    successes, buf = 0, np.empty(min(trials, BLOCK))
-    for start in range(0, trials, BLOCK):
-        u = buf[: min(BLOCK, trials - start)]  # a buffer the draws refill
-        true = rng.integers(0, M, size=len(u))
-        k = rng.integers(0, M, size=len(u))
-        first = rng.random(out=u) < ov[(k - true) % M]
-        reported = np.where(first, k, k + M // 2)  # reduced mod M at the table read
-        successes += int(np.count_nonzero(rng.random(out=u) < ov[(reported - true) % M]))
-    p = successes / trials
-    return p, binomial_stderr(p, trials)
+    # the basis reports k with probability ov[d], then the check accepts with
+    # ov[d]; otherwise it reports k + M/2, half a turn from k
+    p = float(np.mean(ov * ov + (1.0 - ov) * np.roll(ov, -(M // 2))))
+    est = int(rng.binomial(trials, p)) / trials
+    return est, binomial_stderr(est, trials)

@@ -7,11 +7,12 @@ scheduled.  Result rows carry their parameters, estimate, standard error,
 trial count and seed, and serialize to CSV or to a canonical JSON form whose
 parse/re-serialize round trip is byte-identical.  :func:`canonical_json`
 writes that form in one pass for large values such as session transcripts.
-:func:`require_count`, :func:`require_probability`, :func:`require_angle` and
-:func:`require_seed` are input rules for every module.  Each checks the value's
-type as well as its range, through :func:`is_integer` (a ``numbers.Integral``
-that is not a ``bool``) or :func:`is_real` (a ``numbers.Real`` that is not a
-``bool``).  :func:`seeded_rng` is ``np.random.default_rng`` behind the seed rule.
+:func:`require_count`, :func:`require_draw_count`, :func:`require_probability`,
+:func:`require_angle` and :func:`require_seed` are input rules for every module.
+Each checks the value's type as well as its range, through :func:`is_integer`
+(a ``numbers.Integral`` that is not a ``bool``) or :func:`is_real` (a
+``numbers.Real`` that is not a ``bool``).  :func:`seeded_rng` is
+``np.random.default_rng`` behind the seed rule.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-BLOCK = 1 << 16  # trials per block of a Monte Carlo kernel (aki: BLOCK // m whole trials)
+BLOCK = 1 << 16  # trials per block of the heterodyne Monte Carlo kernels
 
 
 def is_integer(value) -> bool:
@@ -40,6 +41,13 @@ def require_count(name: str, value) -> None:
     """Raise unless the count ``name`` is an integer of at least 1."""
     if not (is_integer(value) and value >= 1):
         raise ValueError(f"{name} must be at least 1 (an integer), got {value!r}")
+
+
+def require_draw_count(name: str, value) -> None:
+    """Raise unless the count ``name`` is an integer in ``[1, 2**63)``: the int64 count
+    of trials that ``rng.binomial`` and ``rng.multinomial`` take in one draw."""
+    if not (is_integer(value) and 1 <= value < 2**63):
+        raise ValueError(f"{name} must be an integer in [1, 2**63), got {value!r}")
 
 
 def require_probability(name: str, value) -> None:
@@ -90,7 +98,8 @@ def derive_seeds(master_seed: int, n: int) -> list[int]:
 
 class CdfSearch:
     """Exactly ``cdf.searchsorted(u, side="right")`` for 1-d uniforms ``u`` in [0, 1):
-    the ring detector's offset draws, ``detection.RingTables.draw_offset``.
+    the ring detector's offset draws, ``detection.RingTables.draw_offset``, which
+    only the in-session opaque interceptor of ``protocol`` calls.
 
     ``cdf`` is sorted within [0, 1].  ``u`` falls in bucket ``floor(u * B)``
     of ``B`` equal buckets, exactly since ``B`` is a power of two.  A bucket

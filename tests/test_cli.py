@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from anonkey import aki, cli, coherent, protocol, states
 from anonkey.cli import run_cli
-from anonkey.harness import derive_seeds, require_count, require_probability, require_seed
+from anonkey.harness import (derive_seeds, require_count, require_draw_count, require_probability,
+                             require_seed)
 from anonkey.protocol import SessionConfig, run_ake_session
 
 
@@ -451,7 +452,10 @@ class TestEdgeValidation:
 # type and the rule.  Integer keys take the integer boundary values, number
 # keys nan, inf and a huge amplitude as well
 RULE_KEYS = {
-    "trials": (["aki", "--m", "1", "--trials"], int, partial(require_count, "trials")),
+    "trials": (["aki", "--m", "1", "--trials"], int, partial(require_draw_count, "trials")),
+    "attack-trials": (["attack", "--strategy", "opaque", "--M", "4", "--trials"], int,
+                      partial(require_draw_count, "trials")),
+    "ake-trials": (["ake", "--k", "1", "--trials"], int, partial(require_count, "trials")),
     "attack-k": (["attack", "--strategy", "impersonation", "--k"], int,
                  partial(require_count, "k")),
     "ake-k": (["ake", "--k"], int, protocol.require_block_count),
@@ -469,15 +473,18 @@ RULE_KEYS = {
                               "--trials", "10", "--alpha0"], float,
                              coherent.require_canonical_amplitude),
     "canonical-trials": (["coherent", "--alpha0", "3", "--M", "4", "--estimator", "canonical",
-                          "--trials"], int, coherent.require_canonical_trials),
+                          "--trials"], int, partial(require_draw_count, "trials")),
     "loss": (["ake", "--loss"], float, partial(require_probability, "loss")),
     "depolarize": (["ake", "--depolarize"], float, partial(require_probability, "depolarize")),
     "seed": (["aki", "--m", "1", "--trials", "10", "--seed"], int, partial(require_seed, "seed")),
 }
-# values just past a rule's upper end, each refused before anything is allocated
+# values at and just past a rule's upper end; each value past it is refused before anything
+# is allocated
+_DRAW_COUNT_END = [str(2**63 - 1), str(2**63)]
 BUDGET_CASES = {"seed": [str(2**64)], "ake-k": [str(2**17 + 1)],
                 "coherent-m_list": [str(2**20 + 1)], "canonical-alpha_list": ["5371"],
-                "canonical-trials": [str(2**63 - 1), str(2**63)]}
+                "trials": _DRAW_COUNT_END, "attack-trials": _DRAW_COUNT_END,
+                "canonical-trials": _DRAW_COUNT_END}
 RULE_CASES = [
     (key, value) for key, (_, kind, _) in RULE_KEYS.items()
     for value in ["0", "-1", "3", "6"] + (["nan", "inf", "1e100"] if kind is float else [])

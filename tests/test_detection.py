@@ -407,7 +407,7 @@ class TestRandomBasisStrategy:
         # (M, trials, seed), the order of the other Monte Carlo kernels; the
         # pinned pair fixes the draw stream
         assert random_basis_strategy(8, 1000, 7) == random_basis_strategy(8, 1000, 7)
-        assert random_basis_strategy(8, 1000, 7) == (0.749, 0.013711272734505722)
+        assert random_basis_strategy(8, 1000, 7) == (0.748, 0.013729384545565033)
 
 
 class TestRotatedSrmScan:

@@ -25,7 +25,7 @@ GOLDEN = [
      "b6aa09b503bcacf4557f670e19f18f72fb330dbca5fab7ef99ec408111dfc9f3"),
     ("attack-opaque", ["attack", "--strategy", "opaque", "--M", "4,8", "--trials", "2000",
                        "--seed", "5"], 0,
-     "39c21ec08d3ce6189d0ed7de0d10260f97281d1e52747c41c9621a6a3c1d0dc9"),
+     "7b1de89c03b397791f76c0d78759146166d5ae7e48b6f8301805d30a14c0a8e9"),
     ("attack-translucent-json", ["attack", "--strategy", "translucent", "--k", "4",
                                  "--M", "4,8", "--format", "json"], 0,
      "9267e2cf6d88b42f8de72c5419c0dc471c668bb46aef9312a59af4d2cb71aacb"),
@@ -53,19 +53,20 @@ GOLDEN = [
                                                "--seed", "8", "--transcript"], 0,
      "8689d91922fb8680a70725c465444746e7e8c771a21f10dfff8d6bd2d2af18a9"),
     ("aki", ["aki", "--m", "1,2,4", "--M", "8", "--trials", "2000", "--seed", "9"], 0,
-     "29ca8420296c5627df765a37a9939b2fe99c1b6ac6272442783a8bd18fae5ba4"),
+     "e45bfc3e4a58ffb962f42100f26f162e10bc18f3414433d62b46ab1cee725afe"),
     ("coherent-json", ["coherent", "--alpha0", "3", "--M", "16", "--trials", "500",
                        "--seed", "2", "--format", "json"], 0,
      "fe8da8cefc379a9cf275d9540be49b5d5ade7ff0b36ba79b38e0ec3d40e8d70d"),
-    # cdf buckets holding several detector offsets (M = 12, 60, 192), draws
-    # crossing a block boundary, canonical counts in the bin at -pi (alpha0 =
-    # 0.4) and the session's opaque interceptor
+    # opaque at ring sizes 12, 60 and 192 and aki at 60 (one binomial draw of
+    # 70000 trials each), heterodyne draws crossing a block boundary, canonical counts
+    # in the bin at -pi (alpha0 = 0.4), and the session's opaque interceptor,
+    # whose cdf search meets a bucket holding several detector offsets (M = 12)
     ("attack-opaque-crowded", ["attack", "--strategy", "opaque", "--M", "12,60,192",
                                "--trials", "70000", "--seed", "3"], 0,
-     "8635184f63ac6b3b49cf976190f535013820beda2d6f643c70a1a5ac8b071ded"),
+     "b0c62d18bc3335da450a0b267a4da6c3ca28f834a97a69d0603dc9ab31c8edb5"),
     ("aki-across-blocks", ["aki", "--m", "1,3", "--M", "60", "--trials", "70000",
                            "--seed", "4"], 0,
-     "1fa5ce2f637c98f4decd23295c8aa73c12ed95de135bdc468242297aff659bde"),
+     "af9ba2a83e97105b4b48f507b82bb3e5e9221c908e019fb0376dacdaf624e061"),
     ("coherent-across-blocks", ["coherent", "--alpha0", "0.4,2.5,23", "--M", "4,4096",
                                 "--trials", "70000", "--seed", "5"], 0,
      "5aa24d3ba8ec6cbe6764f8d7e2312f9a77db4424ef408c7b3031129dac48bbe8"),

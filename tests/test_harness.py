@@ -103,10 +103,11 @@ def _real(v):
 
 # what each kind of number parameter accepts, written out independently of the
 # library's rules; ``length`` is privacy_amplify's out_len for 16 input bits,
-# and ``canonical count`` the canonical phase's trials, an int64 multinomial count
+# and ``draw count`` the trials of a kernel that draws its counts in one int64
+# binomial or multinomial draw
 ACCEPTS = {
     "count": lambda v: _integral(v) and v >= 1,
-    "canonical count": lambda v: _integral(v) and 1 <= v < 2**63,
+    "draw count": lambda v: _integral(v) and 1 <= v < 2**63,
     "ring size": lambda v: _integral(v) and v > 0 and v % 4 == 0,
     "block count": lambda v: _integral(v) and 1 <= v <= 2**17,
     "grid size": lambda v: _integral(v) and 4 <= v <= 2**20,
@@ -122,7 +123,7 @@ ACCEPTS = {
 DRAWS = [0, -1, 1, 4, 8, 16, 2.5, 4.0, True, math.nan, math.inf, -math.inf, "3", None,
          np.int64(4)]
 EXTRA_DRAWS = {"seed": [2**64 - 1, 2**64, 2**70], "amplitude": [1e200, 20.0, 10**400],
-               "canonical count": [2**63 - 1, 2**63],
+               "draw count": [2**63 - 1, 2**63],
                "block count": [2**17 + 1], "grid size": [2**20 + 1]}
 
 _STATE = circle_state(0, 4)
@@ -144,7 +145,8 @@ ENTRY_POINTS = [
     ("helstrom_binary", "p0", "probability",
      lambda v: detection.helstrom_binary(_STATE, circle_state(1, 4), v)),
     ("random_basis_strategy", "M", "ring size", lambda v: detection.random_basis_strategy(v, 10, 0)),
-    ("random_basis_strategy", "trials", "count", lambda v: detection.random_basis_strategy(4, v, 0)),
+    ("random_basis_strategy", "trials", "draw count",
+     lambda v: detection.random_basis_strategy(4, v, 0)),
     ("random_basis_strategy", "seed", "seed", lambda v: detection.random_basis_strategy(4, 10, v)),
     ("uniform_guess_povm", "n", "count", lambda v: detection.uniform_guess_povm(v, 2)),
     ("uniform_guess_povm", "dim", "count", lambda v: detection.uniform_guess_povm(2, v)),
@@ -161,7 +163,8 @@ ENTRY_POINTS = [
      adversary.joint_attack_factorization_check),
     ("opaque_bound", "M", "ring size", adversary.opaque_bound),
     ("sequential_strategy_pc", "M", "ring size", lambda v: adversary.sequential_strategy_pc(v, 10, 0)),
-    ("sequential_strategy_pc", "trials", "count", lambda v: adversary.sequential_strategy_pc(4, v, 0)),
+    ("sequential_strategy_pc", "trials", "draw count",
+     lambda v: adversary.sequential_strategy_pc(4, v, 0)),
     ("sequential_strategy_pc", "seed", "seed", lambda v: adversary.sequential_strategy_pc(4, 10, v)),
     ("translucent_accounting", "k", "count", lambda v: adversary.translucent_accounting(v, 0.75)),
     ("translucent_accounting", "pa", "probability", lambda v: adversary.translucent_accounting(4, v)),
@@ -171,7 +174,7 @@ ENTRY_POINTS = [
      lambda v: aki.aki_challenge(aki.SecretCirclePhase(0.0), np.random.default_rng(0), v)),
     ("aki_impersonation", "m", "count", lambda v: aki.aki_impersonation(v, 4, 10, 0)),
     ("aki_impersonation", "M", "ring size", lambda v: aki.aki_impersonation(1, v, 10, 0)),
-    ("aki_impersonation", "trials", "count", lambda v: aki.aki_impersonation(1, 4, v, 0)),
+    ("aki_impersonation", "trials", "draw count", lambda v: aki.aki_impersonation(1, 4, v, 0)),
     ("aki_impersonation", "seed", "seed", lambda v: aki.aki_impersonation(1, 4, 10, v)),
     ("aki_verify", "phi_a", "angle",
      lambda v: aki.aki_verify(circle_state_at(0.0), v, np.random.default_rng(0))),
@@ -180,7 +183,7 @@ ENTRY_POINTS = [
     ("PhaseDistribution", "alpha0", "amplitude", coherent.PhaseDistribution),
     ("canonical_phase_pa", "alpha0", "amplitude", lambda v: coherent.canonical_phase_pa(v, 4, 10, 0)),
     ("canonical_phase_pa", "M", "grid size", lambda v: coherent.canonical_phase_pa(3.0, v, 10, 0)),
-    ("canonical_phase_pa", "trials", "canonical count",
+    ("canonical_phase_pa", "trials", "draw count",
      lambda v: coherent.canonical_phase_pa(3.0, 4, v, 0)),
     ("canonical_phase_pa", "seed", "seed", lambda v: coherent.canonical_phase_pa(3.0, 4, 10, v)),
     ("coherent_overlap_mag", "alpha0", "amplitude", lambda v: coherent.coherent_overlap_mag(v, 0.1)),

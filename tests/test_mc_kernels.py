@@ -1,16 +1,19 @@
-"""The Monte Carlo kernels against their plain numpy formulations, block by block.
+"""The Monte Carlo kernels against their plain numpy formulations.
 
-Each kernel runs its trials in blocks of ``BLOCK`` (``BLOCK // m`` whole
-trials in ``aki``), draws each block's values in a fixed order and keeps only
-counts or sums.  Each reference below applies the plain form of a kernel to
-the same blocks: ``rng.choice`` for the ring detector, per-trial complex
-exponentials for the heterodyne noise, ``np.mean`` and ``np.std`` over every
-trial.  Trial counts sit on both sides of the block size.  The counting
-kernels must return the same floats; heterodyne and canonical score their
-rounding-bin counts with ``math.fsum``, so they must match to rounding, and
-resend keeps running sums, so it must match to 1e-12.  The canonical phase
-draws its bin counts in one ``rng.multinomial`` call, so it must also match
-its per-trial form ``rng.choice(M + 1, p=pmf)`` in distribution.
+The ring kernels (``aki``, opaque, random-basis) draw their success count in
+one ``rng.binomial(trials, p)`` call.  Each must equal that draw with ``p``
+computed here from the ring states and their square-root measurement alone,
+by summing the per-trial law over every outcome, and must match its per-trial
+form (``rng.choice`` for the ring detector, one uniform per decision) in
+distribution.  The canonical phase draws its bin counts in one
+``rng.multinomial`` call, so it must match its repeat form to rounding and its
+per-trial form ``rng.choice(M + 1, p=pmf)`` in distribution.  The heterodyne
+kernels run their trials in blocks of ``BLOCK``, draw each block's values in a
+fixed order and keep only counts or sums.  Their references apply per-trial
+complex exponentials, ``np.mean`` and ``np.std`` over every trial to the same
+blocks, at trial counts on both sides of the block size: heterodyne scores its
+rounding-bin counts with ``math.fsum``, so it must match to rounding, and
+resend keeps running sums, so it must match to 1e-12.
 """
 
 import math
@@ -30,8 +33,9 @@ from anonkey.coherent import (
     heterodyne_pa,
     heterodyne_resend_pa,
 )
-from anonkey.detection import random_basis_strategy, ring_tables
+from anonkey.detection import random_basis_strategy, ring_tables, square_root_measurement
 from anonkey.harness import BLOCK, CdfSearch, binomial_stderr
+from anonkey.states import Ensemble, circle_states
 
 
 def blocks(trials, size=BLOCK):
@@ -39,48 +43,74 @@ def blocks(trials, size=BLOCK):
     return [min(size, trials - start) for start in range(0, trials, size)]
 
 
-def fraction(successes, trials):
-    p = float(np.mean(np.concatenate(successes)))
-    return p, binomial_stderr(p, trials)
+def fraction(successes):
+    p = float(np.mean(successes))
+    return p, binomial_stderr(p, len(successes))
+
+
+def binomial_form(p, trials, seed):
+    """The estimate and stderr of one draw ``rng.binomial(trials, p)``."""
+    est = int(np.random.default_rng(seed).binomial(trials, p)) / trials
+    return est, binomial_stderr(est, trials)
+
+
+def ring_law(M):
+    """``ov[a, b] = tr(rho_a rho_b)`` and ``detect[t, l] = tr(Pi_l rho_t)`` of the
+    ring states and their square-root measurement, without the ring tables."""
+    rho = circle_states(np.arange(M), M)
+    povm = square_root_measurement(Ensemble(rho, np.full(M, 1.0 / M))).elements[:M]
+    return np.einsum("aij,bji->ab", rho, rho).real, np.einsum("tij,lji->tl", rho, povm).real
+
+
+def exact_aki(m, M):
+    # the response misses the challenge as the estimate l misses the key t
+    ov, detect = ring_law(M)
+    return float(np.mean(np.sum(detect * ov, axis=1))) ** m
+
+
+def exact_opaque(M):
+    # bit j sits at t + q(1 - 2j); the test reads bit 0 with the overlap
+    # between it and the state a quarter-turn up from the estimate l
+    ov, detect = ring_law(M)
+    t, q = np.arange(M), M // 4
+    bit0 = [ov[(t + q * (1 - 2 * j)) % M][:, (t + q) % M] for j in (0, 1)]
+    return float(np.sum(detect * (bit0[0] + 1.0 - bit0[1]))) / (2 * M)
+
+
+def exact_random_basis(M):
+    # basis k reports k with ov[k, t], else the antipodal state k + M/2
+    ov, _ = ring_law(M)
+    far = ov[(np.arange(M) + M // 2) % M]
+    return float(np.mean(ov * ov + (1.0 - ov) * far))
 
 
 def ref_aki(m, M, trials, seed):
     rng = np.random.default_rng(seed)
     tables = ring_tables(M)
-    sessions = []
-    for n in blocks(trials, max(1, BLOCK // m)):
-        delta = rng.choice(M, size=(n, m), p=tables.srm)
-        accepted = rng.random((n, m)) < tables.ov[delta]
-        sessions.append(accepted.all(axis=1))
-    return fraction(sessions, trials)
+    delta = rng.choice(M, size=(trials, m), p=tables.srm)
+    return fraction((rng.random((trials, m)) < tables.ov[delta]).all(axis=1))
 
 
 def ref_opaque(M, trials, seed):
     rng = np.random.default_rng(seed)
     tables = ring_tables(M)
-    right = []
-    for n in blocks(trials):
-        ell = rng.integers(0, M, size=n)
-        j = rng.integers(0, 2, size=n)
-        est = ell + rng.choice(M, size=n, p=tables.srm)
-        modulated = ell + tables.q * (1 - 2 * j)
-        p_bit0 = tables.ov[(modulated - est - tables.q) % M]
-        decided = (rng.random(n) >= p_bit0).astype(np.int64)
-        right.append(decided == j)
-    return fraction(right, trials)
+    ell = rng.integers(0, M, size=trials)
+    j = rng.integers(0, 2, size=trials)
+    est = ell + rng.choice(M, size=trials, p=tables.srm)
+    modulated = ell + tables.q * (1 - 2 * j)
+    p_bit0 = tables.ov[(modulated - est - tables.q) % M]
+    decided = (rng.random(trials) >= p_bit0).astype(np.int64)
+    return fraction(decided == j)
 
 
 def ref_random_basis(M, trials, seed):
     rng = np.random.default_rng(seed)
     ov = ring_tables(M).ov
-    accepted = []
-    for n in blocks(trials):
-        true = rng.integers(0, M, size=n)
-        k = rng.integers(0, M, size=n)
-        first = rng.random(n) < ov[(k - true) % M]
-        reported = np.where(first, k, k + M // 2)
-        accepted.append(rng.random(n) < ov[(reported - true) % M])
-    return fraction(accepted, trials)
+    true = rng.integers(0, M, size=trials)
+    k = rng.integers(0, M, size=trials)
+    first = rng.random(trials) < ov[(k - true) % M]
+    reported = np.where(first, k, k + M // 2)
+    return fraction(rng.random(trials) < ov[(reported - true) % M])
 
 
 def rounded_acceptance(alpha0, M, delta):
@@ -123,26 +153,66 @@ def ref_resend(trials, seed):
     return float(np.mean(acc)), float(np.std(acc) / math.sqrt(trials))
 
 
-ACROSS_BLOCKS = (1, 7, BLOCK - 1, BLOCK, BLOCK + 3)
+def assert_same_law(kernel, ref, exact, trials=20, seeds=range(1000)):
+    """The mean and variance of 1000 estimates at 20 trials each: the kernel against
+    its per-trial form ``ref``, and both against the ``exact`` mean and variance."""
+    forms = [np.array([f(trials, s)[0] for s in seeds]) for f in (kernel, ref)]
+    moments = [[(e.mean(), e.std() / math.sqrt(len(e))),
+                (e.var(ddof=1), math.sqrt(np.var((e - e.mean()) ** 2, ddof=1) / len(e)))]
+               for e in forms]
+    for got, other in zip(*moments):
+        assert abs(got[0] - other[0]) < 4 * math.hypot(got[1], other[1])
+    for form in moments:
+        for (value, sd), want in zip(form, exact):
+            assert abs(value - want) < 4 * sd
 
 
-@pytest.mark.parametrize("trials", ACROSS_BLOCKS)
-@pytest.mark.parametrize("m, M", [(1, 4), (3, 12), (8, 4), (2, 60), (5, 192)])
-def test_aki_matches_choice_form(m, M, trials):
+def binomial_moments(p, trials=20):
+    return p, p * (1.0 - p) / trials
+
+
+DRAW_TRIALS = (1, 7, 20, 70_000, 10**12)
+
+
+@pytest.mark.parametrize("trials", DRAW_TRIALS)
+@pytest.mark.parametrize("m, M", [(1, 4), (3, 12), (8, 4), (2, 60), (5, 192), (10**9, 4)])
+def test_aki_matches_binomial_form(m, M, trials):
     seed = 1000 * m + M + trials
-    assert aki_impersonation(m, M, trials, seed) == ref_aki(m, M, trials, seed)
+    expected = binomial_form(exact_aki(m, M), trials, seed)
+    assert aki_impersonation(m, M, trials, seed) == expected
 
 
-@pytest.mark.parametrize("trials", ACROSS_BLOCKS + (2 * BLOCK + 5,))
+@pytest.mark.parametrize("trials", DRAW_TRIALS)
 @pytest.mark.parametrize("M", [4, 8, 12, 60, 192])
-def test_opaque_matches_choice_form(M, trials):
-    assert sequential_strategy_pc(M, trials, M + trials) == ref_opaque(M, trials, M + trials)
+def test_opaque_matches_binomial_form(M, trials):
+    seed = M + trials
+    assert sequential_strategy_pc(M, trials, seed) == binomial_form(exact_opaque(M), trials, seed)
 
 
-@pytest.mark.parametrize("trials", ACROSS_BLOCKS + (2 * BLOCK + 5,))
+@pytest.mark.parametrize("trials", DRAW_TRIALS)
 @pytest.mark.parametrize("M", [4, 8, 12, 60])
-def test_random_basis_matches_plain_form(M, trials):
-    assert random_basis_strategy(M, trials, M + trials) == ref_random_basis(M, trials, M + trials)
+def test_random_basis_matches_binomial_form(M, trials):
+    seed = M + trials
+    expected = binomial_form(exact_random_basis(M), trials, seed)
+    assert random_basis_strategy(M, trials, seed) == expected
+
+
+@pytest.mark.parametrize("m, M", [(1, 4), (3, 12)])
+def test_aki_matches_choice_form_in_distribution(m, M):
+    assert_same_law(lambda t, s: aki_impersonation(m, M, t, s),
+                    lambda t, s: ref_aki(m, M, t, s), binomial_moments(exact_aki(m, M)))
+
+
+@pytest.mark.parametrize("M", [4, 12])
+def test_opaque_matches_choice_form_in_distribution(M):
+    assert_same_law(lambda t, s: sequential_strategy_pc(M, t, s),
+                    lambda t, s: ref_opaque(M, t, s), binomial_moments(exact_opaque(M)))
+
+
+@pytest.mark.parametrize("M", [4, 12])
+def test_random_basis_matches_plain_form_in_distribution(M):
+    assert_same_law(lambda t, s: random_basis_strategy(M, t, s),
+                    lambda t, s: ref_random_basis(M, t, s), binomial_moments(exact_random_basis(M)))
 
 
 @pytest.mark.parametrize("trials", [1, 2, BLOCK + 1])
@@ -165,23 +235,11 @@ def test_canonical_matches_repeat_form(alpha0, M, trials):
 
 @pytest.mark.parametrize("alpha0, M", [(0.4, 7), (2.5, 16)])
 def test_canonical_matches_choice_form_in_distribution(alpha0, M):
-    # the mean and variance of 1000 estimates at 20 trials each: the multinomial
-    # kernel against the per-trial rng.choice form, and both against the exact
-    # pmf @ t and pmf @ (t - pmf @ t)^2 scaled to 20 trials
-    trials, seeds = 20, range(1000)
+    # the exact pmf @ t and pmf @ (t - pmf @ t)^2 scaled to 20 trials
     pmf, t = _bin_probabilities(alpha0, M), _overlap_table(alpha0, M)
     mean = pmf @ t
-    exact = (mean, pmf @ (t - mean) ** 2 / trials)
-    forms = [np.array([f(alpha0, M, trials, s)[0] for s in seeds])
-             for f in (canonical_phase_pa, ref_canonical)]
-    moments = [[(e.mean(), e.std() / math.sqrt(len(e))),
-                (e.var(ddof=1), math.sqrt(np.var((e - e.mean()) ** 2, ddof=1) / len(e)))]
-               for e in forms]
-    for got, other in zip(*moments):
-        assert abs(got[0] - other[0]) < 4 * math.hypot(got[1], other[1])
-    for form in moments:
-        for (value, sd), want in zip(form, exact):
-            assert abs(value - want) < 4 * sd
+    assert_same_law(lambda n, s: canonical_phase_pa(alpha0, M, n, s),
+                    lambda n, s: ref_canonical(alpha0, M, n, s), (mean, pmf @ (t - mean) ** 2 / 20))
 
 
 @pytest.mark.parametrize("trials", [1, 2, BLOCK, BLOCK + 1, 2 * BLOCK + 7])
@@ -234,15 +292,20 @@ def test_kernels_return_python_floats(name, trials):
 
 @pytest.mark.parametrize("kernel, bound", [
     (lambda: aki_impersonation(8, 4, 300_000, 5), 16 * 2**20),
+    (lambda: aki_impersonation(10**9, 4, 300_000, 5), 4 * 2**20),
+    (lambda: aki_impersonation(8, 4, 2**63 - 1, 5), 4 * 2**20),
     (lambda: sequential_strategy_pc(64, 1_000_000, 5), 16 * 2**20),
+    (lambda: sequential_strategy_pc(64, 2**63 - 1, 5), 4 * 2**20),
     (lambda: canonical_phase_pa(5.0, 4096, 10**12, 5), 4 * 2**20),
     (lambda: heterodyne_pa(5.0, 4096, 10**7, 5), 8 * 2**20),
     (lambda: heterodyne_resend_pa(5.0, 10**7, 5), 8 * 2**20),
     (lambda: random_basis_strategy(64, 10**7, 5), 8 * 2**20),
-], ids=["aki", "opaque", "canonical", "heterodyne", "resend", "random-basis"])
+], ids=["aki", "aki-huge-m", "aki-max-trials", "opaque", "opaque-max-trials", "canonical",
+        "heterodyne", "resend", "random-basis"])
 def test_kernels_stay_small(kernel, bound):
-    # the one-shot forms peak at 57.2 and 46.8 MiB, at 7.3 TiB for canonical,
-    # and at 157.5, 77.8 and 544.3 MiB for heterodyne, resend and random-basis
+    # the one-shot per-trial forms peak at 57.2 and 46.8 MiB for aki and opaque
+    # (about 8 GB for aki at m = 10**9), at 7.3 TiB for canonical, and at 157.5,
+    # 77.8 and 544.3 MiB for heterodyne, resend and random-basis
     ring_tables(64)
     tracemalloc.start()
     try:
