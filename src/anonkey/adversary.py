@@ -16,8 +16,7 @@ import numpy as np
 
 from .detection import helstrom_binary, ring_tables
 from .detection import square_root_measurement  # noqa: F401 - benchmarks/tracing.py patches it here
-from .harness import (binomial_stderr, require_count, require_draw_count, require_probability,
-                      seeded_rng)
+from .harness import binomial_stderr, require_count, require_probability, seeded_rng
 from .states import DensityOperator, circle_states, require_ring_size, tensor
 from .states import uniform_circle_ensemble  # noqa: F401 - benchmarks/tracing.py patches it here
 
@@ -103,7 +102,7 @@ def sequential_strategy_pc(M: int, trials: int, seed: int) -> tuple[float, float
     -------
     (estimate, stderr)
     """
-    require_draw_count("trials", trials)
+    require_count("trials", trials)
     rng = seeded_rng("seed", seed)
     tables = ring_tables(M)  # refuses a bad M
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .detection import ring_tables
 from .detection import square_root_measurement  # noqa: F401 - benchmarks/tracing.py patches it here
-from .harness import binomial_stderr, require_angle, require_count, require_draw_count, seeded_rng
+from .harness import binomial_stderr, require_angle, require_count, seeded_rng
 from .states import DensityOperator, circle_state_at, overlap, require_ring_size, rotate_circle
 from .states import uniform_circle_ensemble  # noqa: F401 - benchmarks/tracing.py patches it here
 
@@ -114,7 +114,7 @@ def aki_impersonation(m: int, M: int, trials: int, seed: int) -> tuple[float, fl
     (estimate, stderr)
     """
     require_count("m", m)
-    require_draw_count("trials", trials)
+    require_count("trials", trials)
     rng = seeded_rng("seed", seed)
     tables = ring_tables(M)  # refuses a bad M
     p = float(tables.srm @ tables.ov) ** m  # all m rounds accept

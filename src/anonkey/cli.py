@@ -25,7 +25,10 @@ a string or null for ``out``; explicit flags override), ``--out``, ``--format
 csv|json``; all but ``detect`` take ``--seed`` and ``--trials``.  Every list
 needs at least one entry.  The CLI checks switches, paths, list syntax and choices;
 every number rule, type included, is the library's ``require_*`` function for the
-value (for the seed, ``harness.require_seed``).
+value: ``harness.require_count`` for a count (``trials``, ``m``, ``k`` of ``attack``),
+an integer in [1, 2**63); ``states.require_ring_size`` for a ring ``M``, at most
+2**20; ``harness.require_seed`` for the seed.  A value a rule refuses exits 2 before
+anything runs.
 Exit codes: 0 success, 1 internal error (Python prints the traceback), 2 configuration
 error (also an unreadable ``--config`` or unwritable ``--out``), 3 session abort.
 """
@@ -39,8 +42,7 @@ import sys
 from functools import lru_cache, partial
 
 from . import adversary, aki, coding, coherent, detection, states
-from .harness import (ResultTable, derive_seeds, require_count, require_draw_count,
-                      require_probability, require_seed)
+from .harness import ResultTable, derive_seeds, require_count, require_probability, require_seed
 from .protocol import (EVE_STRATEGIES, ChannelModel, SessionConfig, require_block_count,
                        run_ake_sessions)
 from .protocol import run_ake_session  # noqa: F401 - benchmarks/tracing.py patches it here
@@ -71,7 +73,6 @@ def _number(key: str, v, rule=require_count):
 _ring_size = partial(_rule, rule=states.require_ring_size)
 _block_count = partial(_rule, rule=require_block_count)
 _probability = partial(_number, rule=require_probability)
-_draw_count = partial(_number, rule=require_draw_count)
 
 
 def _switch(key: str, v) -> bool:
@@ -122,13 +123,12 @@ def _output(fmt: str = "csv") -> dict[str, tuple]:
     }
 
 
-def _monte_carlo(trials: int, fmt: str = "csv", count=_number) -> dict[str, tuple]:
-    """The seed, trial count and output keys of a Monte Carlo subcommand; ``count``
-    checks the trial count (``_draw_count`` where one int64 draw takes it)."""
+def _monte_carlo(trials: int, fmt: str = "csv") -> dict[str, tuple]:
+    """The seed, trial count and output keys of a Monte Carlo subcommand."""
     return {
         "seed": ("--seed", partial(_number, rule=require_seed), 0,
                  {"type": int, "help": "master seed"}),
-        "trials": ("--trials", count, trials, {"type": int, "help": "Monte Carlo trials"}),
+        "trials": ("--trials", _number, trials, {"type": int, "help": "Monte Carlo trials"}),
         **_output(fmt),
     }
 
@@ -149,7 +149,7 @@ _SUBCOMMANDS: dict[str, tuple[str, dict[str, tuple]]] = {
         "strategy": _choice("--strategy", ("impersonation", "opaque", "translucent"), "opaque"),
         "k": ("--k", _number, 8, {"type": int, "help": "block count"}),
         "m_list": ("--M", _ring_sizes, "8", _RING_LIST),
-        **_monte_carlo(100_000, count=_draw_count),
+        **_monte_carlo(100_000),
     }),
     "ake": ("full key-distribution sessions", {
         "k": ("--k", _block_count, 4, {"type": int}),
@@ -165,7 +165,7 @@ _SUBCOMMANDS: dict[str, tuple[str, dict[str, tuple]]] = {
     "aki": ("identification impersonation curves", {
         "m_list": ("--m", _counts, "1,2,4,8", {"help": "comma list of qubit counts"}),
         "M": ("--M", _ring_size, 4, {"type": int}),
-        **_monte_carlo(100_000, count=_draw_count),
+        **_monte_carlo(100_000),
     }),
     "coherent": ("coherent-state acceptance sweeps", {
         "alpha_list": ("--alpha0", _amplitudes, "5,10,20", {"help": "comma list of amplitudes"}),
@@ -213,11 +213,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
     for key, (_, check, _, _) in keys.items():
         flag = getattr(args, key)
         merged[key] = check(key, merged[key] if flag is None else flag)
-    # the rules that span keys: the canonical estimator's amplitude and trials budgets
+    # the rule that spans keys: the canonical estimator's amplitude budget
     if merged.get("estimator") in ("canonical", "all"):
         for a0 in merged["alpha_list"]:
             _rule("alpha_list", a0, coherent.require_canonical_amplitude)
-        _draw_count("trials", merged["trials"])
     return merged
 
 

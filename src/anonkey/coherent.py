@@ -23,10 +23,11 @@ Every entry point raises ``ValueError`` (the CLI exits 2) unless its inputs
 pass their rules, none of which accepts a ``bool``: :func:`require_amplitude`
 (a real ``alpha0 > 0`` with ``2 * alpha0**2``, the overlap exponents' factor,
 finite: up to about 9.48e153), :func:`require_grid_size` (an integer ``M`` in
-``[4, MAX_GRID_SIZE = 2^20]``) and the ``harness`` rules for ``trials``, ``seed``
-and ``dtheta``.  The canonical phase keeps at most :data:`MAX_FOCK_WINDOW` = 2^17
-Fock amplitudes, so there ``alpha0`` is at most about 5370 (:func:`require_canonical_amplitude`),
-and ``trials``, one int64 multinomial count, below 2^63 (``harness.require_draw_count``).
+``[4, MAX_GRID_SIZE = 2^20]``) and the ``harness`` rules for ``trials`` (like every
+count, an integer below 2^63), ``seed`` and ``dtheta``.  The canonical phase keeps at
+most :data:`MAX_FOCK_WINDOW` = 2^17 Fock amplitudes, so there ``alpha0`` is at most
+about 5370 (:func:`require_canonical_amplitude`).  The heterodyne kernels run their
+trials in blocks of :data:`BLOCK` = 2^16.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ import math
 
 import numpy as np
 
-from .harness import (BLOCK, is_integer, is_real, require_angle, require_count,
-                      require_draw_count, seeded_rng)
+from .harness import is_integer, is_real, require_angle, require_count, seeded_rng
 
+BLOCK = 1 << 16  # trials per block of the heterodyne Monte Carlo kernels
 MAX_GRID_SIZE = 1 << 20  # rounding ring size M, at most: every entry point builds O(M) tables
 MAX_FOCK_WINDOW = 1 << 17  # Fock amplitudes of the canonical phase, at most
 # of sum_n c_n^2 = 1, the Fock window drops at most this much, so that a bin
@@ -316,7 +317,7 @@ def canonical_phase_pa(alpha0: float, M: int, trials: int, seed: int) -> tuple[f
     in ``O(alpha0 log alpha0 + M log M)`` whatever ``trials`` is.
     """
     require_grid_size(M)
-    require_draw_count("trials", trials)
+    require_count("trials", trials)
     require_canonical_amplitude(alpha0)
     rng = seeded_rng("seed", seed)
     return _bin_score(rng.multinomial(trials, _bin_probabilities(alpha0, M)), alpha0, M)

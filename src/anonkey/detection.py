@@ -24,8 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .harness import (CdfSearch, binomial_stderr, is_real, require_count, require_draw_count,
-                      require_probability, seeded_rng)
+from .harness import binomial_stderr, is_real, require_count, require_probability, seeded_rng
 from .states import (
     ATOL,
     DensityOperator,
@@ -209,15 +208,17 @@ class RingTables(NamedTuple):
     * ``srm[d]`` - probability that the optimal ring detector reports an
       offset of d steps from the true state.
     * ``q`` - the quarter-turn M/4 in ring steps.
-    * ``draw_offset`` - maps uniforms to offsets exactly as ``rng.choice(M, p=srm)``,
-      for the in-session opaque interceptor of :mod:`anonkey.protocol`.
+    * ``cdf`` - ``srm.cumsum()`` normalised as ``rng.choice(M, p=srm)`` normalises
+      it, so ``cdf.searchsorted(u, side="right")`` maps uniforms ``u`` to offsets
+      exactly as that draw does; the in-session opaque interceptor of
+      :mod:`anonkey.protocol` reads it.
     """
 
     ov: np.ndarray
     decrypt_p0: np.ndarray
     srm: np.ndarray
     q: int
-    draw_offset: CdfSearch
+    cdf: np.ndarray
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: 4.0 must not hit the entry for 4
@@ -238,11 +239,11 @@ def ring_tables(M: int) -> RingTables:
     # ensemble's first state, whose outcome d is offset d
     srm_pmf = np.clip(_real_traces(srm.elements[:M] @ ring.states[0]), 0.0, None)
     srm_pmf = srm_pmf / srm_pmf.sum()
-    for a in (ov, decrypt_p0, srm_pmf):
+    cdf = srm_pmf.cumsum()
+    cdf /= cdf[-1]  # normalized as rng.choice does
+    for a in (ov, decrypt_p0, srm_pmf, cdf):
         a.setflags(write=False)
-    cdf = srm_pmf.cumsum()  # normalized as rng.choice does
-    return RingTables(ov=ov, decrypt_p0=decrypt_p0, srm=srm_pmf, q=q,
-                      draw_offset=CdfSearch(cdf / cdf[-1]))
+    return RingTables(ov=ov, decrypt_p0=decrypt_p0, srm=srm_pmf, q=q, cdf=cdf)
 
 
 def random_basis_strategy(M: int, trials: int, seed: int) -> tuple[float, float]:
@@ -262,7 +263,7 @@ def random_basis_strategy(M: int, trials: int, seed: int) -> tuple[float, float]
     (estimate, stderr)
         Fraction of accepted trials and its binomial standard error.
     """
-    require_draw_count("trials", trials)
+    require_count("trials", trials)
     rng = seeded_rng("seed", seed)
     ov = ring_tables(M).ov  # refuses a bad M
     # the basis reports k with probability ov[d], then the check accepts with

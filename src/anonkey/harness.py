@@ -7,8 +7,9 @@ scheduled.  Result rows carry their parameters, estimate, standard error,
 trial count and seed, and serialize to CSV or to a canonical JSON form whose
 parse/re-serialize round trip is byte-identical.  :func:`canonical_json`
 writes that form in one pass for large values such as session transcripts.
-:func:`require_count`, :func:`require_draw_count`, :func:`require_probability`,
-:func:`require_angle` and :func:`require_seed` are input rules for every module.
+:func:`require_count` (the one rule for every count: an integer in ``[1, 2**63)``),
+:func:`require_probability`, :func:`require_angle` and :func:`require_seed` are input
+rules for every module.
 Each checks the value's type as well as its range, through :func:`is_integer`
 (a ``numbers.Integral`` that is not a ``bool``) or :func:`is_real` (a
 ``numbers.Real`` that is not a ``bool``).  :func:`seeded_rng` is
@@ -24,9 +25,6 @@ from numbers import Integral, Real
 
 import numpy as np
 
-BLOCK = 1 << 16  # trials per block of the heterodyne Monte Carlo kernels
-
-
 def is_integer(value) -> bool:
     """Is ``value`` a ``numbers.Integral`` other than a ``bool``?  A plain int is checked first."""
     return type(value) is int or isinstance(value, Integral) and type(value) is not bool
@@ -38,14 +36,8 @@ def is_real(value) -> bool:
 
 
 def require_count(name: str, value) -> None:
-    """Raise unless the count ``name`` is an integer of at least 1."""
-    if not (is_integer(value) and value >= 1):
-        raise ValueError(f"{name} must be at least 1 (an integer), got {value!r}")
-
-
-def require_draw_count(name: str, value) -> None:
-    """Raise unless the count ``name`` is an integer in ``[1, 2**63)``: the int64 count
-    of trials that ``rng.binomial`` and ``rng.multinomial`` take in one draw."""
+    """Raise unless the count ``name`` is an integer in ``[1, 2**63)``: an int64, as
+    ``rng.binomial`` and ``rng.multinomial`` take a count of trials in one draw."""
     if not (is_integer(value) and 1 <= value < 2**63):
         raise ValueError(f"{name} must be an integer in [1, 2**63), got {value!r}")
 
@@ -94,42 +86,6 @@ def derive_seeds(master_seed: int, n: int) -> list[int]:
         seeds.append(int(bits.random_raw()) >> 1)
         bits.advance(2**192 - 1)
     return seeds
-
-
-class CdfSearch:
-    """Exactly ``cdf.searchsorted(u, side="right")`` for 1-d uniforms ``u`` in [0, 1):
-    the ring detector's offset draws, ``detection.RingTables.draw_offset``, which
-    only the in-session opaque interceptor of ``protocol`` calls.
-
-    ``cdf`` is sorted within [0, 1].  ``u`` falls in bucket ``floor(u * B)``
-    of ``B`` equal buckets, exactly since ``B`` is a power of two.  A bucket
-    holding at most one cdf entry answers ``count(cdf <= left edge) + (u >=
-    first entry above it)``; the few holding more fall back to ``searchsorted``.
-    A cdf of at most 8 entries is counted directly, ``sum(u >= cdf[k])``, in bytes.
-    """
-
-    def __init__(self, cdf: np.ndarray) -> None:
-        self.cdf, n = cdf, 1 << max(10, (len(cdf) - 1).bit_length())
-        self._scale = float(n)
-        # with c = cdf * B, exact: cdf <= b / B iff ceil(c) <= b, and
-        # cdf < (b + 1) / B iff floor(c) <= b
-        c = cdf * self._scale
-        below, before_next = (np.bincount(x.astype(np.intp), minlength=n + 1)[:n].cumsum()
-                              for x in (np.ceil(c), c))
-        self._crowded = before_next - below > 1
-        self._below, self._next = below, np.append(cdf, np.inf)[below]
-
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        if len(self.cdf) <= 8:  # a few comparisons beat the table
-            found = np.zeros(len(u), dtype=np.uint8)
-            for c in self.cdf:
-                found += u >= c
-            return found
-        bucket = (u * self._scale).astype(np.intp)
-        found = self._below[bucket] + (u >= self._next[bucket])
-        hit = np.flatnonzero(self._crowded[bucket])
-        found[hit] = self.cdf.searchsorted(u[hit], side="right")
-        return found
 
 
 def canonical_json(value, pad: str = "") -> str:

@@ -15,9 +15,10 @@ Conventions
 * A qubit density operator is ``rho = (I + r1*s1 + r2*s2 + r3*s3) / 2`` with
   real Bloch vector ``(r1, r2, r3)``: :func:`bloch_to_density` takes any
   length-3 sequence and :meth:`DensityOperator.bloch` returns a float array.
-* Circle state ``ell`` (out of ``M``, a multiple of 4) is the pure state with
-  Bloch vector ``(cos(2*pi*ell/M), 0, sin(2*pi*ell/M))``.  Indices are taken
-  modulo ``M``; ``ell = M`` and ``ell = 0`` are the same reference state.
+* Circle state ``ell`` (out of ``M``, a multiple of 4 up to :data:`MAX_RING_SIZE`
+  = 2^20) is the pure state with Bloch vector ``(cos(2*pi*ell/M), 0,
+  sin(2*pi*ell/M))``.  Indices are taken modulo ``M``; ``ell = M`` and
+  ``ell = 0`` are the same reference state.
 * ``rotate_circle(rho, a)`` advances the circle phase by ``+a`` radians, so a
   clockwise modulation step is a negative angle (index decreases).
 """
@@ -37,12 +38,14 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
+MAX_RING_SIZE = 1 << 20  # ring size M, at most: every ring entry point builds O(M) states
 
 
 def require_ring_size(M: int) -> None:
-    """Raise unless ``M`` is an integer and a positive multiple of 4 (a valid ring size)."""
-    if not (is_integer(M) and M > 0 and M % 4 == 0):
-        raise ValueError(f"M must be a positive multiple of 4 (an integer), got {M!r}")
+    """Raise unless ``M`` is an integer, a positive multiple of 4 and at most
+    :data:`MAX_RING_SIZE` (a valid ring size)."""
+    if not (is_integer(M) and 0 < M <= MAX_RING_SIZE and M % 4 == 0):
+        raise ValueError(f"M must be a positive multiple of 4 up to 2**20 (an integer), got {M!r}")
 
 
 def checked_stack(mats, what: str, unit_trace: bool = False) -> np.ndarray:

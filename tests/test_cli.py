@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 
 from anonkey import aki, cli, coherent, protocol, states
 from anonkey.cli import run_cli
-from anonkey.harness import (derive_seeds, require_count, require_draw_count, require_probability,
-                             require_seed)
+from anonkey.harness import derive_seeds, require_count, require_probability, require_seed
 from anonkey.protocol import SessionConfig, run_ake_session
 
 
@@ -452,10 +451,12 @@ class TestEdgeValidation:
 # type and the rule.  Integer keys take the integer boundary values, number
 # keys nan, inf and a huge amplitude as well
 RULE_KEYS = {
-    "trials": (["aki", "--m", "1", "--trials"], int, partial(require_draw_count, "trials")),
+    "trials": (["aki", "--m", "1", "--trials"], int, partial(require_count, "trials")),
     "attack-trials": (["attack", "--strategy", "opaque", "--M", "4", "--trials"], int,
-                      partial(require_draw_count, "trials")),
+                      partial(require_count, "trials")),
     "ake-trials": (["ake", "--k", "1", "--trials"], int, partial(require_count, "trials")),
+    "heterodyne-trials": (["coherent", "--alpha0", "3", "--M", "4", "--estimator", "heterodyne",
+                           "--trials"], int, partial(require_count, "trials")),
     "attack-k": (["attack", "--strategy", "impersonation", "--k"], int,
                  partial(require_count, "k")),
     "ake-k": (["ake", "--k"], int, protocol.require_block_count),
@@ -473,18 +474,22 @@ RULE_KEYS = {
                               "--trials", "10", "--alpha0"], float,
                              coherent.require_canonical_amplitude),
     "canonical-trials": (["coherent", "--alpha0", "3", "--M", "4", "--estimator", "canonical",
-                          "--trials"], int, partial(require_draw_count, "trials")),
+                          "--trials"], int, partial(require_count, "trials")),
     "loss": (["ake", "--loss"], float, partial(require_probability, "loss")),
     "depolarize": (["ake", "--depolarize"], float, partial(require_probability, "depolarize")),
     "seed": (["aki", "--m", "1", "--trials", "10", "--seed"], int, partial(require_seed, "seed")),
 }
-# values at and just past a rule's upper end; each value past it is refused before anything
-# is allocated
-_DRAW_COUNT_END = [str(2**63 - 1), str(2**63)]
+# values just past a rule's upper end, each refused before anything is allocated or
+# run, and the largest count where one int64 draw takes it; an O(trials) run (ake,
+# heterodyne) would not end at that count
+_COUNT_END = [str(2**63 - 1), str(2**63)]
+_RING_END = [str(2**20 + 4)]
 BUDGET_CASES = {"seed": [str(2**64)], "ake-k": [str(2**17 + 1)],
                 "coherent-m_list": [str(2**20 + 1)], "canonical-alpha_list": ["5371"],
-                "trials": _DRAW_COUNT_END, "attack-trials": _DRAW_COUNT_END,
-                "canonical-trials": _DRAW_COUNT_END}
+                "trials": _COUNT_END, "attack-trials": _COUNT_END, "canonical-trials": _COUNT_END,
+                "ake-trials": [str(2**63)], "heterodyne-trials": [str(2**63)],
+                "aki-M": _RING_END, "ake-M": _RING_END, "detect-m_list": _RING_END,
+                "attack-m_list": _RING_END}
 RULE_CASES = [
     (key, value) for key, (_, kind, _) in RULE_KEYS.items()
     for value in ["0", "-1", "3", "6"] + (["nan", "inf", "1e100"] if kind is float else [])

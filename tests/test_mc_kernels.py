@@ -8,12 +8,14 @@ form (``rng.choice`` for the ring detector, one uniform per decision) in
 distribution.  The canonical phase draws its bin counts in one
 ``rng.multinomial`` call, so it must match its repeat form to rounding and its
 per-trial form ``rng.choice(M + 1, p=pmf)`` in distribution.  The heterodyne
-kernels run their trials in blocks of ``BLOCK``, draw each block's values in a
-fixed order and keep only counts or sums.  Their references apply per-trial
-complex exponentials, ``np.mean`` and ``np.std`` over every trial to the same
-blocks, at trial counts on both sides of the block size: heterodyne scores its
-rounding-bin counts with ``math.fsum``, so it must match to rounding, and
-resend keeps running sums, so it must match to 1e-12.
+kernels run their trials in blocks of ``coherent.BLOCK``, draw each block's
+values in a fixed order and keep only counts or sums.  Their references apply
+per-trial complex exponentials, ``np.mean`` and ``np.std`` over every trial to
+the same blocks, at trial counts on both sides of the block size: heterodyne
+scores its rounding-bin counts with ``math.fsum``, so it must match to
+rounding, and resend keeps running sums, so it must match to 1e-12.  A key
+session's ring-detector offsets are ``ring_tables(M).cdf.searchsorted``, which
+must equal ``rng.choice(M, p=srm)`` on the same uniforms.
 """
 
 import math
@@ -21,12 +23,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from anonkey.adversary import sequential_strategy_pc
 from anonkey.aki import aki_impersonation
 from anonkey.coherent import (
+    BLOCK,
     _bin_probabilities,
     _overlap_table,
     canonical_phase_pa,
@@ -34,7 +35,7 @@ from anonkey.coherent import (
     heterodyne_resend_pa,
 )
 from anonkey.detection import random_basis_strategy, ring_tables, square_root_measurement
-from anonkey.harness import BLOCK, CdfSearch, binomial_stderr
+from anonkey.harness import binomial_stderr
 from anonkey.states import Ensemble, circle_states
 
 
@@ -253,25 +254,7 @@ def test_ring_offsets_match_choice(M):
     srm = ring_tables(M).srm
     expected = np.random.default_rng(M).choice(M, size=200_000, p=srm)
     u = np.random.default_rng(M).random(200_000)
-    assert np.array_equal(ring_tables(M).draw_offset(u), expected)
-
-
-pmf_entries = st.one_of(st.just(0.0), st.floats(1e-15, 1e-9), st.floats(1e-6, 1.0))
-
-
-@given(pmf=st.lists(pmf_entries, min_size=1, max_size=300).filter(lambda p: sum(p) > 0),
-       seed=st.integers(0, 2**32 - 1))
-def test_search_matches_searchsorted(pmf, seed):
-    cdf = np.cumsum(pmf)
-    cdf /= cdf[-1]
-    search = CdfSearch(cdf)
-    edges = np.arange(int(search._scale)) / search._scale
-    u = np.concatenate([
-        cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0), edges, np.nextafter(edges, 0.0),
-        np.nextafter(edges, 1.0), np.random.default_rng(seed).random(1000),
-    ])
-    u = u[(u >= 0.0) & (u < 1.0)]
-    assert np.array_equal(search(u), np.searchsorted(cdf, u, side="right"))
+    assert np.array_equal(ring_tables(M).cdf.searchsorted(u, side="right"), expected)
 
 
 SAMPLED = {

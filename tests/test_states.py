@@ -5,6 +5,7 @@ import pytest
 
 from anonkey.states import (
     ATOL,
+    MAX_RING_SIZE,
     DensityOperator,
     Ensemble,
     bloch_to_density,
@@ -12,6 +13,7 @@ from anonkey.states import (
     circle_state_at,
     ensemble_mixture,
     overlap,
+    require_ring_size,
     rotate_circle,
     rotation_unitary,
     six_state_ensemble,
@@ -129,6 +131,14 @@ class TestCircleStates:
     def test_index_is_modular(self):
         assert operators_close(circle_state(1, 8), circle_state(9, 8))
         assert operators_close(circle_state(0, 8), circle_state(8, 8))
+
+    def test_ring_size_budget(self):
+        # every ring entry point builds O(M) states: detecting on M = 2^20 peaks near
+        # 486 MB, and a larger ring is refused before anything is allocated
+        require_ring_size(MAX_RING_SIZE)
+        for M in (MAX_RING_SIZE + 4, 2**70):
+            with pytest.raises(ValueError, match="^M must"):
+                uniform_circle_ensemble(M)
 
 
 class TestRotateCircle:
