@@ -16,9 +16,14 @@ import numpy as np
 
 from .detection import helstrom_binary, ring_tables
 from .detection import square_root_measurement  # noqa: F401 - benchmarks/tracing.py patches it here
-from .harness import binomial_stderr, require_count, require_probability, seeded_rng
+from .harness import binomial_stderr, is_integer, require_count, require_probability, seeded_rng
 from .states import DensityOperator, circle_states, require_ring_size, tensor
 from .states import uniform_circle_ensemble  # noqa: F401 - benchmarks/tracing.py patches it here
+
+#: Blocks of :func:`impersonation_order_pmf`, at most: its exact recurrence takes
+#: O(k^2) time, and the budget admits the 229376 blocks of the largest key session
+#: (``k = protocol.MAX_K``, Hamming-coded), which computes it under ``impersonate-order``.
+MAX_ORDER_BLOCKS = 1 << 18
 
 
 def binary_entropy(p: float) -> float:
@@ -27,6 +32,12 @@ def binary_entropy(p: float) -> float:
     if p in (0.0, 1.0):
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+
+
+def require_order_blocks(k: int) -> None:
+    """Raise unless the block count ``k`` is an integer in ``[1, MAX_ORDER_BLOCKS]``."""
+    if not (is_integer(k) and 1 <= k <= MAX_ORDER_BLOCKS):
+        raise ValueError(f"k must be an integer in [1, 2**18], got {k!r}")
 
 
 @lru_cache(maxsize=64, typed=True)  # typed: 4.0 and True must not hit 4 and 1
@@ -40,10 +51,10 @@ def impersonation_order_pmf(k: int) -> np.ndarray:
     Computed exactly in integers, ``p_q = C(k, q) 3^(k-q) / 4^k``, with the
     terms ``t_q = C(k, q) 3^(k-q)`` from the recurrence ``t_0 = 3^k``,
     ``t_(q+1) = t_q (k - q) / (3 (q + 1))``.  Integer true division rounds
-    correctly, so no term overflows or loses precision at any k.  Cached per
-    k and returned read-only.
+    correctly, so no term overflows or loses precision at any k up to
+    :data:`MAX_ORDER_BLOCKS`.  Cached per k and returned read-only.
     """
-    require_count("k", k)
+    require_order_blocks(k)
     denom = 4**k
     t = 3**k
     pmf = np.empty(k + 1)

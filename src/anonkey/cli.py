@@ -26,9 +26,10 @@ csv|json``; all but ``detect`` take ``--seed`` and ``--trials``.  Every list
 needs at least one entry.  The CLI checks switches, paths, list syntax and choices;
 every number rule, type included, is the library's ``require_*`` function for the
 value: ``harness.require_count`` for a count (``trials``, ``m``, ``k`` of ``attack``),
-an integer in [1, 2**63); ``states.require_ring_size`` for a ring ``M``, at most
-2**20; ``harness.require_seed`` for the seed.  A value a rule refuses exits 2 before
-anything runs.
+an integer in [1, 2**63), and ``adversary.require_order_blocks`` for ``k`` of the
+``impersonation`` strategy, at most 2**18; ``states.require_ring_size`` for a ring
+``M``, at most 2**20; ``harness.require_seed`` for the seed.  A value a rule refuses
+exits 2 before anything runs.
 Exit codes: 0 success, 1 internal error (Python prints the traceback), 2 configuration
 error (also an unreadable ``--config`` or unwritable ``--out``), 3 session abort.
 """
@@ -213,10 +214,13 @@ def _merge_config(args: argparse.Namespace) -> dict:
     for key, (_, check, _, _) in keys.items():
         flag = getattr(args, key)
         merged[key] = check(key, merged[key] if flag is None else flag)
-    # the rule that spans keys: the canonical estimator's amplitude budget
+    # the rules that span keys: the canonical estimator's amplitude budget and
+    # the impersonation PMF's block budget
     if merged.get("estimator") in ("canonical", "all"):
         for a0 in merged["alpha_list"]:
             _rule("alpha_list", a0, coherent.require_canonical_amplitude)
+    if merged.get("strategy") == "impersonation":
+        _rule("k", merged["k"], adversary.require_order_blocks)
     return merged
 
 

@@ -19,6 +19,14 @@ settles near 0.71 and the sharper canonical phase estimator, of density
 outcome (amplitude error included) is re-prepared, which lands at exactly
 one half.
 
+Each kernel samples only the law its acceptance depends on.  The heterodyne
+outcome is the sent state plus circular Gaussian noise, so its phase error does
+not depend on which ring state was sent: :func:`heterodyne_pa` draws two normals
+per trial and no ring state.  The resend acceptance ``exp(-|noise|^2)`` is
+uniform on (0, 1): :func:`heterodyne_resend_pa` draws one uniform per trial.
+The canonical phase error falls in a rounding bin with exact probabilities, so
+:func:`canonical_phase_pa` draws all its bin counts at once.
+
 Every entry point raises ``ValueError`` (the CLI exits 2) unless its inputs
 pass their rules, none of which accepts a ``bool``: :func:`require_amplitude`
 (a real ``alpha0 > 0`` with ``2 * alpha0**2``, the overlap exponents' factor,
@@ -27,7 +35,7 @@ finite: up to about 9.48e153), :func:`require_grid_size` (an integer ``M`` in
 count, an integer below 2^63), ``seed`` and ``dtheta``.  The canonical phase keeps at
 most :data:`MAX_FOCK_WINDOW` = 2^17 Fock amplitudes, so there ``alpha0`` is at most
 about 5370 (:func:`require_canonical_amplitude`).  The heterodyne kernels run their
-trials in blocks of :data:`BLOCK` = 2^16.
+trials in blocks of :data:`BLOCK` = 2^16, in O(``BLOCK + M``) memory.
 """
 
 from __future__ import annotations
@@ -108,29 +116,33 @@ def _bin_score(counts: np.ndarray, alpha0: float, M: int) -> tuple[float, float]
 def heterodyne_pa(alpha0: float, M: int, trials: int, seed: int) -> tuple[float, float]:
     """Acceptance of the heterodyne interceptor, phase rounded to M states.
 
-    Per trial: a ring state is drawn, heterodyned, the outcome phase rounded
-    to the nearest of the M ring phases, and the acceptance is the squared
-    overlap between the true and estimated states.  Trials run in blocks of
-    ``BLOCK``; each block draws its ring states and then its noise, and only
-    the counts of the M + 1 rounding bins are kept, scored as in
+    Per trial: a ring state ``alpha0 e^(i theta)`` is heterodyned, the outcome
+    phase rounded to the nearest of the M ring phases, and the acceptance is
+    the squared overlap between the true and estimated states.  The outcome
+    is ``alpha0 e^(i theta) + n`` with ``n`` circular Gaussian, ``E|n|^2 = 1``
+    (the Husimi Q function), so the phase error is ``angle(alpha0 + n e^(-i
+    theta))``, and ``n e^(-i theta)`` has the law of ``n``: ``theta`` drops out.
+    With ``n = (x + i y) / sqrt(2)`` for standard normals ``x`` and ``y``, a trial
+    draws ``x`` and ``y`` and its error is ``arctan2(y, x + sqrt(2) alpha0)``.
+    Trials run in blocks of ``BLOCK``, each drawing its ``x`` then its ``y``, and
+    only the counts of the M + 1 rounding bins are kept, scored as in
     :func:`canonical_phase_pa`: the mean acceptance and its standard error.
     """
     require_amplitude(alpha0)
     require_grid_size(M)
     require_count("trials", trials)
     rng = seeded_rng("seed", seed)
-    ring = 2.0 * math.pi * np.arange(M) / M
-    sent, unwind = alpha0 * np.exp(1j * ring), np.exp(-1j * ring)
     step, counts = 2.0 * math.pi / M, np.zeros(M + 1, dtype=np.int64)
-    z = np.empty(min(trials, BLOCK), dtype=complex)
+    xs, ys = np.empty(min(trials, BLOCK)), np.empty(min(trials, BLOCK))
     for start in range(0, trials, BLOCK):
-        noise = z[: min(BLOCK, trials - start)]  # a buffer the draws refill
-        state = rng.integers(0, M, size=len(noise))
-        # (re + 1j * im) / sqrt(2), which numpy computes as a product with 1 / sqrt(2)
-        np.multiply(rng.standard_normal(len(noise)), 1.0 / math.sqrt(2.0), out=noise.real)
-        np.multiply(rng.standard_normal(len(noise)), 1.0 / math.sqrt(2.0), out=noise.imag)
-        delta = np.angle((noise + sent[state]) * unwind[state])
-        counts += np.bincount((np.round(delta / step) + M // 2).astype(np.intp), minlength=M + 1)
+        n = min(BLOCK, trials - start)  # buffers the draws refill, then in-place arithmetic
+        x, y = rng.standard_normal(out=xs[:n]), rng.standard_normal(out=ys[:n])
+        x += math.sqrt(2.0) * alpha0
+        bins = np.arctan2(y, x, out=x)
+        bins /= step
+        np.round(bins, out=bins)
+        bins += M // 2
+        counts += np.bincount(bins.astype(np.intp), minlength=M + 1)
     return _bin_score(counts, alpha0, M)
 
 
@@ -138,24 +150,21 @@ def heterodyne_resend_pa(alpha0: float, trials: int, seed: int) -> tuple[float, 
     """Acceptance when the raw heterodyne outcome itself is re-prepared.
 
     The re-prepared state carries the amplitude error as well as the phase
-    error; the squared overlap is ``exp(-|beta - alpha|^2)``, whose mean over
-    the outcome distribution is exactly one half at every amplitude.  The noise
-    is drawn as in :func:`heterodyne_pa`, and only the sums of the acceptances
-    and of their squares are kept, about that mean of one half so that the
-    variance does not cancel.
+    error; the squared overlap is ``exp(-|n|^2)`` for the outcome noise ``n`` of
+    :func:`heterodyne_pa`.  ``|n|^2`` is exponential of mean 1, so ``exp(-|n|^2)``
+    is uniform on (0, 1) at every amplitude: a trial's acceptance is one draw
+    of ``rng.random``, of mean 1/2 and variance 1/12.  Trials run in blocks of
+    ``BLOCK``, and only the sums of ``u - 1/2`` and of its square are kept, about
+    the mean so that the variance does not cancel.  A mean of n uniforms has
+    no one-draw form, so the time stays O(``trials``).
     """
     require_amplitude(alpha0)
     require_count("trials", trials)
     rng = seeded_rng("seed", seed)
     total = square = 0.0
-    re, im = np.empty(min(trials, BLOCK)), np.empty(min(trials, BLOCK))
+    us = np.empty(min(trials, BLOCK))
     for start in range(0, trials, BLOCK):
-        n = min(BLOCK, trials - start)  # buffers the draws refill, then in-place arithmetic
-        acc, sq = rng.standard_normal(out=re[:n]), rng.standard_normal(out=im[:n])
-        acc *= acc
-        acc += np.square(sq, out=sq)
-        acc *= -0.5  # -|noise|^2, noise = (re + 1j * im) / sqrt(2)
-        np.exp(acc, out=acc)
+        acc = rng.random(out=us[: min(BLOCK, trials - start)])  # a buffer the draws refill
         acc -= 0.5
         total += acc.sum()
         square += acc @ acc

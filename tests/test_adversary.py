@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from anonkey import coding, protocol
 from anonkey.adversary import (
+    MAX_ORDER_BLOCKS,
     binary_entropy,
     impersonation_order_pmf,
     joint_attack_factorization_check,
@@ -41,8 +43,15 @@ class TestImpersonationPmf:
             assert impersonation_order_pmf(k).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_bad_k(self):
-        with pytest.raises(ValueError):
-            impersonation_order_pmf(0)
+        for k in (0, MAX_ORDER_BLOCKS + 1, 2**62):
+            with pytest.raises(ValueError, match="k must be an integer in"):
+                impersonation_order_pmf(k)
+
+    def test_budget_holds_the_largest_session(self):
+        # a session under --eve impersonate-order computes the PMF of its block count
+        largest = max(protocol._layout(protocol.SessionConfig(k=protocol.MAX_K, cecc=code))[2]
+                      for code in coding.CODES)
+        assert largest == 229376 <= MAX_ORDER_BLOCKS
 
     def test_small_k_equals_float_formula(self):
         # the exact-integer terms round to the same doubles as the float

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from anonkey import aki, cli, coherent, protocol, states
+from anonkey import adversary, aki, cli, coherent, protocol, states
 from anonkey.cli import run_cli
 from anonkey.harness import derive_seeds, require_count, require_probability, require_seed
 from anonkey.protocol import SessionConfig, run_ake_session
@@ -458,7 +458,7 @@ RULE_KEYS = {
     "heterodyne-trials": (["coherent", "--alpha0", "3", "--M", "4", "--estimator", "heterodyne",
                            "--trials"], int, partial(require_count, "trials")),
     "attack-k": (["attack", "--strategy", "impersonation", "--k"], int,
-                 partial(require_count, "k")),
+                 adversary.require_order_blocks),
     "ake-k": (["ake", "--k"], int, protocol.require_block_count),
     "aki-m_list": (["aki", "--trials", "10", "--m"], int, partial(require_count, "m")),
     "aki-M": (["aki", "--m", "1", "--trials", "10", "--M"], int, states.require_ring_size),
@@ -485,6 +485,7 @@ RULE_KEYS = {
 _COUNT_END = [str(2**63 - 1), str(2**63)]
 _RING_END = [str(2**20 + 4)]
 BUDGET_CASES = {"seed": [str(2**64)], "ake-k": [str(2**17 + 1)],
+                "attack-k": [str(2**18 + 1), str(2**62)],
                 "coherent-m_list": [str(2**20 + 1)], "canonical-alpha_list": ["5371"],
                 "trials": _COUNT_END, "attack-trials": _COUNT_END, "canonical-trials": _COUNT_END,
                 "ake-trials": [str(2**63)], "heterodyne-trials": [str(2**63)],
@@ -540,6 +541,14 @@ class TestLibraryRules:
         assert run_cli(argv) == code
         assert ("config key 'alpha_list'" in capsys.readouterr().err) == (code == 2)
         assert out.exists() == (code == 0)
+
+    @pytest.mark.parametrize("strategy, code", [("impersonation", 2), ("translucent", 0)])
+    def test_impersonation_block_budget(self, tmp_path, capsys, strategy, code):
+        # only the impersonation PMF is O(k^2) in the block count, so only it limits k
+        argv = ["attack", "--strategy", strategy, "--k", str(adversary.MAX_ORDER_BLOCKS + 1),
+                "--M", "4", "--out", str(tmp_path / "o.csv")]
+        assert run_cli(argv) == code
+        assert ("config key 'k'" in capsys.readouterr().err) == (code == 2)
 
 
 def fresh_stdout(argv):

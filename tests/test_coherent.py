@@ -1,4 +1,3 @@
-import cmath
 import math
 import tracemalloc
 
@@ -38,28 +37,6 @@ class TestOverlaps:
     def test_positive_amplitude_required(self):
         with pytest.raises(ValueError):
             coherent_overlap_mag(0.0, 0.1)
-
-
-def heterodyne_sample(amplitude, rng):
-    """One heterodyne outcome, drawn as ``heterodyne_pa`` draws it: the
-    amplitude plus half a unit of noise variance per quadrature."""
-    return amplitude + (rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2.0)
-
-
-class TestHeterodyneSampling:
-    def test_mean_and_quadrature_variance(self):
-        rng = np.random.default_rng(2)
-        amplitude = 2.0 * cmath.exp(0.7j)
-        xs = np.array([heterodyne_sample(amplitude, rng) for _ in range(200_000)])
-        se = 1.0 / math.sqrt(2 * len(xs))
-        assert abs(xs.mean() - amplitude) < 6 * se
-        assert xs.real.var() == pytest.approx(0.5, abs=0.01)
-        assert xs.imag.var() == pytest.approx(0.5, abs=0.01)
-
-    def test_small_amplitude_noise_dominates(self):
-        rng = np.random.default_rng(3)
-        xs = np.array([heterodyne_sample(1e-9, rng) for _ in range(50_000)])
-        assert abs(xs.mean()) < 0.01
 
 
 class TestHeterodynePa:

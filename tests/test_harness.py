@@ -107,6 +107,7 @@ ACCEPTS = {
     "count": lambda v: _integral(v) and 1 <= v < 2**63,
     "ring size": lambda v: _integral(v) and 0 < v <= 2**20 and v % 4 == 0,
     "block count": lambda v: _integral(v) and 1 <= v <= 2**17,
+    "order blocks": lambda v: _integral(v) and 1 <= v <= 2**18,
     "grid size": lambda v: _integral(v) and 4 <= v <= 2**20,
     "seed": lambda v: _integral(v) and 0 <= v < 2**64,
     "length": lambda v: _integral(v) and 0 <= v <= 16,
@@ -121,7 +122,8 @@ DRAWS = [0, -1, 1, 4, 8, 16, 2.5, 4.0, True, math.nan, math.inf, -math.inf, "3",
          np.int64(4)]
 EXTRA_DRAWS = {"seed": [2**64 - 1, 2**64, 2**70], "amplitude": [1e200, 20.0, 10**400],
                "count": [2**63], "ring size": [2**20 + 4],
-               "block count": [2**17 + 1], "grid size": [2**20 + 1]}
+               "block count": [2**17 + 1], "order blocks": [2**18 + 1, 2**62],
+               "grid size": [2**20 + 1]}
 # the largest count is drawn only where one int64 draw takes it: derive_seeds, the
 # heterodyne kernels and sphere_grid_ensemble would run for ever at that value
 ONE_DRAW_COUNTS = {("aki_impersonation", "trials"), ("sequential_strategy_pc", "trials"),
@@ -159,7 +161,7 @@ ENTRY_POINTS = [
     ("SessionConfig", "M", "ring size", lambda v: protocol.SessionConfig(k=1, M=v)),
     ("run_ake_session", "seed", "seed", lambda v: protocol.run_ake_session(_SESSION, v)),
     ("binary_entropy", "p", "probability", adversary.binary_entropy),
-    ("impersonation_order_pmf", "k", "count", adversary.impersonation_order_pmf),
+    ("impersonation_order_pmf", "k", "order blocks", adversary.impersonation_order_pmf),
     ("joint_attack_factorization_check", "M", "ring size",
      adversary.joint_attack_factorization_check),
     ("opaque_bound", "M", "ring size", adversary.opaque_bound),

@@ -8,14 +8,19 @@ form (``rng.choice`` for the ring detector, one uniform per decision) in
 distribution.  The canonical phase draws its bin counts in one
 ``rng.multinomial`` call, so it must match its repeat form to rounding and its
 per-trial form ``rng.choice(M + 1, p=pmf)`` in distribution.  The heterodyne
-kernels run their trials in blocks of ``coherent.BLOCK``, draw each block's
-values in a fixed order and keep only counts or sums.  Their references apply
-per-trial complex exponentials, ``np.mean`` and ``np.std`` over every trial to
-the same blocks, at trial counts on both sides of the block size: heterodyne
-scores its rounding-bin counts with ``math.fsum``, so it must match to
-rounding, and resend keeps running sums, so it must match to 1e-12.  A key
-session's ring-detector offsets are ``ring_tables(M).cdf.searchsorted``, which
-must equal ``rng.choice(M, p=srm)`` on the same uniforms.
+kernels run their trials in blocks of ``coherent.BLOCK`` and keep only counts
+or sums.  Heterodyne draws each block's two normal arrays ``x`` and ``y``, its
+phase error ``arctan2(y, x + sqrt(2) alpha0)``; resend draws one uniform per
+trial, its acceptance.  Their same-draw references apply ``np.mean`` and
+``np.std`` over every trial to the same draws, at trial counts on both sides
+of the block size: heterodyne scores its rounding-bin counts with
+``math.fsum``, so it must match to rounding, and resend keeps running sums, so
+it must match to 1e-12.  Both must match their physical per-trial forms in
+distribution: a random ring state plus complex noise, unwound (heterodyne),
+and ``exp(-|noise|^2)`` (resend, also against its exact mean 1/2 and variance
+1/12).  A key session's ring-detector offsets are
+``ring_tables(M).cdf.searchsorted``, which must equal ``rng.choice(M, p=srm)``
+on the same uniforms.
 """
 
 import math
@@ -114,11 +119,14 @@ def ref_random_basis(M, trials, seed):
     return fraction(rng.random(trials) < ov[(reported - true) % M])
 
 
+def mean_and_stderr(acc):
+    return float(np.mean(acc)), float(np.std(acc) / math.sqrt(len(acc)))
+
+
 def rounded_acceptance(alpha0, M, delta):
     step = 2.0 * math.pi / M
     dhat = np.round(delta / step) * step
-    acc = np.exp(-2.0 * alpha0**2 * (1.0 - np.cos(dhat)))
-    return float(np.mean(acc)), float(np.std(acc) / math.sqrt(len(acc)))
+    return mean_and_stderr(np.exp(-2.0 * alpha0**2 * (1.0 - np.cos(dhat))))
 
 
 def ref_noise(rng, n):
@@ -129,10 +137,17 @@ def ref_heterodyne(alpha0, M, trials, seed):
     rng = np.random.default_rng(seed)
     delta = []
     for n in blocks(trials):
-        theta = 2.0 * math.pi * rng.integers(0, M, size=n) / M
-        beta = alpha0 * np.exp(1j * theta) + ref_noise(rng, n)
-        delta.append(np.angle(beta * np.exp(-1j * theta)))
+        x = rng.standard_normal(n)
+        delta.append(np.arctan2(rng.standard_normal(n), x + math.sqrt(2.0) * alpha0))
     return rounded_acceptance(alpha0, M, np.concatenate(delta))
+
+
+def ref_heterodyne_physical(alpha0, M, trials, seed):
+    # a random ring state plus complex noise, unwound by the sent phase
+    rng = np.random.default_rng(seed)
+    theta = 2.0 * math.pi * rng.integers(0, M, size=trials) / M
+    beta = alpha0 * np.exp(1j * theta) + ref_noise(rng, trials)
+    return rounded_acceptance(alpha0, M, np.angle(beta * np.exp(-1j * theta)))
 
 
 def ref_canonical(alpha0, M, trials, seed):
@@ -150,13 +165,18 @@ def ref_canonical_counts(alpha0, M, trials, seed):
 
 def ref_resend(trials, seed):
     rng = np.random.default_rng(seed)
-    acc = np.concatenate([np.exp(-np.abs(ref_noise(rng, n)) ** 2) for n in blocks(trials)])
-    return float(np.mean(acc)), float(np.std(acc) / math.sqrt(trials))
+    return mean_and_stderr(np.concatenate([rng.random(n) for n in blocks(trials)]))
 
 
-def assert_same_law(kernel, ref, exact, trials=20, seeds=range(1000)):
+def ref_resend_physical(trials, seed):
+    rng = np.random.default_rng(seed)
+    return mean_and_stderr(np.exp(-np.abs(ref_noise(rng, trials)) ** 2))
+
+
+def assert_same_law(kernel, ref, exact=(), trials=20, seeds=range(1000)):
     """The mean and variance of 1000 estimates at 20 trials each: the kernel against
-    its per-trial form ``ref``, and both against the ``exact`` mean and variance."""
+    its per-trial form ``ref``, and both against the ``exact`` mean and variance
+    where they are given."""
     forms = [np.array([f(trials, s)[0] for s in seeds]) for f in (kernel, ref)]
     moments = [[(e.mean(), e.std() / math.sqrt(len(e))),
                 (e.var(ddof=1), math.sqrt(np.var((e - e.mean()) ** 2, ddof=1) / len(e)))]
@@ -219,10 +239,17 @@ def test_random_basis_matches_plain_form_in_distribution(M):
 @pytest.mark.parametrize("trials", [1, 2, BLOCK + 1])
 @pytest.mark.parametrize("M", [4, 12, 4096])
 @pytest.mark.parametrize("alpha0", [0.3, 2.5, 23.0])
-def test_heterodyne_matches_exp_form(alpha0, M, trials):
+def test_heterodyne_matches_normal_form(alpha0, M, trials):
     seed = M + trials
     expected = ref_heterodyne(alpha0, M, trials, seed)
     assert heterodyne_pa(alpha0, M, trials, seed) == pytest.approx(expected, rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("alpha0, M", [(0.4, 7), (2.5, 16), (23.0, 4096)])
+def test_heterodyne_matches_ring_state_form_in_distribution(alpha0, M):
+    # no exact heterodyne mean yet: the kernel against the physical form only
+    assert_same_law(lambda n, s: heterodyne_pa(alpha0, M, n, s),
+                    lambda n, s: ref_heterodyne_physical(alpha0, M, n, s))
 
 
 @pytest.mark.parametrize("trials", [1, 2, BLOCK + 1])
@@ -244,9 +271,15 @@ def test_canonical_matches_choice_form_in_distribution(alpha0, M):
 
 
 @pytest.mark.parametrize("trials", [1, 2, BLOCK, BLOCK + 1, 2 * BLOCK + 7])
-def test_resend_matches_complex_form(trials):
+def test_resend_matches_uniform_form(trials):
     expected = ref_resend(trials, trials)
     assert heterodyne_resend_pa(5.0, trials, trials) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def test_resend_matches_complex_form_in_distribution():
+    # exp(-|noise|^2) is uniform on (0, 1): mean 1/2, variance 1/12 per trial
+    assert_same_law(lambda n, s: heterodyne_resend_pa(5.0, n, s), ref_resend_physical,
+                    (0.5, 1.0 / 12.0 / 20))
 
 
 @pytest.mark.parametrize("M", [4, 8, 12, 60, 192, 1024])
