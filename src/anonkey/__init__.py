@@ -62,6 +62,7 @@ from .coherent import (
     PhaseDistribution,
     canonical_phase_pa,
     coherent_overlap_mag,
+    exact_pa,
     heterodyne_pa,
     heterodyne_resend_pa,
 )

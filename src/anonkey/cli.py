@@ -214,11 +214,11 @@ def _merge_config(args: argparse.Namespace) -> dict:
     for key, (_, check, _, _) in keys.items():
         flag = getattr(args, key)
         merged[key] = check(key, merged[key] if flag is None else flag)
-    # the rules that span keys: the canonical estimator's amplitude budget and
+    # the rules that span keys: the phase estimators' amplitude budget and
     # the impersonation PMF's block budget
-    if merged.get("estimator") in ("canonical", "all"):
+    if merged.get("estimator") in ("heterodyne", "canonical", "all"):
         for a0 in merged["alpha_list"]:
-            _rule("alpha_list", a0, coherent.require_canonical_amplitude)
+            _rule("alpha_list", a0, coherent.require_phase_amplitude)
     if merged.get("strategy") == "impersonation":
         _rule("k", merged["k"], adversary.require_order_blocks)
     return merged

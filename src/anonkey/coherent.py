@@ -14,18 +14,21 @@ Acceptance convention: the interceptor's estimate is the ring state nearest
 her measured phase, and the verifier accepts with the squared overlap
 between the true and estimated states.  Under this convention heterodyne
 settles near 0.71 and the sharper canonical phase estimator, of density
-:class:`PhaseDistribution`, near 0.82, both amplitude-independent in that window.
+:class:`PhaseDistribution`, near 0.82, flat in amplitude in that window: there the
+error is near Gaussian of variance ``s2 = 1 / (2 alpha0^2)`` and ``1 / (4 alpha0^2)``, and
+``pa -> (1 + 2 alpha0^2 s2)^(-1/2)``, which is ``1 / sqrt(2)`` and ``sqrt(2 / 3)``.
 :func:`heterodyne_resend_pa` scores the variant where the full complex
 outcome (amplitude error included) is re-prepared, which lands at exactly
 one half.
 
 Each kernel samples only the law its acceptance depends on.  The heterodyne
 outcome is the sent state plus circular Gaussian noise, so its phase error does
-not depend on which ring state was sent: :func:`heterodyne_pa` draws two normals
-per trial and no ring state.  The resend acceptance ``exp(-|noise|^2)`` is
-uniform on (0, 1): :func:`heterodyne_resend_pa` draws one uniform per trial.
-The canonical phase error falls in a rounding bin with exact probabilities, so
-:func:`canonical_phase_pa` draws all its bin counts at once.
+not depend on which ring state was sent, and both phase estimators' errors fall
+in a rounding bin with exact probabilities: :func:`heterodyne_pa` and
+:func:`canonical_phase_pa` draw all their bin counts at once, and
+:func:`exact_pa` gives both acceptances exactly.  The resend acceptance
+``exp(-|noise|^2)`` is uniform on (0, 1): :func:`heterodyne_resend_pa` draws
+one uniform per trial.
 
 Every entry point raises ``ValueError`` (the CLI exits 2) unless its inputs
 pass their rules, none of which accepts a ``bool``: :func:`require_amplitude`
@@ -33,9 +36,10 @@ pass their rules, none of which accepts a ``bool``: :func:`require_amplitude`
 finite: up to about 9.48e153), :func:`require_grid_size` (an integer ``M`` in
 ``[4, MAX_GRID_SIZE = 2^20]``) and the ``harness`` rules for ``trials`` (like every
 count, an integer below 2^63), ``seed`` and ``dtheta``.  The canonical phase keeps at
-most :data:`MAX_FOCK_WINDOW` = 2^17 Fock amplitudes, so there ``alpha0`` is at most
-about 5370 (:func:`require_canonical_amplitude`).  The heterodyne kernels run their
-trials in blocks of :data:`BLOCK` = 2^16, in O(``BLOCK + M``) memory.
+most :data:`MAX_FOCK_WINDOW` = 2^17 Fock amplitudes and the heterodyne fewer Fourier
+coefficients, so for both phase estimators ``alpha0`` is at most about 5370
+(:func:`require_phase_amplitude`).  Only the resend kernel is O(``trials``): it runs
+its trials in blocks of :data:`BLOCK` = 2^16, in O(``BLOCK``) memory.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ import numpy as np
 
 from .harness import is_integer, is_real, require_angle, require_count, seeded_rng
 
-BLOCK = 1 << 16  # trials per block of the heterodyne Monte Carlo kernels
+BLOCK = 1 << 16  # trials per block of the resend Monte Carlo kernel
 MAX_GRID_SIZE = 1 << 20  # rounding ring size M, at most: every entry point builds O(M) tables
 MAX_FOCK_WINDOW = 1 << 17  # Fock amplitudes of the canonical phase, at most
 # of sum_n c_n^2 = 1, the Fock window drops at most this much, so that a bin
@@ -56,7 +60,6 @@ _LOG_TAIL = math.log(2.0 / _DROPPED)  # each tail of the window holds at most e^
 # stirlerr(n) for n < 16, where its asymptotic series is short of double precision
 _STIRLERR = np.array([0.0] + [math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n
                               - 0.5 * math.log(2.0 * math.pi) for n in range(1, 16)])
-_DENSITY_ENTRIES = 1 << 19  # phases x window entries of one density block's arrays
 
 
 def require_amplitude(alpha0: float) -> None:
@@ -68,18 +71,17 @@ def require_amplitude(alpha0: float) -> None:
         raise ValueError(f"alpha0 must be positive with 2 * alpha0**2 finite, got {alpha0!r}")
 
 
-def require_canonical_amplitude(alpha0: float) -> None:
-    """Raise unless ``alpha0`` is an amplitude whose Fock window holds at most
-    :data:`MAX_FOCK_WINDOW` terms.
-
-    The width is bounded in closed form: :func:`_fock_window` spans fewer than
-    ``2 alpha0 sqrt(2 L) + L + 3`` integers, so it fits whenever ``2 alpha0 sqrt(2 L)
-    + L + 2`` does.  Nothing is allocated to refuse an amplitude, and one so large
-    that the window's float ends cancel (1e100) is refused all the same.
+def require_phase_amplitude(alpha0: float) -> None:
+    """Raise unless ``alpha0`` is an amplitude whose two phase estimators each keep
+    at most :data:`MAX_FOCK_WINDOW` terms, in closed form: :func:`_fock_window` spans
+    fewer than ``2 alpha0 sqrt(2 L) + L + 3`` integers, so it fits whenever ``2 alpha0
+    sqrt(2 L) + L + 2`` does, and :func:`_heterodyne_coefficients` keeps at most about
+    half as many, ``alpha0 sqrt(2 L) + L + 4``.  Nothing is allocated to refuse an
+    amplitude, and one so large that the window's float ends cancel (1e100) is refused.
     """
     require_amplitude(alpha0)
     if not 2.0 * float(alpha0) * math.sqrt(2.0 * _LOG_TAIL) + _LOG_TAIL + 2.0 <= MAX_FOCK_WINDOW:
-        raise ValueError(f"alpha0 must be at most about 5370 for the canonical phase, got {alpha0}")
+        raise ValueError(f"alpha0 must be at most about 5370 for a phase estimator, got {alpha0}")
 
 
 def require_grid_size(M: int) -> None:
@@ -116,34 +118,16 @@ def _bin_score(counts: np.ndarray, alpha0: float, M: int) -> tuple[float, float]
 def heterodyne_pa(alpha0: float, M: int, trials: int, seed: int) -> tuple[float, float]:
     """Acceptance of the heterodyne interceptor, phase rounded to M states.
 
-    Per trial: a ring state ``alpha0 e^(i theta)`` is heterodyned, the outcome
-    phase rounded to the nearest of the M ring phases, and the acceptance is
-    the squared overlap between the true and estimated states.  The outcome
-    is ``alpha0 e^(i theta) + n`` with ``n`` circular Gaussian, ``E|n|^2 = 1``
-    (the Husimi Q function), so the phase error is ``angle(alpha0 + n e^(-i
-    theta))``, and ``n e^(-i theta)`` has the law of ``n``: ``theta`` drops out.
-    With ``n = (x + i y) / sqrt(2)`` for standard normals ``x`` and ``y``, a trial
-    draws ``x`` and ``y`` and its error is ``arctan2(y, x + sqrt(2) alpha0)``.
-    Trials run in blocks of ``BLOCK``, each drawing its ``x`` then its ``y``, and
-    only the counts of the M + 1 rounding bins are kept, scored as in
-    :func:`canonical_phase_pa`: the mean acceptance and its standard error.
+    Per trial: a ring state ``alpha0 e^(i theta)`` is heterodyned, the outcome phase
+    rounded to the nearest of the M ring phases, and the acceptance is the squared
+    overlap between the true and estimated states.  The outcome is ``alpha0 e^(i
+    theta) + n``, ``n`` circular Gaussian with ``E|n|^2 = 1`` (the Husimi Q function),
+    and ``n e^(-i theta)`` has the law of ``n``, so the phase error ``angle(alpha0 +
+    n)`` does not depend on ``theta``.  Its rounding bins have exact probabilities
+    (:func:`_heterodyne_coefficients`), so the bin counts are one draw ``rng.multinomial(
+    trials, pmf)``, scored by :func:`_bin_score`: O(alpha0 + M log M) whatever ``trials`` is.
     """
-    require_amplitude(alpha0)
-    require_grid_size(M)
-    require_count("trials", trials)
-    rng = seeded_rng("seed", seed)
-    step, counts = 2.0 * math.pi / M, np.zeros(M + 1, dtype=np.int64)
-    xs, ys = np.empty(min(trials, BLOCK)), np.empty(min(trials, BLOCK))
-    for start in range(0, trials, BLOCK):
-        n = min(BLOCK, trials - start)  # buffers the draws refill, then in-place arithmetic
-        x, y = rng.standard_normal(out=xs[:n]), rng.standard_normal(out=ys[:n])
-        x += math.sqrt(2.0) * alpha0
-        bins = np.arctan2(y, x, out=x)
-        bins /= step
-        np.round(bins, out=bins)
-        bins += M // 2
-        counts += np.bincount(bins.astype(np.intp), minlength=M + 1)
-    return _bin_score(counts, alpha0, M)
+    return _phase_pa("heterodyne", alpha0, M, trials, seed)
 
 
 def heterodyne_resend_pa(alpha0: float, trials: int, seed: int) -> tuple[float, float]:
@@ -251,30 +235,14 @@ class PhaseDistribution:
     at most 1e-32 of ``sum_n c_n^2``, and their autocorrelation ``r_d = sum_n c_n
     c_{n+d}``; the factor ``exp(i window.start theta)`` drops out of the modulus.
     The moments are exact Fourier sums in ``r_d`` (Leonhardt, Vaccaro, Boehmer
-    and Paul, PRA 51, 84 (1995)); :meth:`density` evaluates the series at
-    arbitrary phases.
+    and Paul, PRA 51, 84 (1995)).
     """
 
     def __init__(self, alpha0: float) -> None:
-        require_canonical_amplitude(alpha0)
+        require_phase_amplitude(alpha0)
         self.alpha0 = float(alpha0)
-        self.window, self._coeff = _fock_amplitudes(alpha0)
-        self._r = _autocorrelation(self._coeff)
-
-    def density(self, theta) -> np.ndarray:
-        """Evaluate the density at arbitrary phases (vectorized).  Phases are
-        taken a block at a time, so the two (phases x window) arrays of a block
-        hold at most 2^19 entries each, 8 MiB in all."""
-        theta = np.asarray(theta, dtype=float)
-        flat, out = theta.ravel(), np.empty(theta.size)
-        ns = np.arange(len(self._coeff), dtype=float)
-        rows = max(1, _DENSITY_ENTRIES // len(ns))
-        for start in range(0, len(flat), rows):
-            phase = np.multiply.outer(flat[start:start + rows], ns)
-            re = np.cos(phase) @ self._coeff
-            im = np.sin(phase, out=phase) @ self._coeff
-            out[start:start + rows] = (re * re + im * im) / (2.0 * math.pi)
-        return out.reshape(theta.shape)
+        self.window, coeff = _fock_amplitudes(alpha0)
+        self._r = _autocorrelation(coeff)
 
     def normalization(self) -> float:
         """Integral of the density over a period, ``r_0 = sum_n c_n^2``: 1 but for the
@@ -291,42 +259,88 @@ class PhaseDistribution:
         return math.fsum([math.pi**2 / 3.0 * self._r[0], *terms]) / float(self._r[0])
 
 
-def _bin_probabilities(alpha0: float, M: int) -> np.ndarray:
-    """Probabilities of the M + 1 rounding bins ``round(delta / step) + M // 2``
-    of a canonical phase error ``delta`` in (-pi, pi], ``step = 2 pi / M``, each
-    within 2e-16 of its value over the full Fock series (see :func:`_fock_window`).
+def _heterodyne_coefficients(alpha0: float) -> np.ndarray:
+    """Fourier coefficients ``s_d = E cos(d delta)``, ``d < J = 2 ceil(alpha0 sqrt(L) + L)
+    + 2``, of the heterodyne phase error ``delta = angle(alpha0 + n)``, ``L = _LOG_TAIL / 2``.
 
-    The density has the antiderivative ``G(t) = t r_0 / (2 pi) + (1 / pi) sum_d
-    r_d sin(d t) / d`` with ``r_d`` from :func:`_autocorrelation`.
-    At the bin edges ``t = (m - 1/2) step`` the sine sum is one length-M FFT,
-    since ``sin(d t)`` depends on ``d`` only through ``d mod M`` and the sign
-    ``(-1)^(d // M)``.  Edges beyond +-pi are clipped there, where ``G = +-r_0 / 2``;
-    for odd M that leaves bin M empty.
+    The Rician phase law (the Husimi Q function's phase marginal) has ``s_d = X_((d-1)/2)
+    + X_((d+1)/2)``, ``X_nu = (sqrt(pi) / 2) alpha0 e^-x I_nu(x)``, ``x = alpha0^2 / 2``.  One
+    loop over ``j = 2 nu`` runs Miller's backward recurrence ``r_nu = X_nu / X_(nu-1) = x /
+    (2 nu + x r_(nu+1))`` down from the fixed point ``x / (nu + hypot(nu, x))`` past ``J / 2``;
+    ``X_(1/2) = -expm1(-alpha0^2) / 2`` anchors the half-integer chain (and ``s_0 = 1``
+    spares ``X_(-1/2)``), ``I_0 + 2 sum_k I_k = e^x`` the integer one.  Dropped terms: Amos's
+    ``I_(nu+1) / I_nu <= x / (nu + 1/2 + hypot(nu + 1/2, x))`` (Math. Comp. 28, 239 (1974))
+    and ``X_(-1/2), X_0 <= 1`` give ``X_nu <= exp(-F(nu - 1/2))``, ``F(nu) = int_0^nu
+    asinh(u / x) du >= nu^2 / (2 x + nu)``, which is ``L`` by ``nu = alpha0 sqrt(L) + L``.  So
+    ``s_d <= 2 e^-L`` from ``J`` on, ``F`` grows at least linearly there, ``sum_(d >= J) s_d /
+    d <= e^-L``, and a bin moves by at most ``(2 / pi) e^-L = 4.5e-17``.  The start's error
+    shrinks by ``r^2`` a step, so it moves ``X_nu`` by about ``X_(J/2)^2 / X_nu <= e^-L``.
     """
-    r = _autocorrelation(_fock_amplitudes(alpha0)[1])
-    d = np.arange(1, len(r))
-    folded = np.bincount(d % M, weights=r[1:] / d * (1 - 2 * (d // M % 2)), minlength=M)
+    a, log_tail = float(alpha0), 0.5 * _LOG_TAIL
+    x, top = 0.5 * a * a, 2 * math.ceil(a * math.sqrt(log_tail) + log_tail) + 2
+    r = [0.0] * (top + 1) + [x / (0.5 * j + math.hypot(0.5 * j, x)) for j in (top + 1, top + 2)]
+    for j in range(top, 1, -1):  # r[j] is r_(j/2)
+        r[j] = x / (j + x * r[j + 2])
+    ratios = np.array(r)
+    whole = np.cumprod(np.append(1.0, ratios[2:top + 1:2]))  # I_k / I_0, k <= top / 2
+    ladder = np.empty(top + 1)  # ladder[j] = X_(j/2), then s_d = ladder[d - 1] + ladder[d + 1]
+    ladder[0::2] = 0.5 * math.sqrt(math.pi) * a * whole / (2.0 * whole.sum() - 1.0)
+    ladder[1::2] = -0.5 * math.expm1(-a * a) * np.cumprod(np.append(1.0, ratios[3:top:2]))
+    return np.append(1.0, ladder[:-2] + ladder[2:])
+
+
+def _bins(coeffs: np.ndarray, M: int) -> np.ndarray:
+    """Probabilities of the M + 1 rounding bins ``round(delta / step) + M // 2`` of a
+    phase error ``delta`` in (-pi, pi], ``step = 2 pi / M``, of density ``(c_0 + 2 sum_d c_d
+    cos(d t)) / (2 pi)`` for ``c = coeffs`` (canonical ``r_d``, heterodyne ``s_d``), each
+    within 2e-16 of its value over the full series (see where ``coeffs`` is built).
+
+    The antiderivative ``G(t) = t c_0 / (2 pi) + (1 / pi) sum_d c_d sin(d t) / d`` at the bin
+    edges ``t = (m - 1/2) step`` is one length-M FFT, since ``sin(d t)`` depends on ``d`` only
+    through ``d mod M`` and the sign ``(-1)^(d // M)``.  Edges beyond +-pi are clipped there,
+    where ``G = +-c_0 / 2``; for odd M that leaves bin M empty.
+    """
+    d = np.arange(1, len(coeffs))
+    folded = np.bincount(d % M, weights=coeffs[1:] / d * (1 - 2 * (d // M % 2)), minlength=M)
     sines = (np.fft.ifft(folded * np.exp(-1j * math.pi * np.arange(M) / M)) * M).imag
     m = np.arange(M + 2) - M // 2
     t = (m - 0.5) * (2.0 * math.pi / M)
-    g = t * (r[0] / (2.0 * math.pi)) + sines[m % M] / math.pi
-    g[t <= -math.pi], g[t >= math.pi] = -0.5 * r[0], 0.5 * r[0]
+    g = t * (coeffs[0] / (2.0 * math.pi)) + sines[m % M] / math.pi
+    g[t <= -math.pi], g[t >= math.pi] = -0.5 * coeffs[0], 0.5 * coeffs[0]
     pmf = np.maximum(np.diff(g), 0.0)  # rounding leaves far bins near +-1e-17
     return pmf / pmf.sum()
 
 
-def canonical_phase_pa(alpha0: float, M: int, trials: int, seed: int) -> tuple[float, float]:
-    """Acceptance of the canonical-phase interceptor, rounded to M states.
+_COEFFICIENTS = {"heterodyne": _heterodyne_coefficients,
+                 "canonical": lambda alpha0: _autocorrelation(_fock_amplitudes(alpha0)[1])}
 
-    Identical scoring to :func:`heterodyne_pa` with the phase error drawn
-    from the canonical phase distribution instead of the heterodyne outcome.
-    A trial's acceptance depends only on its rounding bin, so the bin counts
-    are one draw ``rng.multinomial(trials, pmf)``, ``pmf`` from
-    :func:`_bin_probabilities`, scored by :func:`_bin_score`: the per-trial law,
-    in ``O(alpha0 log alpha0 + M log M)`` whatever ``trials`` is.
-    """
+
+def _phase_bins(alpha0: float, M: int, estimator: str) -> np.ndarray:
+    """The estimator's bin probabilities (:func:`_bins`), under its kernel's rules."""
     require_grid_size(M)
+    require_phase_amplitude(alpha0)
+    return _bins(_COEFFICIENTS[estimator](alpha0), M)
+
+
+def exact_pa(alpha0: float, M: int, estimator: str) -> tuple[float, float]:
+    """The exact mean and per-trial variance of the acceptance that :func:`heterodyne_pa`
+    (``estimator="heterodyne"``) or :func:`canonical_phase_pa` (``"canonical"``) samples."""
+    if estimator not in _COEFFICIENTS:
+        raise ValueError(f"estimator must be 'heterodyne' or 'canonical', got {estimator!r}")
+    pmf, t = _phase_bins(alpha0, M, estimator), _overlap_table(alpha0, M)
+    mean = math.fsum(pmf * t)
+    return mean, math.fsum(pmf * (t - mean) ** 2)
+
+
+def _phase_pa(estimator: str, alpha0: float, M: int, trials: int, seed: int) -> tuple[float, float]:
+    """The bin counts of ``trials``, one ``rng.multinomial`` draw, scored by :func:`_bin_score`."""
     require_count("trials", trials)
-    require_canonical_amplitude(alpha0)
     rng = seeded_rng("seed", seed)
-    return _bin_score(rng.multinomial(trials, _bin_probabilities(alpha0, M)), alpha0, M)
+    return _bin_score(rng.multinomial(trials, _phase_bins(alpha0, M, estimator)), alpha0, M)
+
+
+def canonical_phase_pa(alpha0: float, M: int, trials: int, seed: int) -> tuple[float, float]:
+    """Acceptance of the canonical-phase interceptor, rounded to M states: scored as
+    :func:`heterodyne_pa`, with the bins of the canonical density's ``r_d``, in
+    ``O(alpha0 log alpha0 + M log M)`` whatever ``trials`` is."""
+    return _phase_pa("canonical", alpha0, M, trials, seed)

@@ -251,7 +251,11 @@ def test_c09b_canonical_phase_below_two_thirds():
     """The exact canonical acceptance at alpha0 = 5 and M = 4096, summed over
     the rounding bins' probabilities, is 0.8143560094865 (the oracle in
     ``benchmarks/oracle.py`` agrees to 4e-14): the 2/3 bound misses by 0.148,
-    about 230 standard errors of this run."""
+    about 230 standard errors of this run.  The reason is analytic: on a fine
+    ring the acceptance ``exp(-2 alpha0^2 (1 - cos delta))`` of a near-Gaussian
+    phase error of variance ``s2`` averages to ``(1 + 2 alpha0^2 s2)^(-1/2)``, and
+    the canonical ``s2 = 1 / (4 alpha0^2)`` gives ``sqrt(2 / 3) = 0.8165 > 2/3``
+    (heterodyne, ``s2 = 1 / (2 alpha0^2)``, gives ``1 / sqrt(2)``)."""
     est, se = canonical_phase_pa(5.0, 4096, trials=100_000, seed=909)
     report(
         f"criterion 9b FAIL (expected): canonical acceptance {est:.4f} +- {se:.4f} "

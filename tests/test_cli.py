@@ -468,11 +468,14 @@ RULE_KEYS = {
                       states.require_ring_size),
     "coherent-m_list": (["coherent", "--alpha0", "3", "--trials", "10", "--M"], int,
                         coherent.require_grid_size),
-    "alpha_list": (["coherent", "--M", "4", "--estimator", "heterodyne", "--trials", "10",
-                    "--alpha0"], float, coherent.require_amplitude),
+    "alpha_list": (["coherent", "--M", "4", "--estimator", "heterodyne-resend", "--trials",
+                    "10", "--alpha0"], float, coherent.require_amplitude),
+    "heterodyne-alpha_list": (["coherent", "--M", "4", "--estimator", "heterodyne",
+                               "--trials", "10", "--alpha0"], float,
+                              coherent.require_phase_amplitude),
     "canonical-alpha_list": (["coherent", "--M", "4", "--estimator", "canonical",
                               "--trials", "10", "--alpha0"], float,
-                             coherent.require_canonical_amplitude),
+                             coherent.require_phase_amplitude),
     "canonical-trials": (["coherent", "--alpha0", "3", "--M", "4", "--estimator", "canonical",
                           "--trials"], int, partial(require_count, "trials")),
     "loss": (["ake", "--loss"], float, partial(require_probability, "loss")),
@@ -480,15 +483,16 @@ RULE_KEYS = {
     "seed": (["aki", "--m", "1", "--trials", "10", "--seed"], int, partial(require_seed, "seed")),
 }
 # values just past a rule's upper end, each refused before anything is allocated or
-# run, and the largest count where one int64 draw takes it; an O(trials) run (ake,
-# heterodyne) would not end at that count
+# run, and the largest count where one int64 draw takes it; an O(trials) run (ake)
+# would not end at that count
 _COUNT_END = [str(2**63 - 1), str(2**63)]
 _RING_END = [str(2**20 + 4)]
 BUDGET_CASES = {"seed": [str(2**64)], "ake-k": [str(2**17 + 1)],
                 "attack-k": [str(2**18 + 1), str(2**62)],
                 "coherent-m_list": [str(2**20 + 1)], "canonical-alpha_list": ["5371"],
+                "heterodyne-alpha_list": ["5371"],
                 "trials": _COUNT_END, "attack-trials": _COUNT_END, "canonical-trials": _COUNT_END,
-                "ake-trials": [str(2**63)], "heterodyne-trials": [str(2**63)],
+                "ake-trials": [str(2**63)], "heterodyne-trials": _COUNT_END,
                 "aki-M": _RING_END, "ake-M": _RING_END, "detect-m_list": _RING_END,
                 "attack-m_list": _RING_END}
 RULE_CASES = [
@@ -531,10 +535,11 @@ class TestLibraryRules:
                    and not any(_same_check(check, t) for t in tested)]
         assert missing == []
 
-    @pytest.mark.parametrize("estimator, code", [("canonical", 2), ("all", 2), ("heterodyne", 0)])
+    @pytest.mark.parametrize("estimator, code", [("canonical", 2), ("all", 2), ("heterodyne", 2),
+                                                 ("heterodyne-resend", 0)])
     def test_canonical_amplitude_budget(self, tmp_path, capsys, estimator, code):
-        # only the canonical estimator builds a Fock series, so only it limits alpha0;
-        # the refusal comes before the output file is opened
+        # the phase estimators build O(alpha0) Fourier coefficients, so they limit
+        # alpha0 and resend does not; the refusal comes before the output file is opened
         out = tmp_path / "o.csv"
         argv = ["coherent", "--alpha0", "1e100", "--M", "4", "--trials", "10",
                 "--estimator", estimator, "--out", str(out)]

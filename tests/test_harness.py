@@ -125,9 +125,10 @@ EXTRA_DRAWS = {"seed": [2**64 - 1, 2**64, 2**70], "amplitude": [1e200, 20.0, 10*
                "block count": [2**17 + 1], "order blocks": [2**18 + 1, 2**62],
                "grid size": [2**20 + 1]}
 # the largest count is drawn only where one int64 draw takes it: derive_seeds, the
-# heterodyne kernels and sphere_grid_ensemble would run for ever at that value
+# resend kernel and sphere_grid_ensemble would run for ever at that value
 ONE_DRAW_COUNTS = {("aki_impersonation", "trials"), ("sequential_strategy_pc", "trials"),
-                   ("random_basis_strategy", "trials"), ("canonical_phase_pa", "trials")}
+                   ("random_basis_strategy", "trials"), ("canonical_phase_pa", "trials"),
+                   ("heterodyne_pa", "trials")}
 
 _STATE = circle_state(0, 4)
 _PA_BITS = np.ones((1, 1, 16), dtype=np.uint8)
@@ -191,6 +192,8 @@ ENTRY_POINTS = [
     ("canonical_phase_pa", "seed", "seed", lambda v: coherent.canonical_phase_pa(3.0, 4, 10, v)),
     ("coherent_overlap_mag", "alpha0", "amplitude", lambda v: coherent.coherent_overlap_mag(v, 0.1)),
     ("coherent_overlap_mag", "dtheta", "angle", lambda v: coherent.coherent_overlap_mag(3.0, v)),
+    ("exact_pa", "alpha0", "amplitude", lambda v: coherent.exact_pa(v, 4, "heterodyne")),
+    ("exact_pa", "M", "grid size", lambda v: coherent.exact_pa(3.0, v, "canonical")),
     ("heterodyne_pa", "alpha0", "amplitude", lambda v: coherent.heterodyne_pa(v, 4, 10, 0)),
     ("heterodyne_pa", "M", "grid size", lambda v: coherent.heterodyne_pa(3.0, v, 10, 0)),
     ("heterodyne_pa", "trials", "count", lambda v: coherent.heterodyne_pa(3.0, 4, v, 0)),

@@ -5,20 +5,18 @@ one ``rng.binomial(trials, p)`` call.  Each must equal that draw with ``p``
 computed here from the ring states and their square-root measurement alone,
 by summing the per-trial law over every outcome, and must match its per-trial
 form (``rng.choice`` for the ring detector, one uniform per decision) in
-distribution.  The canonical phase draws its bin counts in one
-``rng.multinomial`` call, so it must match its repeat form to rounding and its
-per-trial form ``rng.choice(M + 1, p=pmf)`` in distribution.  The heterodyne
-kernels run their trials in blocks of ``coherent.BLOCK`` and keep only counts
-or sums.  Heterodyne draws each block's two normal arrays ``x`` and ``y``, its
-phase error ``arctan2(y, x + sqrt(2) alpha0)``; resend draws one uniform per
-trial, its acceptance.  Their same-draw references apply ``np.mean`` and
-``np.std`` over every trial to the same draws, at trial counts on both sides
-of the block size: heterodyne scores its rounding-bin counts with
-``math.fsum``, so it must match to rounding, and resend keeps running sums, so
-it must match to 1e-12.  Both must match their physical per-trial forms in
-distribution: a random ring state plus complex noise, unwound (heterodyne),
-and ``exp(-|noise|^2)`` (resend, also against its exact mean 1/2 and variance
-1/12).  A key session's ring-detector offsets are
+distribution.  Both phase estimators draw their bin counts in one
+``rng.multinomial`` call, so each must equal ``_bin_score`` of that draw with
+the estimator's bin probabilities exactly, match its per-trial form in
+distribution (canonical: ``rng.choice(M + 1, p=pmf)``; heterodyne: a random
+ring state plus complex noise, unwound) and its exact mean and variance from
+``exact_pa``; canonical must also match its repeat form (``np.mean`` and
+``np.std`` over every trial) to rounding, and heterodyne its exact moments by
+a z-test at a million trials and at 10**12.  Resend runs its trials in blocks of
+``coherent.BLOCK`` and keeps two running sums: it must match ``np.mean`` and
+``np.std`` over its uniforms to 1e-12, on both sides of the block size, and
+``exp(-|noise|^2)`` in distribution, also against its exact mean 1/2 and
+variance 1/12.  A key session's ring-detector offsets are
 ``ring_tables(M).cdf.searchsorted``, which must equal ``rng.choice(M, p=srm)``
 on the same uniforms.
 """
@@ -33,9 +31,10 @@ from anonkey.adversary import sequential_strategy_pc
 from anonkey.aki import aki_impersonation
 from anonkey.coherent import (
     BLOCK,
-    _bin_probabilities,
-    _overlap_table,
+    _bin_score,
+    _phase_bins,
     canonical_phase_pa,
+    exact_pa,
     heterodyne_pa,
     heterodyne_resend_pa,
 )
@@ -133,13 +132,13 @@ def ref_noise(rng, n):
     return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
 
 
+def canonical_pmf(alpha0, M):
+    return _phase_bins(alpha0, M, "canonical")
+
+
 def ref_heterodyne(alpha0, M, trials, seed):
-    rng = np.random.default_rng(seed)
-    delta = []
-    for n in blocks(trials):
-        x = rng.standard_normal(n)
-        delta.append(np.arctan2(rng.standard_normal(n), x + math.sqrt(2.0) * alpha0))
-    return rounded_acceptance(alpha0, M, np.concatenate(delta))
+    pmf = _phase_bins(alpha0, M, "heterodyne")
+    return _bin_score(np.random.default_rng(seed).multinomial(trials, pmf), alpha0, M)
 
 
 def ref_heterodyne_physical(alpha0, M, trials, seed):
@@ -152,13 +151,13 @@ def ref_heterodyne_physical(alpha0, M, trials, seed):
 
 def ref_canonical(alpha0, M, trials, seed):
     rng = np.random.default_rng(seed)
-    bins = rng.choice(M + 1, size=trials, p=_bin_probabilities(alpha0, M))
+    bins = rng.choice(M + 1, size=trials, p=canonical_pmf(alpha0, M))
     return rounded_acceptance(alpha0, M, (bins - M // 2) * (2.0 * math.pi / M))
 
 
 def ref_canonical_counts(alpha0, M, trials, seed):
     rng = np.random.default_rng(seed)
-    counts = rng.multinomial(trials, _bin_probabilities(alpha0, M))
+    counts = rng.multinomial(trials, canonical_pmf(alpha0, M))
     bins = np.repeat(np.arange(M + 1), counts)
     return rounded_acceptance(alpha0, M, (bins - M // 2) * (2.0 * math.pi / M))
 
@@ -236,20 +235,35 @@ def test_random_basis_matches_plain_form_in_distribution(M):
                     lambda t, s: ref_random_basis(M, t, s), binomial_moments(exact_random_basis(M)))
 
 
-@pytest.mark.parametrize("trials", [1, 2, BLOCK + 1])
+def exact_moments(alpha0, M, estimator, trials=20):
+    mean, var = exact_pa(alpha0, M, estimator)
+    return mean, var / trials
+
+
+@pytest.mark.parametrize("trials", [1, 2, BLOCK + 1, 10**12])
 @pytest.mark.parametrize("M", [4, 12, 4096])
 @pytest.mark.parametrize("alpha0", [0.3, 2.5, 23.0])
-def test_heterodyne_matches_normal_form(alpha0, M, trials):
+def test_heterodyne_matches_multinomial_form(alpha0, M, trials):
     seed = M + trials
-    expected = ref_heterodyne(alpha0, M, trials, seed)
-    assert heterodyne_pa(alpha0, M, trials, seed) == pytest.approx(expected, rel=1e-15, abs=0)
+    assert heterodyne_pa(alpha0, M, trials, seed) == ref_heterodyne(alpha0, M, trials, seed)
 
 
 @pytest.mark.parametrize("alpha0, M", [(0.4, 7), (2.5, 16), (23.0, 4096)])
 def test_heterodyne_matches_ring_state_form_in_distribution(alpha0, M):
-    # no exact heterodyne mean yet: the kernel against the physical form only
     assert_same_law(lambda n, s: heterodyne_pa(alpha0, M, n, s),
-                    lambda n, s: ref_heterodyne_physical(alpha0, M, n, s))
+                    lambda n, s: ref_heterodyne_physical(alpha0, M, n, s),
+                    exact_moments(alpha0, M, "heterodyne"))
+
+
+@pytest.mark.parametrize("trials", [10**6, 10**12])
+@pytest.mark.parametrize("alpha0, M", [(0.4, 4), (2.5, 16), (5.0, 4096), (23.0, 64), (23.0, 4096)])
+def test_heterodyne_z_against_exact_moments(alpha0, M, trials):
+    # the estimate within 4 sd of the exact mean, its stderr within 1% of sd
+    mean, var = exact_pa(alpha0, M, "heterodyne")
+    sd = math.sqrt(var / trials)
+    pa, se = heterodyne_pa(alpha0, M, trials, 7 * M + trials % 97)
+    assert abs(pa - mean) < 4 * sd
+    assert se == pytest.approx(sd, rel=0.01)
 
 
 @pytest.mark.parametrize("trials", [1, 2, BLOCK + 1])
@@ -263,11 +277,8 @@ def test_canonical_matches_repeat_form(alpha0, M, trials):
 
 @pytest.mark.parametrize("alpha0, M", [(0.4, 7), (2.5, 16)])
 def test_canonical_matches_choice_form_in_distribution(alpha0, M):
-    # the exact pmf @ t and pmf @ (t - pmf @ t)^2 scaled to 20 trials
-    pmf, t = _bin_probabilities(alpha0, M), _overlap_table(alpha0, M)
-    mean = pmf @ t
     assert_same_law(lambda n, s: canonical_phase_pa(alpha0, M, n, s),
-                    lambda n, s: ref_canonical(alpha0, M, n, s), (mean, pmf @ (t - mean) ** 2 / 20))
+                    lambda n, s: ref_canonical(alpha0, M, n, s), exact_moments(alpha0, M, "canonical"))
 
 
 @pytest.mark.parametrize("trials", [1, 2, BLOCK, BLOCK + 1, 2 * BLOCK + 7])
@@ -313,15 +324,15 @@ def test_kernels_return_python_floats(name, trials):
     (lambda: sequential_strategy_pc(64, 1_000_000, 5), 16 * 2**20),
     (lambda: sequential_strategy_pc(64, 2**63 - 1, 5), 4 * 2**20),
     (lambda: canonical_phase_pa(5.0, 4096, 10**12, 5), 4 * 2**20),
-    (lambda: heterodyne_pa(5.0, 4096, 10**7, 5), 8 * 2**20),
+    (lambda: heterodyne_pa(5.0, 4096, 10**12, 5), 4 * 2**20),
     (lambda: heterodyne_resend_pa(5.0, 10**7, 5), 8 * 2**20),
     (lambda: random_basis_strategy(64, 10**7, 5), 8 * 2**20),
 ], ids=["aki", "aki-huge-m", "aki-max-trials", "opaque", "opaque-max-trials", "canonical",
         "heterodyne", "resend", "random-basis"])
 def test_kernels_stay_small(kernel, bound):
     # the one-shot per-trial forms peak at 57.2 and 46.8 MiB for aki and opaque
-    # (about 8 GB for aki at m = 10**9), at 7.3 TiB for canonical, and at 157.5,
-    # 77.8 and 544.3 MiB for heterodyne, resend and random-basis
+    # (about 8 GB for aki at m = 10**9), at 7.3 TiB for canonical and heterodyne
+    # at 10**12 trials, and at 77.8 and 544.3 MiB for resend and random-basis
     ring_tables(64)
     tracemalloc.start()
     try:
