@@ -478,6 +478,8 @@ RULE_KEYS = {
                              coherent.require_phase_amplitude),
     "canonical-trials": (["coherent", "--alpha0", "3", "--M", "4", "--estimator", "canonical",
                           "--trials"], int, partial(require_count, "trials")),
+    "resend-trials": (["coherent", "--alpha0", "3", "--M", "4", "--estimator",
+                       "heterodyne-resend", "--trials"], int, partial(require_count, "trials")),
     "loss": (["ake", "--loss"], float, partial(require_probability, "loss")),
     "depolarize": (["ake", "--depolarize"], float, partial(require_probability, "depolarize")),
     "seed": (["aki", "--m", "1", "--trials", "10", "--seed"], int, partial(require_seed, "seed")),
@@ -493,6 +495,7 @@ BUDGET_CASES = {"seed": [str(2**64)], "ake-k": [str(2**17 + 1)],
                 "heterodyne-alpha_list": ["5371"],
                 "trials": _COUNT_END, "attack-trials": _COUNT_END, "canonical-trials": _COUNT_END,
                 "ake-trials": [str(2**63)], "heterodyne-trials": _COUNT_END,
+                "resend-trials": _COUNT_END,
                 "aki-M": _RING_END, "ake-M": _RING_END, "detect-m_list": _RING_END,
                 "attack-m_list": _RING_END}
 RULE_CASES = [

@@ -115,6 +115,15 @@ class TestHeterodyneResend:
             pa, se = heterodyne_resend_pa(a0, trials=200_000, seed=9)
             assert abs(pa - 0.5) <= 3 * se
 
+    @pytest.mark.parametrize("trials", [10**12, 2**63 - 1])
+    def test_huge_trial_count_is_53_draws(self, trials):
+        # the exact stderr, sqrt(1/12 / trials), against a mean of 1/2 - 2^-54
+        start = time.perf_counter()
+        pa, se = heterodyne_resend_pa(5.0, trials, 8)
+        assert time.perf_counter() - start < 1.0
+        assert se == math.sqrt(1.0 / 12.0 / trials)
+        assert abs(pa - 0.5) < 4 * se
+
 
 class TestPhaseDistribution:
     def test_normalization(self):
@@ -222,6 +231,13 @@ class TestCanonicalBudget:
         for kernel in (canonical_phase_pa, heterodyne_pa):
             pa, _ = kernel(5370.0, 4096, 1000, 0)
             assert 0.0 <= pa <= 1.0
+
+    @pytest.mark.parametrize("estimator", ["heterodyne", "canonical"])
+    def test_largest_amplitude_is_exactly_one_bin(self, estimator):
+        # the error's sd, 1e-4, is far inside a quarter-turn bin, so the acceptance is
+        # 1 with variance 0 but for the folded FFT's rounding, near 2e-15 here
+        mean, var = exact_pa(5370.0, 4, estimator)
+        assert abs(mean - 1.0) < 1e-14 and 0.0 <= var < 1e-14
 
 
 class TestGridSizeBudget:

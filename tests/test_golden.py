@@ -56,9 +56,9 @@ GOLDEN = [
      "e45bfc3e4a58ffb962f42100f26f162e10bc18f3414433d62b46ab1cee725afe"),
     ("coherent-json", ["coherent", "--alpha0", "3", "--M", "16", "--trials", "500",
                        "--seed", "2", "--format", "json"], 0,
-     "f3f20cf59bc2a0d98efcb1648ad82fec28e8017e865e13e46c1a354765e97e1f"),
+     "e11e6939a6235cd326bd904ca0a30f2e9e0d760886802598e6de212dde46fe92"),
     # opaque at ring sizes 12, 60 and 192 and aki at 60 (one binomial draw of
-    # 70000 trials each), resend draws crossing a block boundary, heterodyne and
+    # 70000 trials each), resend's 53 bit-count draws, heterodyne and
     # canonical counts in the bin at -pi (alpha0 = 0.4), and the session's opaque interceptor,
     # whose cdf search meets a bucket holding several detector offsets (M = 12)
     ("attack-opaque-crowded", ["attack", "--strategy", "opaque", "--M", "12,60,192",
@@ -69,7 +69,7 @@ GOLDEN = [
      "af9ba2a83e97105b4b48f507b82bb3e5e9221c908e019fb0376dacdaf624e061"),
     ("coherent-across-blocks", ["coherent", "--alpha0", "0.4,2.5,23", "--M", "4,4096",
                                 "--trials", "70000", "--seed", "5"], 0,
-     "0f3a40820e855587f4e5c054f18a789926fadc602052608d799d740f71175974"),
+     "9eb8f163c30d397cb7a96870525fd6811f54c0db333f65001369342bd5e4f9ff"),
     ("ake-opaque-M12", ["ake", "--k", "16", "--M", "12", "--eve", "opaque", "--trials", "3",
                         "--seed", "6"], 0,
      "afc50ee2ef7cc09ea8dd365d55c6282551d78431b8e6e7e93a0f44ff4a0f82a0"),

@@ -124,11 +124,11 @@ EXTRA_DRAWS = {"seed": [2**64 - 1, 2**64, 2**70], "amplitude": [1e200, 20.0, 10*
                "count": [2**63], "ring size": [2**20 + 4],
                "block count": [2**17 + 1], "order blocks": [2**18 + 1, 2**62],
                "grid size": [2**20 + 1]}
-# the largest count is drawn only where one int64 draw takes it: derive_seeds, the
-# resend kernel and sphere_grid_ensemble would run for ever at that value
+# the largest count is drawn only where int64 draws take it: derive_seeds and
+# sphere_grid_ensemble would run for ever at that value
 ONE_DRAW_COUNTS = {("aki_impersonation", "trials"), ("sequential_strategy_pc", "trials"),
                    ("random_basis_strategy", "trials"), ("canonical_phase_pa", "trials"),
-                   ("heterodyne_pa", "trials")}
+                   ("heterodyne_pa", "trials"), ("heterodyne_resend_pa", "trials")}
 
 _STATE = circle_state(0, 4)
 _PA_BITS = np.ones((1, 1, 16), dtype=np.uint8)

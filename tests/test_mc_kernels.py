@@ -12,13 +12,13 @@ distribution (canonical: ``rng.choice(M + 1, p=pmf)``; heterodyne: a random
 ring state plus complex noise, unwound) and its exact mean and variance from
 ``exact_pa``; canonical must also match its repeat form (``np.mean`` and
 ``np.std`` over every trial) to rounding, and heterodyne its exact moments by
-a z-test at a million trials and at 10**12.  Resend runs its trials in blocks of
-``coherent.BLOCK`` and keeps two running sums: it must match ``np.mean`` and
-``np.std`` over its uniforms to 1e-12, on both sides of the block size, and
-``exp(-|noise|^2)`` in distribution, also against its exact mean 1/2 and
-variance 1/12.  A key session's ring-detector offsets are
-``ring_tables(M).cdf.searchsorted``, which must equal ``rng.choice(M, p=srm)``
-on the same uniforms.
+a z-test at a million trials and at 10**12.  Resend draws how many of its
+``rng.random`` uniforms set each of their 53 bits: at one trial its estimate must
+be a uniform 53-bit fraction, at two and three trials it must follow the
+Irwin-Hall law of a mean of uniforms, and it must match ``exp(-|noise|^2)`` in
+distribution, also against its exact mean 1/2 and variance 1/12.  A key
+session's ring-detector offsets are ``ring_tables(M).cdf.searchsorted``, which
+must equal ``rng.choice(M, p=srm)`` on the same uniforms.
 """
 
 import math
@@ -30,7 +30,6 @@ import pytest
 from anonkey.adversary import sequential_strategy_pc
 from anonkey.aki import aki_impersonation
 from anonkey.coherent import (
-    BLOCK,
     _bin_score,
     _phase_bins,
     canonical_phase_pa,
@@ -41,11 +40,6 @@ from anonkey.coherent import (
 from anonkey.detection import random_basis_strategy, ring_tables, square_root_measurement
 from anonkey.harness import binomial_stderr
 from anonkey.states import Ensemble, circle_states
-
-
-def blocks(trials, size=BLOCK):
-    """The trial counts of the blocks that a kernel splits ``trials`` into."""
-    return [min(size, trials - start) for start in range(0, trials, size)]
 
 
 def fraction(successes):
@@ -162,11 +156,6 @@ def ref_canonical_counts(alpha0, M, trials, seed):
     return rounded_acceptance(alpha0, M, (bins - M // 2) * (2.0 * math.pi / M))
 
 
-def ref_resend(trials, seed):
-    rng = np.random.default_rng(seed)
-    return mean_and_stderr(np.concatenate([rng.random(n) for n in blocks(trials)]))
-
-
 def ref_resend_physical(trials, seed):
     rng = np.random.default_rng(seed)
     return mean_and_stderr(np.exp(-np.abs(ref_noise(rng, trials)) ** 2))
@@ -240,7 +229,7 @@ def exact_moments(alpha0, M, estimator, trials=20):
     return mean, var / trials
 
 
-@pytest.mark.parametrize("trials", [1, 2, BLOCK + 1, 10**12])
+@pytest.mark.parametrize("trials", [1, 2, 65537, 10**12])
 @pytest.mark.parametrize("M", [4, 12, 4096])
 @pytest.mark.parametrize("alpha0", [0.3, 2.5, 23.0])
 def test_heterodyne_matches_multinomial_form(alpha0, M, trials):
@@ -266,7 +255,7 @@ def test_heterodyne_z_against_exact_moments(alpha0, M, trials):
     assert se == pytest.approx(sd, rel=0.01)
 
 
-@pytest.mark.parametrize("trials", [1, 2, BLOCK + 1])
+@pytest.mark.parametrize("trials", [1, 2, 65537])
 @pytest.mark.parametrize("M", [4, 7, 4096])
 @pytest.mark.parametrize("alpha0", [0.3, 0.4, 2.5, 23.0, 120.0])
 def test_canonical_matches_repeat_form(alpha0, M, trials):
@@ -281,10 +270,28 @@ def test_canonical_matches_choice_form_in_distribution(alpha0, M):
                     lambda n, s: ref_canonical(alpha0, M, n, s), exact_moments(alpha0, M, "canonical"))
 
 
-@pytest.mark.parametrize("trials", [1, 2, BLOCK, BLOCK + 1, 2 * BLOCK + 7])
-def test_resend_matches_uniform_form(trials):
-    expected = ref_resend(trials, trials)
-    assert heterodyne_resend_pa(5.0, trials, trials) == pytest.approx(expected, rel=1e-12, abs=0)
+def test_resend_one_trial_is_a_uniform_53_bit_fraction():
+    # k / 2^53 with k an integer in [0, 2^53), and its top 4 bits uniform over
+    # 4000 seeds: a chi-square of 15 degrees of freedom, under 37.7 (p = 0.001)
+    k = [heterodyne_resend_pa(5.0, 1, s)[0] * 2.0**53 for s in range(4000)]
+    assert all(v == int(v) and 0 <= v < 2**53 for v in k)
+    counts = np.bincount([int(v) >> 49 for v in k], minlength=16)
+    assert np.sum((counts - 250.0) ** 2 / 250.0) < 37.7
+
+
+def irwin_hall_cdf(n, x):
+    """``P(u_1 + ... + u_n <= x)`` for independent uniforms on (0, 1)."""
+    return sum((-1) ** k * math.comb(n, k) * (x - k) ** n
+               for k in range(math.floor(x) + 1)) / math.factorial(n)
+
+
+@pytest.mark.parametrize("trials", [2, 3])
+def test_resend_mean_follows_irwin_hall(trials):
+    # Kolmogorov-Smirnov over 4000 seeds, under its p = 0.001 bound 1.95 / sqrt(4000)
+    est = np.sort([heterodyne_resend_pa(5.0, trials, s)[0] for s in range(4000)])
+    cdf = np.array([irwin_hall_cdf(trials, trials * e) for e in est])
+    i = np.arange(1, len(est) + 1) / len(est)
+    assert max(np.max(i - cdf), np.max(cdf - (i - 1 / len(est)))) < 1.95 / math.sqrt(len(est))
 
 
 def test_resend_matches_complex_form_in_distribution():
@@ -311,7 +318,7 @@ SAMPLED = {
 }
 
 
-@pytest.mark.parametrize("trials", [1, BLOCK + 1])
+@pytest.mark.parametrize("trials", [1, 65537])
 @pytest.mark.parametrize("name", SAMPLED)
 def test_kernels_return_python_floats(name, trials):
     assert [type(v) for v in SAMPLED[name](trials)] == [float, float]
@@ -325,10 +332,11 @@ def test_kernels_return_python_floats(name, trials):
     (lambda: sequential_strategy_pc(64, 2**63 - 1, 5), 4 * 2**20),
     (lambda: canonical_phase_pa(5.0, 4096, 10**12, 5), 4 * 2**20),
     (lambda: heterodyne_pa(5.0, 4096, 10**12, 5), 4 * 2**20),
-    (lambda: heterodyne_resend_pa(5.0, 10**7, 5), 8 * 2**20),
+    (lambda: heterodyne_resend_pa(5.0, 10**7, 5), 4 * 2**20),
+    (lambda: heterodyne_resend_pa(5.0, 2**63 - 1, 5), 4 * 2**20),
     (lambda: random_basis_strategy(64, 10**7, 5), 8 * 2**20),
 ], ids=["aki", "aki-huge-m", "aki-max-trials", "opaque", "opaque-max-trials", "canonical",
-        "heterodyne", "resend", "random-basis"])
+        "heterodyne", "resend", "resend-max-trials", "random-basis"])
 def test_kernels_stay_small(kernel, bound):
     # the one-shot per-trial forms peak at 57.2 and 46.8 MiB for aki and opaque
     # (about 8 GB for aki at m = 10**9), at 7.3 TiB for canonical and heterodyne
