@@ -97,22 +97,22 @@ def coherent_overlap_mag(alpha0: float, dtheta: float) -> float:
     return math.exp(-alpha0**2 * (1.0 - math.cos(dtheta)))
 
 
-def _overlap_table(alpha0: float, M: int) -> np.ndarray:
-    """Acceptance of each of the M + 1 rounding offsets ``j - M // 2`` ring steps."""
+def _overlap_table(alpha0: float, M: int, bins: np.ndarray) -> np.ndarray:
+    """Acceptance of the rounding bins ``bins``; bin ``j`` is ``j - M // 2`` ring steps off."""
     step = 2.0 * math.pi / M
     with np.errstate(over="ignore"):  # an exponent of -inf gives overlap 0
-        return np.exp(-2.0 * alpha0**2 * (1.0 - np.cos((np.arange(M + 1) - M // 2) * step)))
+        return np.exp(-2.0 * alpha0**2 * (1.0 - np.cos((bins - M // 2) * step)))
 
 
 def _bin_score(counts: np.ndarray, alpha0: float, M: int) -> tuple[float, float]:
     """Mean acceptance and ``np.std / sqrt(trials)`` of the trials counted in the
-    M + 1 rounding bins, as ``math.fsum`` sums over the bins hit: the per-trial
-    scores, in bytes free of summation order."""
+    M + 1 rounding bins, as ``math.fsum`` sums over the bins hit, the only ones whose
+    overlap it evaluates: the per-trial scores, in bytes free of summation order."""
     trials = int(counts.sum())
     hit = np.flatnonzero(counts)
-    c, t = counts[hit], _overlap_table(alpha0, M)[hit]
-    pa = math.fsum(c * t) / trials
-    return pa, math.sqrt(math.fsum(c * (t - pa) ** 2) / trials) / math.sqrt(trials)
+    c, t = counts[hit], _overlap_table(alpha0, M, hit)
+    pa = math.fsum((c * t).tolist()) / trials  # fsum reads a list faster than an array
+    return pa, math.sqrt(math.fsum((c * (t - pa) ** 2).tolist()) / trials) / math.sqrt(trials)
 
 
 def heterodyne_pa(alpha0: float, M: int, trials: int, seed: int) -> tuple[float, float]:
@@ -296,13 +296,17 @@ def _bins(coeffs: np.ndarray, M: int) -> np.ndarray:
     heterodyne bins at M = 4 hold 1.3e-15 instead of 0.
 
     The antiderivative ``G(t) = t c_0 / (2 pi) + (1 / pi) sum_d c_d sin(d t) / d`` at the bin
-    edges ``t = (m - 1/2) step`` is one length-M FFT, since ``sin(d t)`` depends on ``d`` only
-    through ``d mod M`` and the sign ``(-1)^(d // M)``.  Edges beyond +-pi are clipped there,
-    where ``G = +-c_0 / 2``; for odd M that leaves bin M empty.
+    edges ``t = (m - 1/2) step`` is one length-M FFT: ``sin(d t) = Im[exp(2 pi i d m / M)
+    exp(-i pi d / M)]``, whose first factor depends on ``d`` only through ``d mod M`` and whose
+    half-bin twiddle has period ``2 M`` in ``d``.  The twiddle goes on the coefficients, ``w_d =
+    c_d / d exp(-i pi (d mod 2M) / M)``, which two real ``bincount`` calls fold onto ``d mod M``,
+    so nothing but the FFT is of length M.  Edges beyond +-pi are clipped there, where ``G =
+    +-c_0 / 2``; for odd M that leaves bin M empty.
     """
     d = np.arange(1, len(coeffs))
-    folded = np.bincount(d % M, weights=coeffs[1:] / d * (1 - 2 * (d // M % 2)), minlength=M)
-    sines = (np.fft.ifft(folded * np.exp(-1j * math.pi * np.arange(M) / M)) * M).imag
+    w, turn, fold = coeffs[1:] / d, (math.pi / M) * (d % (2 * M)), d % M
+    folded = np.bincount(fold, w * np.cos(turn), M) - 1j * np.bincount(fold, w * np.sin(turn), M)
+    sines = np.fft.ifft(folded, norm="forward").imag  # unscaled: sum_k folded_k e^(2 pi i k m / M)
     m = np.arange(M + 2) - M // 2
     t = (m - 0.5) * (2.0 * math.pi / M)
     g = t * (coeffs[0] / (2.0 * math.pi)) + sines[m % M] / math.pi
@@ -327,7 +331,7 @@ def exact_pa(alpha0: float, M: int, estimator: str) -> tuple[float, float]:
     (``estimator="heterodyne"``) or :func:`canonical_phase_pa` (``"canonical"``) samples."""
     if estimator not in _COEFFICIENTS:
         raise ValueError(f"estimator must be 'heterodyne' or 'canonical', got {estimator!r}")
-    pmf, t = _phase_bins(alpha0, M, estimator), _overlap_table(alpha0, M)
+    pmf, t = _phase_bins(alpha0, M, estimator), _overlap_table(alpha0, M, np.arange(M + 1))
     mean = math.fsum(pmf * t)
     return mean, math.fsum(pmf * (t - mean) ** 2)
 

@@ -12,8 +12,10 @@ the square-root measurement identifies the state with probability 2/M and is
 accepted with probability 3/4 for every M; pure guessing scores 1/2.
 
 A :class:`Povm` holds its elements as one read-only ``(n, d, d)`` array,
-validated once at construction.  Sums over the stack axis run in stack
-order (``.sum(0)``), matching element-by-element sums to the last bit.
+validated once at construction.  No figure loops over the stack or multiplies
+it matrix by matrix: each contracts it in one ``einsum`` or one 2-D product,
+within 1e-15 of the element-by-element sums, and the PSD checks run one
+Cholesky factorization per chunk of the stack (:func:`anonkey.states.psd_faults`).
 """
 
 from __future__ import annotations
@@ -31,7 +33,9 @@ from .states import (
     Ensemble,
     checked_stack,
     circle_states,
+    psd_faults,
     require_ring_size,
+    stack_chunks,
     uniform_circle_ensemble,
 )
 
@@ -52,7 +56,7 @@ class Povm:
 
     def __post_init__(self) -> None:
         els = checked_stack(self.elements, "POVM element {i}")
-        if not np.allclose(els.sum(0), np.eye(els.shape[1]), atol=COMPLETENESS_ATOL, rtol=0.0):
+        if not np.abs(els.sum(0) - np.eye(els.shape[1])).max() <= COMPLETENESS_ATOL:  # NaN fails
             raise ValueError("POVM elements must sum to the identity")
         object.__setattr__(self, "elements", els)
 
@@ -85,6 +89,16 @@ def _real_traces(a: np.ndarray) -> np.ndarray:
     return np.trace(a, axis1=1, axis2=2).real
 
 
+def _sandwich(s: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """``s a s`` for every ``a`` of an ``(n, d, d)`` stack, as two 2-D products:
+    ``(d, d) @ (d, n d)`` gives every ``s a`` side by side, ``(n d, d) @ (d, d)``
+    multiplies them by ``s``.  Each entry sums the terms of the stacked ``s @ a @ s``,
+    in its order."""
+    n, d, _ = stack.shape
+    left = s @ stack.transpose(1, 0, 2).reshape(d, n * d)  # [a, (i, c)] = (s stack_i)[a, c]
+    return (left.reshape(d, n, d).transpose(1, 0, 2).reshape(n * d, d) @ s).reshape(n, d, d)
+
+
 def square_root_measurement(e: Ensemble) -> Povm:
     """Square-root measurement S^(-1/2) p_i rho_i S^(-1/2), S = sum p_i rho_i.
 
@@ -98,8 +112,7 @@ def square_root_measurement(e: Ensemble) -> Povm:
     w, v = np.linalg.eigh(weighted.sum(0))  # trace 1, so never rank zero
     on_support = w > SUPPORT_CUTOFF
     inv = np.where(on_support, 1.0 / np.sqrt(np.maximum(w, SUPPORT_CUTOFF)), 0.0)
-    s_inv = (v * inv) @ v.conj().T
-    elements = s_inv @ weighted @ s_inv
+    elements = _sandwich((v * inv) @ v.conj().T, weighted)
     complement = np.eye(e.dim) - (v * on_support) @ v.conj().T
     if np.linalg.norm(complement) > COMPLETENESS_ATOL:
         elements = np.concatenate((elements, complement[None]))
@@ -123,7 +136,7 @@ def _check_sizes(e: Ensemble, m: Povm) -> None:
 def correct_id_probability(e: Ensemble, m: Povm) -> float:
     """Probability sum_i p_i tr(Pi_i rho_i) that outcome i hits state i."""
     _check_sizes(e, m)
-    hits = e.priors * _real_traces(m.elements[: e.size] @ e.states)
+    hits = e.priors * np.einsum("nab,nba->n", m.elements[: e.size], e.states).real
     return float(hits.cumsum()[-1])  # summed in stack order
 
 
@@ -134,14 +147,18 @@ def acceptance_probability(e: Ensemble, m: Povm) -> float:
     ``rho_l'`` of the ensemble; the sender's check then succeeds with
     probability ``tr(rho_l rho_l')``.  The double sum over ``(l, l')`` is
     evaluated as ``tr[(sum_l' Pi_l' (x) rho_l')(sum_l p_l rho_l (x) rho_l)]``,
-    which is linear in the ensemble size.
+    which is linear in the ensemble size: each factor is one ``(n, d^2)^T @
+    (n, d^2)`` product.
     """
     _check_sizes(e, m)
+    n, d = e.size, e.dim
     # index pairs (a, b) and (c, d) of the two tensor factors; the traces
     # pair Pi[a, b] with rho[b, a] and rho'[c, d] with rho[d, c]
-    measured = np.einsum("jab,jcd->abcd", m.elements[: e.size], e.states)
-    prepared = np.einsum("i,iba,idc->abcd", e.priors, e.states, e.states)
-    return float(np.real(np.sum(measured * prepared)))
+    rows = e.states.reshape(n, d * d)
+    measured = np.einsum("ix,iy->xy", m.elements[:n].reshape(n, d * d), rows)  # [ab, cd]
+    mixed = np.einsum("ix,iy->xy", e.priors[:, None] * rows, rows)  # [ba, dc]
+    prepared = mixed.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
+    return float(np.sum(measured * prepared).real)
 
 
 def helstrom_binary(
@@ -172,17 +189,20 @@ def helstrom_binary(
 def certify_optimality(e: Ensemble, m: Povm) -> bool:
     """Check the standard optimality conditions for minimum-error detection.
 
-    ``Y = sum_j p_j rho_j Pi_j`` must be Hermitian, and ``Y - p_j rho_j``
-    must be PSD for every j (one batched ``eigvalsh``), both within
+    ``Y = sum_j p_j rho_j Pi_j`` (one ``(d, n d) @ (n d, d)`` product) must be
+    Hermitian, and ``Y - p_j rho_j`` must be PSD for every j
+    (:func:`anonkey.states.psd_faults`, chunk by chunk), both within
     ``OPTIMALITY_ATOL``.  Together they are necessary and sufficient.
     """
     _check_sizes(e, m)
     weighted = e.weighted()
-    y = (weighted @ m.elements[: e.size]).sum(0)
-    if not np.allclose(y, y.conj().T, atol=OPTIMALITY_ATOL, rtol=0.0):
+    n, d = e.size, e.dim
+    y = weighted.transpose(1, 0, 2).reshape(d, n * d) @ m.elements[:n].reshape(n * d, d)
+    if not np.abs(y - y.conj().T).max() <= OPTIMALITY_ATOL:  # NaN fails
         return False
     y = (y + y.conj().T) / 2
-    return bool(np.linalg.eigvalsh(y - weighted).min() >= -OPTIMALITY_ATOL)
+    chunks = stack_chunks(n, d)
+    return not any(psd_faults(y - weighted[c], OPTIMALITY_ATOL).any() for c in chunks)
 
 
 def evaluate_detection(e: Ensemble) -> DetectionReport:

@@ -38,7 +38,9 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
+_PAULI_ROWS = np.reshape(PAULIS, (3, 4))  # row k is PAULIS[k], flattened
 MAX_RING_SIZE = 1 << 20  # ring size M, at most: every ring entry point builds O(M) states
+CHUNK_ENTRIES = 1 << 18  # matrix entries a chunk of a stack check holds: 4 MiB of complex
 
 
 def require_ring_size(M: int) -> None:
@@ -48,12 +50,38 @@ def require_ring_size(M: int) -> None:
         raise ValueError(f"M must be a positive multiple of 4 up to 2**20 (an integer), got {M!r}")
 
 
+def stack_chunks(n: int, d: int) -> list[slice]:
+    """Slices of a stack of ``n`` ``d x d`` matrices into chunks of at most
+    :data:`CHUNK_ENTRIES` entries (at least one matrix each), in stack order: a check
+    that runs chunk by chunk keeps its temporaries to a few MiB whatever ``n`` is."""
+    step = max(1, CHUNK_ENTRIES // (d * d))
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
+
+
+def psd_faults(h: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the matrices of the Hermitian ``(n, d, d)`` stack ``h`` with an eigenvalue
+    below ``-tol``, both read from the lower triangle.
+
+    One Cholesky factorization of ``h + tol I`` certifies the whole stack: it is backward
+    stable (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 10), so
+    its success puts every eigenvalue at or above ``-tol`` up to rounding.  Only when it
+    fails does one batched ``eigvalsh`` find which matrices fall below.
+    """
+    try:
+        np.linalg.cholesky(h + tol * np.eye(h.shape[1]))
+    except np.linalg.LinAlgError:
+        return np.linalg.eigvalsh(h)[:, 0] < -tol
+    return np.zeros(len(h), dtype=bool)
+
+
 def checked_stack(mats, what: str, unit_trace: bool = False) -> np.ndarray:
     """Read-only copy of ``mats`` as an ``(n, d, d)`` stack, validated in one pass.
 
     Every matrix must be Hermitian within 1e-9, have eigenvalues >= -1e-9
-    and, with ``unit_trace``, trace 1 within 1e-9; the error names the first
-    failing matrix as ``what.format(i=index)``.
+    (:func:`psd_faults` on its Hermitian part) and, with ``unit_trace``, trace 1
+    within 1e-9; the error names the first failing matrix as ``what.format(i=index)``.
+    The pass runs over :func:`stack_chunks`, so it holds no stack-sized temporary
+    beyond the copy.
     """
     try:
         a = np.array(mats, dtype=complex)
@@ -61,16 +89,18 @@ def checked_stack(mats, what: str, unit_trace: bool = False) -> np.ndarray:
         raise ValueError("stacked operators must share one dimension") from None
     if a.ndim != 3 or a.shape[1] != a.shape[2] or len(a) == 0:
         raise ValueError(f"expected a nonempty stack of square matrices, got shape {a.shape}")
-    h = a.conj().swapaxes(1, 2)
-    faults = {"is not Hermitian": ~(np.abs(a - h) <= ATOL).all(axis=(1, 2))}
-    if unit_trace:
-        faults["must have unit trace"] = ~(np.abs(np.trace(a, axis1=1, axis2=2) - 1.0) <= ATOL)
-    faults["is not positive semidefinite"] = np.linalg.eigvalsh((a + h) / 2)[:, 0] < -ATOL
-    bad = np.logical_or.reduce(list(faults.values()))
-    if bad.any():
-        i = int(bad.argmax())
-        reason = next(r for r, f in faults.items() if f[i])
-        raise ValueError(f"{what.format(i=i)} {reason}")
+    for chunk in stack_chunks(*a.shape[:2]):
+        c = a[chunk]
+        h = c.conj().swapaxes(1, 2)
+        faults = {"is not Hermitian": ~(np.abs(c - h) <= ATOL).all(axis=(1, 2))}
+        if unit_trace:
+            faults["must have unit trace"] = ~(np.abs(np.trace(c, axis1=1, axis2=2) - 1.0) <= ATOL)
+        faults["is not positive semidefinite"] = psd_faults((c + h) / 2, ATOL)
+        bad = np.logical_or.reduce(list(faults.values()))
+        if bad.any():
+            i = int(bad.argmax())
+            reason = next(r for r, f in faults.items() if f[i])
+            raise ValueError(f"{what.format(i=chunk.start + i)} {reason}")
     a.setflags(write=False)
     return a
 
@@ -172,8 +202,7 @@ def _bloch_stack(r: np.ndarray) -> np.ndarray:
     norm = np.linalg.norm(r, axis=1)
     if not (norm <= 1.0 + ATOL).all():  # a NaN norm fails too
         raise ValueError(f"Bloch vector norm must be at most 1, got {norm.max()}")
-    r = r[:, :, None, None]
-    paulis = r[:, 0] * PAULI_X + r[:, 1] * PAULI_Y + r[:, 2] * PAULI_Z
+    paulis = (r @ _PAULI_ROWS).reshape(len(r), 2, 2)
     return 0.5 * (np.eye(2, dtype=complex) + paulis)
 
 

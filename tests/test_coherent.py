@@ -363,6 +363,34 @@ def rician_bins(a0, M):
     return out
 
 
+def sign_folded_bins(coeffs, M):
+    """``coherent._bins`` as it was written first: the coefficients folded onto ``d mod M``
+    with the sign ``(-1)^(d // M)``, then an M-length half-bin twiddle before the FFT."""
+    d = np.arange(1, len(coeffs))
+    folded = np.bincount(d % M, weights=coeffs[1:] / d * (1 - 2 * (d // M % 2)), minlength=M)
+    sines = (np.fft.ifft(folded * np.exp(-1j * math.pi * np.arange(M) / M)) * M).imag
+    m = np.arange(M + 2) - M // 2
+    t = (m - 0.5) * (2.0 * math.pi / M)
+    g = t * (coeffs[0] / (2.0 * math.pi)) + sines[m % M] / math.pi
+    g[t <= -math.pi], g[t >= math.pi] = -0.5 * coeffs[0], 0.5 * coeffs[0]
+    pmf = np.maximum(np.diff(g), 0.0)
+    return pmf / pmf.sum()
+
+
+class TestFoldedBins:
+    # the twiddle on the coefficients is the sign-folded form, term by term; at
+    # alpha0 5370 both sit on a rounding floor: thousands of far bins each keep
+    # about +-1e-16 of FFT rounding, np.maximum clips the negative ones, and the
+    # normalization takes the positive ones out of the one bin holding the
+    # probability, so that bin moves by up to 3e-14 between the two forms
+    @pytest.mark.parametrize("estimator", ["heterodyne", "canonical"])
+    @pytest.mark.parametrize("a0, tol", [(0.4, 1e-15), (5.0, 1e-15), (23.0, 1e-15), (5370.0, 5e-14)])
+    @pytest.mark.parametrize("M", [4, 7, 64, 4096])
+    def test_matches_the_sign_folded_form(self, estimator, a0, tol, M):
+        coeffs = coherent._COEFFICIENTS[estimator](a0)
+        assert np.abs(coherent._bins(coeffs, M) - sign_folded_bins(coeffs, M)).max() <= tol
+
+
 class TestHeterodyneBins:
     # the exact acceptance pinned at five reference points
     @pytest.mark.parametrize("a0, M, pa", [

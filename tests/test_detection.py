@@ -264,16 +264,19 @@ class TestRingTables:
     def test_tables_match_closed_forms(self):
         # the ring simulations sample from tables computed out of the
         # density-operator algebra; pin them against the independent
-        # closed-form oracles for ring overlaps and the optimal detector
+        # closed-form oracles for ring overlaps and the optimal detector, to a
+        # few ulps at 1 (rtol 0: the default rtol of 1e-5 would bound nothing);
+        # the worst deviation, 5.0e-16 in decrypt_p0 at M = 192, is part the
+        # closed form's own rounding: against cos^2 in long double it is 4.3e-16
         for M in (4, 8, 16, 64, 192):
             t = ring_tables(M)
             q = M // 4
             d = np.arange(M)
             assert t.q == q
-            assert np.allclose(t.ov, np.cos(np.pi * d / M) ** 2, atol=1e-12)
-            assert np.allclose(t.decrypt_p0, np.cos(np.pi * (d - q) / M) ** 2, atol=1e-12)
-            assert np.allclose(t.srm, (2.0 / M) * np.cos(np.pi * d / M) ** 2, atol=1e-12)
-            assert t.srm.sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.abs(t.ov - np.cos(np.pi * d / M) ** 2).max() <= 1e-15
+            assert np.abs(t.decrypt_p0 - np.cos(np.pi * (d - q) / M) ** 2).max() <= 1e-15
+            assert np.abs(t.srm - (2.0 / M) * np.cos(np.pi * d / M) ** 2).max() <= 4e-16
+            assert abs(t.srm.sum() - 1.0) <= 4e-16
 
     @pytest.mark.parametrize("M", sorted(RING_TABLE_SHA256))
     def test_table_bytes_pinned(self, M):

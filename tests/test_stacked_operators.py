@@ -3,7 +3,10 @@
 Random qubit ensembles (one to eight pure or mixed states, random priors)
 check the square-root measurement; corrupted stacks check that the batched
 validation of :class:`Povm` and :class:`Ensemble` rejects exactly what an
-element-by-element reference rejects, and names the same index.
+element-by-element reference rejects, and names the same index.  Random
+ensembles of dimension 2, 3 and 4 check the contracted figures against their
+per-matrix formulas, and planted eigenvalues a hair either side of the PSD
+tolerance check the Cholesky certificate against ``eigvalsh``.
 """
 
 import numpy as np
@@ -11,14 +14,28 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from anonkey.adversary import two_copy_states
 from anonkey.detection import (
     COMPLETENESS_ATOL,
+    OPTIMALITY_ATOL,
+    SUPPORT_CUTOFF,
     Povm,
     acceptance_probability,
+    certify_optimality,
     correct_id_probability,
     square_root_measurement,
+    uniform_guess_povm,
 )
-from anonkey.states import ATOL, Ensemble, bloch_to_density, ensemble_mixture
+from anonkey.states import (
+    ATOL,
+    CHUNK_ENTRIES,
+    Ensemble,
+    bloch_to_density,
+    checked_stack,
+    ensemble_mixture,
+    psd_faults,
+    uniform_circle_ensemble,
+)
 
 unit = st.floats(-1.0, 1.0, allow_nan=False)
 
@@ -141,3 +158,134 @@ def test_ensemble_validation_matches_reference(e, bad):
     with pytest.raises(ValueError) as err:
         Ensemble(mats, e.priors)
     assert f"ensemble state {index} " in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# the contracted figures against their per-matrix formulas
+# ---------------------------------------------------------------------------
+
+
+def reference_srm(e):
+    """S^(-1/2) p_i rho_i S^(-1/2), one matrix product at a time, plus the complement."""
+    mixture = sum(p * rho for p, rho in zip(e.priors, e.states))
+    w, v = np.linalg.eigh(mixture)
+    on_support = w > SUPPORT_CUTOFF
+    inv = np.where(on_support, 1.0 / np.sqrt(np.maximum(w, SUPPORT_CUTOFF)), 0.0)
+    s_inv = (v * inv) @ v.conj().T
+    elements = [s_inv @ (p * rho) @ s_inv for p, rho in zip(e.priors, e.states)]
+    complement = np.eye(e.dim) - (v * on_support) @ v.conj().T
+    if np.linalg.norm(complement) > COMPLETENESS_ATOL:
+        elements.append(complement)
+    return np.array(elements)
+
+
+def reference_pc(e, m):
+    return sum(p * np.trace(el @ rho).real for p, el, rho in zip(e.priors, m.elements, e.states))
+
+
+def reference_pa(e, m):
+    """The defining double sum over (state, outcome) pairs, one trace at a time."""
+    return sum(p * np.trace(el @ rho).real * np.trace(rho @ other).real
+               for p, rho in zip(e.priors, e.states)
+               for el, other in zip(m.elements, e.states))
+
+
+def reference_certificate(e, m):
+    y = sum(p * rho @ el for p, rho, el in zip(e.priors, e.states, m.elements))
+    if not np.allclose(y, y.conj().T, atol=OPTIMALITY_ATOL, rtol=0.0):
+        return False
+    y = (y + y.conj().T) / 2
+    return all(np.linalg.eigvalsh(y - p * rho).min() >= -OPTIMALITY_ATOL
+               for p, rho in zip(e.priors, e.states))
+
+
+def random_ensemble(rng, d):
+    """One to eight random density operators of dimension d (rank 1 to d), random priors."""
+    n = int(rng.integers(1, 9))
+    states = []
+    for _ in range(n):
+        g = rng.standard_normal((d, int(rng.integers(1, d + 1))))
+        g = g + 1j * rng.standard_normal(g.shape)
+        rho = g @ g.conj().T
+        states.append(rho / np.trace(rho).real)
+    w = rng.random(n) + 0.05
+    return Ensemble(states, w / w.sum())
+
+
+def figure_cases():
+    rng = np.random.default_rng(2024)
+    cases = [(f"d{d}-{k}", random_ensemble(rng, d)) for d in (2, 3, 4) for k in range(8)]
+    cases += [(f"two-copy-{M}", Ensemble(two_copy_states(M), (0.5, 0.5))) for M in (4, 8, 12)]
+    cases += [(f"ring-{M}", uniform_circle_ensemble(M)) for M in (4, 12)]
+    return cases
+
+
+FIGURE_CASES = figure_cases()
+
+
+@pytest.mark.parametrize("e", [c[1] for c in FIGURE_CASES], ids=[c[0] for c in FIGURE_CASES])
+def test_figures_match_per_matrix_formulas(e):
+    m = square_root_measurement(e)
+    assert np.abs(m.elements - reference_srm(e)).max() <= 1e-13
+    for povm in (m, uniform_guess_povm(m.size, e.dim)):
+        assert abs(correct_id_probability(e, povm) - reference_pc(e, povm)) <= 1e-13
+        assert abs(acceptance_probability(e, povm) - reference_pa(e, povm)) <= 1e-13
+        assert certify_optimality(e, povm) == reference_certificate(e, povm)
+
+
+# ---------------------------------------------------------------------------
+# the Cholesky certificate at the PSD tolerance
+# ---------------------------------------------------------------------------
+
+
+def planted_stack(rng, n, d, planted):
+    """n random PSD matrices of dimension d; ``planted`` maps an index to the
+    lowest eigenvalue its matrix gets (the others stay in [0.1, 1])."""
+    stack = []
+    for i in range(n):
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        w = rng.uniform(0.1, 1.0, d)
+        w[0] = planted.get(i, w[0])
+        a = (q * w) @ q.conj().T
+        stack.append((a + a.conj().T) / 2)
+    return np.array(stack)
+
+
+def eigvalsh_first_fault(stack, tol):
+    bad = np.linalg.eigvalsh(stack)[:, 0] < -tol
+    return int(bad.argmax()) if bad.any() else None
+
+
+@pytest.mark.parametrize("tol", [ATOL, OPTIMALITY_ATOL])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_cholesky_certificate_matches_eigvalsh(d, tol):
+    rng = np.random.default_rng(d)
+    below, above = -tol - 1e-12, -tol + 1e-12
+    for planted in ({}, {3: above}, {5: below}, {2: above, 6: below}, {1: below, 4: below}):
+        stack = planted_stack(rng, 8, d, planted)
+        want = np.linalg.eigvalsh(stack)[:, 0] < -tol
+        assert list(np.flatnonzero(want)) == sorted(i for i, v in planted.items() if v == below)
+        assert np.array_equal(psd_faults(stack, tol), want)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_checked_stack_names_the_planted_matrix(d):
+    rng = np.random.default_rng(10 + d)
+    below, above = -ATOL - 1e-12, -ATOL + 1e-12
+    stack = planted_stack(rng, 8, d, {2: above, 6: below})
+    assert eigvalsh_first_fault(stack, ATOL) == 6
+    with pytest.raises(ValueError, match="^matrix 6 is not positive semidefinite$"):
+        checked_stack(stack, "matrix {i}")
+    stack = planted_stack(rng, 8, d, {2: above, 5: above})
+    assert eigvalsh_first_fault(stack, ATOL) is None
+    assert checked_stack(stack, "matrix {i}").shape == (8, d, d)
+
+
+def test_checked_stack_names_a_fault_past_the_first_chunk():
+    # the check runs chunk by chunk; an index in a later chunk is still the stack's
+    n = CHUNK_ENTRIES // 4 + 7
+    stack = np.broadcast_to(np.eye(2, dtype=complex) / 2, (n, 2, 2)).copy()
+    stack[n - 3] = np.diag([1.0 + ATOL + 1e-12, -ATOL - 1e-12])
+    stack[n - 2] = np.diag([1.0, -1.0])
+    with pytest.raises(ValueError, match=f"^state {n - 3} is not positive semidefinite$"):
+        checked_stack(stack, "state {i}")
