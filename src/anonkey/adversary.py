@@ -4,7 +4,8 @@ Three attacks matter for the key sessions: guessing the secret block orders
 outright (impersonation), intercept-resend with the optimal ring detector
 (opaque), and weak tapping of both channel legs (translucent).  This module
 holds the closed-form and Monte Carlo analyses; the in-session realizations
-live in :mod:`anonkey.protocol`.
+live in :mod:`anonkey.protocol`.  The order-guess PMF is O(k) and within ``8 eps (k +
+|log p_q|)`` relative of exact; :data:`MAX_ORDER_BLOCKS` bounds its k + 1 rows, not its time.
 """
 
 from __future__ import annotations
@@ -16,13 +17,13 @@ import numpy as np
 
 from .detection import helstrom_binary, ring_tables
 from .detection import square_root_measurement  # noqa: F401 - benchmarks/tracing.py patches it here
-from .harness import binomial_stderr, is_integer, require_count, require_probability, seeded_rng
+from .harness import (binomial_stderr, is_integer, log_poisson, require_count,
+                      require_probability, seeded_rng)
 from .states import DensityOperator, circle_states, require_ring_size, tensor
 from .states import uniform_circle_ensemble  # noqa: F401 - benchmarks/tracing.py patches it here
 
-#: Blocks of :func:`impersonation_order_pmf`, at most: its exact recurrence takes
-#: O(k^2) time, and the budget admits the 229376 blocks of the largest key session
-#: (``k = protocol.MAX_K``, Hamming-coded), which computes it under ``impersonate-order``.
+#: Blocks of :func:`impersonation_order_pmf`, at most: k + 1 rows, 119 MiB of peak RSS in
+#: ``attack``; it admits the 229376 blocks of the largest session (``protocol.MAX_K``, Hamming).
 MAX_ORDER_BLOCKS = 1 << 18
 
 
@@ -48,19 +49,14 @@ def impersonation_order_pmf(k: int) -> np.ndarray:
     all-or-nothing per-block success probability is 1/4 and full-session
     impersonation is exponentially unlikely in k.
 
-    Computed exactly in integers, ``p_q = C(k, q) 3^(k-q) / 4^k``, with the
-    terms ``t_q = C(k, q) 3^(k-q)`` from the recurrence ``t_0 = 3^k``,
-    ``t_(q+1) = t_q (k - q) / (3 (q + 1))``.  Integer true division rounds
-    correctly, so no term overflows or loses precision at any k up to
-    :data:`MAX_ORDER_BLOCKS`.  Cached per k and returned read-only.
+    Loader's identity ``b(q; k, p) = pi(q; k p) pi(k - q; k (1 - p)) / pi(k; k)``, ``pi`` the
+    Poisson PMF of :func:`anonkey.harness.log_poisson`, in O(k).  Each normal entry is within
+    ``8 eps (k + |log p_q|)`` relative of the exact ``C(k, q) 3^(k-q) / 4^k``, a subnormal one
+    within 1e-300.  Cached per k and returned read-only.
     """
     require_order_blocks(k)
-    denom = 4**k
-    t = 3**k
-    pmf = np.empty(k + 1)
-    for q in range(k + 1):
-        pmf[q] = t / denom
-        t = t * (k - q) // (3 * (q + 1))
+    q = np.arange(k + 1, dtype=float)
+    pmf = np.exp(log_poisson(q, k / 4) + log_poisson(k - q, 3 * k / 4) - log_poisson(k, k))
     pmf.flags.writeable = False
     return pmf
 

@@ -48,7 +48,7 @@ import math
 
 import numpy as np
 
-from .harness import is_integer, is_real, require_angle, require_count, seeded_rng
+from .harness import is_integer, is_real, log_poisson, require_angle, require_count, seeded_rng
 
 _RESEND_BITS = 53  # rng.random returns k / 2^53, k of 53 fair bits
 MAX_GRID_SIZE = 1 << 20  # rounding ring size M, at most: every entry point builds O(M) tables
@@ -57,9 +57,6 @@ MAX_FOCK_WINDOW = 1 << 17  # Fock amplitudes of the canonical phase, at most
 # probability moves by at most _DROPPED + 2 sqrt(_DROPPED) = 2e-16 (see _fock_window)
 _DROPPED = 1e-32
 _LOG_TAIL = math.log(2.0 / _DROPPED)  # each tail of the window holds at most e^-L
-# stirlerr(n) for n < 16, where its asymptotic series is short of double precision
-_STIRLERR = np.array([0.0] + [math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n
-                              - 0.5 * math.log(2.0 * math.pi) for n in range(1, 16)])
 
 
 def require_amplitude(alpha0: float) -> None:
@@ -175,44 +172,12 @@ def _fock_window(alpha0: float) -> range:
     return range(max(0, math.floor(lam - half)), math.ceil(lam + half + _LOG_TAIL) + 1)
 
 
-def _stirlerr(n: np.ndarray) -> np.ndarray:
-    """``log n! - log(sqrt(2 pi n) (n / e)^n)`` for integers ``n >= 1`` held as floats:
-    tabulated below 16, past that the series whose first dropped term is under 2e-16."""
-    nn = n * n
-    out = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * nn)) / nn) / nn) / nn) / n
-    small = n < len(_STIRLERR)
-    out[small] = _STIRLERR[n[small].astype(np.intp)]
-    return out
-
-
-def _bd0(x: np.ndarray, alpha0: float) -> np.ndarray:
-    """Loader's ``bd0(x, lam) = x log(x / lam) + lam - x`` at ``lam = alpha0^2``, ``x > 0``;
-    within 10% of ``lam`` it is summed as a series free of cancellation."""
-    lam = float(alpha0) ** 2
-    out = x * (np.log(x) - 2.0 * math.log(alpha0)) + lam - x
-    near = np.flatnonzero(np.abs(x - lam) < 0.1 * (x + lam))
-    v = (x[near] - lam) / (x[near] + lam)
-    total, term, v2 = (x[near] - lam) * v, 2.0 * x[near] * v, v * v
-    for j in range(3, 100, 2):  # |v| < 0.1: each term is at most 1% of the last
-        term *= v2
-        grown = total + term / j
-        if np.array_equal(grown, total):
-            break
-        total = grown
-    out[near] = total
-    return out
-
-
 def _fock_amplitudes(alpha0: float) -> tuple[range, np.ndarray]:
-    """The Fock window and its amplitudes ``c_n = sqrt(e^-lam lam^n / n!)``, ``lam =
-    alpha0^2``, from Loader's form ``log c_n^2 = -stirlerr(n) - bd0(n, lam) - log(2 pi n) / 2``,
-    which keeps full relative precision where ``n log lam`` and ``log n!`` would cancel."""
+    """The Fock window and its amplitudes ``c_n = sqrt(e^-lam lam^n / n!)``, ``lam = alpha0^2``,
+    in Loader's form (:func:`anonkey.harness.log_poisson`), free of cancellation."""
     window = _fock_window(alpha0)
-    n = np.arange(max(window.start, 1), window.stop, dtype=float)
-    log_p = -_stirlerr(n) - _bd0(n, alpha0) - 0.5 * np.log(2.0 * math.pi * n)
-    if window.start == 0:
-        log_p = np.append(-float(alpha0) ** 2, log_p)
-    return window, np.exp(0.5 * log_p)
+    n = np.arange(window.start, window.stop, dtype=float)
+    return window, np.exp(0.5 * log_poisson(n, float(alpha0) ** 2))
 
 
 def _autocorrelation(c: np.ndarray) -> np.ndarray:
@@ -291,9 +256,10 @@ def _bins(coeffs: np.ndarray, M: int) -> np.ndarray:
     phase error ``delta`` in (-pi, pi], ``step = 2 pi / M``, of density ``(c_0 + 2 sum_d c_d
     cos(d t)) / (2 pi)`` for ``c = coeffs`` (canonical ``r_d``, heterodyne ``s_d``).  Truncating
     the series moves each bin by at most 2e-16 (see where ``coeffs`` is built); the FFT's
-    rounding moves it by about ``eps sum_d |c_d| / d``, with ``eps = 2.2e-16`` and the sum
-    growing as ``log alpha0``: under 10, so about 2e-15, at ``alpha0`` = 5370, where the far
-    heterodyne bins at M = 4 hold 1.3e-15 instead of 0.
+    rounding moves each by about ``eps sum_d |c_d| / d``, ``eps = 2.2e-16``, the sum under 10
+    (it grows as ``log alpha0``), so about 2e-15 at ``alpha0`` = 5370: the far heterodyne bins
+    at M = 4 hold 1.3e-15 instead of 0.  Not so the peak bin, which normalising leaves short of
+    the noise clipped into every far bin: ``exact_pa(5370, 4096, "canonical")`` has variance 1.4e-13.
 
     The antiderivative ``G(t) = t c_0 / (2 pi) + (1 / pi) sum_d c_d sin(d t) / d`` at the bin
     edges ``t = (m - 1/2) step`` is one length-M FFT: ``sin(d t) = Im[exp(2 pi i d m / M)

@@ -18,9 +18,19 @@ from anonkey.detection import acceptance_probability, square_root_measurement
 from anonkey.states import uniform_circle_ensemble
 
 
+def integer_order_pmf(k):
+    """Binomial(k, 1/4) exactly in integers, ``p_q = C(k, q) 3^(k-q) / 4^k``, each entry
+    correctly rounded: ``t_0 = 3^k``, ``t_(q+1) = t_q (k - q) / (3 (q + 1))``, in O(k^2)."""
+    denom, t, pmf = 4**k, 3**k, []
+    for q in range(k + 1):
+        pmf.append(t / denom)
+        t = t * (k - q) // (3 * (q + 1))
+    return np.array(pmf)
+
+
 class TestImpersonationPmf:
     def test_single_block(self):
-        assert np.allclose(impersonation_order_pmf(1), [0.75, 0.25])
+        assert np.allclose(impersonation_order_pmf(1), [0.75, 0.25], rtol=0, atol=1e-15)
 
     def test_two_blocks_middle_term(self):
         # binomial formula: 2 * (1/4) * (3/4)
@@ -53,12 +63,16 @@ class TestImpersonationPmf:
                       for code in coding.CODES)
         assert largest == 229376 <= MAX_ORDER_BLOCKS
 
-    def test_small_k_equals_float_formula(self):
-        # the exact-integer terms round to the same doubles as the float
-        # product on small k, so existing tables keep their bytes
-        for k in range(1, 21):
-            expected = [math.comb(k, q) * 0.25**q * 0.75 ** (k - q) for q in range(k + 1)]
-            assert impersonation_order_pmf(k).tolist() == expected
+    # the Loader form's worst case over these k was 3.6 eps (k + |log p_q|)
+    @pytest.mark.parametrize("k", [*range(1, 401), *range(401, 2001, 37), 2000])
+    def test_matches_the_integer_recurrence(self, k):
+        """Each normal entry is within ``8 eps (k + |log p_q|)`` relative of the exact
+        ``C(k, q) 3^(k-q) / 4^k``, and each subnormal one (or zero) within 1e-300."""
+        pmf, exact = impersonation_order_pmf(k), integer_order_pmf(k)
+        normal = exact >= np.finfo(float).tiny
+        bound = 8 * np.finfo(float).eps * (k + np.abs(np.log(exact[normal])))
+        assert np.all(np.abs(pmf[normal] - exact[normal]) <= bound * exact[normal])
+        assert np.all(np.abs(pmf[~normal] - exact[~normal]) <= 1e-300)
 
     def test_cached_pmf_is_read_only(self):
         pmf = impersonation_order_pmf(9)
@@ -86,7 +100,7 @@ class TestTwoCopyStates:
         r0, _ = two_copy_states(8)
         t = r0.matrix.reshape(2, 2, 2, 2)  # indices a, b, a', b'
         for marginal in (np.einsum("abcb->ac", t), np.einsum("abad->bd", t)):
-            assert np.allclose(marginal, np.eye(2) / 2, atol=1e-12)
+            assert np.allclose(marginal, np.eye(2) / 2, rtol=0, atol=1e-12)
 
     def test_hypotheses_differ(self):
         r0, r1 = two_copy_states(8)

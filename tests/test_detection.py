@@ -61,8 +61,8 @@ class TestSquareRootMeasurement:
     def test_orthogonal_pair_gives_projectors(self):
         a, b = orthogonal_pair()
         m = square_root_measurement(Ensemble((a, b), (0.5, 0.5)))
-        assert np.allclose(m.elements[0], a.matrix, atol=1e-9)
-        assert np.allclose(m.elements[1], b.matrix, atol=1e-9)
+        assert np.allclose(m.elements[0], a.matrix, rtol=0, atol=1e-9)
+        assert np.allclose(m.elements[1], b.matrix, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("M", [4, 8, 64, 4096])
     def test_uniform_circle_elements(self, M):
@@ -72,7 +72,7 @@ class TestSquareRootMeasurement:
         m = square_root_measurement(e)
         assert m.size == M
         for el, s in zip(m.elements, e.states):
-            assert np.allclose(el, (2.0 / M) * s, atol=1e-9)
+            assert np.allclose(el, (2.0 / M) * s, rtol=0, atol=1e-9)
             assert np.trace(el) == pytest.approx(2.0 / M, abs=1e-9)
 
     def test_completeness_on_random_pure_ensembles(self):
@@ -86,13 +86,13 @@ class TestSquareRootMeasurement:
             priors = tuple(w / w.sum())
             m = square_root_measurement(Ensemble(states, priors))
             total = sum(m.elements)
-            assert np.allclose(total, np.eye(2), atol=1e-8)
+            assert np.allclose(total, np.eye(2), rtol=0, atol=1e-8)
 
     def test_rank_deficient_support_padded(self):
         rho = circle_state(1, 4)
         m = square_root_measurement(Ensemble((rho, rho), (0.5, 0.5)))
         assert m.size == 3  # complement element appended
-        assert np.allclose(sum(m.elements), np.eye(2), atol=1e-9)
+        assert np.allclose(sum(m.elements), np.eye(2), rtol=0, atol=1e-9)
 
 
 class TestCorrectId:

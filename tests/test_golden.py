@@ -22,7 +22,7 @@ GOLDEN = [
     ("detect-json", ["detect", "--M", "4,12", "--format", "json"], 0,
      "7002a637a052b6c9fe45a814e44bc52eee2bb102e2604eae58038844906c5cc3"),
     ("attack-impersonation", ["attack", "--strategy", "impersonation", "--k", "6"], 0,
-     "b6aa09b503bcacf4557f670e19f18f72fb330dbca5fab7ef99ec408111dfc9f3"),
+     "9a8657181ba9c4c75c58dfe35db439ce2b84b135a36d0f497d5761e627f31a13"),
     ("attack-opaque", ["attack", "--strategy", "opaque", "--M", "4,8", "--trials", "2000",
                        "--seed", "5"], 0,
      "7b1de89c03b397791f76c0d78759146166d5ae7e48b6f8301805d30a14c0a8e9"),
@@ -51,7 +51,7 @@ GOLDEN = [
     ("ake-impersonate-multiblock-transcript", ["ake", "--k", "9", "--M", "16", "--eve",
                                                "impersonate-order", "--trials", "2",
                                                "--seed", "8", "--transcript"], 0,
-     "8689d91922fb8680a70725c465444746e7e8c771a21f10dfff8d6bd2d2af18a9"),
+     "c9ab4f5a615563eecbbc5b2a1c416d4ac8c0a237aa89b39498ce49aa4ae09073"),
     ("aki", ["aki", "--m", "1,2,4", "--M", "8", "--trials", "2000", "--seed", "9"], 0,
      "e45bfc3e4a58ffb962f42100f26f162e10bc18f3414433d62b46ab1cee725afe"),
     ("coherent-json", ["coherent", "--alpha0", "3", "--M", "16", "--trials", "500",

@@ -4,6 +4,7 @@ import json
 import math
 import numbers
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from anonkey.harness import (
     ResultTable,
     canonical_json,
     derive_seeds,
+    log_poisson,
     require_count,
     require_probability,
     require_seed,
@@ -60,6 +62,16 @@ class TestDeriveSeeds:
     def test_validation(self):
         with pytest.raises(ValueError):
             derive_seeds(0, 0)
+
+
+class TestLogPoisson:
+    @pytest.mark.parametrize("lam", [Fraction(1, 4), Fraction(3, 4), Fraction(6), Fraction(529)])
+    def test_matches_exact_poisson_values(self, lam):
+        # log(e^-lam lam^x / x!) with lam^x / x! an exact Fraction, rounded once
+        got = log_poisson(np.arange(61), float(lam))
+        for x in range(61):
+            want = math.log(lam**x / math.factorial(x)) - float(lam)
+            assert abs(got[x] - want) <= 4 * np.finfo(float).eps * (float(lam) + abs(want))
 
 
 class TestInputRules:

@@ -38,11 +38,11 @@ def random_bloch(rng, pure=False):
 class TestBlochToDensity:
     def test_z_pole(self):
         rho = bloch_to_density((0, 0, 1))
-        assert np.allclose(rho.matrix, np.diag([1.0, 0.0]), atol=ATOL)
+        assert np.allclose(rho.matrix, np.diag([1.0, 0.0]), rtol=0, atol=ATOL)
 
     def test_x_pole(self):
         rho = bloch_to_density((1, 0, 0))
-        assert np.allclose(rho.matrix, 0.5 * np.ones((2, 2)), atol=ATOL)
+        assert np.allclose(rho.matrix, 0.5 * np.ones((2, 2)), rtol=0, atol=ATOL)
 
     def test_norm_violation(self):
         # a NaN norm compares false with everything, so it must fail the test too
@@ -62,7 +62,7 @@ class TestBlochToDensity:
         for _ in range(100):
             v = random_bloch(rng)
             back = bloch_to_density(v).bloch()
-            assert np.allclose(back, v, atol=1e-12)
+            assert np.allclose(back, v, rtol=0, atol=1e-12)
 
 
 class TestDensityOperatorInvariants:
@@ -101,7 +101,7 @@ class TestDensityOperatorInvariants:
             else:
                 rho = rotate_circle(circle_state_at(rng.uniform(0, 7)), rng.uniform(-7, 7))
             m = rho.matrix
-            assert np.allclose(m, m.conj().T, atol=ATOL)
+            assert np.allclose(m, m.conj().T, rtol=0, atol=ATOL)
             assert abs(np.trace(m) - 1.0) <= ATOL
             assert np.linalg.eigvalsh(m).min() >= -ATOL
 
@@ -109,19 +109,19 @@ class TestDensityOperatorInvariants:
 class TestCircleStates:
     def test_reference_state(self):
         assert np.allclose(
-            circle_state(4, 4).bloch(), [1, 0, 0], atol=1e-12
+            circle_state(4, 4).bloch(), [1, 0, 0], rtol=0, atol=1e-12
         )
 
     def test_quarter_state(self):
         assert np.allclose(
-            circle_state(1, 4).bloch(), [0, 0, 1], atol=1e-12
+            circle_state(1, 4).bloch(), [0, 0, 1], rtol=0, atol=1e-12
         )
 
     def test_direct_substitution_m8(self):
         assert np.allclose(
             circle_state(2, 8).bloch(),
             [math.cos(math.pi / 2), 0, math.sin(math.pi / 2)],
-            atol=1e-12,
+            rtol=0, atol=1e-12,
         )
 
     def test_m_multiple_of_four(self):
@@ -154,7 +154,7 @@ class TestRotateCircle:
         )
         expected = u @ circle_state(1, 8).matrix @ u.conj().T
         got = rotate_circle(circle_state(1, 8), a)
-        assert np.allclose(got.matrix, expected, atol=1e-12)
+        assert np.allclose(got.matrix, expected, rtol=0, atol=1e-12)
         assert operators_close(got, circle_state(3, 8), atol=1e-12)
 
     def test_quarter_turn_down_wraps(self):
@@ -179,7 +179,7 @@ class TestRotateCircle:
         rng = np.random.default_rng(4)
         for _ in range(50):
             u = rotation_unitary(rng.uniform(-7, 7))
-            assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
+            assert np.allclose(u @ u.conj().T, np.eye(2), rtol=0, atol=1e-12)
 
 
 class TestOverlap:
@@ -222,7 +222,7 @@ class TestOverlap:
 class TestTensor:
     def test_basis_product(self):
         z = bloch_to_density((0, 0, 1))
-        assert np.allclose(tensor(z, z).matrix, np.diag([1.0, 0, 0, 0]), atol=1e-12)
+        assert np.allclose(tensor(z, z).matrix, np.diag([1.0, 0, 0, 0]), rtol=0, atol=1e-12)
 
     def test_trace_multiplicative(self):
         rng = np.random.default_rng(7)
@@ -240,7 +240,7 @@ class TestEnsembles:
     def test_uniform_circle_mixture_is_maximally_mixed(self):
         for M in (4, 8, 12, 16):
             mix = ensemble_mixture(uniform_circle_ensemble(M))
-            assert np.allclose(mix.matrix, np.eye(2) / 2, atol=1e-12)
+            assert np.allclose(mix.matrix, np.eye(2) / 2, rtol=0, atol=1e-12)
 
     def test_single_state_mixture(self):
         rho = circle_state(2, 8)
@@ -256,12 +256,12 @@ class TestEnsembles:
             up_u, down_u = rotation_unitary(math.pi / 2), rotation_unitary(-math.pi / 2)
             up = ensemble_mixture(Ensemble(up_u @ e.states @ up_u.conj().T, priors))
             down = ensemble_mixture(Ensemble(down_u @ e.states @ down_u.conj().T, priors))
-            assert np.allclose(up.matrix, down.matrix, atol=1e-9)
+            assert np.allclose(up.matrix, down.matrix, rtol=0, atol=1e-9)
 
     def test_six_state_ensemble(self):
         e = six_state_ensemble()
         assert e.size == 6
-        assert np.allclose(ensemble_mixture(e).matrix, np.eye(2) / 2, atol=1e-12)
+        assert np.allclose(ensemble_mixture(e).matrix, np.eye(2) / 2, rtol=0, atol=1e-12)
 
     def test_validation(self):
         rho = circle_state(1, 4)
