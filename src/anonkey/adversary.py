@@ -17,8 +17,7 @@ import numpy as np
 
 from .detection import helstrom_binary, ring_tables
 from .detection import square_root_measurement  # noqa: F401 - benchmarks/tracing.py patches it here
-from .harness import (binomial_stderr, is_integer, log_poisson, require_count,
-                      require_probability, seeded_rng)
+from .harness import binomial_fraction, is_integer, log_poisson, require_count, require_probability
 from .states import DensityOperator, circle_states, require_ring_size, tensor
 from .states import uniform_circle_ensemble  # noqa: F401 - benchmarks/tracing.py patches it here
 
@@ -109,18 +108,13 @@ def sequential_strategy_pc(M: int, trials: int, seed: int) -> tuple[float, float
     -------
     (estimate, stderr)
     """
-    require_count("trials", trials)
-    rng = seeded_rng("seed", seed)
     tables = ring_tables(M)  # refuses a bad M
-
     # bit j sits at ell + q(1 - 2j), the estimate at ell + d and "bit 0" a
     # quarter-turn up from it, so the test reads 0 with ov[(-2qj - d) % M]
     # whatever ell: bit 0 is read right with ov[-d], bit 1 with 1 - ov[-2q - d]
     d = np.arange(M)
     right = tables.ov[-d % M] + 1.0 - tables.ov[(-2 * tables.q - d) % M]
-    p = 0.5 * float(tables.srm @ right)
-    est = int(rng.binomial(trials, p)) / trials
-    return est, binomial_stderr(est, trials)
+    return binomial_fraction(0.5 * float(tables.srm @ right), trials, seed)
 
 
 def translucent_accounting(k: int, pa: float) -> tuple[int, float]:

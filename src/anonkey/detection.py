@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .harness import binomial_stderr, is_real, require_count, require_probability, seeded_rng
+from .harness import binomial_fraction, is_real, require_count, require_probability
 from .states import (
     ATOL,
     DensityOperator,
@@ -283,11 +283,8 @@ def random_basis_strategy(M: int, trials: int, seed: int) -> tuple[float, float]
     (estimate, stderr)
         Fraction of accepted trials and its binomial standard error.
     """
-    require_count("trials", trials)
-    rng = seeded_rng("seed", seed)
     ov = ring_tables(M).ov  # refuses a bad M
     # the basis reports k with probability ov[d], then the check accepts with
     # ov[d]; otherwise it reports k + M/2, half a turn from k
     p = float(np.mean(ov * ov + (1.0 - ov) * np.roll(ov, -(M // 2))))
-    est = int(rng.binomial(trials, p)) / trials
-    return est, binomial_stderr(est, trials)
+    return binomial_fraction(p, trials, seed)

@@ -13,9 +13,9 @@ rules for every module.
 Each checks the value's type as well as its range, through :func:`is_integer`
 (a ``numbers.Integral`` that is not a ``bool``) or :func:`is_real` (a
 ``numbers.Real`` that is not a ``bool``).  :func:`seeded_rng` is
-``np.random.default_rng`` behind the seed rule.  :func:`log_poisson` is the one
-log-PMF: Loader's form of the Poisson law, read by the order-guess binomial and the
-coherent-state Fock amplitudes.
+``np.random.default_rng`` behind the seed rule, and :func:`binomial_fraction` the one
+draw of the ring kernels.  :func:`log_poisson` is the one log-PMF: Loader's form of the
+Poisson law, read by the order-guess binomial and the coherent-state Fock amplitudes.
 """
 
 from __future__ import annotations
@@ -77,6 +77,14 @@ def seeded_rng(name: str, seed) -> np.random.Generator:
 def binomial_stderr(p: float, n: int) -> float:
     """Binomial standard error of a fraction ``p`` over ``n`` trials, kept above zero."""
     return float(np.sqrt(max(p * (1.0 - p), 1e-300) / n))
+
+
+def binomial_fraction(p: float, trials: int, seed: int) -> tuple[float, float]:
+    """The fraction of ``trials`` that succeed, each with probability ``p``, from one
+    ``rng.binomial`` draw on ``seeded_rng("seed", seed)``, and its :func:`binomial_stderr`."""
+    require_count("trials", trials)
+    est = int(seeded_rng("seed", seed).binomial(trials, p)) / trials
+    return est, binomial_stderr(est, trials)
 
 
 def _bd0(x: np.ndarray, lam: float) -> np.ndarray:

@@ -19,11 +19,13 @@ qubit the same way, and a depolarized qubit reads as a fair coin at Adam's
 measurement.
 
 One core runs every session: :func:`run_ake_sessions` takes a run's one
-:class:`SessionConfig` and a seed per session.  Each session draws on its own
-generator, seeded with its seed, in a fixed order; all later steps are one
-pass over ``(sessions, qubits)`` arrays, in memory-bounded chunks held by
-:class:`SessionBatch`, which builds a :class:`SessionTranscript` only when
-asked.  :func:`run_ake_session` is its one-session call.  The privacy
+:class:`SessionConfig` and a seed per session.  Each session draws its whole
+fixed sequence on its own generator, seeded with its seed, aborted or not: no
+other session reads it, so a finished session's draws are unchanged and every
+session costs the same.  Later steps are one pass over ``(sessions, qubits)``
+arrays, one row per session and aborted results masked, in memory-bounded
+chunks held by :class:`SessionBatch`, which builds a :class:`SessionTranscript`
+only when asked.  :func:`run_ake_session` is its one-session call.  The privacy
 amplification hash is a public per-session choice fixed by the seed: a
 transcript's ``config`` records the seed as ``rng_seed`` and the hash seed,
 ``pa_hash_seed = rng_seed XOR 0x5DEECE66D``.
@@ -176,9 +178,9 @@ class SessionBatch:
     """Consecutive sessions of one run, held as arrays: the run's ``cfg`` and
     the sessions' ``seeds``, one per session.
 
-    ``columns`` holds one entry per session for each result column.  Aborted
-    sessions stop at the loss check, so ``bits`` (the transcript's bit lists)
-    and the array values of ``eve_stats`` hold one row per finished session.
+    Every array holds one row per session, aborted or not: ``columns`` (the
+    result columns, masked where ``aborted``), ``bits`` (the transcript's bit
+    lists) and the array values of ``eve_stats``.
     """
 
     cfg: SessionConfig
@@ -196,26 +198,22 @@ class SessionBatch:
 
     def transcript(self, i: int) -> SessionTranscript:
         """Session ``i``'s transcript, built from the arrays."""
-        cfg, seed, aborted = self.cfg, self.seeds[i], self.columns["aborted"]
+        cfg, seed = self.cfg, self.seeds[i]
         report = dict(strategy=cfg.eve_strategy, per_qubit_success=0.0, deterministic_bits=0,
                       shannon_bits=0.0, order_guess_distribution=())
         # transcripts record the seeds and the margin beside the config
         config = dict(asdict(cfg), rng_seed=seed, pa_hash_seed=seed ^ PA_SEED_XOR,
                       send_margin=SEND_MARGIN)
         head = dict(config=config, states_sent=self.states_sent[i].tolist(), eve_report=report)
-        if aborted[i]:
+        if self.columns["aborted"][i]:
             need = _layout(cfg)[3]
             reason = f"only {self.arrived[i]} of {need} needed qubits survived the channel"
             return SessionTranscript(**head, aborted=True, abort_reason=reason)
-        j = np.count_nonzero(~aborted[:i])
-        report.update((key, v[j].item() if isinstance(v, np.ndarray) else v)
+        report.update((key, v[i].item() if isinstance(v, np.ndarray) else v)
                       for key, v in self.eve_stats.items())
         scalars = ("expended_order_bits", "trial_check_passed", "corrected_blocks")
-        return SessionTranscript(
-            **head,
-            **{name: self.columns[name][i].item() for name in scalars},
-            **{name: rows[j].tolist() for name, rows in self.bits.items()},
-        )
+        return SessionTranscript(**head, **{name: self.columns[name][i].item() for name in scalars},
+                                 **{name: rows[i].tolist() for name, rows in self.bits.items()})
 
     def transcripts(self) -> Iterator[SessionTranscript]:
         return (self.transcript(i) for i in range(len(self.seeds)))
@@ -262,16 +260,14 @@ def _run_batch(cfg: SessionConfig, seeds: list[int]) -> SessionBatch:
     M, eve, channel, tables = cfg.M, cfg.eve_strategy, cfg.channel, ring_tables(cfg.M)
     n_raw, n_coded, n_blocks, n_slots, n_sent = _layout(cfg)
 
-    # Every draw, session by session on its own generator in the fixed
-    # order.  Aborted sessions stop at the loss check; finished ones fill
-    # rows 0..F-1 of the arrays drawn after it.
+    # Every draw, session by session on its own generator in the fixed order;
+    # a session that aborts at the loss check draws on too (no other session
+    # reads its generator), so every array has one row per session.
     sent, u, u_eve = np.empty((S, n_sent), dtype=np.int64), np.empty(n_sent), np.empty((S, n_sent))
     kept, depolarized = np.empty((2, S, n_sent), dtype=bool)  # u thresholded session by session
     raw, pad = (np.empty((S, n), dtype=np.uint8) for n in (n_raw, n_slots - n_coded))
     orders, guesses = np.empty((2, S, n_blocks), dtype=np.int64)
     u_adam, u_tap = np.empty((S, n_slots)), np.empty((S, n_blocks))
-    arrived = np.empty(S, dtype=np.int64)
-    F = 0
     for i, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         # step (i): Adam transmits random ring states; the channel acts once
@@ -281,38 +277,34 @@ def _run_batch(cfg: SessionConfig, seeds: list[int]) -> SessionBatch:
         np.less(rng.random(out=u), channel.depolarize_prob, out=depolarized[i])
         if eve == "opaque":
             rng.random(out=u_eve[i])  # the uniforms of rng.choice(M, p=tables.srm)
-        arrived[i] = np.count_nonzero(kept[i])
-        if arrived[i] < n_slots:
-            continue
         # step (ii): the responder's data, pad bits and secret orders
-        raw[F] = rng.integers(0, 2, size=n_raw, dtype=np.uint8)
-        pad[F] = rng.integers(0, 2, size=pad.shape[1], dtype=np.uint8)
-        orders[F] = rng.integers(0, 4, size=n_blocks)
+        raw[i] = rng.integers(0, 2, size=n_raw, dtype=np.uint8)
+        pad[i] = rng.integers(0, 2, size=pad.shape[1], dtype=np.uint8)
+        orders[i] = rng.integers(0, 4, size=n_blocks)
         if eve == "impersonate-order":
-            guesses[F] = rng.integers(0, 4, size=n_blocks)
-        rng.random(out=u_adam[F])  # Adam's measurement outcomes
+            guesses[i] = rng.integers(0, 4, size=n_blocks)
+        rng.random(out=u_adam[i])  # Adam's measurement outcomes
         if eve == "translucent":
-            rng.random(out=u_tap[F])
-        F += 1
+            rng.random(out=u_tap[i])
+    arrived = np.count_nonzero(kept, axis=1)
     done = arrived >= n_slots
-    late = (raw, pad, orders, guesses, u_adam, u_tap)
-    raw, pad, orders, guesses, u_adam, u_tap = (a[:F] for a in late)
 
     # the first n_slots surviving qubits, in the publicly acknowledged fill
-    # order, read row by row by boolean indexing (int32 counts: n_sent < 2**31)
-    used = kept & (np.cumsum(kept, axis=1, dtype=np.int32) <= n_slots)
-    used[~done] = False
-    dep = depolarized[used].reshape(F, n_slots)
+    # order, read row by row by boolean indexing (int32 counts: n_sent < 2**31);
+    # an aborted session, whose results `done` masks, takes its first n_slots
+    used = kept | ~done[:, None]
+    used &= np.cumsum(used, axis=1, dtype=np.int32) <= n_slots
+    dep = depolarized[used].reshape(S, n_slots)
 
     # the responder codes her bits and modulates each qubit: bit 0 rotates
     # +M/4 steps along the ring, bit 1 rotates -M/4; `steps` counts the ring
     # steps from the state Adam sent for a slot to the state he gets back
-    coded = coding.cecc_encode(raw.reshape(-1), cfg.cecc).reshape(F, n_coded)
+    coded = coding.cecc_encode(raw.reshape(-1), cfg.cecc).reshape(S, n_coded)
     slot_bits = np.concatenate([coded, pad], axis=1)
     steps = tables.q * (1 - 2 * slot_bits.astype(np.int64))
     if eve == "opaque":
         # Eve measures each outgoing qubit with the optimal ring detector, forwards her estimate
-        eve_offsets = tables.cdf.searchsorted(u_eve[used], side="right").reshape(F, n_slots)
+        eve_offsets = tables.cdf.searchsorted(u_eve[used], side="right").reshape(S, n_slots)
         steps += eve_offsets
     if eve == "impersonate-order":
         # Adam restores with the true order; Eve packed with her guess.  The
@@ -320,8 +312,8 @@ def _run_batch(cfg: SessionConfig, seeds: list[int]) -> SessionBatch:
         # block, and the four orders never agree at any position, so a wrong
         # guess misplaces every qubit of the block.
         sigma = np.take_along_axis(ORDER_TABLE[guesses], INVERSE_ORDER_TABLE[orders], axis=2)
-        sigma = (sigma + BLOCK_SIZE * np.arange(n_blocks)[:, None]).reshape(F, n_slots)
-        sent_used = sent[used].reshape(F, n_slots)
+        sigma = (sigma + BLOCK_SIZE * np.arange(n_blocks)[:, None]).reshape(S, n_slots)
+        sent_used = sent[used].reshape(S, n_slots)
         steps = np.take_along_axis(sent_used + steps, sigma, axis=1) - sent_used
         dep = np.take_along_axis(dep, sigma, axis=1)
 
@@ -332,8 +324,8 @@ def _run_batch(cfg: SessionConfig, seeds: list[int]) -> SessionBatch:
 
     # privacy amplification of the 8k sifted bits down to 4k, each session
     # under its own hash seed
-    pa_seeds = [seed ^ PA_SEED_XOR for seed, ok in zip(seeds, done) if ok]
-    keys = coding.privacy_amplify(np.stack([adam_raw, raw], axis=1), pa_seeds, 4 * cfg.k)
+    keys = coding.privacy_amplify(np.stack([adam_raw, raw], axis=1),
+                                  [seed ^ PA_SEED_XOR for seed in seeds], 4 * cfg.k)
     key_adam, key_babe = keys[:, 0], keys[:, 1]
 
     # step (iv): trial encryption of the fixed public plaintext
@@ -366,12 +358,9 @@ def _run_batch(cfg: SessionConfig, seeds: list[int]) -> SessionBatch:
                          blocks_guessed_right=det // BLOCK_SIZE)
 
     # an aborted session has no key and no check: empty keys compare equal
-    columns = dict(aborted=~done, trial_check_passed=np.zeros(S, bool), key_bits=done * 4 * cfg.k,
-                   keys_equal=np.ones(S, bool), corrected_blocks=np.zeros(S, np.int64),
-                   expended_order_bits=done * 2 * n_blocks)
-    columns["trial_check_passed"][done] = trial_ok
-    columns["keys_equal"][done] = np.all(key_adam == key_babe, axis=1)
-    columns["corrected_blocks"][done] = corrected
+    columns = dict(aborted=~done, trial_check_passed=done & trial_ok, key_bits=done * 4 * cfg.k,
+                   keys_equal=~done | np.all(key_adam == key_babe, axis=1),
+                   corrected_blocks=done * corrected, expended_order_bits=done * 2 * n_blocks)
     bits = dict(orders_used=orders, raw_bits_babe=raw, raw_bits_adam=adam_raw,
                 final_key_adam=key_adam, final_key_babe=key_babe)
     return SessionBatch(cfg, seeds, sent, arrived, columns, bits, eve_stats)

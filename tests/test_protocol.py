@@ -113,6 +113,20 @@ class TestHonestSessions:
         t = run_ake_session(SessionConfig(k=4, channel=ChannelModel(loss_prob=0.1)), 6)
         assert not t.aborted and t.trial_check_passed
 
+    @pytest.mark.parametrize("loss", [0.15, 0.2])
+    @pytest.mark.parametrize("cecc", ["none", "hamming74"])
+    def test_abort_rate_matches_its_binomial_law(self, cecc, loss):
+        # a session aborts when fewer than n_slots of its n_sent qubits
+        # survive, each one independently with probability 1 - loss
+        cfg = SessionConfig(k=1, cecc=cecc, channel=ChannelModel(loss_prob=loss))
+        n_slots, n_sent = protocol._layout(cfg)[3:]
+        p = sum(math.comb(n_sent, j) * (1 - loss) ** j * loss ** (n_sent - j)
+                for j in range(n_slots))
+        n = 10_000
+        batches = run_ake_sessions(cfg, derive_seeds(7, n))
+        aborted = sum(row["aborted"] for batch in batches for row in batch.rows())
+        assert abs(aborted / n - p) <= 4 * math.sqrt(p * (1 - p) / n)
+
     def test_cecc_survives_one_percent_depolarization(self):
         # 1% depolarization flips each decoded bit with probability 1/200,
         # so a 7-bit block fails only on double flips (~5.2e-4); at k=8 the
