@@ -5,7 +5,9 @@ coin-flips every qubit of a wrong block, so the trial encryption catches the
 impersonation.  Intercept-resend with the optimal detector caps her per-bit
 reading at 3/4 (equal to the two-copy optimum, and achievable sequentially),
 which privacy amplification then erases.  Tapping both legs quietly is
-bounded by 2k certain bits plus the channel-capacity leak of the rest.
+charged 2k certain bits plus, for the rest, the capacity of a binary channel
+with the 3/4 success rate: a binary-channel figure, not a bound on what the
+tap learns.
 """
 
 import numpy as np

@@ -9,7 +9,8 @@ row), both through small lookup tables built at import from the check
 matrix.  The hash is evaluated as one FFT convolution of the seeded
 strip with each input row, so it costs O(n log n) time and O(n) memory
 instead of building the matrix; a run of sessions is hashed in one call,
-each session's rows under its own strip.
+each session's rows under its own strip.  The hash is linear over GF(2), so
+a session checks its keys by hashing the XOR of the two parties' bits.
 """
 
 from __future__ import annotations

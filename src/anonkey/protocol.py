@@ -8,7 +8,8 @@ bits select one of four overlap-free arrangements per 8-qubit block); Adam
 restores the order, measures each return in the orthogonal basis formed by
 his own state rotated a quarter-turn each way, decodes, and both sides hash
 the 8k sifted bits down to a 4k key; a trial encryption of a fixed public
-plaintext catches disagreement.
+plaintext catches disagreement.  The hash is linear over GF(2), so the core
+hashes the bits' XOR where they differ, and the keys only for a transcript.
 
 The per-qubit quantum mechanics is exact: all measurement and interception
 probabilities are tabulated once per ``M`` by :func:`anonkey.detection.ring_tables`
@@ -42,8 +43,9 @@ Adversaries
   guessing each block's secret order (right with probability 1/4); wrongly
   ordered blocks hand Adam a coin-flip per qubit.
 * ``"translucent"`` - a non-disturbing tap of both legs, scored by the
-  loose information bound (deterministic bits for order-guessed blocks,
-  channel-capacity bits elsewhere).
+  loose information accounting (deterministic bits for order-guessed blocks,
+  the binary-channel figure ``1 - h(pa)`` a qubit elsewhere: not a bound on
+  what the tap learns).
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -180,7 +183,8 @@ class SessionBatch:
 
     Every array holds one row per session, aborted or not: ``columns`` (the
     result columns, masked where ``aborted``), ``bits`` (the transcript's bit
-    lists) and the array values of ``eve_stats``.
+    lists but the keys), ``mismatch`` (Adam's key XOR Babe's, 0 if aborted) and
+    ``eve_stats``' arrays; ``keys`` hashes the batch once, at its first transcript.
     """
 
     cfg: SessionConfig
@@ -189,7 +193,15 @@ class SessionBatch:
     arrived: np.ndarray
     columns: dict
     bits: dict
+    mismatch: np.ndarray
     eve_stats: dict
+
+    @cached_property
+    def keys(self) -> dict:
+        """Both parties' keys by transcript field, Babe's hashed in one call when first asked."""
+        seeds, babe = [s ^ PA_SEED_XOR for s in self.seeds], self.bits["raw_bits_babe"]
+        babe = coding.privacy_amplify(babe[:, None], seeds, self.mismatch.shape[1])[:, 0]
+        return dict(final_key_adam=babe ^ self.mismatch, final_key_babe=babe)
 
     def rows(self) -> list[dict]:
         """Each session's result columns, as plain Python values."""
@@ -212,8 +224,9 @@ class SessionBatch:
         report.update((key, v[i].item() if isinstance(v, np.ndarray) else v)
                       for key, v in self.eve_stats.items())
         scalars = ("expended_order_bits", "trial_check_passed", "corrected_blocks")
+        bits = self.bits | self.keys
         return SessionTranscript(**head, **{name: self.columns[name][i].item() for name in scalars},
-                                 **{name: rows[i].tolist() for name, rows in self.bits.items()})
+                                 **{name: rows[i].tolist() for name, rows in bits.items()})
 
     def transcripts(self) -> Iterator[SessionTranscript]:
         return (self.transcript(i) for i in range(len(self.seeds)))
@@ -265,7 +278,8 @@ def _run_batch(cfg: SessionConfig, seeds: list[int]) -> SessionBatch:
     # reads its generator), so every array has one row per session.
     sent, u, u_eve = np.empty((S, n_sent), dtype=np.int64), np.empty(n_sent), np.empty((S, n_sent))
     kept, depolarized = np.empty((2, S, n_sent), dtype=bool)  # u thresholded session by session
-    raw, pad = (np.empty((S, n), dtype=np.uint8) for n in (n_raw, n_slots - n_coded))
+    data = np.empty((S, n_raw + n_slots - n_coded), dtype=np.uint8)
+    raw, pad = data[:, :n_raw], data[:, n_raw:]
     orders, guesses = np.empty((2, S, n_blocks), dtype=np.int64)
     u_adam, u_tap = np.empty((S, n_slots)), np.empty((S, n_blocks))
     for i, seed in enumerate(seeds):
@@ -277,9 +291,9 @@ def _run_batch(cfg: SessionConfig, seeds: list[int]) -> SessionBatch:
         np.less(rng.random(out=u), channel.depolarize_prob, out=depolarized[i])
         if eve == "opaque":
             rng.random(out=u_eve[i])  # the uniforms of rng.choice(M, p=tables.srm)
-        # step (ii): the responder's data, pad bits and secret orders
-        raw[i] = rng.integers(0, 2, size=n_raw, dtype=np.uint8)
-        pad[i] = rng.integers(0, 2, size=pad.shape[1], dtype=np.uint8)
+        # step (ii): the responder's data and pad bits, one draw (a uint8 draw takes
+        # a 32-bit word per four values: 8k data bits fill whole words), her orders
+        data[i] = rng.integers(0, 2, size=data.shape[1], dtype=np.uint8)
         orders[i] = rng.integers(0, 4, size=n_blocks)
         if eve == "impersonate-order":
             guesses[i] = rng.integers(0, 4, size=n_blocks)
@@ -322,16 +336,17 @@ def _run_batch(cfg: SessionConfig, seeds: list[int]) -> SessionBatch:
     adam_coded = (u_adam >= p0).astype(np.uint8)
     adam_raw, corrected = coding.cecc_decode_rows(adam_coded[:, :n_coded], cfg.cecc)
 
-    # privacy amplification of the 8k sifted bits down to 4k, each session
-    # under its own hash seed
-    keys = coding.privacy_amplify(np.stack([adam_raw, raw], axis=1),
-                                  [seed ^ PA_SEED_XOR for seed in seeds], 4 * cfg.k)
-    key_adam, key_babe = keys[:, 0], keys[:, 1]
+    # privacy amplification of the 8k sifted bits down to 4k under each
+    # session's hash seed: the Toeplitz hash H is linear over GF(2), so the keys
+    # differ by H(adam_raw ^ raw), hashed only where finished sessions' bits differ
+    diff, mismatch = adam_raw ^ raw, np.zeros((S, 4 * cfg.k), dtype=np.uint8)
+    if len(differ := np.flatnonzero(done & np.any(diff, axis=1))):
+        pa_seeds = [seeds[i] ^ PA_SEED_XOR for i in differ]
+        mismatch[differ] = coding.privacy_amplify(diff[differ, None], pa_seeds, 4 * cfg.k)[:, 0]
 
-    # step (iv): trial encryption of the fixed public plaintext
-    plain = TRIAL_PLAINTEXT[: keys.shape[2]]
-    tag = key_babe[:, : len(plain)] ^ plain
-    trial_ok = np.all(key_adam[:, : len(plain)] ^ tag == plain, axis=1)
+    # step (iv): trial encryption of the fixed public plaintext under Babe's
+    # key; it decrypts under Adam's exactly when the keys agree on its bits
+    trial_ok = ~np.any(mismatch[:, : len(TRIAL_PLAINTEXT)], axis=1)
 
     coded_ok = adam_coded[:, :n_coded] == coded
     eve_stats = {}
@@ -348,9 +363,9 @@ def _run_batch(cfg: SessionConfig, seeds: list[int]) -> SessionBatch:
                          wrong_block_qubits=np.count_nonzero(wrong, axis=1), blocks_total=n_blocks,
                          wrong_block_errors=np.count_nonzero(wrong & ~coded_ok, axis=1))
     elif eve == "translucent":
-        # non-disturbing tap, scored by the loose bound: order-guessed
-        # blocks leak their bits outright, the rest leak at the capacity of
-        # a binary channel with the two-copy success rate
+        # non-disturbing tap, scored by the loose accounting: order-guessed blocks
+        # leak their bits outright, the rest a binary channel's capacity at the
+        # two-copy success rate (not a bound on what the tap learns)
         pa = opaque_bound(M)
         det = BLOCK_SIZE * np.count_nonzero(u_tap < 0.25, axis=1)
         eve_stats = dict(per_qubit_success=pa, deterministic_bits=det,
@@ -359,8 +374,7 @@ def _run_batch(cfg: SessionConfig, seeds: list[int]) -> SessionBatch:
 
     # an aborted session has no key and no check: empty keys compare equal
     columns = dict(aborted=~done, trial_check_passed=done & trial_ok, key_bits=done * 4 * cfg.k,
-                   keys_equal=~done | np.all(key_adam == key_babe, axis=1),
+                   keys_equal=~done | ~np.any(mismatch, axis=1),
                    corrected_blocks=done * corrected, expended_order_bits=done * 2 * n_blocks)
-    bits = dict(orders_used=orders, raw_bits_babe=raw, raw_bits_adam=adam_raw,
-                final_key_adam=key_adam, final_key_babe=key_babe)
-    return SessionBatch(cfg, seeds, sent, arrived, columns, bits, eve_stats)
+    bits = dict(orders_used=orders, raw_bits_babe=raw, raw_bits_adam=adam_raw)
+    return SessionBatch(cfg, seeds, sent, arrived, columns, bits, mismatch, eve_stats)

@@ -428,8 +428,9 @@ class TestEdgeValidation:
             raise ValueError("internal failure")
 
         monkeypatch.setattr(coding, "privacy_amplify", broken)
+        # a transcript run always hashes the responder's keys
         with pytest.raises(ValueError, match="internal failure"):
-            run_cli(["ake", "--k", "2"])
+            run_cli(["ake", "--k", "2", "--transcript"])
 
     def test_internal_error_exits_1_with_traceback(self, tmp_path):
         # break the FFT so the privacy-amplification exactness guard fires
@@ -438,7 +439,7 @@ class TestEdgeValidation:
             "irfft = np.fft.irfft\n"
             "np.fft.irfft = lambda *a, **kw: irfft(*a, **kw) + 0.3\n"
             "from anonkey.cli import main\n"
-            "sys.argv = ['anonkey', 'ake', '--k', '2']\n"
+            "sys.argv = ['anonkey', 'ake', '--k', '2', '--transcript']\n"
             "main()\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)

@@ -303,6 +303,18 @@ class TestPrivacyAmplifyFFT:
         for g, s in enumerate(seeds):
             assert np.array_equal(out[g], pa_rows(groups[g], s, out_len))
 
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 300), st.data())
+    def test_hash_is_linear(self, n_groups, n_rows, n, data):
+        # H(a ^ b) = H(a) ^ H(b) under each group's seed: the key check of a
+        # session hashes only the XOR of the two parties' bits
+        out_len = data.draw(st.integers(0, n))
+        seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=n_groups,
+                                   max_size=n_groups))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        a, b = rng.integers(0, 2, size=(2, n_groups, n_rows, n), dtype=np.uint8)
+        assert np.array_equal(privacy_amplify(a ^ b, seeds, out_len),
+                              privacy_amplify(a, seeds, out_len) ^ privacy_amplify(b, seeds, out_len))
+
     def test_seed_per_group_validation(self):
         with pytest.raises(ValueError, match="hash seeds"):
             privacy_amplify(np.zeros((3, 2, 8), dtype=np.uint8), [1, 2], 4)

@@ -7,6 +7,7 @@ import pytest
 
 from anonkey import coding, protocol
 from anonkey.adversary import binary_entropy, impersonation_order_pmf, opaque_bound
+from anonkey.cli import run_cli
 from anonkey.detection import ring_tables
 from anonkey.harness import derive_seeds
 from anonkey.protocol import (
@@ -544,6 +545,79 @@ class TestBatchedSessions:
         # every seed of the list is checked, not only the first
         with pytest.raises(ValueError, match="^seed must be an integer"):
             list(run_ake_sessions(SessionConfig(k=2), [1, 2**64]))
+
+
+def key_check(t):
+    """``keys_equal`` and ``trial_check_passed`` recomputed from a transcript's
+    two keys: the trial encryption run on them."""
+    adam, babe = (np.array(key, dtype=np.uint8) for key in (t.final_key_adam, t.final_key_babe))
+    plain = TRIAL_PLAINTEXT[: len(adam)]
+    tag = babe[: len(plain)] ^ plain
+    trial_ok = not t.aborted and np.array_equal(adam[: len(plain)] ^ tag, plain)
+    return {"keys_equal": t.final_key_adam == t.final_key_babe, "trial_check_passed": trial_ok}
+
+
+class TestDisagreementHash:
+    """Table runs hash only the XOR of the two parties' bits; their key
+    columns still equal what the two keys give."""
+
+    # 4k below, at and above the 64-bit trial plaintext
+    @pytest.mark.parametrize("k", [1, 15, 16, 64])
+    @pytest.mark.parametrize("loss, depolarize", [(0.0, 0.0), (0.2, 0.05)], ids=["clean", "noisy"])
+    @pytest.mark.parametrize("eve", EVE_STRATEGIES)
+    def test_table_columns_equal_the_key_check(self, eve, loss, depolarize, k):
+        cfg, seeds = run_config(eve, "hamming74", 4, k, 12, loss, depolarize)
+        (table,) = run_ake_sessions(cfg, seeds)
+        rows = table.rows()
+        singles = [run_ake_session(cfg, s) for s in seeds]
+        assert [{c: r[c] for c in ("keys_equal", "trial_check_passed")} for r in rows] == [
+            key_check(t) for t in singles
+        ]
+        assert any(r["aborted"] for r in rows) == (loss > 0)
+        if eve in ("opaque", "impersonate-order"):
+            assert not all(r["keys_equal"] for r in rows)
+
+    def test_columns_follow_any_linear_hash(self, monkeypatch):
+        # truncation is linear over GF(2) too, and under it a failed Hamming
+        # block changes only its own key bits: keys that first differ inside
+        # the trial plaintext's first bits, past them, past the plaintext, or
+        # not at all all occur, so every slice of the key check is exercised
+        monkeypatch.setattr(coding, "privacy_amplify",
+                            lambda bits, seeds, out_len: np.asarray(bits)[..., :out_len])
+        cfg, seeds = run_config("none", "hamming74", 4, 64, 24, loss=0.0, depolarize=0.08)
+        rows = [r for batch in run_ake_sessions(cfg, seeds) for r in batch.rows()]
+        singles = [run_ake_session(cfg, s) for s in seeds]
+        assert [{c: r[c] for c in ("keys_equal", "trial_check_passed")} for r in rows] == [
+            key_check(t) for t in singles
+        ]
+        first = [np.flatnonzero(np.not_equal(t.final_key_adam, t.final_key_babe)) for t in singles]
+        assert {np.searchsorted([16, 64], f[0], side="right") if len(f) else -1
+                for f in first} == {-1, 0, 1, 2}
+
+    @staticmethod
+    def rows_hashed(monkeypatch, tmp_path, argv):
+        """Rows that reach ``coding.privacy_amplify`` in one CLI table run, and the table."""
+        hashed, pa = [], coding.privacy_amplify
+
+        def counted(bits, *rest):
+            hashed.append(bits.shape[0] * bits.shape[1])
+            return pa(bits, *rest)
+
+        monkeypatch.setattr(coding, "privacy_amplify", counted)
+        out = tmp_path / "rows.json"
+        run_cli(argv + ["--format", "json", "--out", str(out)])
+        return sum(hashed), json.loads(out.read_text())["rows"]
+
+    def test_honest_clean_run_hashes_nothing(self, monkeypatch, tmp_path):
+        hashed, rows = self.rows_hashed(monkeypatch, tmp_path, ["ake", "--k", "64", "--trials", "16"])
+        assert hashed == 0
+        assert len(rows) == 16 and all(r["keys_equal"] and r["trial_check_passed"] for r in rows)
+
+    def test_opaque_run_hashes_a_row_per_finished_session_at_most(self, monkeypatch, tmp_path):
+        argv = ["ake", "--k", "64", "--trials", "16", "--eve", "opaque", "--loss", "0.2"]
+        hashed, rows = self.rows_hashed(monkeypatch, tmp_path, argv)
+        finished = sum(not r["aborted"] for r in rows)
+        assert 0 < finished < 16 and 0 < hashed <= finished
 
 
 class TestNumpyScalars:
