@@ -9,7 +9,7 @@ row), both through small lookup tables built at import from the check
 matrix.  The hash is evaluated as one FFT convolution of the seeded
 strip with each input row, so it costs O(n log n) time and O(n) memory
 instead of building the matrix; a run of sessions is hashed in one call,
-each session's rows under its own strip.  The hash is linear over GF(2), so
+each row under its own strip.  The hash is linear over GF(2), so
 a session checks its keys by hashing the XOR of the two parties' bits.
 """
 
@@ -99,8 +99,8 @@ def code_rate(code: str) -> float:
 
 
 def privacy_amplify(bits, hash_seeds, out_len: int) -> np.ndarray:
-    """Hash a ``(groups, rows, n)`` stack of bits, group g under the seeded
-    binary Toeplitz matrix of ``hash_seeds[g]``, to ``(groups, rows, out_len)``.
+    """Hash a ``(rows, n)`` stack of bits, row r under the seeded binary
+    Toeplitz matrix of ``hash_seeds[r]``, to ``(rows, out_len)``.
 
     A matrix is derived deterministically from its seed: a strip of
     ``n + out_len - 1`` random bits defines every diagonal, entry ``(i, j)``
@@ -117,24 +117,24 @@ def privacy_amplify(bits, hash_seeds, out_len: int) -> np.ndarray:
     it exactly; a value that lands 0.25 or more from an integer raises
     ``RuntimeError`` rather than returning a wrong key.
     """
-    x = _as_bits(bits, ndim=3)
+    x = _as_bits(bits, ndim=2)
     for seed in (seeds := list(hash_seeds)):
         require_seed("hash_seeds", seed)
     n = x.shape[-1]
     if not (is_integer(out_len) and 0 <= out_len <= n):
         raise ValueError(f"out_len must be an integer in [0, {n}], got {out_len!r}")
     if len(seeds) != len(x):
-        raise ValueError(f"{len(seeds)} hash seeds for {len(x)} groups of rows")
+        raise ValueError(f"{len(seeds)} hash seeds for {len(x)} rows")
     if out_len == 0:
-        return np.zeros(x.shape[:-1] + (0,), dtype=np.uint8)
+        return np.zeros((len(x), 0), dtype=np.uint8)
     strips = np.empty((len(seeds), n + out_len - 1), dtype=np.uint8)
-    for g, seed in enumerate(seeds):
-        strips[g] = np.random.default_rng(seed).integers(0, 2, size=strips.shape[1], dtype=np.uint8)
+    for r, seed in enumerate(seeds):
+        strips[r] = np.random.default_rng(seed).integers(0, 2, size=strips.shape[1], dtype=np.uint8)
     grid = 1 << (n + int(out_len) - 2).bit_length()  # a numpy int has no bit_length
     spectrum = np.fft.rfft(x, grid)
-    spectrum *= np.fft.rfft(strips, grid)[:, None, :]
+    spectrum *= np.fft.rfft(strips, grid)
     conv = np.fft.irfft(spectrum, grid)
-    y = conv[..., n - 1 : n - 1 + out_len]
+    y = conv[:, n - 1 : n - 1 + out_len]
     counts = np.rint(y)
     drift = float(np.max(np.abs(y - counts), initial=0.0))
     if drift >= 0.25:

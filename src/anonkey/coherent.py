@@ -101,15 +101,14 @@ def _overlap_table(alpha0: float, M: int, bins: np.ndarray) -> np.ndarray:
         return np.exp(-2.0 * alpha0**2 * (1.0 - np.cos((bins - M // 2) * step)))
 
 
-def _bin_score(counts: np.ndarray, alpha0: float, M: int) -> tuple[float, float]:
-    """Mean acceptance and ``np.std / sqrt(trials)`` of the trials counted in the
-    M + 1 rounding bins, as ``math.fsum`` sums over the bins hit, the only ones whose
-    overlap it evaluates: the per-trial scores, in bytes free of summation order."""
-    trials = int(counts.sum())
-    hit = np.flatnonzero(counts)
-    c, t = counts[hit], _overlap_table(alpha0, M, hit)
-    pa = math.fsum((c * t).tolist()) / trials  # fsum reads a list faster than an array
-    return pa, math.sqrt(math.fsum((c * (t - pa) ** 2).tolist()) / trials) / math.sqrt(trials)
+def _bin_moments(weights: np.ndarray, total: int, alpha0: float, M: int) -> tuple[float, float]:
+    """Mean and variance of the acceptance over the M + 1 rounding bins, bin ``j``
+    weighing ``weights[j] / total``, as ``math.fsum`` sums over the bins with weight,
+    the only ones whose overlap it evaluates: in bytes free of summation order."""
+    hit = np.flatnonzero(weights)
+    w, t = weights[hit], _overlap_table(alpha0, M, hit)
+    mean = math.fsum((w * t).tolist()) / total  # fsum reads a list faster than an array
+    return mean, math.fsum((w * (t - mean) ** 2).tolist()) / total
 
 
 def heterodyne_pa(alpha0: float, M: int, trials: int, seed: int) -> tuple[float, float]:
@@ -122,7 +121,7 @@ def heterodyne_pa(alpha0: float, M: int, trials: int, seed: int) -> tuple[float,
     and ``n e^(-i theta)`` has the law of ``n``, so the phase error ``angle(alpha0 +
     n)`` does not depend on ``theta``.  Its rounding bins have exact probabilities
     (:func:`_heterodyne_coefficients`), so the bin counts are one draw ``rng.multinomial(
-    trials, pmf)``, scored by :func:`_bin_score`: O(alpha0 + M log M) whatever ``trials`` is.
+    trials, pmf)``, scored by :func:`_bin_moments`: O(alpha0 + M log M) whatever ``trials`` is.
     """
     return _phase_pa("heterodyne", alpha0, M, trials, seed)
 
@@ -297,16 +296,16 @@ def exact_pa(alpha0: float, M: int, estimator: str) -> tuple[float, float]:
     (``estimator="heterodyne"``) or :func:`canonical_phase_pa` (``"canonical"``) samples."""
     if estimator not in _COEFFICIENTS:
         raise ValueError(f"estimator must be 'heterodyne' or 'canonical', got {estimator!r}")
-    pmf, t = _phase_bins(alpha0, M, estimator), _overlap_table(alpha0, M, np.arange(M + 1))
-    mean = math.fsum(pmf * t)
-    return mean, math.fsum(pmf * (t - mean) ** 2)
+    return _bin_moments(_phase_bins(alpha0, M, estimator), 1, alpha0, M)
 
 
 def _phase_pa(estimator: str, alpha0: float, M: int, trials: int, seed: int) -> tuple[float, float]:
-    """The bin counts of ``trials``, one ``rng.multinomial`` draw, scored by :func:`_bin_score`."""
+    """The bin counts of ``trials``, one ``rng.multinomial`` draw: the mean acceptance of
+    :func:`_bin_moments` and its standard error, ``np.std / sqrt(trials)`` of the trials."""
     require_count("trials", trials)
-    rng = seeded_rng("seed", seed)
-    return _bin_score(rng.multinomial(trials, _phase_bins(alpha0, M, estimator)), alpha0, M)
+    counts = seeded_rng("seed", seed).multinomial(trials, _phase_bins(alpha0, M, estimator))
+    mean, var = _bin_moments(counts, int(trials), alpha0, M)
+    return mean, math.sqrt(var) / math.sqrt(trials)  # sqrt(var / trials) differs by ulps
 
 
 def canonical_phase_pa(alpha0: float, M: int, trials: int, seed: int) -> tuple[float, float]:

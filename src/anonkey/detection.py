@@ -32,12 +32,11 @@ from .states import (
     DensityOperator,
     Ensemble,
     checked_stack,
-    circle_states,
     psd_faults,
     require_ring_size,
     stack_chunks,
-    uniform_circle_ensemble,
 )
+from .states import uniform_circle_ensemble  # noqa: F401 - benchmarks/tracing.py patches it here
 
 COMPLETENESS_ATOL = 1e-8
 SUPPORT_CUTOFF = 1e-12
@@ -85,10 +84,6 @@ class DetectionReport:
                 raise ValueError(f"{name} must be a probability, got {value!r}")
 
 
-def _real_traces(a: np.ndarray) -> np.ndarray:
-    return np.trace(a, axis1=1, axis2=2).real
-
-
 def _sandwich(s: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """``s a s`` for every ``a`` of an ``(n, d, d)`` stack, as two 2-D products:
     ``(d, d) @ (d, n d)`` gives every ``s a`` side by side, ``(n d, d) @ (d, d)``
@@ -107,6 +102,12 @@ def square_root_measurement(e: Ensemble) -> Povm:
     trailing element covering the orthogonal complement is appended so the
     returned POVM is complete; outcome ``i < len(states)`` still means
     "state i".
+
+    Conditioning: built from density matrices, the elements are fixed only to
+    about ``eps / lambda_min`` for the smallest eigenvalue of ``S`` above the
+    1e-12 support cutoff.  An eigenvalue between that cutoff and about 1e-8 (two
+    pure states 1e-4 rad apart) gives elements that fail the POVM checks, and
+    this raises ``ValueError``.
     """
     weighted = e.weighted()
     w, v = np.linalg.eigh(weighted.sum(0))  # trace 1, so never rank zero
@@ -221,10 +222,6 @@ class RingTables(NamedTuple):
     """Exact per-qubit probability tables for ring size ``M`` (read-only).
 
     * ``ov[d]`` - overlap tr(rho_l rho_{l+d}) between ring states d apart.
-    * ``decrypt_p0[d]`` - probability that the decrypt measurement for an
-      expected state ``l`` yields bit 0 when the returned qubit actually sits
-      at ``l + d``; the bit-0 basis state is the expected state rotated
-      +M/4 steps.
     * ``srm[d]`` - probability that the optimal ring detector reports an
       offset of d steps from the true state.
     * ``q`` - the quarter-turn M/4 in ring steps.
@@ -235,7 +232,6 @@ class RingTables(NamedTuple):
     """
 
     ov: np.ndarray
-    decrypt_p0: np.ndarray
     srm: np.ndarray
     q: int
     cdf: np.ndarray
@@ -243,27 +239,21 @@ class RingTables(NamedTuple):
 
 @lru_cache(maxsize=None, typed=True)  # typed: 4.0 must not hit the entry for 4
 def ring_tables(M: int) -> RingTables:
-    """The ring tables for ``M``, derived once from the density-operator algebra.
+    """The ring tables for ``M``, from their closed forms in O(M).
 
-    Closed forms: ``ov[d] = cos^2(pi d/M)``, ``decrypt_p0[d] = ov[d - M/4]``
-    and ``srm[d] = (2/M) cos^2(pi d/M)``.
+    ``ov[d] = cos^2(pi d/M)`` and ``srm[d] = (2/M) cos^2(pi d/M)``, the square-root
+    measurement being the optimal detector of the symmetric pure-state ring (Eldar
+    and Forney, IEEE Trans. Inf. Theory 47, 858 (2001)); ``srm`` is ``ov`` over its
+    sum.  The tests check both against the density-operator algebra.
     """
     require_ring_size(M)
-    q = M // 4
-    rho = circle_states(np.arange(M), M)
-    ov = _real_traces(rho[0] @ rho)
-    decrypt_p0 = _real_traces(rho @ rho[q])
-    ring = uniform_circle_ensemble(M)
-    srm = square_root_measurement(ring)
-    # uniform ring: p(report offset d) is l-independent; evaluate at the
-    # ensemble's first state, whose outcome d is offset d
-    srm_pmf = np.clip(_real_traces(srm.elements[:M] @ ring.states[0]), 0.0, None)
-    srm_pmf = srm_pmf / srm_pmf.sum()
-    cdf = srm_pmf.cumsum()
+    ov = np.cos(np.pi * np.arange(M) / M) ** 2
+    srm = ov / ov.sum()
+    cdf = srm.cumsum()
     cdf /= cdf[-1]  # normalized as rng.choice does
-    for a in (ov, decrypt_p0, srm_pmf, cdf):
+    for a in (ov, srm, cdf):
         a.setflags(write=False)
-    return RingTables(ov=ov, decrypt_p0=decrypt_p0, srm=srm_pmf, q=q, cdf=cdf)
+    return RingTables(ov=ov, srm=srm, q=M // 4, cdf=cdf)
 
 
 def random_basis_strategy(M: int, trials: int, seed: int) -> tuple[float, float]:

@@ -12,12 +12,12 @@ plaintext catches disagreement.  The hash is linear over GF(2), so the core
 hashes the bits' XOR where they differ, and the keys only for a transcript.
 
 The per-qubit quantum mechanics is exact: all measurement and interception
-probabilities are tabulated once per ``M`` by :func:`anonkey.detection.ring_tables`
-from the density-operator algebra, then sessions sample from those tables,
-which keeps thousand-session experiments cheap without approximating
-anything.  The :class:`ChannelModel` loss and depolarization are sampled per
-qubit the same way, and a depolarized qubit reads as a fair coin at Adam's
-measurement.
+probabilities come once per ``M`` from :func:`anonkey.detection.ring_tables`,
+closed forms that the tests check against the density-operator algebra, then
+sessions sample from those tables, which keeps thousand-session experiments
+cheap without approximating anything.  The :class:`ChannelModel` loss and
+depolarization are sampled per qubit the same way, and a depolarized qubit
+reads as a fair coin at Adam's measurement.
 
 One core runs every session: :func:`run_ake_sessions` takes a run's one
 :class:`SessionConfig` and a seed per session.  Each session draws its whole
@@ -42,10 +42,9 @@ Adversaries
 * ``"impersonate-order"`` - Eve answers in Babe's place with her own bits,
   guessing each block's secret order (right with probability 1/4); wrongly
   ordered blocks hand Adam a coin-flip per qubit.
-* ``"translucent"`` - a non-disturbing tap of both legs, scored by the
-  loose information accounting (deterministic bits for order-guessed blocks,
-  the binary-channel figure ``1 - h(pa)`` a qubit elsewhere: not a bound on
-  what the tap learns).
+* ``"translucent"`` - a non-disturbing tap of both legs, scored by a
+  binary-channel information figure (deterministic bits for order-guessed
+  blocks, ``1 - h(pa)`` a qubit elsewhere): not a bound on what the tap learns.
 """
 
 from __future__ import annotations
@@ -185,10 +184,12 @@ class SessionBatch:
     result columns, masked where ``aborted``), ``bits`` (the transcript's bit
     lists but the keys), ``mismatch`` (Adam's key XOR Babe's, 0 if aborted) and
     ``eve_stats``' arrays; ``keys`` hashes the batch once, at its first transcript.
+    ``hash_seeds`` holds each session's privacy amplification seed.
     """
 
     cfg: SessionConfig
     seeds: list
+    hash_seeds: list
     states_sent: np.ndarray
     arrived: np.ndarray
     columns: dict
@@ -199,8 +200,8 @@ class SessionBatch:
     @cached_property
     def keys(self) -> dict:
         """Both parties' keys by transcript field, Babe's hashed in one call when first asked."""
-        seeds, babe = [s ^ PA_SEED_XOR for s in self.seeds], self.bits["raw_bits_babe"]
-        babe = coding.privacy_amplify(babe[:, None], seeds, self.mismatch.shape[1])[:, 0]
+        babe = coding.privacy_amplify(self.bits["raw_bits_babe"], self.hash_seeds,
+                                      self.mismatch.shape[1])
         return dict(final_key_adam=babe ^ self.mismatch, final_key_babe=babe)
 
     def rows(self) -> list[dict]:
@@ -214,7 +215,7 @@ class SessionBatch:
         report = dict(strategy=cfg.eve_strategy, per_qubit_success=0.0, deterministic_bits=0,
                       shannon_bits=0.0, order_guess_distribution=())
         # transcripts record the seeds and the margin beside the config
-        config = dict(asdict(cfg), rng_seed=seed, pa_hash_seed=seed ^ PA_SEED_XOR,
+        config = dict(asdict(cfg), rng_seed=seed, pa_hash_seed=self.hash_seeds[i],
                       send_margin=SEND_MARGIN)
         head = dict(config=config, states_sent=self.states_sent[i].tolist(), eve_report=report)
         if self.columns["aborted"][i]:
@@ -331,18 +332,20 @@ def _run_batch(cfg: SessionConfig, seeds: list[int]) -> SessionBatch:
         steps = np.take_along_axis(sent_used + steps, sigma, axis=1) - sent_used
         dep = np.take_along_axis(dep, sigma, axis=1)
 
-    # step (iii): Adam measures his quarter-turn basis and decodes
-    p0 = np.where(dep, 0.5, tables.decrypt_p0[steps % M])
+    # step (iii): Adam measures his quarter-turn basis and decodes; its bit-0
+    # state is the sent one rotated +M/4 steps, so bit 0 reads with ov[steps - q]
+    p0 = np.where(dep, 0.5, tables.ov[(steps - tables.q) % M])
     adam_coded = (u_adam >= p0).astype(np.uint8)
     adam_raw, corrected = coding.cecc_decode_rows(adam_coded[:, :n_coded], cfg.cecc)
 
     # privacy amplification of the 8k sifted bits down to 4k under each
     # session's hash seed: the Toeplitz hash H is linear over GF(2), so the keys
     # differ by H(adam_raw ^ raw), hashed only where finished sessions' bits differ
+    hash_seeds = [seed ^ PA_SEED_XOR for seed in seeds]
     diff, mismatch = adam_raw ^ raw, np.zeros((S, 4 * cfg.k), dtype=np.uint8)
     if len(differ := np.flatnonzero(done & np.any(diff, axis=1))):
-        pa_seeds = [seeds[i] ^ PA_SEED_XOR for i in differ]
-        mismatch[differ] = coding.privacy_amplify(diff[differ, None], pa_seeds, 4 * cfg.k)[:, 0]
+        mismatch[differ] = coding.privacy_amplify(diff[differ], [hash_seeds[i] for i in differ],
+                                                  4 * cfg.k)
 
     # step (iv): trial encryption of the fixed public plaintext under Babe's
     # key; it decrypts under Adam's exactly when the keys agree on its bits
@@ -363,7 +366,7 @@ def _run_batch(cfg: SessionConfig, seeds: list[int]) -> SessionBatch:
                          wrong_block_qubits=np.count_nonzero(wrong, axis=1), blocks_total=n_blocks,
                          wrong_block_errors=np.count_nonzero(wrong & ~coded_ok, axis=1))
     elif eve == "translucent":
-        # non-disturbing tap, scored by the loose accounting: order-guessed blocks
+        # non-disturbing tap, scored by the binary-channel figure: order-guessed blocks
         # leak their bits outright, the rest a binary channel's capacity at the
         # two-copy success rate (not a bound on what the tap learns)
         pa = opaque_bound(M)
@@ -377,4 +380,4 @@ def _run_batch(cfg: SessionConfig, seeds: list[int]) -> SessionBatch:
                    keys_equal=~done | ~np.any(mismatch, axis=1),
                    corrected_blocks=done * corrected, expended_order_bits=done * 2 * n_blocks)
     bits = dict(orders_used=orders, raw_bits_babe=raw, raw_bits_adam=adam_raw)
-    return SessionBatch(cfg, seeds, sent, arrived, columns, bits, mismatch, eve_stats)
+    return SessionBatch(cfg, seeds, hash_seeds, sent, arrived, columns, bits, mismatch, eve_stats)

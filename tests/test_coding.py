@@ -139,10 +139,11 @@ class TestCeccDispatch:
 
 
 def pa_rows(bits, hash_seed, out_len):
-    """One row, or one stack of rows, hashed under one seed: the stacked
-    ``(groups, rows, n)`` form of ``privacy_amplify`` with a single group."""
+    """One row, or one stack of rows, hashed under one seed: the ``(rows, n)``
+    form of ``privacy_amplify`` with that seed for every row."""
     x = np.asarray(bits)
-    out = privacy_amplify(x.reshape(1, -1, x.shape[-1]), [hash_seed], out_len)
+    rows = x.reshape(-1, x.shape[-1])
+    out = privacy_amplify(rows, [hash_seed] * len(rows), out_len)
     return out.reshape(x.shape[:-1] + (out_len,))
 
 
@@ -276,9 +277,9 @@ class TestPrivacyAmplifyFFT:
         bits, seed, out_len = case
         rows = np.stack([bits] + [np.random.default_rng(seed + r).integers(0, 2, size=len(bits))
                                   for r in range(1, n_rows)])
-        out = privacy_amplify(rows[None], [seed], out_len)
-        assert out.shape == (1, n_rows, out_len) and out.dtype == np.uint8
-        for row, hashed in zip(rows, out[0]):
+        out = privacy_amplify(rows, [seed] * n_rows, out_len)
+        assert out.shape == (n_rows, out_len) and out.dtype == np.uint8
+        for row, hashed in zip(rows, out):
             assert np.array_equal(hashed, pa_rows(row, seed, out_len))
             assert np.array_equal(hashed, dense_toeplitz_pa(row, seed, out_len))
 
@@ -292,51 +293,51 @@ class TestPrivacyAmplifyFFT:
         assert set(grids) == {1 << (size - 1).bit_length()}
         assert grids[0] >= size and grids[0] // 2 < size
 
-    @given(pa_cases(max_n=256), st.integers(1, 3), st.integers(1, 3))
-    def test_seed_per_group_hashes_like_single_calls(self, case, n_groups, n_rows):
+    @given(pa_cases(max_n=256), st.integers(1, 6))
+    def test_seed_per_row_hashes_like_single_calls(self, case, n_rows):
         bits, seed, out_len = case
-        seeds = [(seed + g) % 2**64 for g in range(n_groups)]
-        groups = np.random.default_rng(seed % 2**32).integers(
-            0, 2, size=(n_groups, n_rows, len(bits)), dtype=np.uint8)
-        out = privacy_amplify(groups, seeds, out_len)
-        assert out.shape == (n_groups, n_rows, out_len)
-        for g, s in enumerate(seeds):
-            assert np.array_equal(out[g], pa_rows(groups[g], s, out_len))
+        seeds = [(seed + r) % 2**64 for r in range(n_rows)]
+        rows = np.random.default_rng(seed % 2**32).integers(
+            0, 2, size=(n_rows, len(bits)), dtype=np.uint8)
+        out = privacy_amplify(rows, seeds, out_len)
+        assert out.shape == (n_rows, out_len)
+        for row, s, hashed in zip(rows, seeds, out):
+            assert np.array_equal(hashed, pa_rows(row, s, out_len))
 
-    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 300), st.data())
-    def test_hash_is_linear(self, n_groups, n_rows, n, data):
-        # H(a ^ b) = H(a) ^ H(b) under each group's seed: the key check of a
+    @given(st.integers(1, 6), st.integers(1, 300), st.data())
+    def test_hash_is_linear(self, n_rows, n, data):
+        # H(a ^ b) = H(a) ^ H(b) under each row's seed: the key check of a
         # session hashes only the XOR of the two parties' bits
         out_len = data.draw(st.integers(0, n))
-        seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=n_groups,
-                                   max_size=n_groups))
+        seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=n_rows,
+                                   max_size=n_rows))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        a, b = rng.integers(0, 2, size=(2, n_groups, n_rows, n), dtype=np.uint8)
+        a, b = rng.integers(0, 2, size=(2, n_rows, n), dtype=np.uint8)
         assert np.array_equal(privacy_amplify(a ^ b, seeds, out_len),
                               privacy_amplify(a, seeds, out_len) ^ privacy_amplify(b, seeds, out_len))
 
-    def test_seed_per_group_validation(self):
+    def test_seed_per_row_validation(self):
         with pytest.raises(ValueError, match="hash seeds"):
-            privacy_amplify(np.zeros((3, 2, 8), dtype=np.uint8), [1, 2], 4)
+            privacy_amplify(np.zeros((3, 8), dtype=np.uint8), [1, 2], 4)
         with pytest.raises(ValueError):
             privacy_amplify(np.zeros(8, dtype=np.uint8), [1], 4)
-        assert privacy_amplify(np.zeros((0, 2, 8), dtype=np.uint8), [], 4).shape == (0, 2, 4)
+        assert privacy_amplify(np.zeros((0, 8), dtype=np.uint8), [], 4).shape == (0, 4)
 
     def test_rows_shape_validation(self):
-        with pytest.raises(ValueError, match="3-D"):
-            privacy_amplify(np.zeros((2, 8), dtype=np.uint8), [0, 1], 4)
+        with pytest.raises(ValueError, match="2-D"):
+            privacy_amplify(np.zeros((1, 2, 8), dtype=np.uint8), [0], 4)
         with pytest.raises(ValueError):
-            privacy_amplify(np.array([[[0, 1, 2, 0]]]), [0], 2)
+            privacy_amplify(np.array([[0, 1, 2, 0]]), [0], 2)
         with pytest.raises(ValueError):
-            privacy_amplify(np.zeros((1, 2, 8), dtype=np.uint8), [0], 9)
+            privacy_amplify(np.zeros((2, 8), dtype=np.uint8), [0, 1], 9)
 
     def test_rows_zero_output_length(self):
-        out = privacy_amplify(np.ones((2, 3, 8), dtype=np.uint8), [0, 1], 0)
-        assert out.shape == (2, 3, 0) and out.dtype == np.uint8
+        out = privacy_amplify(np.ones((3, 8), dtype=np.uint8), [0, 1, 2], 0)
+        assert out.shape == (3, 0) and out.dtype == np.uint8
 
     def test_inexact_convolution_raises(self, monkeypatch):
         # a result that is not near an integer must never be rounded into a key
         irfft = np.fft.irfft
         monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: irfft(*a, **kw) + 0.3)
         with pytest.raises(RuntimeError, match="exactness"):
-            privacy_amplify(np.ones((2, 2, 64), dtype=np.uint8), [1, 2], 32)
+            privacy_amplify(np.ones((2, 64), dtype=np.uint8), [1, 2], 32)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from anonkey import detection, protocol, states
 from anonkey.adversary import two_copy_states
 from anonkey.detection import (
     Povm,
@@ -21,6 +22,7 @@ from anonkey.states import (
     Ensemble,
     bloch_to_density,
     circle_state,
+    circle_states,
     rotation_unitary,
     six_state_ensemble,
     sphere_grid_ensemble,
@@ -223,73 +225,106 @@ class TestAcceptanceMatchesDoubleSum:
         )
 
 
-# sha256 of the raw bytes of (ov, decrypt_p0, srm), recorded from the
-# element-by-element implementation; ake, aki and attack sample from these
-# tables, so the stacked implementation must reproduce them to the last bit
+# sha256 of the raw bytes of (ov, srm, cdf), recorded from the closed forms
+# once every golden CLI output held byte for byte; ake, aki and attack sample
+# from these tables, so a change to their bytes must show here first
 RING_TABLE_SHA256 = {
     4: (
-        "9cde20aa813c91669f87770660b5c33d73e13268ba49fd70ea6cabe4c7a28edf",
-        "2e123076c4a1275caa99990620d97f063e1465a994786787ed3f8adc0ec3604e",
-        "a23f8121611031a7d88480a63274204c721f28660ac971894f2eebb079ad4943",
+        "9195086853dd18e9d9969f9c8d1cee15f87dd9f7c924a743dbe42f75c68db705",
+        "8e6f09d6ad6578ce2964b6b09285e3625d3ed6cb5fc5d145ee01a26c54edc9bb",
+        "6c7e752c6f5c3047513c8ee4f801ce4bc12228f3783cf166619d0880f3b5cbe4",
     ),
     8: (
-        "55c8130c42ad2692a16e4974adbf04a385eed16349f5675c65995646861f69d5",
-        "3e88209392f4be250ebea662252fa72633ca257237ad15ef262215b9922b114c",
-        "e34f49600e0b25c8219b422fe298798591d860d99fb118974d05f8150bdde517",
+        "0647a00a551a79fe9f17c59f74e18c4a355e703197310ed8bf05ebb61a1ad235",
+        "5d79f824c35c0cccfaf3624eabdddeb024b9739109ea568642755872829aab9b",
+        "82e1e9f64ab5ddd4df686a740867aac828f57535a5601608c48ca1a8d6c1dac1",
     ),
     12: (
-        "7c27f0b01a90abd423179eaa409d530dccc11ed77c06d183dd5651a17640821c",
-        "52397154f4588c0e194c6911bb0def5f89d7725d718e97a5ba09b8ab13296d96",
-        "3c2d56d96781776abfb03db987fc0540a0ec715781d492763793c9b2fc7a0429",
+        "65bad9131be27adc4ce520ddb52335afcd5cdf245d7a70619216ed21ee4c9eba",
+        "9cf1eebf0419df74ef218f440506082b0e17b2d6e9fdc5961201f8e744997d23",
+        "81783d8d5f3ab03a55c173bde72d556980406fa4505b86798a8d8d330152204a",
     ),
     16: (
-        "e0d0d9ba823151e3be3d3dc61dcad097238424b7313a31e24769d8ff5765b0e2",
-        "3de6b7aaa2e87295ce29eb19c81342d8079875cf4b3e185ea80a028bbb221d57",
-        "770b65f5e725bc49294fdb86550655d305feb7abb15a33f4a28dd940ced3e35b",
+        "9701362fc3809225b47fdb1f9283de2b2766758d295cc9086bba8252f3d9ec5e",
+        "9e40b450ce3b408dde0029dabd2ecc037de90227c0409dfc552adbd3cfeabd0a",
+        "5f6054cf90e2268a3d528d3797d173fc095e7d9b07cf73dd03635a9b42866b2b",
     ),
     64: (
-        "664c64fafcbd24f7041a3e6447d752aa6599e1700b18b3806d560959842b3158",
-        "7784ad6a51ac79d1cfb41fee3086f37b73c205f3be8d9905fc4970b269d69ed1",
-        "b81d40d7befa91fcb4fd961944ad1b27b83ef2b7932c6478929fd55ad960091e",
+        "4f0dd761b373ca9c1500cd4878d1570b642785b8171434ffb762f81ce3f94c17",
+        "a162fdcb3b5e5ae809c5d106b5ca814d729b60e170df85b68dfc56ae4f442bf3",
+        "3f37f180ec0e4de3f1384f36e3a9f3ea173d28998801385ba3b1477a7472ab2a",
     ),
     192: (
-        "bf0b92129c6ce770c61f35362ae147232c123e16efe4b342133e0276716034b8",
-        "4e0e14703101e7eb8b6e91f442cd2ea631ce54910bd2fa65298dc0b655eb55f2",
-        "936fc6530bc7da7306cbe24ae0addfceb3959c0eb7d26baf43f969a0eda82bef",
+        "6c997fa6a747991ddef2b48947b233e6f285c33cfe8827dff1eee83a9c742a2f",
+        "cc315b7845014cc59b8530e90640957026f6118de0194de3ab3110b53bbbd542",
+        "791fa16175a7cae92ac43d2c4ca133695059ad742b7f4b0c910b4efe819a4d92",
     ),
 }
 
 
+def ring_algebra(M):
+    """The tables from the density-operator algebra: ``ov[d] = tr(rho_0 rho_d)``,
+    ``decrypt[d] = tr(rho_d rho_q)`` and the square-root measurement of the
+    uniform ring at its first state, normalised."""
+    rho = circle_states(np.arange(M), M)
+    ov = np.trace(rho[0] @ rho, axis1=1, axis2=2).real
+    decrypt = np.trace(rho @ rho[M // 4], axis1=1, axis2=2).real
+    ring = uniform_circle_ensemble(M)
+    srm = square_root_measurement(ring).elements[:M]
+    pmf = np.clip(np.trace(srm @ ring.states[0], axis1=1, axis2=2).real, 0.0, None)
+    return ov, decrypt, pmf / pmf.sum()
+
+
 class TestRingTables:
-    def test_tables_match_closed_forms(self):
-        # the ring simulations sample from tables computed out of the
-        # density-operator algebra; pin them against the independent
-        # closed-form oracles for ring overlaps and the optimal detector, to a
-        # few ulps at 1 (rtol 0: the default rtol of 1e-5 would bound nothing);
-        # the worst deviation, 5.0e-16 in decrypt_p0 at M = 192, is part the
-        # closed form's own rounding: against cos^2 in long double it is 4.3e-16
-        for M in (4, 8, 16, 64, 192):
-            t = ring_tables(M)
-            q = M // 4
-            d = np.arange(M)
-            assert t.q == q
-            assert np.abs(t.ov - np.cos(np.pi * d / M) ** 2).max() <= 1e-15
-            assert np.abs(t.decrypt_p0 - np.cos(np.pi * (d - q) / M) ** 2).max() <= 1e-15
-            assert np.abs(t.srm - (2.0 / M) * np.cos(np.pi * d / M) ** 2).max() <= 4e-16
-            assert abs(t.srm.sum() - 1.0) <= 4e-16
+    @pytest.mark.parametrize("M", [4, 8, 12, 16, 60, 64, 192])
+    def test_tables_match_the_algebra(self, M):
+        # the ring simulations sample from closed-form tables; pin them against
+        # the traces of the circle states and the ring's square-root
+        # measurement, to a few ulps at 1 (rtol 0: the default rtol of 1e-5
+        # would bound nothing).  Adam's bit-0 probability at offset d is
+        # ov[d - q], the overlap with his bit-0 state a quarter-turn up
+        t = ring_tables(M)
+        ov, decrypt, srm = ring_algebra(M)
+        d = np.arange(M)
+        assert t.q == M // 4
+        assert np.abs(t.ov - ov).max() <= 1e-15
+        assert np.abs(t.ov[(d - t.q) % M] - decrypt).max() <= 1e-15
+        assert np.abs(t.srm - srm).max() <= 1e-15
+        assert abs(t.srm.sum() - 1.0) <= 4e-16
+        expected = t.srm.cumsum()
+        assert np.array_equal(t.cdf, expected / expected[-1])
 
     @pytest.mark.parametrize("M", sorted(RING_TABLE_SHA256))
     def test_table_bytes_pinned(self, M):
         t = ring_tables(M)
-        tables = (t.ov, t.decrypt_p0, t.srm)
+        tables = (t.ov, t.srm, t.cdf)
         digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in tables)
         assert digests == RING_TABLE_SHA256[M]
 
     def test_arrays_are_read_only(self):
         t = ring_tables(8)
-        for a in (t.ov, t.decrypt_p0, t.srm):
+        for a in (t.ov, t.srm, t.cdf):
             with pytest.raises(ValueError):
                 a[0] = 0.0
+
+    def test_tables_build_no_ensemble(self, monkeypatch):
+        # the tables and the sessions that read them build no M-state
+        # ensemble and no square-root measurement
+        def refuse(*args, **kwargs):
+            raise AssertionError("ring_tables built an ensemble")
+
+        for owner in (detection, states, protocol):
+            for name in ("square_root_measurement", "uniform_circle_ensemble", "circle_states"):
+                if name in vars(owner):
+                    monkeypatch.setattr(owner, name, refuse)
+        ring_tables.cache_clear()
+        try:
+            t = ring_tables(1 << 20)
+            assert len(t.ov) == len(t.srm) == len(t.cdf) == 1 << 20
+            cfg = protocol.SessionConfig(k=1, M=1 << 20, eve_strategy="opaque")
+            assert not protocol.run_ake_session(cfg, 7).aborted
+        finally:
+            ring_tables.cache_clear()
 
     @pytest.mark.parametrize("M", [0, -4, 6])
     def test_bad_ring_size_rejected(self, M):

@@ -143,7 +143,7 @@ ONE_DRAW_COUNTS = {("aki_impersonation", "trials"), ("sequential_strategy_pc", "
                    ("heterodyne_pa", "trials"), ("heterodyne_resend_pa", "trials")}
 
 _STATE = circle_state(0, 4)
-_PA_BITS = np.ones((1, 1, 16), dtype=np.uint8)
+_PA_BITS = np.ones((1, 16), dtype=np.uint8)
 _SESSION = protocol.SessionConfig(k=1)
 
 # (callable, parameter, kind, the call with that parameter set to v); every

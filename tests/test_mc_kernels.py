@@ -6,7 +6,7 @@ computed here from the ring states and their square-root measurement alone,
 by summing the per-trial law over every outcome, and must match its per-trial
 form (``rng.choice`` for the ring detector, one uniform per decision) in
 distribution.  Both phase estimators draw their bin counts in one
-``rng.multinomial`` call, so each must equal ``_bin_score`` of that draw with
+``rng.multinomial`` call, so each must equal ``_bin_moments`` of that draw with
 the estimator's bin probabilities exactly, match its per-trial form in
 distribution (canonical: ``rng.choice(M + 1, p=pmf)``; heterodyne: a random
 ring state plus complex noise, unwound) and its exact mean and variance from
@@ -30,7 +30,7 @@ import pytest
 from anonkey.adversary import sequential_strategy_pc
 from anonkey.aki import aki_impersonation
 from anonkey.coherent import (
-    _bin_score,
+    _bin_moments,
     _phase_bins,
     canonical_phase_pa,
     exact_pa,
@@ -132,7 +132,9 @@ def canonical_pmf(alpha0, M):
 
 def ref_heterodyne(alpha0, M, trials, seed):
     pmf = _phase_bins(alpha0, M, "heterodyne")
-    return _bin_score(np.random.default_rng(seed).multinomial(trials, pmf), alpha0, M)
+    counts = np.random.default_rng(seed).multinomial(trials, pmf)
+    mean, var = _bin_moments(counts, trials, alpha0, M)
+    return mean, math.sqrt(var) / math.sqrt(trials)
 
 
 def ref_heterodyne_physical(alpha0, M, trials, seed):

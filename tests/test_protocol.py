@@ -408,7 +408,7 @@ def reference_session(cfg, seed):
     expected = sent[used]
     actual = returned[sigma]
     actual_dep = src_dep[sigma]
-    p0 = tables.decrypt_p0[(actual - expected) % M]
+    p0 = tables.ov[(actual - expected - q) % M]  # bit 0: the state q steps up from expected
     p0 = np.where(actual_dep, 0.5, p0)
     adam_coded = (rng.random(n_slots) >= p0).astype(np.uint8)
     adam_raw, corrected = coding.cecc_decode(adam_coded[:n_coded], cfg.cecc)
@@ -416,8 +416,8 @@ def reference_session(cfg, seed):
     # privacy amplification of the 8k sifted bits down to 4k
     out_len = 4 * cfg.k
     key_adam, key_counterpart = coding.privacy_amplify(
-        np.stack([adam_raw, counterpart_raw])[None], [pa_hash_seed], out_len
-    )[0]
+        np.stack([adam_raw, counterpart_raw]), [pa_hash_seed] * 2, out_len
+    )
 
     # step (iv): trial encryption of the fixed public plaintext
     t = min(len(TRIAL_PLAINTEXT), out_len)
@@ -600,7 +600,7 @@ class TestDisagreementHash:
         hashed, pa = [], coding.privacy_amplify
 
         def counted(bits, *rest):
-            hashed.append(bits.shape[0] * bits.shape[1])
+            hashed.append(len(bits))
             return pa(bits, *rest)
 
         monkeypatch.setattr(coding, "privacy_amplify", counted)
